@@ -20,13 +20,15 @@ the repo carries a measured trajectory instead of asserted speedups:
   not touch repo code.  ``--check`` normalises the committed kernel
   number by the calibration ratio before comparing, so a slower CI
   machine does not read as a regression.
-* **trace_pipeline** (PR 5) — the compiled trace store versus the PR 4
-  dispatch path.  Per workload: build (TraceBuilder) vs encode
+* **trace_pipeline** (PR 5) — the compiled trace store versus sweeps
+  without it.  Per workload: build (TraceBuilder) vs encode
   (``write_trace``) vs decode (``read_trace``) vs warm ``ensure`` time.
   Per sweep: wall time of the same multi-cell grid dispatched with
-  ``jobs=2`` the PR 4 way (parent builds, pickled tuples ship) and the
-  store way (cold compile, then warm mmap), with the two results
-  asserted field-for-field identical before any number is written.
+  ``jobs=2`` with the store off (the ``legacy`` leg: no cache or DB,
+  so cells are keyed without fingerprints and the workers rebuild each
+  trace by name) and on (cold compile, then warm mmap), with the two
+  results asserted field-for-field identical before any number is
+  written.
 * **native_vs_reference** (PR 7, schema 3; schema 4 from PR 8) — the
   compiled batch kernel (``repro.sim.native``) against the interpreted
   reference loop, per prefetcher family, over mmap-backed ``.rpt``
@@ -50,24 +52,19 @@ the repo carries a measured trajectory instead of asserted speedups:
   any number is written — thread count may only change wall time,
   never a result.
 
-* **sweep_throughput** (PR 9, schema 5) — the warm-worker scheduler
-  (``repro.sim.sched``) against the PR 5 store-fed dispatch on the same
-  seed-axis grid: ``workloads × context-seed variants``, ≥10,000 cells
-  in the full report.  The warm path runs the whole grid through one
-  :class:`SweepScheduler` over the persistent pool; the baseline
-  dispatches the same cells the PR 5 way — one pool-per-call
-  ``parallel_compare(warm=False)`` per config slice — measured over a
-  recorded subset (its per-cell cost is flat in the number of slices,
-  and the full grid at baseline speed would take hours by design).
-  Every warm cell is asserted field-for-field identical to a serial
-  inline run before any number is written.
+* **sweep_throughput** (PR 9, schema 5; schema 7 drops the legacy
+  leg) — cells/s of the warm-worker scheduler (``repro.sim.sched``) on
+  a seed-axis grid: ``workloads × context-seed variants``, ≥10,000
+  cells in the full report, the whole grid through one
+  :class:`SweepScheduler` over the persistent pool.  Every cell is
+  asserted field-for-field identical to a serial inline run before any
+  number is written.  (Schemas 5–6 also timed the PR 5 pool-per-call
+  dispatch; that path no longer exists, and its numbers stay in
+  BENCH_9/BENCH_10.json as history.)
 
 ``--check FILE`` re-measures the context kernel and fails (exit 1) if it
 regresses more than ``--tolerance`` (default 30%) against the committed,
-calibration-normalised value.  A committed ``sweep_throughput`` section
-is also gated: the quick grid must keep the warm scheduler ≥3× the
-legacy dispatch here and now, and the committed full-grid ratio must
-meet the ≥5× acceptance floor.  When the committed report carries a
+calibration-normalised value.  When the committed report carries a
 ``native_vs_reference`` section, the check also re-measures the native
 kernel (parity-gated) and fails if any native family's speedup —
 ``context`` included — falls below
@@ -78,10 +75,10 @@ A committed ``batch_kernel`` section is gated the same way: the
 committed full-grid ratios must meet the PR 10 acceptance floors
 (≥5× at 4 threads, ≥1.5× at 1 thread vs the per-cell warm path), the
 quick grid must keep the batch driver ≥1.3× per-cell here and now,
-and the committed cells/s rates for both throughput sections must
-clear a conservative calibration-normalised sanity floor (so a
-wrong-by-an-order-of-magnitude committed rate fails even on a machine
-of a different speed).
+and the committed cells/s rates for both throughput sections
+(``sweep_throughput`` and ``batch_kernel``) must clear a conservative
+calibration-normalised sanity floor (so a wrong-by-an-order-of-magnitude
+committed rate fails even on a machine of a different speed).
 """
 
 from __future__ import annotations
@@ -105,8 +102,10 @@ from repro.workloads.suites import get_workload  # noqa: E402
 #: measured native family inside it (``native_handled`` true everywhere);
 #: schema 5 (PR 9) adds ``sweep_throughput`` (warm-worker scheduler vs
 #: the PR 5 store-fed dispatch); schema 6 (PR 10) adds ``batch_kernel``
-#: (the in-kernel multi-cell batch driver vs the per-cell warm path)
-SCHEMA = 6
+#: (the in-kernel multi-cell batch driver vs the per-cell warm path);
+#: schema 7 drops ``sweep_throughput``'s legacy-dispatch leg and fields
+#: (the pool-per-call path it timed is gone)
+SCHEMA = 7
 
 #: the kernel measurement grid: one streaming, one pointer-chasing and
 #: one graph workload, truncated so a full report stays minutes-scale
@@ -300,8 +299,8 @@ def measure_trace_pipeline(quick: bool) -> dict:
             )
             return time.perf_counter() - t0, result
 
-        # the PR 4 dispatch path: parent builds every workload, cells
-        # ship pickled truncated tuples (store explicitly off)
+        # store off, no cache or DB: cells are keyed without
+        # fingerprints and workers rebuild each trace by name
         legacy_s = float("inf")
         for _ in range(repeats):
             elapsed, legacy_result = timed_compare(False)
@@ -441,25 +440,17 @@ SWEEP_THROUGHPUT_WORKLOADS = ("mcf", "graph500-csr", "list", "array")
 SWEEP_THROUGHPUT_WORKLOADS_QUICK = ("mcf", "list")
 SWEEP_THROUGHPUT_SEEDS = 2500
 SWEEP_THROUGHPUT_SEEDS_QUICK = 50
-#: config slices dispatched the PR 5 way to measure the baseline rate —
-#: per-cell baseline cost is flat in the slice count (each slice pays
-#: one executor spawn + per-cell job pickling), so a subset measures it
-SWEEP_THROUGHPUT_BASELINE_SEEDS = 12
-SWEEP_THROUGHPUT_BASELINE_SEEDS_QUICK = 3
 SWEEP_THROUGHPUT_LIMIT = 200
 SWEEP_THROUGHPUT_JOBS = 2
 
 
 def measure_sweep_throughput(quick: bool) -> dict:
-    """Warm-worker scheduler vs PR 5 store-fed dispatch, parity-gated.
+    """Warm-worker scheduler cells/s over the seed grid, parity-gated.
 
-    Three runs over one grid: a serial inline loop (the parity oracle),
+    Two runs over one grid: a serial inline loop (the parity oracle) and
     the full grid through :class:`SweepScheduler` on the persistent
-    pool, and a recorded subset of the same cells through the PR 5
-    pool-per-call dispatch (``parallel_compare(warm=False)`` per config
-    slice, exactly how the pre-PR-9 storage sweep ran).  No number is
-    written unless every warm cell equals its serial twin field for
-    field and every measured baseline cell does too.
+    pool.  No number is written unless every warm cell equals its serial
+    twin field for field.
     """
     import dataclasses
     import shutil
@@ -468,7 +459,6 @@ def measure_sweep_throughput(quick: bool) -> dict:
     from repro.core.config import ContextPrefetcherConfig
     from repro.core.prefetcher import ContextPrefetcher
     from repro.sim.codec import encode_result
-    from repro.sim.parallel import parallel_compare
     from repro.sim.sched.db import ResultDB
     from repro.sim.sched.plan import GridPlan
     from repro.sim.sched.scheduler import SweepScheduler
@@ -478,11 +468,6 @@ def measure_sweep_throughput(quick: bool) -> dict:
         SWEEP_THROUGHPUT_WORKLOADS_QUICK if quick else SWEEP_THROUGHPUT_WORKLOADS
     )
     n_seeds = SWEEP_THROUGHPUT_SEEDS_QUICK if quick else SWEEP_THROUGHPUT_SEEDS
-    baseline_seeds = (
-        SWEEP_THROUGHPUT_BASELINE_SEEDS_QUICK
-        if quick
-        else SWEEP_THROUGHPUT_BASELINE_SEEDS
-    )
     limit = SWEEP_THROUGHPUT_LIMIT
     jobs = SWEEP_THROUGHPUT_JOBS
 
@@ -537,44 +522,15 @@ def measure_sweep_throughput(quick: bool) -> dict:
                     "refusing to write a benchmark report"
                 )
 
-        # the PR 5 dispatch baseline over a recorded slice of the grid
-        t0 = time.perf_counter()
-        for seed in range(baseline_seeds):
-            comparison = parallel_compare(
-                workloads,
-                ("context",),
-                context_config=configs[seed],
-                limit=limit,
-                jobs=jobs,
-                store=store,
-                native=True,
-                warm=False,
-            )
-            for wl_name in workloads:
-                if comparison.get(wl_name, "context") != serial[(wl_name, seed)]:
-                    raise SystemExit(
-                        "PARITY FAILURE (legacy dispatch vs serial): "
-                        f"{wl_name}/seed={seed} diverged; refusing to "
-                        "write a benchmark report"
-                    )
-        legacy_s = time.perf_counter() - t0
-        baseline_cells = baseline_seeds * len(workloads)
-
-        warm_rate = plan.n_cells / warm_s
-        legacy_rate = baseline_cells / legacy_s
         return {
             "workloads": list(workloads),
             "seeds": n_seeds,
             "limit": limit,
             "jobs": jobs,
             "grid_cells": plan.n_cells,
-            "baseline_cells_measured": baseline_cells,
             "serial_seconds": round(serial_s, 3),
             "warm_seconds": round(warm_s, 3),
-            "legacy_seconds": round(legacy_s, 3),
-            "warm_cells_per_sec": round(warm_rate, 1),
-            "legacy_cells_per_sec": round(legacy_rate, 1),
-            "speedup_warm_vs_legacy": round(warm_rate / legacy_rate, 2),
+            "warm_cells_per_sec": round(plan.n_cells / warm_s, 1),
             "parity": "bit-identical",
         }
     finally:
@@ -866,34 +822,16 @@ def check_report(path: Path, tolerance: float) -> int:
         )
         return ok
 
-    # sweep-throughput gate: the warm scheduler must beat the PR 5
-    # dispatch ≥3x on the quick grid here and now (the quick grid's
-    # smaller fan-out understates the full-grid ratio by far more than
-    # any regression the gate should catch), and the committed full-grid
-    # number must meet the ≥5x acceptance floor
+    # sweep-throughput gate: the warm scheduler's quick-grid rate must
+    # clear the calibration-normalised sanity floor of the committed one
     sweep = committed.get("sweep_throughput")
     if sweep:
-        pinned_ratio = sweep["speedup_warm_vs_legacy"]
         remeasured = measure_sweep_throughput(quick=True)
-        got_ratio = remeasured["speedup_warm_vs_legacy"]
-        quick_ok = got_ratio >= 3.0
-        full_ok = pinned_ratio >= 5.0
-        print(
-            f"sweep check [{'ok' if quick_ok else 'REGRESSION'}]: warm "
-            f"scheduler {got_ratio:.1f}x vs legacy dispatch on the quick "
-            f"grid ({remeasured['grid_cells']} cells, floor 3.0x)"
-        )
-        print(
-            f"sweep check [{'ok' if full_ok else 'FAIL'}]: committed "
-            f"full-grid ratio {pinned_ratio:.1f}x on "
-            f"{sweep['grid_cells']} cells (acceptance floor 5.0x)"
-        )
-        rate_ok = rate_sane(
+        if not rate_sane(
             "sweep check",
             sweep["warm_cells_per_sec"],
             remeasured["warm_cells_per_sec"],
-        )
-        if not (quick_ok and full_ok and rate_ok):
+        ):
             exit_code = 1
 
     # batch-kernel gate: the committed full-grid ratios must meet the
@@ -1027,9 +965,7 @@ def main(argv=None) -> int:
     sweep = report["sweep_throughput"]
     print(
         f"sweep throughput: warm scheduler {sweep['warm_cells_per_sec']:.0f} "
-        f"cells/s over {sweep['grid_cells']} cells vs legacy dispatch "
-        f"{sweep['legacy_cells_per_sec']:.1f} cells/s "
-        f"({sweep['speedup_warm_vs_legacy']:.1f}x, parity {sweep['parity']})"
+        f"cells/s over {sweep['grid_cells']} cells (parity {sweep['parity']})"
     )
     batch = report["batch_kernel"]
     if batch.get("available"):

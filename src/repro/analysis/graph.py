@@ -86,14 +86,21 @@ class ModuleInfo:
 
 @dataclass(frozen=True)
 class WorkerEntry:
-    """One function handed to an executor's submit-like method."""
+    """One function that runs in another process.
 
-    target: str  # qualname of the submitted function
-    submitter: str  # qualname of the function containing the submit call
+    Either handed to an executor's submit-like method, or the
+    ``target=`` of a ``Process``.
+    """
+
+    target: str  # qualname of the function run in the other process
+    submitter: str  # qualname of the function containing the call
     rel: str
     line: int
     call: ast.Call
     submitter_node: FunctionNode
+    #: the expressions shipped to the target along with it: a submit's
+    #: positional arguments after the function, a Process's ``args=``
+    payload: tuple[ast.expr, ...] = ()
 
 
 def _module_name(package: str, rel: str) -> str:
@@ -440,28 +447,26 @@ class SemanticModel:
     # -- worker entries -------------------------------------------------
 
     def worker_entries(self) -> list[WorkerEntry]:
-        """Every function handed to an executor submit-like method.
+        """Every function that runs in another process.
 
         Detected syntactically: ``anything.submit(fn, ...)`` (and the
-        ``map``/``apply_async`` family) where ``fn`` resolves to a
-        project function.  The receiver is not type-checked — any object
-        with a ``submit`` method is treated as an executor, which errs
-        towards auditing more code, never less.
+        ``map``/``apply_async`` family) and ``Process(target=fn, ...)``
+        (``ctx.Process`` included) where ``fn`` resolves to a project
+        function.  The receiver is not type-checked — any object with a
+        ``submit`` method is treated as an executor, which errs towards
+        auditing more code, never less.
         """
         out: list[WorkerEntry] = []
         for modname in sorted(self.modules):
             info = self.modules[modname]
             for local, fn_node in sorted(info.functions.items()):
-                submitter = f"{modname}.{local}"
                 for sub in ast.walk(fn_node):
-                    if not (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in SUBMIT_METHODS
-                        and sub.args
-                    ):
+                    if not isinstance(sub, ast.Call):
                         continue
-                    first = sub.args[0]
+                    shipped = _shipped_function(sub)
+                    if shipped is None:
+                        continue
+                    first, payload = shipped
                     dotted = None
                     if isinstance(first, ast.Name):
                         dotted = first.id
@@ -477,11 +482,34 @@ class SemanticModel:
                     out.append(
                         WorkerEntry(
                             target=target,
-                            submitter=submitter,
+                            submitter=f"{modname}.{local}",
                             rel=info.rel,
                             line=sub.lineno,
                             call=sub,
                             submitter_node=fn_node,
+                            payload=payload,
                         )
                     )
         return out
+
+
+def _shipped_function(
+    call: ast.Call,
+) -> tuple[ast.expr, tuple[ast.expr, ...]] | None:
+    """``(function expr, payload exprs)`` when ``call`` starts another
+    process running a function: ``x.submit(fn, *payload)`` or
+    ``Process(target=fn, args=(*payload,))``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in SUBMIT_METHODS:
+        if call.args:
+            return call.args[0], tuple(call.args[1:])
+        return None
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name != "Process":
+        return None
+    keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg}
+    if "target" not in keywords:
+        return None
+    args = keywords.get("args")
+    payload = tuple(args.elts) if isinstance(args, (ast.Tuple, ast.List)) else ()
+    return keywords["target"], payload

@@ -38,16 +38,17 @@ into slotted layout:
   break the bit-identical-at-any-thread-count guarantee — and must
   keep the ``#ifdef _OPENMP`` guard so the serial fallback build keeps
   compiling.
-* ``PERF004`` — the warm-worker batch-dispatch layout
-  (``sim/sched/``) is pinned.  Cells cross the spawn boundary as bare
-  ``CELL_FIELDS`` tuples riding one per-batch ``BatchShared`` — never
-  as per-cell job objects (``SweepJob`` pickles a config per cell) and
-  never as per-cell futures (``concurrent.futures`` re-spawns workers
-  per call).  Queue-put and submit callsites are allowlisted
-  (budget-style, like ``PERF001``): a new place that ships payloads
-  into workers is a reviewed decision, because that is exactly where
-  the per-cell pickling the warm pool exists to avoid would creep
-  back in.
+* ``PERF004`` — the batch-dispatch layout is pinned, and it is the
+  only dispatch path under ``sim/``.  Cells cross the spawn boundary
+  as bare ``CELL_FIELDS`` tuples riding one per-batch ``BatchShared`` —
+  never as per-cell job objects (a ``SweepJob`` pickled a config per
+  cell) and never as per-cell futures (``concurrent.futures``
+  re-spawns workers per call); both are banned anywhere in ``sim/``.
+  Submit callsites anywhere in ``sim/`` and queue-put callsites in
+  ``sim/sched/`` are allowlisted (budget-style, like ``PERF001``): a
+  new place that ships payloads into workers is a reviewed decision,
+  because that is exactly where the per-cell pickling the warm pool
+  exists to avoid would creep back in.
 """
 
 from __future__ import annotations
@@ -392,9 +393,9 @@ class VectorPhaseContractRule(Rule):
 # ----------------------------------------------------------------------
 # PERF004: the warm-worker batch-dispatch layout is pinned
 
+SIM_DIR = "sim/"
 SCHED_DIR = "sim/sched/"
 POOL_MODULE = "sim/sched/pool.py"
-PARALLEL_MODULE = "sim/parallel.py"
 
 #: the wire shape of one sweep cell inside a batch message.  Everything
 #: else a cell needs (trace identity, limit, native flag, the context
@@ -412,24 +413,18 @@ QUEUE_PUT_ALLOWLIST = frozenset(
     }
 )
 
-#: ``rel-path:qualname`` functions allowed to call ``*.submit(...)``:
-#: the scheduler's batch dispatch, and the legacy pool-per-call paths
-#: kept in ``parallel_compare`` (the measured bench baseline)
-SUBMIT_ALLOWLIST = frozenset(
-    {
-        "sim/sched/scheduler.py:dispatch",
-        f"{PARALLEL_MODULE}:parallel_compare",
-    }
-)
+#: ``rel-path:qualname`` functions under ``sim/`` allowed to call
+#: ``*.submit(...)``: the scheduler's batch dispatch, and nothing else
+SUBMIT_ALLOWLIST = frozenset({"sim/sched/scheduler.py:dispatch"})
 
-#: names whose appearance under ``sim/sched/`` signals per-cell payloads
-#: or per-call executors leaking into the warm dispatch layer
-_SCHED_BANNED_NAMES = {
+#: names whose appearance under ``sim/`` signals per-cell payloads or
+#: per-call executors leaking back beside the one dispatch path
+_BANNED_NAMES = {
     "SweepJob": "per-cell job objects must not enter the batch protocol "
     "(ship bare CELL_FIELDS tuples; batch-constant state rides "
     "BatchShared)",
-    "ProcessPoolExecutor": "the scheduler dispatches to the persistent "
-    "worker pool, never to a pool-per-call executor",
+    "ProcessPoolExecutor": "sweeps dispatch to the persistent worker "
+    "pool, never to a pool-per-call executor",
 }
 
 
@@ -488,21 +483,19 @@ class BatchDispatchLayoutRule(Rule):
                 "a reviewed decision — move batch-constant state to "
                 "BatchShared, or update the pin in analysis/rules/perf.py",
             )
-        for source in project.in_dir(SCHED_DIR):
-            yield from self._check_sched_file(source)
-        parallel = project.get(PARALLEL_MODULE)
-        if parallel is not None:
-            yield from self._check_submits(parallel)
+        for source in project.in_dir(SIM_DIR):
+            yield from self._check_sim_file(source)
 
-    def _check_sched_file(self, source: SourceFile) -> Iterator[Finding]:
+    def _check_sim_file(self, source: SourceFile) -> Iterator[Finding]:
+        in_sched = source.rel.startswith(SCHED_DIR)
         for node, qualname in _qualname_walk(source.tree):
-            if isinstance(node, ast.Name) and node.id in _SCHED_BANNED_NAMES:
+            if isinstance(node, ast.Name) and node.id in _BANNED_NAMES:
                 yield Finding(
                     source.rel,
                     node.lineno,
                     self.rule_id,
-                    f"{node.id} referenced under sim/sched/: "
-                    f"{_SCHED_BANNED_NAMES[node.id]}",
+                    f"{node.id} referenced under sim/: "
+                    f"{_BANNED_NAMES[node.id]}",
                 )
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 module = getattr(node, "module", "") or ""
@@ -514,22 +507,21 @@ class BatchDispatchLayoutRule(Rule):
                         source.rel,
                         node.lineno,
                         self.rule_id,
-                        "concurrent.futures imported under sim/sched/: the "
-                        "scheduler dispatches to the persistent worker "
-                        "pool, never to a pool-per-call executor",
+                        "concurrent.futures imported under sim/: sweeps "
+                        "dispatch to the persistent worker pool, never to "
+                        "a pool-per-call executor",
                     )
                 banned = [
                     alias.name
                     for alias in node.names
-                    if alias.name in _SCHED_BANNED_NAMES
+                    if alias.name in _BANNED_NAMES
                 ]
                 for name in banned:
                     yield Finding(
                         source.rel,
                         node.lineno,
                         self.rule_id,
-                        f"{name} imported under sim/sched/: "
-                        f"{_SCHED_BANNED_NAMES[name]}",
+                        f"{name} imported under sim/: {_BANNED_NAMES[name]}",
                     )
             elif isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
@@ -537,7 +529,7 @@ class BatchDispatchLayoutRule(Rule):
                 attr = node.func.attr
                 site = f"{source.rel}:{qualname}"
                 if attr in ("put", "put_nowait"):
-                    if site not in QUEUE_PUT_ALLOWLIST:
+                    if in_sched and site not in QUEUE_PUT_ALLOWLIST:
                         yield Finding(
                             source.rel,
                             node.lineno,
@@ -554,26 +546,8 @@ class BatchDispatchLayoutRule(Rule):
                         self.rule_id,
                         f".submit() in {qualname or '<module>'} is not in "
                         "SUBMIT_ALLOWLIST: batches are submitted from the "
-                        "scheduler's dispatch loop, never per cell",
-                    )
-
-    def _check_submits(self, source: SourceFile) -> Iterator[Finding]:
-        for node, qualname in _qualname_walk(source.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit"
-            ):
-                site = f"{source.rel}:{qualname}"
-                if site not in SUBMIT_ALLOWLIST:
-                    yield Finding(
-                        source.rel,
-                        node.lineno,
-                        self.rule_id,
-                        f".submit() in {qualname or '<module>'} is not in "
-                        "SUBMIT_ALLOWLIST: sweep dispatch goes through "
-                        "the warm pool (or the reviewed legacy paths in "
-                        "parallel_compare), never new per-cell futures",
+                        "scheduler's dispatch loop, never as per-cell "
+                        "futures",
                     )
 
 

@@ -1,13 +1,15 @@
 """RACE: fork/worker-safety for the parallel sweep engine.
 
-The sweep runner ships jobs to a spawn-based ``ProcessPoolExecutor``
-(:mod:`repro.sim.parallel`).  Under spawn, each worker re-imports the
+The sweep scheduler ships batches to spawn-started worker processes
+(:mod:`repro.sim.sched.pool`, whose ``Process(target=_worker_main)``
+is the worker entry).  Under spawn, each worker re-imports the
 package, so module-level state is *re-created per process* — mutations
 made in a worker are invisible to the parent and vice versa.  Code that
 relies on such state being shared is silently wrong, and nothing at
 runtime says so.  These rules use the project call graph to find the
-functions reachable from submitted entry points (the *worker-reachable
-set*) and audit what they touch:
+functions reachable from worker entry points — submitted functions and
+``Process`` targets (the *worker-reachable set*) — and audit what they
+touch:
 
 * **RACE001** — a module-level mutable object written on one side of
   the process boundary and read on the other.  One-sided use is fine
@@ -252,7 +254,7 @@ class ForkSafetyRule(Rule):
     ) -> Iterator[Finding]:
         for entry in entries:
             bindings = simple_local_bindings(entry.submitter_node)
-            for arg in entry.call.args[1:]:
+            for arg in entry.payload:
                 resolved = resolve_local(arg, bindings)
                 if not isinstance(resolved, ast.Call):
                     continue
@@ -300,7 +302,7 @@ class ForkSafetyRule(Rule):
         for entry in entries:
             info = model.by_rel[entry.rel]
             bindings = simple_local_bindings(entry.submitter_node)
-            for arg in entry.call.args[1:]:
+            for arg in entry.payload:
                 resolved = resolve_local(arg, bindings)
                 opener = self._opener_name(resolved, info)
                 if opener is not None:

@@ -7,7 +7,6 @@ from repro.sim.codec import CODEC_VERSION, CodecError, decode_result, encode_res
 from repro.sim.config import PREFETCHER_FACTORIES, SystemConfig, make_prefetcher
 from repro.sim.metrics import HitDepthCDF, SimulationResult, geomean
 from repro.sim.parallel import (
-    SweepJob,
     default_execution,
     parallel_compare,
     parallel_storage_sweep,
@@ -27,7 +26,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "SweepCache",
-    "SweepJob",
     "SystemConfig",
     "cell_key",
     "code_fingerprint",

@@ -326,14 +326,18 @@ class SweepCache:
         return result
 
     def store(self, key: str, result: SimulationResult) -> None:
-        """Persist one cell atomically (write-temp-then-rename).
+        """Persist one cell atomically (write-temp-then-rename)."""
+        self.store_payload(key, encode_result(result))
+
+    def store_payload(self, key: str, encoded: dict) -> None:
+        """Persist one already-encoded cell (a sweep's worker payload).
 
         The directory is (re)created on every store, so deleting
         ``results/.cache`` mid-run costs the remaining hits, not the run.
         Storage failures are counted, not raised — caching is strictly
         an optimization.
         """
-        payload = {"codec": CODEC_VERSION, "key": key, "result": encode_result(result)}
+        payload = {"codec": CODEC_VERSION, "key": key, "result": encoded}
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = self._path(key).with_suffix(f".tmp.{os.getpid()}")

@@ -1,108 +1,51 @@
-"""Parallel sweep engine: the grid → jobs → ordered merge pipeline.
+"""Sweep entry points and the process-wide execution defaults.
 
-Every cell of a workload × prefetcher sweep is independent — the
-simulator is a pure function of (trace, prefetcher, configs, limit) —
-so the sweep is embarrassingly parallel.  This module fans the grid out
-over a ``ProcessPoolExecutor`` and merges results back **in grid
-order**, so the output is field-for-field identical to the serial path
-(``tests/sim/test_parallel_parity.py`` proves it):
+Every sweep — ``compare``, ``storage_sweep``, the figure sweeps,
+:func:`parallel_compare` and :func:`parallel_storage_sweep` — runs
+through :func:`run_grid`, which
 
-* jobs are enumerated and submitted in deterministic grid order
-  (workloads outer, prefetchers inner — the serial loop's order);
-* workers never inherit parent state: the pool uses the ``spawn`` start
-  method, and each worker rebuilds its workload and prefetcher from
-  config, re-seeding every RNG from the config's seed field;
-* results cross the process boundary through the versioned codec
-  (:mod:`repro.sim.codec`) — the same encoding the on-disk cache
-  persists, so both paths are exercised by the same parity tests;
-* the merge iterates the original grid, never completion order.
+1. builds one :class:`~repro.sim.sched.plan.GridPlan` (workloads outer,
+   context configs middle, prefetchers inner — the figures' order);
+2. runs it with :meth:`SweepScheduler.run_plan
+   <repro.sim.sched.scheduler.SweepScheduler.run_plan>`, the one
+   dispatch path: persistent warm workers at ``jobs > 1``, the same
+   batch protocol in this process at ``jobs == 1``;
+3. reads every cell back by key into :class:`ComparisonResult` objects.
 
-Trace supply (PR 5): with a :class:`~repro.workloads.store.TraceStore`
-configured, registry workloads stop travelling as pickled
-``tuple[MemoryAccess, ...]`` or being rebuilt per cell.  The parent
-resolves each workload to a compiled binary store file (compiling it at
-most once, then reusing it for every later sweep), jobs ship the store
-path plus content fingerprint, and pending cells are grouped into
-**workload-affinity batches** so a worker materialises a given trace at
-most once and runs all of its assigned cells against it.  A store file
-that is corrupt, truncated, or from an older codec version degrades to
-an in-process rebuild — never a crash (``TraceStoreError`` is caught at
-every boundary).  With ``store=None`` the engine behaves exactly as it
-did before the trace store existed; ``scripts/bench_report.py`` measures
-the two dispatch paths against each other.
+The result DB is every run's completion record: the configured one
+(``--db``), or a private in-memory store when none is.  Cells the DB or
+the JSON result cache already hold are resumed, never re-simulated, and
+executed cells commit once per batch.  Every path is field-for-field
+identical to a one-job run (``tests/sim/test_parallel_parity.py``).
 
-Observability: ``progress`` receives one line per finished cell
-(``[done/total] workload/prefetcher: …``), flagged ``cached`` for cache
-hits.  Wall-clock timing is deliberately absent here — the simulator
-package is wall-clock-free by lint rule DET003 — so callers that want
-per-job timing inject a clock via ``progress`` closures (see
+Observability: ``progress`` receives one line per cell
+(``[done/total] workload/prefetcher: …``) — executed cells as their
+batch commits, then resumed ones, flagged ``[resumed]``.  Wall-clock
+timing is deliberately absent here — the simulator package is
+wall-clock-free by lint rule DET003 — so callers that want per-cell
+timing inject a clock via ``progress`` closures (see
 ``scripts/run_full_experiments.py``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
-
-if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
-    from repro.sim.runner import ComparisonResult
-    from repro.sim.sched.db import ResultDB
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
-from repro.cpu.core_model import CoreConfig
-from repro.memory.hierarchy import HierarchyConfig
-from repro.sim.cache import SweepCache, cell_key
-from repro.sim.codec import decode_result, encode_result
-from repro.sim.config import PREFETCHER_FACTORIES
-from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import Simulator
-from repro.workloads.serialize import trace_fingerprint
-from repro.workloads.store import (
-    StoredTrace,
-    TraceReader,
-    TraceStore,
-    TraceStoreError,
-    read_trace,
-)
-from repro.workloads.suites import WorkloadSpec, get_workload
-from repro.workloads.trace import MemoryAccess, TraceProgram
+
+if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
+    from repro.cpu.core_model import CoreConfig
+    from repro.memory.hierarchy import HierarchyConfig
+    from repro.sim.cache import SweepCache
+    from repro.sim.metrics import SimulationResult
+    from repro.sim.runner import ComparisonResult
+    from repro.sim.sched.db import ResultDB
+    from repro.workloads.store import TraceStore
+    from repro.workloads.suites import WorkloadSpec
+    from repro.workloads.trace import TraceProgram
 
 ProgressFn = Callable[[str], None]
-
-
-@dataclass(frozen=True)
-class SweepJob:
-    """One executable sweep cell, fully described by value.
-
-    Trace supply, in order of preference:
-
-    * ``store_path``/``store_fingerprint`` — a compiled binary trace in
-      the store; the worker maps and decodes it (memoized per worker),
-      falling back to a registry rebuild if the file went bad;
-    * ``trace`` — the access stream shipped by value (ad-hoc
-      :class:`TraceProgram` instances that workers cannot rebuild);
-    * neither — a registry workload rebuilt by name inside the worker,
-      re-seeded from its own config; workers never receive parent RNG
-      state.
-    """
-
-    index: int
-    workload: str
-    prefetcher: str
-    limit: int | None
-    hierarchy_config: HierarchyConfig | None = None
-    core_config: CoreConfig | None = None
-    context_config: ContextPrefetcherConfig | None = None
-    trace: tuple[MemoryAccess, ...] | None = None
-    store_path: str | None = None
-    store_fingerprint: str = ""
-    #: run the cell through the native batch kernel (bit-neutral: cells
-    #: the kernel cannot take fall back to the interpreted loop, and the
-    #: cache key deliberately excludes this flag)
-    native: bool = False
 
 
 @dataclass
@@ -110,15 +53,11 @@ class ExecutionDefaults:
     """Process-wide defaults the CLI/scripts set once per invocation."""
 
     jobs: int = 1
-    cache: SweepCache | None = None
-    store: TraceStore | None = None
+    cache: "SweepCache | None" = None
+    store: "TraceStore | None" = None
     native: bool = False
-    #: dispatch store-backed grids through the persistent warm worker
-    #: pool (:mod:`repro.sim.sched`); ``False`` restores the PR 5
-    #: pool-per-call executor path (the bench baseline)
-    warm: bool = True
-    #: stream executed cells into a queryable result DB and reuse any
-    #: cell the DB already holds (content-addressed, like the cache)
+    #: the result DB sweeps commit into and resume from (content-addressed
+    #: like the cache); unset, every sweep gets a private in-memory DB
     db: "ResultDB | None" = None
     #: OpenMP team size for the kernel's in-shard batch driver
     #: (0 = the OpenMP default; serial builds ignore it, bit-identically)
@@ -136,10 +75,9 @@ def default_execution() -> ExecutionDefaults:
 def set_default_execution(
     *,
     jobs: int | None = None,
-    cache: SweepCache | None | bool = False,
-    store: TraceStore | None | bool = False,
+    cache: "SweepCache | None | bool" = False,
+    store: "TraceStore | None | bool" = False,
     native: bool | None = None,
-    warm: bool | None = None,
     db: "ResultDB | None | bool" = False,
     kernel_threads: int | None = None,
 ) -> ExecutionDefaults:
@@ -147,9 +85,8 @@ def set_default_execution(
 
     ``cache=False`` / ``store=False`` / ``db=False`` (the sentinels)
     leave that default untouched; pass an explicit instance or ``None``
-    to change it.  ``native=None`` / ``warm=None`` /
-    ``kernel_threads=None`` similarly leave the kernel and dispatch
-    selections untouched.
+    to change it.  ``native=None`` / ``kernel_threads=None`` similarly
+    leave the kernel selections untouched.
     """
     global _DEFAULTS
     previous = _DEFAULTS
@@ -158,7 +95,6 @@ def set_default_execution(
         cache=previous.cache if cache is False else cache,
         store=previous.store if store is False else store,
         native=previous.native if native is None else bool(native),
-        warm=previous.warm if warm is None else bool(warm),
         db=previous.db if db is False else db,
         kernel_threads=(
             previous.kernel_threads
@@ -169,687 +105,242 @@ def set_default_execution(
     return previous
 
 
-def _make_prefetcher(job: SweepJob):
-    if job.prefetcher == "context" and job.context_config is not None:
-        return ContextPrefetcher(job.context_config)
-    return PREFETCHER_FACTORIES[job.prefetcher]()
+def _by_name(
+    workloads: Iterable["WorkloadSpec | TraceProgram | str"],
+) -> dict[str, "WorkloadSpec | TraceProgram"]:
+    """Name -> workload object, in input order.
 
-
-#: (kernel handled the cell?, fallback reason when it did not); ``None``
-#: stands in for cells where no kernel ran this invocation (cache hits)
-NativeInfo = tuple[bool, str | None]
-
-
-def _run_cell(
-    job: SweepJob, trace: Sequence[MemoryAccess]
-) -> tuple[SimulationResult, NativeInfo]:
-    sim = Simulator(
-        _make_prefetcher(job),
-        hierarchy_config=job.hierarchy_config,
-        core_config=job.core_config,
-        native=job.native,
-    )
-    result = sim.run(trace, workload_name=job.workload, limit=job.limit)
-    return result, (sim.last_run_native, sim.last_native_fallback)
-
-
-# -- store-degrade accounting -------------------------------------------
-#
-# Each process counts its own corrupt-store degrade events; worker-side
-# counts return to the parent *by value* inside batch results (nothing
-# is shared across the spawn boundary), and the parent drains its own
-# counter for inline/resolve-time events.  Both accessors are reachable
-# from the worker entry points, so every access to the counter lives on
-# one side of the boundary at a time.
-
-_STORE_DEGRADES = [0]
-
-
-def _count_store_degrade() -> None:
-    _STORE_DEGRADES[0] += 1
-
-
-def _drain_store_degrades() -> int:
-    """Read-and-reset this process's degrade count (returned by value)."""
-    count = _STORE_DEGRADES[0]
-    _STORE_DEGRADES[0] = 0
-    return count
-
-
-def _rebuild_by_name(workload: str, limit: int | None) -> Sequence[MemoryAccess]:
-    trace: Sequence[MemoryAccess] = get_workload(workload).build().trace()
-    if limit is not None:
-        trace = trace[:limit]
-    return trace
-
-
-def _load_trace(
-    workload: str,
-    store_path: str | None,
-    store_fingerprint: str,
-    limit: int | None,
-    native: bool,
-) -> Sequence[MemoryAccess]:
-    """Load one workload's trace from the store, or rebuild by name."""
-    if store_path is not None:
-        try:
-            if native:
-                # hand the mmap-backed reader straight to the simulator:
-                # the native kernel decodes it zero-copy via as_array,
-                # and any interpreted fallback iterates it lazily.  A
-                # fingerprint mismatch falls through to read_trace, which
-                # raises the descriptive store error
-                reader = TraceReader(store_path)
-                if (
-                    not store_fingerprint
-                    or reader.meta.fingerprint == store_fingerprint
-                ):
-                    return reader
-            return read_trace(
-                store_path,
-                limit=limit,
-                expect_fingerprint=store_fingerprint or None,
-            )
-        except (TraceStoreError, FileNotFoundError, OSError):
-            # the store file went bad between submit and execute;
-            # degrade to a rebuild, never fail the sweep
-            _count_store_degrade()
-            return _rebuild_by_name(workload, limit)
-    return _rebuild_by_name(workload, limit)
-
-
-def _job_trace(job: SweepJob) -> Sequence[MemoryAccess]:
-    """Resolve one job's trace (by value, from the store, or rebuilt)."""
-    if job.trace is not None:
-        return job.trace
-    return _load_trace(
-        job.workload, job.store_path, job.store_fingerprint, job.limit, job.native
-    )
-
-
-def run_job(job: SweepJob) -> SimulationResult:
-    """Execute one cell from scratch (also the in-worker entry point)."""
-    return _run_cell(job, _job_trace(job))[0]
-
-
-def _execute_job(job: SweepJob) -> tuple[int, dict[str, Any], NativeInfo]:
-    """Worker body: run the cell, return its index + encoded result.
-
-    Returning the *encoded* form means every parallel result crosses the
-    process boundary through the same versioned codec the cache uses.
-    The :data:`NativeInfo` rides along so the parent can summarize which
-    cells the kernel actually took and why the rest fell back.
+    Registry names resolve to their registry entry, so repeating one is
+    harmless; two *different* workloads under one name would make the
+    grid ambiguous and are refused.
     """
-    result, native_info = _run_cell(job, _job_trace(job))
-    return job.index, encode_result(result), native_info
+    from repro.workloads.suites import get_workload
 
-
-# -- worker-side trace memo ---------------------------------------------
-#
-# An affinity batch carries every cell of (a chunk of) one workload, so
-# the trace is materialised once per batch; the memo additionally lets a
-# worker that receives several batches of the same workload (or the same
-# workload at several limits) reuse the decoded records across batches.
-# Keyed by content fingerprint — never by path alone — so a swapped file
-# can't alias a stale trace.  Capped: traces are large and workers churn
-# through workloads in affinity order, so keeping the last few is enough.
-
-_WORKER_TRACE_MEMO: dict[
-    tuple[str, str, str, int | None, bool], Sequence[MemoryAccess]
-] = {}
-_WORKER_TRACE_MEMO_CAP = 4
-
-
-def _resolve_worker_trace(
-    workload: str,
-    store_path: str | None,
-    store_fingerprint: str,
-    limit: int | None,
-    native: bool,
-    shipped: Sequence[MemoryAccess] | None = None,
-) -> Sequence[MemoryAccess]:
-    """Memoized trace resolution shared by every batch executor.
-
-    Both the legacy pool-per-call batches and the persistent warm
-    workers (:mod:`repro.sim.sched.pool`) resolve traces here, so the
-    two dispatch paths cannot drift: same memo, same degrade handling,
-    same fingerprint checks.
-    """
-    if shipped is not None:
-        return shipped
-    if store_path is not None:
-        key = ("store", store_path, store_fingerprint, limit, native)
-    else:
-        key = ("name", workload, "", limit, native)
-    trace = _WORKER_TRACE_MEMO.get(key)
-    if trace is None:
-        trace = _load_trace(workload, store_path, store_fingerprint, limit, native)
-        while len(_WORKER_TRACE_MEMO) >= _WORKER_TRACE_MEMO_CAP:
-            _WORKER_TRACE_MEMO.pop(next(iter(_WORKER_TRACE_MEMO)))
-        _WORKER_TRACE_MEMO[key] = trace
-    return trace
-
-
-def _batch_trace(job: SweepJob) -> Sequence[MemoryAccess]:
-    return _resolve_worker_trace(
-        job.workload,
-        job.store_path,
-        job.store_fingerprint,
-        job.limit,
-        job.native,
-        job.trace,
-    )
-
-
-def _execute_batch(
-    jobs: tuple[SweepJob, ...],
-) -> tuple[list[tuple[int, dict[str, Any], NativeInfo]], int]:
-    """Worker body for one affinity batch: shared trace, ordered results.
-
-    The second element is this worker's store-degrade count since the
-    last batch, returned by value for the parent's resilience summary.
-    """
-    out = []
-    for job in jobs:
-        result, native_info = _run_cell(job, _batch_trace(job))
-        out.append((job.index, encode_result(result), native_info))
-    return out, _drain_store_degrades()
-
-
-@dataclass
-class _Cell:
-    """Bookkeeping for one grid position during a sweep.
-
-    ``local_trace`` is the parent-resolved trace, used by the inline
-    (jobs == 1) path so cached-but-cold runs never rebuild a workload
-    per cell; it is never shipped to workers — only ``job`` is.
-    """
-
-    workload: str
-    prefetcher: str
-    job: SweepJob
-    local_trace: Sequence[MemoryAccess] | None = None
-    key: str | None = None
-    result: SimulationResult | None = None
-    cached: bool = False
-    #: satisfied from the result DB (content-addressed, like the cache)
-    from_db: bool = False
-    #: unset for cache hits — no kernel ran, so there is nothing to count
-    native_info: NativeInfo | None = None
-
-
-@dataclass
-class _GridEntry:
-    """One workload of the sweep, resolved to its cheapest trace supply."""
-
-    name: str
-    #: compiled store file (registry workloads with a store configured)
-    stored: StoredTrace | None = None
-    #: in-memory trace: ad-hoc programs, custom specs, store fallbacks —
-    #: and the just-built trace when this resolve compiled the store file
-    trace: Sequence[MemoryAccess] | None = None
-    #: workers may rebuild this workload from the registry by name
-    by_name: bool = False
-    #: the originating program, for per-instance fingerprint memoization
-    program: TraceProgram | None = None
-
-
-#: full-trace fingerprints of *registry* workloads, memoized per process:
-#: the trace is a pure function of the workload source (hashed into the
-#: store address and the cache's code fingerprint), so within a process
-#: the same name can never map to two different streams
-_REGISTRY_FP_MEMO: dict[str, str] = {}
-
-
-def _registry_fingerprint(workload: str) -> str:
-    """Fingerprint a registry workload by name (builds at most once)."""
-    fp = _REGISTRY_FP_MEMO.get(workload)
-    if fp is None:
-        fp = trace_fingerprint(get_workload(workload).build().trace())
-        _REGISTRY_FP_MEMO[workload] = fp
-    return fp
-
-
-def _entry_fingerprint(entry: _GridEntry) -> str:
-    """Content fingerprint of one workload's full trace, hashed at most
-    once per trace identity (store header > per-name memo > per-program
-    memo) instead of once per sweep call."""
-    if entry.stored is not None:
-        return entry.stored.fingerprint
-    assert entry.trace is not None
-    if entry.by_name:
-        fp = _REGISTRY_FP_MEMO.get(entry.name)
-        if fp is None:
-            fp = trace_fingerprint(entry.trace)
-            _REGISTRY_FP_MEMO[entry.name] = fp
-        return fp
-    if entry.program is not None:
-        fp = getattr(entry.program, "_fingerprint_cache", None)
-        if fp is None:
-            fp = trace_fingerprint(entry.trace)
-            entry.program._fingerprint_cache = fp  # type: ignore[attr-defined]
-        return fp
-    return trace_fingerprint(entry.trace)
-
-
-def _resolve_grid(
-    workloads: Iterable[WorkloadSpec | TraceProgram | str],
-    store: TraceStore | None,
-) -> list[_GridEntry]:
-    """One :class:`_GridEntry` per workload, in input order.
-
-    A workload is rebuilt by name inside workers (or addressed in the
-    store) only when the name resolves to the *same* registry entry the
-    caller passed — a custom spec or ad-hoc program that merely shares a
-    name ships its trace explicitly instead, so workers can never run
-    the wrong workload.  With a store, registry workloads resolve to a
-    compiled file without the parent building (or hashing) anything on
-    a warm store; a failing store degrades to the in-memory path.
-    """
-    out: list[_GridEntry] = []
+    out: dict[str, WorkloadSpec | TraceProgram] = {}
     for workload in workloads:
-        spec: WorkloadSpec | None = None
         if isinstance(workload, str):
-            spec = get_workload(workload)
-        elif isinstance(workload, WorkloadSpec):
-            spec = workload
-        if spec is not None:
-            by_name = False
-            try:
-                by_name = get_workload(spec.name) is spec
-            except KeyError:
-                by_name = False
-            if by_name and store is not None:
-                try:
-                    ref, built = store.ensure(spec.name, build=spec)
-                except TraceStoreError:
-                    # unwritable/unreadable store: in-memory path
-                    _count_store_degrade()
-                else:
-                    out.append(
-                        _GridEntry(
-                            name=spec.name,
-                            stored=ref,
-                            trace=built,
-                            by_name=True,
-                        )
-                    )
-                    continue
-            out.append(
-                _GridEntry(
-                    name=spec.name, trace=spec.build().trace(), by_name=by_name
-                )
-            )
-        else:
-            assert isinstance(workload, TraceProgram)
-            out.append(
-                _GridEntry(
-                    name=workload.name,
-                    trace=workload.trace(),
-                    program=workload,
-                )
+            workload = get_workload(workload)
+        if out.setdefault(workload.name, workload) is not workload:
+            raise ValueError(
+                f"two different workloads are named {workload.name!r}"
             )
     return out
 
 
-def _affinity_batches(pending: list[_Cell], jobs: int) -> list[tuple[_Cell, ...]]:
-    """Group pending cells into workload-affinity batches, grid order.
+def run_grid(
+    workloads: Iterable["WorkloadSpec | TraceProgram | str"],
+    prefetchers: Iterable[str],
+    *,
+    context_configs: Sequence[ContextPrefetcherConfig | None] = (None,),
+    hierarchy_config: "HierarchyConfig | None" = None,
+    core_config: "CoreConfig | None" = None,
+    limit: int | None = None,
+    jobs: int = 1,
+    cache: "SweepCache | None" = None,
+    store: "TraceStore | None" = None,
+    native: bool = False,
+    db: "ResultDB | None" = None,
+    progress: ProgressFn | None = None,
+) -> list["ComparisonResult"]:
+    """Run workloads × ``context_configs`` × prefetchers as one plan.
 
-    All cells of a batch share one workload, so the worker materialises
-    the trace once per batch.  Each workload is split into at most
-    ``ceil(jobs / n_workloads)`` contiguous chunks — enough batches to
-    occupy every worker, few enough that a trace is decoded a bounded
-    number of times.  Batch order is grid order (workloads outer, chunk
-    offset inner), keeping submission deterministic.
+    Returns one :class:`~repro.sim.runner.ComparisonResult` per entry of
+    ``context_configs``, in order, each holding that slice's
+    workload × prefetcher cells.  ``db`` (default: the process-wide
+    one) is where cells resume from and commit to; without either, the
+    run uses a private in-memory DB.  ``store`` supplies registry traces
+    from compiled files and ``cache`` resumes cells from (and records
+    them into) the JSON result cache; none of these changes a result.
+    The resilience counts (cache heals, store degrades) are the whole
+    run's, so every slice carries the same totals.
     """
-    groups: dict[str, list[_Cell]] = {}
-    for cell in pending:
-        groups.setdefault(cell.workload, []).append(cell)
-    chunks_per = max(1, -(-jobs // len(groups)))  # ceil division
-    batches: list[tuple[_Cell, ...]] = []
-    for cells in groups.values():
-        k = min(len(cells), chunks_per)
-        size = -(-len(cells) // k)
-        for start in range(0, len(cells), size):
-            batches.append(tuple(cells[start : start + size]))
-    return batches
+    from repro.sim.codec import decode_result
+    from repro.sim.runner import ComparisonResult
+    from repro.sim.sched.db import IN_MEMORY, ResultDB, ResultDBError
+    from repro.sim.sched.plan import GridPlan
+    from repro.sim.sched.scheduler import SweepScheduler
+
+    defaults = default_execution()
+    sources = _by_name(workloads)
+    prefetcher_names = tuple(prefetchers)
+    slices = [ComparisonResult() for _ in context_configs]
+    if not sources or not prefetcher_names:
+        return slices
+    plan = GridPlan(
+        workloads=tuple(sources),
+        prefetchers=prefetcher_names,
+        context_configs=tuple(context_configs),
+        limit=limit,
+        hierarchy_config=hierarchy_config,
+        core_config=core_config,
+    )
+    run_db = db if db is not None else defaults.db
+    private = run_db is None
+    if run_db is None:
+        run_db = ResultDB(IN_MEMORY)
+    scheduler = SweepScheduler(
+        db=run_db,
+        store=store,
+        cache=cache,
+        jobs=jobs,
+        native=native,
+        kernel_threads=defaults.kernel_threads,
+    )
+    results: dict[int, SimulationResult] = {}
+    native_info: dict[int, tuple[bool, str | None]] = {}
+
+    def report(result: SimulationResult, suffix: str = "") -> None:
+        if progress is not None:
+            progress(f"[{len(results)}/{plan.n_cells}] {result.summary()}{suffix}")
+
+    def on_batch(batch: list) -> None:
+        for index, payload, info in batch:
+            results[index] = decode_result(payload)
+            native_info[index] = info
+            report(results[index])
+
+    def read_resumed(keys: list[str]) -> list[str]:
+        """Load the cells this run did not execute from the DB: rows of
+        earlier runs, or cache hits the scheduler just committed.
+        Returns the keys of rows that no longer decode."""
+        unreadable = []
+        for cell in plan.cells():
+            if cell.index not in results:
+                result = run_db.load(keys[cell.index])
+                if result is None:
+                    unreadable.append(keys[cell.index])
+                else:
+                    results[cell.index] = result
+                    report(result, " [resumed]")
+        return unreadable
+
+    cache_errors = cache.counters.errors if cache is not None else 0
+    try:
+        stats = scheduler.run_plan_sync(plan, on_batch=on_batch, sources=sources)
+        store_degrades = stats.store_degrades
+        unreadable = read_resumed(stats.keys)
+        if unreadable:
+            # rows that exist but will not decode (junk, codec skew) are
+            # misses: drop them and run those cells again, cache first
+            run_db.discard(unreadable)
+            stats = scheduler.run_plan_sync(
+                plan, on_batch=on_batch, sources=sources
+            )
+            store_degrades += stats.store_degrades
+            unreadable = read_resumed(stats.keys)
+        if unreadable:
+            raise ResultDBError(
+                f"result DB {run_db.path}: {len(unreadable)} cell row(s) "
+                f"still unreadable after a rerun (first: {unreadable[0][:12]})"
+            )
+    finally:
+        if private:
+            run_db.close()
+
+    for cell in plan.cells():
+        part = slices[cell.context_id]
+        result = results[cell.index]
+        part.results.setdefault(cell.workload, {})[cell.prefetcher] = result
+        if native and cell.index in native_info:
+            name = f"{cell.workload}/{cell.prefetcher}"
+            part.native_cells[name] = native_info[cell.index]
+    cache_heals = cache.counters.errors - cache_errors if cache is not None else 0
+    for part in slices:
+        part.cache_heals = cache_heals
+        part.store_degrades = store_degrades
+    if progress is not None:
+        if cache is not None:
+            progress(cache.counters.summary())
+        lines = [part.native_summary() for part in slices]
+        lines.append(slices[0].resilience_summary())
+        for line in lines:
+            if line is not None:
+                progress(line)
+    return slices
 
 
 def parallel_compare(
-    workloads: Iterable[WorkloadSpec | TraceProgram | str],
+    workloads: Iterable["WorkloadSpec | TraceProgram | str"],
     prefetchers: Iterable[str],
     *,
-    hierarchy_config: HierarchyConfig | None = None,
-    core_config: CoreConfig | None = None,
+    hierarchy_config: "HierarchyConfig | None" = None,
+    core_config: "CoreConfig | None" = None,
     context_config: ContextPrefetcherConfig | None = None,
     limit: int | None = None,
     jobs: int = 1,
-    cache: SweepCache | None = None,
-    store: TraceStore | None = None,
+    cache: "SweepCache | None" = None,
+    store: "TraceStore | None" = None,
     native: bool = False,
-    warm: bool | None = None,
     db: "ResultDB | None" = None,
     progress: ProgressFn | None = None,
 ) -> "ComparisonResult":
-    """Run the sweep grid with ``jobs`` workers and an optional cache.
+    """The workloads × prefetchers grid under one context config.
 
-    Returns the same :class:`~repro.sim.runner.ComparisonResult` the
-    serial path builds, with identical cell values and identical
-    workload/prefetcher ordering.  ``store`` supplies registry-workload
-    traces from compiled binary files (see module docstring); cache
-    keys are identical with the store on or off, because the store
-    header carries the same content fingerprint the cache hashes.
-
-    ``warm`` selects the dispatch path for store-backed grids: ``True``
-    (the default) sends workload-affinity batches to the process-wide
-    persistent worker pool (:mod:`repro.sim.sched.pool`), so repeated
-    sweeps share spawned interpreters, decoded traces and warm kernel
-    handles; ``False`` restores the PR 5 pool-per-call executor.  Both
-    are bit-identical to serial.  ``db`` streams executed cells into a
-    queryable :class:`~repro.sim.sched.db.ResultDB` and reuses any cell
-    the DB already holds; ``None`` defers both to the process-wide
-    execution defaults.
+    :func:`run_grid` with a single context-config slice; ``compare``
+    and the figure sweeps call it with the process-wide defaults
+    resolved.
     """
-    from repro.sim.runner import ComparisonResult
-
-    defaults = default_execution()
-    effective_warm = defaults.warm if warm is None else warm
-    effective_db = defaults.db if db is None else db
-
-    # per-call resilience accounting: discard any counts left over from
-    # an earlier call, snapshot the cache/store counters to diff later
-    _drain_store_degrades()
-    store_degrades = 0
-    cache_errors_before = cache.counters.errors if cache is not None else 0
-    store_heals_before = store.heals if store is not None else 0
-
-    prefetcher_names = list(prefetchers)
-    grid = _resolve_grid(workloads, store)
-
-    cells: list[_Cell] = []
-    for entry in grid:
-        name = entry.name
-        want_key = cache is not None or effective_db is not None
-        trace_fp = _entry_fingerprint(entry) if want_key else ""
-        if entry.stored is not None:
-            # the worker maps the compiled file (or this process decodes
-            # it lazily on the inline path); nothing ships by value
-            shipped = None
-        elif entry.by_name and limit is None:
-            shipped = None
-        elif limit is not None:
-            assert entry.trace is not None
-            shipped = tuple(entry.trace[:limit])
-        else:
-            assert entry.trace is not None
-            shipped = tuple(entry.trace)
-        for pf_name in prefetcher_names:
-            job = SweepJob(
-                index=len(cells),
-                workload=name,
-                prefetcher=pf_name,
-                limit=limit,
-                hierarchy_config=hierarchy_config,
-                core_config=core_config,
-                context_config=context_config,
-                trace=shipped,
-                store_path=(
-                    entry.stored.path if entry.stored is not None else None
-                ),
-                store_fingerprint=(
-                    entry.stored.fingerprint if entry.stored is not None else ""
-                ),
-                native=native,
-            )
-            cell = _Cell(
-                workload=name,
-                prefetcher=pf_name,
-                job=job,
-                local_trace=entry.trace,
-            )
-            if want_key:
-                cell.key = cell_key(
-                    workload=name,
-                    trace_fp=trace_fp,
-                    prefetcher=pf_name,
-                    limit=limit,
-                    hierarchy_config=hierarchy_config,
-                    core_config=core_config,
-                    context_config=context_config,
-                )
-            if cache is not None and cell.key is not None:
-                cell.result = cache.load(cell.key)
-                cell.cached = cell.result is not None
-            if (
-                cell.result is None
-                and effective_db is not None
-                and cell.key is not None
-            ):
-                cell.result = effective_db.load(cell.key)
-                cell.from_db = cell.result is not None
-                if cell.from_db and cache is not None and cell.key is not None:
-                    # backfill the JSON cache so later runs hit locally
-                    cache.store(cell.key, cell.result)
-            cells.append(cell)
-
-    total = len(cells)
-    done = 0
-
-    def report(cell: _Cell) -> None:
-        if progress is None:
-            return
-        assert cell.result is not None
-        suffix = " [cached]" if cell.cached else " [db]" if cell.from_db else ""
-        progress(f"[{done}/{total}] {cell.result.summary()}{suffix}")
-
-    for cell in cells:
-        if cell.cached or cell.from_db:
-            done += 1
-            report(cell)
-
-    def finish(
-        cell: _Cell, payload: dict[str, Any], native_info: NativeInfo
-    ) -> None:
-        nonlocal done
-        cell.result = decode_result(payload)
-        cell.native_info = native_info
-        done += 1
-        if cache is not None and cell.key is not None:
-            cache.store(cell.key, cell.result)
-        if effective_db is not None and cell.key is not None:
-            # ad-hoc rows carry an empty sweep id: `repro serve status`
-            # reports them as their own bucket
-            effective_db.store_cells(
-                "",
-                [
-                    (
-                        cell.key,
-                        cell.job.index,
-                        cell.workload,
-                        cell.prefetcher,
-                        payload,
-                    )
-                ],
-            )
-        report(cell)
-
-    pending = [cell for cell in cells if cell.result is None]
-    if pending and jobs > 1:
-        # spawn (not fork): workers start from a clean interpreter and
-        # can only re-seed from config, never inherit parent RNG state
-        if store is not None and effective_warm:
-            # persistent warm workers via the scheduler dispatch path:
-            # same affinity batching, but the pool (and everything warm
-            # inside it) outlives this call and is shared process-wide
-            from repro.sim.sched.plan import shard_by_workload
-            from repro.sim.sched.pool import BatchShared, shared_pool
-            from repro.sim.sched.scheduler import dispatch_sync
-
-            batches = shard_by_workload(
-                pending, lambda cell: cell.workload, jobs
-            )
-            messages = []
-            for batch in batches:
-                lead = batch[0].job
-                shared = BatchShared(
-                    workload=lead.workload,
-                    limit=lead.limit,
-                    native=lead.native,
-                    hierarchy_config=lead.hierarchy_config,
-                    core_config=lead.core_config,
-                    context_table=(lead.context_config,),
-                    store_path=lead.store_path,
-                    store_fingerprint=lead.store_fingerprint,
-                    trace=lead.trace,
-                    kernel_threads=default_execution().kernel_threads,
-                )
-                messages.append(
-                    (
-                        shared,
-                        tuple(
-                            (cell.job.index, cell.job.prefetcher, 0)
-                            for cell in batch
-                        ),
-                    )
-                )
-            by_index = {cell.job.index: cell for cell in pending}
-
-            def on_batch(_pos: int, results: list, degrades: int) -> None:
-                nonlocal store_degrades
-                store_degrades += degrades
-                for index, payload, native_info in results:
-                    finish(by_index[index], payload, native_info)
-
-            dispatch_sync(shared_pool(jobs), messages, on_batch)
-        elif store is not None:
-            # PR 5 cold path (kept as the measurable dispatch baseline):
-            # workload-affinity batches on a pool spawned per call
-            batches = _affinity_batches(pending, jobs)
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(batches)),
-                mp_context=get_context("spawn"),
-            ) as pool:
-                futures: list[tuple[tuple[_Cell, ...], Future]] = [
-                    (batch, pool.submit(_execute_batch, tuple(c.job for c in batch)))
-                    for batch in batches
-                ]
-                # iterate submission order, not completion order:
-                # progress lines and cache stores stay deterministic
-                by_index = {cell.job.index: cell for cell in pending}
-                for batch, future in futures:
-                    results, degrades = future.result()
-                    store_degrades += degrades
-                    for index, payload, native_info in results:
-                        finish(by_index[index], payload, native_info)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)),
-                mp_context=get_context("spawn"),
-            ) as pool:
-                job_futures: list[tuple[_Cell, Future]] = [
-                    (cell, pool.submit(_execute_job, cell.job)) for cell in pending
-                ]
-                for cell, future in job_futures:
-                    index, payload, native_info = future.result()
-                    assert index == cell.job.index
-                    finish(cell, payload, native_info)
-    else:
-        # inline path: materialise each store-backed workload at most
-        # once in this process, so cached-but-cold runs never decode (or
-        # rebuild) a trace per cell
-        local_traces: dict[str, Sequence[MemoryAccess]] = {}
-        for cell in pending:
-            trace = cell.local_trace
-            if trace is None:
-                trace = local_traces.get(cell.workload)
-                if trace is None:
-                    trace = _job_trace(cell.job)
-                    local_traces[cell.workload] = trace
-            result, native_info = _run_cell(cell.job, trace)
-            cell.result = decode_result(encode_result(result))
-            cell.native_info = native_info
-            done += 1
-            if cache is not None and cell.key is not None:
-                cache.store(cell.key, cell.result)
-            report(cell)
-
-    comparison = ComparisonResult()
-    for cell in cells:
-        assert cell.result is not None
-        comparison.results.setdefault(cell.workload, {})[cell.prefetcher] = cell.result
-        if native and cell.native_info is not None:
-            comparison.native_cells[f"{cell.workload}/{cell.prefetcher}"] = (
-                cell.native_info
-            )
-    # resilience roll-up: worker deltas came back by value with each
-    # batch; the parent's own events (grid resolve, inline path) drain
-    # here, and the cache/store instance counters diff against the
-    # snapshots taken on entry
-    store_degrades += _drain_store_degrades()
-    if store is not None:
-        store_degrades += store.heals - store_heals_before
-    comparison.store_degrades = store_degrades
-    if cache is not None:
-        comparison.cache_heals = cache.counters.errors - cache_errors_before
-    if progress is not None and cache is not None:
-        progress(cache.counters.summary())
-    if progress is not None:
-        summary = comparison.native_summary()
-        if summary is not None:
-            progress(summary)
-        resilience = comparison.resilience_summary()
-        if resilience is not None:
-            progress(resilience)
+    (comparison,) = run_grid(
+        workloads,
+        prefetchers,
+        context_configs=(context_config,),
+        hierarchy_config=hierarchy_config,
+        core_config=core_config,
+        limit=limit,
+        jobs=jobs,
+        cache=cache,
+        store=store,
+        native=native,
+        db=db,
+        progress=progress,
+    )
     return comparison
 
 
 def parallel_storage_sweep(
-    workloads: Iterable[WorkloadSpec | TraceProgram | str],
+    workloads: Iterable["WorkloadSpec | TraceProgram | str"],
     cst_sizes: Iterable[int],
     *,
     limit: int | None = None,
     base_config: ContextPrefetcherConfig | None = None,
     jobs: int = 1,
-    cache: SweepCache | None = None,
-    store: TraceStore | None = None,
+    cache: "SweepCache | None" = None,
+    store: "TraceStore | None" = None,
     native: bool = False,
     progress: ProgressFn | None = None,
-) -> dict[int, dict[str, SimulationResult]]:
-    """Figure 13's (CST size × workload) grid on the parallel engine.
+) -> dict[int, dict[str, "SimulationResult"]]:
+    """Figure 13's (CST size × workload) grid as one plan.
 
-    Each size is one ``context`` configuration (CST rescaled, reducer at
-    8×), so the cache keys config sweeps exactly like prefetcher sweeps.
-    With a store, registry traces are compiled once and then mapped per
-    size instead of being rebuilt per (size × workload).
+    Each size is one slot of the plan's context-config axis (CST
+    rescaled, reducer at 8×), so every size × workload cell is keyed,
+    sharded and resumed like any other sweep cell.
     """
     base = base_config or ContextPrefetcherConfig()
-    workload_list = list(workloads)  # reused across sizes; don't exhaust
     sizes = list(cst_sizes)
-    out: dict[int, dict[str, SimulationResult]] = {}
-    for size in sizes:
-        comparison = parallel_compare(
-            workload_list,
-            ("context",),
-            context_config=base.scaled(size),
-            limit=limit,
-            jobs=jobs,
-            cache=cache,
-            store=store,
-            native=native,
-            progress=progress,
-        )
-        out[size] = {
-            wl: comparison.get(wl, "context") for wl in comparison.workloads()
-        }
-    return out
+    if not sizes:
+        return {}
+    slices = run_grid(
+        workloads,
+        ("context",),
+        context_configs=tuple(base.scaled(size) for size in sizes),
+        limit=limit,
+        jobs=jobs,
+        cache=cache,
+        store=store,
+        native=native,
+        progress=progress,
+    )
+    return {
+        size: {wl: part.get(wl, "context") for wl in part.workloads()}
+        for size, part in zip(sizes, slices)
+    }
 
 
 __all__ = [
     "ExecutionDefaults",
-    "SweepJob",
     "default_execution",
     "parallel_compare",
     "parallel_storage_sweep",
-    "run_job",
+    "run_grid",
     "set_default_execution",
 ]

@@ -16,7 +16,6 @@ if TYPE_CHECKING:
     from repro.workloads.store import TraceStore
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.prefetchers.base import Prefetcher
@@ -75,10 +74,10 @@ class ComparisonResult:
     results: dict[str, dict[str, SimulationResult]] = field(default_factory=dict)
     #: ``"workload/prefetcher" -> (kernel handled?, fallback reason)``,
     #: recorded only for cells a native-mode sweep actually executed —
-    #: cache hits ran no kernel and are absent.  The values never affect
-    #: the results (the kernel is bit-neutral); they exist so sweeps can
-    #: report how much of the grid the compiled path took and why the
-    #: rest fell back.
+    #: resumed cells (result DB or cache hits) ran no kernel and are
+    #: absent.  The values never affect the results (the kernel is
+    #: bit-neutral); they exist so sweeps can report how much of the
+    #: grid the compiled path took and why the rest fell back.
     native_cells: dict[str, tuple[bool, str | None]] = field(default_factory=dict)
     #: result-cache entries that were unreadable and healed by recompute
     cache_heals: int = 0
@@ -134,7 +133,7 @@ class ComparisonResult:
     def native_summary(self) -> str | None:
         """One line of native-kernel coverage, or ``None`` when no cell
         of this sweep recorded kernel info (interpreted mode, or every
-        cell a cache hit)."""
+        cell resumed)."""
         if not self.native_cells:
             return None
         total = len(self.native_cells)
@@ -163,6 +162,27 @@ class ComparisonResult:
         )
 
 
+def _execution(
+    jobs: int | None,
+    cache: "SweepCache | Path | str | bool | None",
+    store: "TraceStore | Path | str | bool | None",
+    native: bool | None,
+) -> dict:
+    """The sweep's execution choices, ``None`` deferring to the
+    process-wide defaults (:func:`repro.sim.parallel.set_default_execution`)."""
+    from repro.sim.cache import resolve_cache
+    from repro.sim.parallel import default_execution
+    from repro.workloads.store import resolve_store
+
+    defaults = default_execution()
+    return dict(
+        jobs=defaults.jobs if jobs is None else max(1, jobs),
+        cache=resolve_cache(cache, default=defaults.cache),
+        store=resolve_store(store, default=defaults.store),
+        native=defaults.native if native is None else native,
+    )
+
+
 def compare(
     workloads: Iterable[WorkloadSpec | TraceProgram | str],
     prefetchers: Iterable[str] = PREFETCHER_ORDER,
@@ -178,73 +198,31 @@ def compare(
 ) -> ComparisonResult:
     """The standard sweep every evaluation figure is built from.
 
-    Traces are built once per workload and replayed for each prefetcher,
-    so results across prefetchers are strictly comparable.
+    Every workload's trace is replayed under every prefetcher, so
+    results across prefetchers are strictly comparable.
 
     ``jobs`` > 1 fans the grid out over worker processes, ``cache``
     memoizes cells on disk (``True`` → ``results/.cache/``), and
     ``store`` supplies registry traces from compiled binary files
     (``True`` → ``results/.cache/traces/``); all three are bit-neutral —
-    the parity suites prove the output identical to this serial loop.
+    the parity suites prove the output identical to a one-job run.
     ``None`` defers to the process-wide defaults the CLI and scripts
-    configure via :func:`repro.sim.parallel.set_default_execution`;
+    configure via :func:`repro.sim.parallel.set_default_execution`
+    (which also name the result DB and the kernel thread count);
     ``cache=False`` / ``store=False`` force that feature off regardless
     of those defaults.
     """
-    from repro.sim.cache import resolve_cache
-    from repro.sim.parallel import default_execution, parallel_compare
-    from repro.workloads.store import resolve_store
+    from repro.sim.parallel import parallel_compare
 
-    defaults = default_execution()
-    effective_jobs = defaults.jobs if jobs is None else max(1, jobs)
-    effective_cache = resolve_cache(cache, default=defaults.cache)
-    effective_store = resolve_store(store, default=defaults.store)
-    effective_native = defaults.native if native is None else native
-    if (
-        effective_jobs > 1
-        or effective_cache is not None
-        or effective_store is not None
-        or defaults.db is not None
-    ):
-        return parallel_compare(
-            workloads,
-            prefetchers,
-            hierarchy_config=hierarchy_config,
-            core_config=core_config,
-            limit=limit,
-            jobs=effective_jobs,
-            cache=effective_cache,
-            store=effective_store,
-            native=effective_native,
-            progress=progress,
-        )
-
-    comparison = ComparisonResult()
-    for workload in workloads:
-        name, trace = _resolve_trace(workload)
-        comparison.results[name] = {}
-        for pf_name in prefetchers:
-            pf = PREFETCHER_FACTORIES[pf_name]()
-            sim = Simulator(
-                pf,
-                hierarchy_config=hierarchy_config,
-                core_config=core_config,
-                native=effective_native,
-            )
-            result = sim.run(trace, workload_name=name, limit=limit)
-            comparison.results[name][pf_name] = result
-            if effective_native:
-                comparison.native_cells[f"{name}/{pf_name}"] = (
-                    sim.last_run_native,
-                    sim.last_native_fallback,
-                )
-            if progress is not None:
-                progress(result.summary())
-    if progress is not None:
-        summary = comparison.native_summary()
-        if summary is not None:
-            progress(summary)
-    return comparison
+    return parallel_compare(
+        workloads,
+        prefetchers,
+        hierarchy_config=hierarchy_config,
+        core_config=core_config,
+        limit=limit,
+        progress=progress,
+        **_execution(jobs, cache, store, native),
+    )
 
 
 def storage_sweep(
@@ -262,43 +240,16 @@ def storage_sweep(
 
     Each entry of ``cst_sizes`` is a CST entry count; the reducer scales
     at 8× as the paper does.  Returns {cst_entries: {workload: result}}.
-    Baseline (no-prefetch) results are included under each size via the
-    key ``"__baseline__:<workload>"``-free convention: callers should run
-    a separate baseline comparison; this helper focuses on the context
-    prefetcher itself.
+    Baseline (no-prefetch) results are not included: callers run a
+    separate baseline comparison; this helper focuses on the context
+    prefetcher itself.  Execution arguments behave as in :func:`compare`.
     """
-    from repro.sim.cache import resolve_cache
-    from repro.sim.parallel import default_execution, parallel_storage_sweep
-    from repro.workloads.store import resolve_store
+    from repro.sim.parallel import parallel_storage_sweep
 
-    base = base_config or ContextPrefetcherConfig()
-    defaults = default_execution()
-    effective_jobs = defaults.jobs if jobs is None else max(1, jobs)
-    effective_cache = resolve_cache(cache, default=defaults.cache)
-    effective_store = resolve_store(store, default=defaults.store)
-    effective_native = defaults.native if native is None else native
-    if (
-        effective_jobs > 1
-        or effective_cache is not None
-        or effective_store is not None
-        or defaults.db is not None
-    ):
-        return parallel_storage_sweep(
-            workloads,
-            cst_sizes,
-            limit=limit,
-            base_config=base,
-            jobs=effective_jobs,
-            cache=effective_cache,
-            store=effective_store,
-            native=effective_native,
-        )
-    resolved = [_resolve_trace(w) for w in workloads]
-    out: dict[int, dict[str, SimulationResult]] = {}
-    for size in cst_sizes:
-        config = base.scaled(size)
-        out[size] = {}
-        for name, trace in resolved:
-            sim = Simulator(ContextPrefetcher(config), native=effective_native)
-            out[size][name] = sim.run(trace, workload_name=name, limit=limit)
-    return out
+    return parallel_storage_sweep(
+        workloads,
+        cst_sizes,
+        limit=limit,
+        base_config=base_config,
+        **_execution(jobs, cache, store, native),
+    )

@@ -29,7 +29,8 @@ producing the same cells yields byte-identical canonical dumps.
 
 
 Corrupt rows degrade on read (logged, counted by the caller) exactly
-like the JSON result cache; a corrupt *file* raises
+like the JSON result cache, and a sweep discards and recomputes them;
+a corrupt *file* raises
 :class:`ResultDBError` at open so the CLI can report it instead of
 silently starting an empty store.
 """
@@ -46,7 +47,7 @@ from typing import Any, Callable, Iterable, TypeVar
 from repro.sim.codec import CODEC_VERSION, CodecError, decode_result
 from repro.sim.metrics import SimulationResult
 
-__all__ = ["DEFAULT_DB_PATH", "ResultDB", "ResultDBError", "CellRow"]
+__all__ = ["DEFAULT_DB_PATH", "IN_MEMORY", "ResultDB", "ResultDBError", "CellRow"]
 
 log = logging.getLogger(__name__)
 
@@ -119,12 +120,18 @@ class CellRow:
         self.result = result
 
 
+#: the path that opens a private in-memory store (SQLite's own name):
+#: what a sweep commits into when no persistent result DB is configured
+IN_MEMORY = ":memory:"
+
+
 class ResultDB:
-    """A sweep-result store over one SQLite file."""
+    """A sweep-result store over one SQLite file (or :data:`IN_MEMORY`)."""
 
     def __init__(self, path: str | Path = DEFAULT_DB_PATH):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if str(path) != IN_MEMORY:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._conn = sqlite3.connect(str(self.path))
             # WAL keeps `serve status/query` readable while a submit is
@@ -242,6 +249,19 @@ class ResultDB:
 
         try:
             return self._write(attempt)
+        except sqlite3.Error as exc:
+            raise ResultDBError(f"result DB {self.path}: {exc}") from exc
+
+    def discard(self, keys: Iterable[str]) -> None:
+        """Delete the rows for ``keys``: rows that will not decode, so
+        the next run's resume diff treats their cells as pending."""
+        doomed = [(key,) for key in keys]
+
+        def attempt() -> None:
+            self._conn.executemany("DELETE FROM cells WHERE key = ?", doomed)
+
+        try:
+            self._write(attempt)
         except sqlite3.Error as exc:
             raise ResultDBError(f"result DB {self.path}: {exc}") from exc
 

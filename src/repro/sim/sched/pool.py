@@ -1,13 +1,14 @@
-"""Persistent warm worker pool for batched sweep dispatch.
+"""The batch executors: persistent warm workers, or this process.
 
-The PR 5 engine paid pool startup (spawn + package import), trace
-decode and native-kernel warm-up once per ``parallel_compare`` call;
-a config sweep that makes hundreds of such calls pays those costs
-hundreds of times.  This pool keeps spawn-started workers alive for
-the whole process: each worker's trace memo, decoded column arrays and
-compiled kernel handle stay resident across every batch — and every
-sweep — it serves, so the per-cell cost converges on the simulation
-itself.
+A pool spawned per sweep pays startup (spawn + package import), trace
+decode and native-kernel warm-up on every call.  :class:`WorkerPool`
+keeps spawn-started workers alive for the whole process instead: each
+worker's trace memo, decoded column arrays and compiled kernel handle
+stay resident across every batch — and every sweep — it serves, so the
+per-cell cost converges on the simulation itself.
+:class:`InlineWorker` is the ``jobs=1`` executor: the same
+``submit``/``drain_one`` interface and the same :func:`run_batch`, run
+in the calling process, so a one-job sweep spawns nothing.
 
 Batch protocol (PERF004 pins the layout):
 
@@ -18,9 +19,9 @@ Batch protocol (PERF004 pins the layout):
   cross the boundary once per batch, never once per cell;
 * results return as ``("done", batch_id, [(index, encoded payload,
   native_info), ...], store_degrades)`` — every result crosses through
-  the versioned codec exactly as the cache and the legacy executor path
-  do, and worker-side store-degrade counts ride back *by value* (each
-  process counts its own events; nothing is shared across spawn);
+  the versioned codec the cache and the result DB store, and
+  worker-side store-degrade counts ride back *by value* (each process
+  counts its own events; nothing is shared across spawn);
 * a worker exception answers ``("error", batch_id, message)`` and the
   worker survives to take the next batch.
 
@@ -35,6 +36,7 @@ resumes instead of recomputing.
 from __future__ import annotations
 
 import atexit
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
 from queue import Empty
@@ -46,12 +48,14 @@ from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.sim.codec import encode_result
 from repro.sim.config import PREFETCHER_FACTORIES
+from repro.sim.sched.supply import drain_store_degrades, resolve_worker_trace
 from repro.sim.simulator import Simulator
 from repro.workloads.trace import MemoryAccess
 
 __all__ = [
     "BatchShared",
     "CELL_FIELDS",
+    "InlineWorker",
     "WorkerPool",
     "WorkerPoolError",
     "shared_pool",
@@ -86,8 +90,9 @@ class BatchShared:
     #: compiled store file + content fingerprint (preferred supply)
     store_path: str | None = None
     store_fingerprint: str = ""
-    #: ad-hoc trace shipped by value (workloads workers cannot rebuild)
-    trace: tuple[MemoryAccess, ...] | None = None
+    #: trace shipped by value: ad-hoc workloads no worker can rebuild,
+    #: or records the (in-process) executor already holds
+    trace: Sequence[MemoryAccess] | None = None
     #: hand whole shards to the kernel's batch driver (one GIL-released
     #: C call per batch) when native; False pins the per-cell dispatch
     #: path (the PR 9 baseline, kept for benchmarks and bisection)
@@ -109,18 +114,16 @@ def run_batch(
 ) -> tuple[list[tuple[int, dict[str, Any], tuple[bool, str | None]]], int]:
     """Execute one batch in this process; ``(results, store degrades)``.
 
-    The trace resolves through the worker memo exactly as the legacy
-    batch path does (decode once, reuse across batches).  When the batch
-    is native and the kernel's batch driver is enabled, the whole cell
-    list crosses into C in one GIL-released ``rp_run_batch`` call —
-    per-cell results bit-identical to the per-cell dispatch below, which
-    both serves as the fallback for cells the kernel cannot represent
-    (each degrades alone, with its own reason) and remains the whole
-    path when ``kernel_batch`` is off.
+    The trace resolves through the per-process memo (decode once, reuse
+    across batches).  When the batch is native and the kernel's batch
+    driver is enabled, the whole cell list crosses into C in one
+    GIL-released ``rp_run_batch`` call — per-cell results bit-identical
+    to the per-cell dispatch below, which both serves as the fallback
+    for cells the kernel cannot represent (each degrades alone, with
+    its own reason) and remains the whole path when ``kernel_batch`` is
+    off.
     """
-    from repro.sim.parallel import _drain_store_degrades, _resolve_worker_trace
-
-    trace = _resolve_worker_trace(
+    trace = resolve_worker_trace(
         shared.workload,
         shared.store_path,
         shared.store_fingerprint,
@@ -165,7 +168,7 @@ def run_batch(
                 (sim.last_run_native, sim.last_native_fallback),
             )
         )
-    return out, _drain_store_degrades()
+    return out, drain_store_degrades()
 
 
 def _worker_main(task_q, result_q) -> None:  # pragma: no cover - child process
@@ -258,6 +261,29 @@ class WorkerPool:
         for queue in (self._task_q, self._result_q):
             queue.close()
             queue.cancel_join_thread()
+
+
+class InlineWorker:
+    """:class:`WorkerPool`'s interface, executed in the calling process.
+
+    ``submit`` queues a batch; ``drain_one`` runs the oldest queued batch
+    through :func:`run_batch` and returns its result exactly as a worker
+    would, minus the pickling.  Nothing is spawned, so a ``jobs=1``
+    sweep costs no process startup and no IPC.
+    """
+
+    jobs = 1
+
+    def __init__(self) -> None:
+        self._queue: deque[tuple[int, BatchShared, Any]] = deque()
+
+    def submit(self, batch_id: int, shared: BatchShared, cells) -> None:
+        self._queue.append((batch_id, shared, cells))
+
+    def drain_one(self) -> tuple[int, list, int]:
+        batch_id, shared, cells = self._queue.popleft()
+        results, degrades = run_batch(shared, cells)
+        return batch_id, results, degrades
 
 
 # -- process-wide shared pool -------------------------------------------

@@ -1,24 +1,28 @@
-"""The asyncio submit/drain scheduler over the persistent worker pool.
+"""The asyncio submit/drain scheduler: the one sweep dispatch path.
 
-One dispatch loop serves every caller: ``repro serve submit`` runs a
-whole :class:`~repro.sim.sched.plan.GridPlan` through
-:meth:`SweepScheduler.run_plan`, and
-:func:`repro.sim.parallel.parallel_compare` pushes its store-backed
-grids through :func:`dispatch_sync` — the same chunked submit/drain,
-the same ordering guarantees, the same pool.
+Every sweep runs through :meth:`SweepScheduler.run_plan`: ``repro serve
+submit`` hands it a :class:`~repro.sim.sched.plan.GridPlan` directly,
+and ``run_grid`` in ``sim/parallel.py`` — behind ``compare``,
+``storage_sweep`` and the figure sweeps — builds one and does the same.
+``jobs > 1`` dispatches to the process-wide persistent worker pool;
+``jobs == 1`` runs the very same batch messages in this process through
+:class:`~repro.sim.sched.pool.InlineWorker`, spawning nothing.
 
 Ordering contract: batches are processed **in submission order**, never
 completion order.  Out-of-order results are buffered until their turn,
 so progress lines, cache stores and DB commits are deterministic for a
 given grid regardless of worker scheduling — which is what lets the
-parity suites compare a batched run against the serial loop line for
+parity suites compare a batched run against a one-job run line for
 line.  In-flight batches are capped, so a million-cell grid streams
 through bounded queues instead of materialising everywhere at once.
 
 Resume: before dispatching, :meth:`run_plan` diffs the plan's
-content-addressed cell keys against the result DB and enqueues only the
-remainder.  Completed cells are never re-simulated — the kill-and-
-resume suite proves a resumed sweep's DB is canonically identical to an
+content-addressed cell keys against the result DB, then looks the
+remainder up in the JSON result cache when one is configured (a hit is
+committed to the DB and counted as resumed), and enqueues only what is
+left.  The DB diff is therefore the one "skip this cell" test, and
+completed cells are never re-simulated — the kill-and-resume suite
+proves a resumed sweep's DB is canonically identical to an
 uninterrupted one.
 
 Wall-clock time is deliberately absent (lint rule DET003 covers this
@@ -28,11 +32,12 @@ package): throughput measurement lives in ``scripts/bench_report.py``.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.sim.cache import SweepCache
-from repro.sim.sched.db import ResultDB
+from repro.sim.codec import encode_result
+from repro.sim.sched.db import IN_MEMORY, ResultDB
 from repro.sim.sched.plan import (
     DEFAULT_BATCH_CELLS,
     KERNEL_BATCH_CELLS,
@@ -40,18 +45,27 @@ from repro.sim.sched.plan import (
     PlanCell,
     shard_by_workload,
 )
-from repro.sim.sched.pool import BatchShared, WorkerPool, shared_pool
+from repro.sim.sched.pool import BatchShared, InlineWorker, WorkerPool, shared_pool
+from repro.sim.sched.supply import (
+    TraceSupply,
+    drain_store_degrades,
+    resolve_supply,
+)
 from repro.workloads.store import TraceStore
+from repro.workloads.suites import WorkloadSpec
+from repro.workloads.trace import TraceProgram
 
 __all__ = [
     "SchedulerError",
     "SweepScheduler",
     "SweepStats",
     "dispatch",
-    "dispatch_sync",
 ]
 
 ProgressFn = Callable[[str], None]
+
+#: a worker's ordered ``(index, encoded payload, native_info)`` results
+BatchResults = list[tuple[int, dict[str, Any], tuple[bool, str | None]]]
 
 #: batches in flight per worker: 2 keeps every worker busy the moment it
 #: finishes (the next batch is already queued) without ballooning queues
@@ -71,6 +85,8 @@ class SweepStats:
     executed: int
     resumed: int
     store_degrades: int = 0
+    #: content-addressed key per plan cell, in enumeration order
+    keys: list[str] = field(default_factory=list, repr=False)
 
     def summary(self) -> str:
         line = (
@@ -83,7 +99,7 @@ class SweepStats:
 
 
 async def dispatch(
-    pool: WorkerPool,
+    pool: WorkerPool | InlineWorker,
     batches: Sequence[tuple[BatchShared, tuple[tuple[int, str, int], ...]]],
     on_batch: Callable[[int, list, int], None],
 ) -> None:
@@ -118,17 +134,9 @@ async def dispatch(
         next_finish += 1
 
 
-def dispatch_sync(
-    pool: WorkerPool,
-    batches: Sequence[tuple[BatchShared, tuple[tuple[int, str, int], ...]]],
-    on_batch: Callable[[int, list, int], None],
-) -> None:
-    """Synchronous façade over :func:`dispatch` for non-async callers."""
-    asyncio.run(dispatch(pool, batches, on_batch))
-
-
 class SweepScheduler:
-    """Runs grid plans over the shared pool into the result DB."""
+    """Runs grid plans into the result DB: over the shared worker pool,
+    or in this process when ``jobs == 1``."""
 
     def __init__(
         self,
@@ -154,39 +162,76 @@ class SweepScheduler:
 
     # ------------------------------------------------------------------
 
-    def _fingerprints(self, plan: GridPlan) -> tuple[dict[str, str], dict[str, Any]]:
-        """Resolve every plan workload to (fingerprint, trace supply).
-
-        With a store, resolution is a header read on a warm store (the
-        file compiles at most once); without one, the trace is built in
-        the parent purely to fingerprint it and workers rebuild by name.
-        """
-        from repro.sim.parallel import _count_store_degrade, _registry_fingerprint
-        from repro.workloads.store import TraceStoreError
-
-        fingerprints: dict[str, str] = {}
-        supplies: dict[str, Any] = {}
+    def _resolve(
+        self,
+        plan: GridPlan,
+        sources: Mapping[str, str | WorkloadSpec | TraceProgram] | None,
+    ) -> dict[str, TraceSupply]:
+        """One :class:`TraceSupply` per plan workload (see ``supply``)."""
+        # a key in a DB file or the JSON cache outlives this process, so
+        # it must name its trace's content.  An in-memory DB dies with
+        # the process, and within a process a registry name stands for
+        # one stream: those keys skip hashing traces no store holds
+        content_keys = self.cache is not None or str(self.db.path) != IN_MEMORY
+        supplies: dict[str, TraceSupply] = {}
         for workload in plan.workloads:
-            if workload in fingerprints:
-                continue
-            if self.store is not None:
-                try:
-                    ref, _built = self.store.ensure(workload)
-                except TraceStoreError:
-                    _count_store_degrade()
-                else:
-                    fingerprints[workload] = ref.fingerprint
-                    supplies[workload] = ref
-                    continue
-            fingerprints[workload] = _registry_fingerprint(workload)
-            supplies[workload] = None
-        return fingerprints, supplies
+            if workload not in supplies:
+                source = sources.get(workload, workload) if sources else workload
+                supply = resolve_supply(source, self.store)
+                supplies[workload] = supply.hashed() if content_keys else supply
+        return supplies
+
+    def _resume_from_cache(
+        self, sweep: str, keys: list[str], pending: list[PlanCell]
+    ) -> list[PlanCell]:
+        """Commit the JSON cache's hits to the DB; the cells left to run."""
+        assert self.cache is not None
+        rows, rest = [], []
+        for cell in pending:
+            result = self.cache.load(keys[cell.index])
+            if result is None:
+                rest.append(cell)
+            else:
+                rows.append(
+                    (
+                        keys[cell.index],
+                        cell.index,
+                        cell.workload,
+                        cell.prefetcher,
+                        encode_result(result),
+                    )
+                )
+        self.db.store_cells(sweep, rows)
+        return rest
+
+    @staticmethod
+    def _trace_header(
+        supply: TraceSupply, limit: int | None, inline: bool
+    ) -> tuple[str | None, str, Sequence | None]:
+        """``(store path, store fingerprint, trace by value)`` for the
+        batches of one workload."""
+        if supply.store_path is not None:
+            return supply.store_path, supply.fingerprint or "", None
+        if supply.trace is None or (
+            supply.by_name and limit is None and not inline
+        ):
+            # rebuilt by name where the batch runs: a whole registry trace
+            # costs as much to pickle as to rebuild
+            return None, "", None
+        if inline:
+            # this process holds the records already: run them as they are
+            return None, "", supply.trace
+        # ad hoc (no worker can rebuild it), or a truncated registry
+        # trace the parent already built: ship the records by value
+        return None, "", tuple(supply.trace[:limit])
 
     def _batch_message(
-        self, plan: GridPlan, supplies: dict[str, Any], batch: tuple[PlanCell, ...]
+        self,
+        plan: GridPlan,
+        header: tuple[str | None, str, Sequence | None],
+        batch: tuple[PlanCell, ...],
     ) -> tuple[BatchShared, tuple[tuple[int, str, int], ...]]:
-        workload = batch[0].workload
-        ref = supplies[workload]
+        store_path, store_fingerprint, trace = header
         # ship only the context-table slice this shard references (shards
         # are contiguous in grid order, so the referenced ids form a tight
         # range); cell tuples are rebased onto the slice.  On a config
@@ -195,14 +240,15 @@ class SweepScheduler:
         lo = min(cell.context_id for cell in batch)
         hi = max(cell.context_id for cell in batch)
         shared = BatchShared(
-            workload=workload,
+            workload=batch[0].workload,
             limit=plan.limit,
             native=self.native,
             hierarchy_config=plan.hierarchy_config,
             core_config=plan.core_config,
             context_table=plan.context_configs[lo : hi + 1],
-            store_path=ref.path if ref is not None else None,
-            store_fingerprint=ref.fingerprint if ref is not None else "",
+            store_path=store_path,
+            store_fingerprint=store_fingerprint,
+            trace=trace,
             kernel_batch=self.kernel_batch,
             kernel_threads=self.kernel_threads,
         )
@@ -219,6 +265,8 @@ class SweepScheduler:
         progress: ProgressFn | None = None,
         max_cells: int | None = None,
         on_cells: Callable[[str, int, int], None] | None = None,
+        on_batch: Callable[[BatchResults], None] | None = None,
+        sources: Mapping[str, str | WorkloadSpec | TraceProgram] | None = None,
     ) -> SweepStats:
         """Execute ``plan``, resuming any cells the DB already holds.
 
@@ -232,21 +280,31 @@ class SweepScheduler:
         diff and again after every committed batch — a deterministic
         cell-count stream (this package stays clock-free; see DET003).
         ``repro serve`` timestamps it *outside* the scheduler to derive
-        live throughput and ETA.
-        """
-        from repro.sim.parallel import _drain_store_degrades
+        live throughput and ETA.  ``on_batch(results)`` receives each
+        committed batch's ordered ``(index, payload, native_info)``
+        results, for callers that want the executed cells themselves.
 
-        fingerprints, supplies = self._fingerprints(plan)
-        missing = [w for w in plan.workloads if w not in fingerprints]
-        if missing:
-            raise SchedulerError(f"unresolvable workloads: {', '.join(missing)}")
-        keys = plan.cell_keys(fingerprints)
+        ``sources`` maps plan workload names to the workload objects
+        they stand for — ad-hoc programs and custom specs, whose traces
+        ship by value; a name it does not map is a registry workload.
+        """
+        drain_store_degrades()  # events before this run are not its own
+        heals_before = self.store.heals if self.store is not None else 0
+        supplies = self._resolve(plan, sources)
+        keys = plan.cell_keys(
+            {
+                workload: supply.fingerprint or ""
+                for workload, supply in supplies.items()
+            }
+        )
         sweep = plan.sweep_id(keys)
         self.db.ensure_sweep(sweep, plan.spec(), plan.n_cells)
 
         done_keys = self.db.completed_keys(keys)
         cells = list(plan.cells())
         pending = [cell for cell in cells if keys[cell.index] not in done_keys]
+        if self.cache is not None and pending:
+            pending = self._resume_from_cache(sweep, keys, pending)
         resumed = len(cells) - len(pending)
         if max_cells is not None:
             pending = pending[:max_cells]
@@ -256,17 +314,18 @@ class SweepScheduler:
             total=len(cells),
             executed=len(pending),
             resumed=resumed,
-            store_degrades=_drain_store_degrades(),
+            store_degrades=drain_store_degrades(),
+            keys=keys,
         )
         if progress is not None and resumed:
             progress(f"resume: {resumed}/{len(cells)} cells already in the DB")
         if on_cells is not None:
             on_cells(sweep, resumed, len(cells))
         if not pending:
-            if progress is not None:
-                progress(stats.summary())
+            self._finish(stats, heals_before, progress)
             return stats
 
+        inline = self.jobs == 1
         # in-kernel batching amortises the C-call boundary across the
         # whole shard, so bigger shards help; cap them lower on the
         # per-cell path, where a shard is also the commit granule
@@ -275,16 +334,21 @@ class SweepScheduler:
             if self.native and self.kernel_batch
             else DEFAULT_BATCH_CELLS
         )
-        batches = [
-            self._batch_message(plan, supplies, batch)
-            for batch in shard_by_workload(
-                pending, lambda cell: cell.workload, self.jobs, max_batch=max_batch
-            )
-        ]
+        headers: dict[str, tuple[str | None, str, Sequence | None]] = {}
+        batches = []
+        for batch in shard_by_workload(
+            pending, lambda cell: cell.workload, self.jobs, max_batch=max_batch
+        ):
+            workload = batch[0].workload
+            if workload not in headers:
+                headers[workload] = self._trace_header(
+                    supplies[workload], plan.limit, inline
+                )
+            batches.append(self._batch_message(plan, headers[workload], batch))
         by_index = {cell.index: cell for cell in pending}
         finished = 0
 
-        def on_batch(batch_pos: int, results: list, degrades: int) -> None:
+        def commit(batch_pos: int, results: BatchResults, degrades: int) -> None:
             nonlocal finished
             stats.store_degrades += degrades
             rows = []
@@ -294,11 +358,11 @@ class SweepScheduler:
                     (keys[index], index, cell.workload, cell.prefetcher, payload)
                 )
                 if self.cache is not None:
-                    from repro.sim.codec import decode_result
-
-                    self.cache.store(keys[index], decode_result(payload))
+                    self.cache.store_payload(keys[index], payload)
             self.db.store_cells(sweep, rows)
             finished += len(results)
+            if on_batch is not None:
+                on_batch(results)
             if on_cells is not None:
                 on_cells(sweep, finished + resumed, len(cells))
             if progress is not None:
@@ -308,11 +372,19 @@ class SweepScheduler:
                     f"batch {batch_pos + 1}/{len(batches)} ({workload}) committed"
                 )
 
-        pool = shared_pool(self.jobs)
-        await dispatch(pool, batches, on_batch)
+        pool = InlineWorker() if inline else shared_pool(self.jobs)
+        await dispatch(pool, batches, commit)
+        self._finish(stats, heals_before, progress)
+        return stats
+
+    def _finish(
+        self, stats: SweepStats, heals_before: int, progress: ProgressFn | None
+    ) -> None:
+        # store files healed by recompiling are degrades of this run too
+        if self.store is not None:
+            stats.store_degrades += self.store.heals - heals_before
         if progress is not None:
             progress(stats.summary())
-        return stats
 
     def run_plan_sync(
         self,
@@ -321,10 +393,17 @@ class SweepScheduler:
         progress: ProgressFn | None = None,
         max_cells: int | None = None,
         on_cells: Callable[[str, int, int], None] | None = None,
+        on_batch: Callable[[BatchResults], None] | None = None,
+        sources: Mapping[str, str | WorkloadSpec | TraceProgram] | None = None,
     ) -> SweepStats:
         """:meth:`run_plan` for synchronous callers (CLI, scripts)."""
         return asyncio.run(
             self.run_plan(
-                plan, progress=progress, max_cells=max_cells, on_cells=on_cells
+                plan,
+                progress=progress,
+                max_cells=max_cells,
+                on_cells=on_cells,
+                on_batch=on_batch,
+                sources=sources,
             )
         )

@@ -142,17 +142,39 @@ class TestWorkerEntries:
         assert [e.target for e in entries] == [f"{pkg}.par.job"]
         assert entries[0].submitter == f"{pkg}.par.run"
 
+    def test_process_target_resolved(self, tmp_path):
+        model = build_model(
+            tmp_path,
+            {
+                "pool.py": """
+                from multiprocessing import get_context
+
+                def worker_main(task_q, result_q):
+                    result_q.put(task_q.get())
+
+                def start(task_q, result_q):
+                    ctx = get_context("spawn")
+                    proc = ctx.Process(target=worker_main, args=(task_q, result_q))
+                    proc.start()
+                    return proc
+                """,
+            },
+        )
+        pkg = tmp_path.name
+        entries = model.worker_entries()
+        assert [e.target for e in entries] == [f"{pkg}.pool.worker_main"]
+        assert entries[0].submitter == f"{pkg}.pool.start"
+        assert [a.id for a in entries[0].payload] == ["task_q", "result_q"]
+
     def test_live_tree_worker_entries(self):
         from repro.analysis.runner import DEFAULT_ROOT
 
         model = load_project(DEFAULT_ROOT).semantic()
         targets = {e.target for e in model.worker_entries()}
-        assert targets == {
-            "repro.sim.parallel._execute_batch",
-            "repro.sim.parallel._execute_job",
-        }
-        # the worker closure must reach the simulator core
+        assert targets == {"repro.sim.sched.pool._worker_main"}
+        # the worker closure must reach the batch body, the trace
+        # resolver and the simulator core
         reach = model.reachable(targets)
-        assert any(q.endswith("Simulator.run") for q in reach) or any(
-            "simulator" in q for q in reach
-        )
+        assert "repro.sim.sched.pool.run_batch" in reach
+        assert "repro.sim.sched.supply.resolve_worker_trace" in reach
+        assert "repro.sim.simulator.Simulator.run" in reach

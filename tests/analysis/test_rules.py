@@ -875,7 +875,7 @@ class TestBatchDispatchLayoutRule:
     def _good_tree(self) -> dict[str, str]:
         # miniature dispatch stack: the pinned wire shape, puts only in
         # the reviewed pool entry points, submits only in the reviewed
-        # dispatch loop and legacy parallel_compare
+        # dispatch loop, and a sweep entry point that only builds plans
         return {
             "sim/sched/pool.py": """
             CELL_FIELDS = ("index", "prefetcher", "context_id")
@@ -897,9 +897,8 @@ class TestBatchDispatchLayoutRule:
             """,
             "sim/parallel.py": """
             def parallel_compare(workloads, prefetchers):
-                with executor() as pool:
-                    futures = [pool.submit(run, job) for job in jobs()]
-                return futures
+                plan = GridPlan(workloads, prefetchers)
+                return SweepScheduler().run_plan_sync(plan)
             """,
         }
 
@@ -965,6 +964,22 @@ class TestBatchDispatchLayoutRule:
         findings = run_rules(tmp_path, [self._rule()])
         assert set(rule_ids(findings)) == {"PERF004"}
         assert any("concurrent.futures" in f.message for f in findings)
+
+    def test_executor_in_parallel_is_flagged(self, tmp_path):
+        files = self._good_tree()
+        files["sim/parallel.py"] = """
+        from concurrent.futures import ProcessPoolExecutor
+
+        def parallel_compare(workloads, prefetchers):
+            with ProcessPoolExecutor() as pool:
+                return list(pool.map(run, workloads))
+        """
+        write_tree(tmp_path, files)
+        findings = run_rules(tmp_path, [self._rule()])
+        assert set(rule_ids(findings)) == {"PERF004"}
+        assert all(f.path == "sim/parallel.py" for f in findings)
+        assert any("concurrent.futures" in f.message for f in findings)
+        assert any("ProcessPoolExecutor" in f.message for f in findings)
 
     def test_unreviewed_queue_put_is_flagged(self, tmp_path):
         files = self._good_tree()

@@ -1,15 +1,18 @@
 """Shared test fixtures.
 
 The CLI installs process-wide execution defaults (jobs / result cache /
-trace store / native kernel) via ``set_default_execution``; without a
-reset, a CLI test that ran first would leak its cache and store paths
-into every later ``compare()`` call in the same pytest process.  Restore
-the defaults around every test so ordering can never matter.
+trace store / native kernel / result DB / kernel threads) via
+``set_default_execution``; without a reset, a CLI test that ran first
+would leak its cache, store and DB into every later ``compare()`` call
+in the same pytest process.  Restore the whole defaults object around
+every test so ordering can never matter.
 
 ``--runslow`` opts into tests marked ``@pytest.mark.slow`` — extended
 sweeps (the wide differential-fuzz tiers) that are too expensive for the
 tier-1 run but worth running before a release or a kernel change.
 """
+
+import dataclasses
 
 import pytest
 
@@ -45,8 +48,8 @@ def _restore_execution_defaults():
     previous = default_execution()
     yield
     set_default_execution(
-        jobs=previous.jobs,
-        cache=previous.cache,
-        store=previous.store,
-        native=previous.native,
+        **{
+            field.name: getattr(previous, field.name)
+            for field in dataclasses.fields(previous)
+        }
     )

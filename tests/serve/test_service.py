@@ -14,8 +14,8 @@ import pytest
 from repro.cli import main
 from repro.serve.service import SweepService, plan_from_axes
 from repro.sim.codec import encode_result
-from repro.sim.runner import compare
 from repro.workloads.store import TraceStore
+from tests.oracle import serial_compare
 
 WORKLOADS = ["list", "array"]
 PREFETCHERS = ["none", "context"]
@@ -70,10 +70,7 @@ class TestSweepService:
             assert [(c.workload, c.prefetcher) for c in cells] == [
                 ("list", "none"), ("list", "context"),
             ]
-            serial = compare(
-                WORKLOADS, PREFETCHERS, limit=LIMIT,
-                jobs=1, cache=False, store=False,
-            )
+            serial = serial_compare(WORKLOADS, PREFETCHERS, limit=LIMIT)
             for cell in service.query():
                 want = serial.get(cell.workload, cell.prefetcher)
                 assert encode_result(cell.result) == encode_result(want)

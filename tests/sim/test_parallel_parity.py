@@ -17,6 +17,7 @@ from repro.sim.metrics import SimulationResult
 from repro.sim.runner import compare, storage_sweep
 from repro.workloads.linked_list import ListTraversalProgram
 from repro.workloads.store import TraceStore
+from tests.oracle import serial_compare, serial_storage_sweep
 
 #: a representative subset: regular (array), pointer-chasing (list),
 #: and the RL context prefetcher whose ε-greedy loop is the hardest
@@ -28,7 +29,7 @@ LIMIT = 2500
 
 @pytest.fixture(scope="module")
 def serial_sweep():
-    return compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=False)
+    return serial_compare(WORKLOADS, PREFETCHERS, limit=LIMIT)
 
 
 def assert_identical(a: SimulationResult, b: SimulationResult, where: str) -> None:
@@ -65,7 +66,7 @@ class TestParallelParity:
         # ad-hoc programs can't be rebuilt by name in workers; their
         # traces ship by value and must produce the same results
         make = lambda: ListTraversalProgram(num_nodes=256, iterations=4)
-        serial = compare([make()], ("none", "context"), jobs=1, cache=False)
+        serial = serial_compare([make()], ("none", "context"))
         parallel = compare([make()], ("none", "context"), jobs=3, cache=False)
         assert_sweeps_identical(serial, parallel)
 
@@ -106,7 +107,7 @@ class TestCacheParity:
 
     def test_storage_sweep_parity(self, tmp_path):
         sizes = (512, 1024)
-        serial = storage_sweep(["list"], sizes, limit=1500)
+        serial = serial_storage_sweep(["list"], sizes, limit=1500)
         parallel = storage_sweep(
             ["list"], sizes, limit=1500, jobs=2, cache=tmp_path / "cache"
         )
@@ -175,7 +176,7 @@ class TestTraceStoreParity:
         # they still ship by value and stay bit-identical
         store = TraceStore(tmp_path / "traces")
         make = lambda: ListTraversalProgram(num_nodes=256, iterations=4)
-        serial = compare([make()], ("none", "context"), jobs=1, cache=False)
+        serial = serial_compare([make()], ("none", "context"))
         stored = compare(
             [make()], ("none", "context"), jobs=3, cache=False, store=store
         )
@@ -197,7 +198,7 @@ class TestTraceStoreParity:
     def test_storage_sweep_store_parity(self, tmp_path):
         sizes = (512, 1024)
         store = TraceStore(tmp_path / "traces")
-        serial = storage_sweep(["list"], sizes, limit=1500)
+        serial = serial_storage_sweep(["list"], sizes, limit=1500)
         stored = storage_sweep(
             ["list"], sizes, limit=1500, jobs=2, cache=False, store=store
         )

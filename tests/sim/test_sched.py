@@ -23,12 +23,12 @@ from pathlib import Path
 import pytest
 
 from repro.sim.codec import encode_result
-from repro.sim.runner import compare
 from repro.sim.sched.db import ResultDB, ResultDBError
 from repro.sim.sched.plan import GridPlan, PlanCell, shard_by_workload
 from repro.sim.sched.pool import CELL_FIELDS, shared_pool
 from repro.sim.sched.scheduler import SweepScheduler
 from repro.workloads.store import TraceStore
+from tests.oracle import serial_compare
 
 WORKLOADS = ("list", "array")
 PREFETCHERS = ("none", "context")
@@ -50,10 +50,7 @@ def plan():
 
 @pytest.fixture(scope="module")
 def serial(plan):
-    return compare(
-        plan.workloads, plan.prefetchers, limit=plan.limit,
-        jobs=1, cache=False, store=False,
-    )
+    return serial_compare(plan.workloads, plan.prefetchers, limit=plan.limit)
 
 
 def run_plan(plan, db, store, jobs, **kwargs):
