@@ -28,7 +28,7 @@ CTX_COUNTER_SLOTS = 20
 #: ``SOURCE_BATCH``); analysis rule PERF005 pins the pair's content hash
 #: per version, so editing the batch driver without bumping this (and
 #: re-pinning) fails ``repro lint``
-BATCH_VERSION = 1
+BATCH_VERSION = 2
 
 CDEF_CORE = """
 typedef struct RpSim RpSim;
@@ -404,11 +404,16 @@ typedef struct {
     int64_t next_expiry;
 } Mshr;
 
-static int mshr_init(Mshr *m, int num_entries) {
-    m->num_entries = num_entries;
+static void mshr_reset(Mshr *m) {
     m->count = 0;
     m->next_expiry = MSHR_NEVER;
-    m->entries = (MEntry *)calloc((size_t)num_entries, sizeof(MEntry));
+    memset(m->entries, 0, (size_t)m->num_entries * sizeof(MEntry));
+    m->heap.len = 0;
+}
+
+static int mshr_init(Mshr *m, int num_entries) {
+    m->num_entries = num_entries;
+    m->entries = (MEntry *)malloc((size_t)num_entries * sizeof(MEntry));
     if (!m->entries) return 0;
     return pheap_init(&m->heap, (size_t)num_entries + 1);
 }
@@ -493,19 +498,24 @@ typedef struct {
     int64_t used_prefetch_fills;
 } NCache;
 
+/* an empty cache: only the set counts are cleared, never the lines.
+ * Every read of a set is bounded by counts[s] and slots are written
+ * before the count covering them grows, so no line is ever read
+ * uninitialised (or stale, after a reset).  Clearing the lines would
+ * touch the full L2 array (~32k lines) on every reset — the batch
+ * driver resets one simulator between every pair of cells a thread
+ * runs, so data stays uninitialised malloc. */
+static void cache_reset(NCache *c) {
+    memset(c->counts, 0, (size_t)c->num_sets * sizeof(int));
+    c->unused_prefetch_evictions = 0;
+    c->used_prefetch_fills = 0;
+}
+
 static int cache_init(NCache *c, int64_t num_sets, int ways) {
     c->num_sets = num_sets;
     c->ways = ways;
-    c->unused_prefetch_evictions = 0;
-    c->used_prefetch_fills = 0;
-    /* data stays malloc: every read of a set is bounded by counts[s]
-     * and slots are written before the count covering them grows, so
-     * no line is ever read uninitialised.  Zeroing would memset the
-     * full L2 array (~32k lines) per simulator — the dominant cost of
-     * constructing the thousands of per-cell sims a batched sweep
-     * needs (counts, which the bound reads, must stay calloc). */
     c->data = (CLine *)malloc((size_t)(num_sets * ways) * sizeof(CLine));
-    c->counts = (int *)calloc((size_t)num_sets, sizeof(int));
+    c->counts = (int *)malloc((size_t)num_sets * sizeof(int));
     return c->data && c->counts;
 }
 
@@ -826,8 +836,17 @@ typedef struct {
     int64_t stall_cycles, instructions, memory_accesses, cycles;
 } Core;
 
+/* an idle core at instruction 0; the LQ/ROB buffers (and any ROB growth)
+ * are kept, their rings emptied */
+static void core_reset(Core *c) {
+    c->cursor = c->last_completion = c->max_completion = c->rob_floor = 0.0;
+    c->inst_pos = 0;
+    c->lq_head = c->lq_len = 0;
+    c->rob_head = c->rob_len = 0;
+    c->stall_cycles = c->instructions = c->memory_accesses = c->cycles = 0;
+}
+
 static int core_init(Core *c, int64_t issue_width, int64_t rob_size, int64_t lq_size) {
-    memset(c, 0, sizeof(*c));
     c->issue_width = issue_width;
     c->rob_size = rob_size;
     c->lq_size = lq_size;
@@ -1842,9 +1861,88 @@ static void ctx_free(Ctx *cx) {
     free(cx->hg_depth); free(cx->hg_count);
 }
 
-static int ctx_init(Ctx *cx, const int64_t *ic, const double *dc,
-                    const uint32_t *seed_key, int seed_len) {
-    memset(cx, 0, sizeof(Ctx));
+/* the buffers a context state needs, sized from a config row: CST
+ * entries x links, reducer entries, history depth, queue capacity,
+ * address-history depth, sample depths and degree thresholds.  A state
+ * can be reset for any row whose sizes all match (ctx_fits). */
+static int ctx_alloc(Ctx *cx, const int64_t *ic) {
+    size_t ne = (size_t)ic[0], nl = (size_t)ic[1], nre = (size_t)ic[3];
+    size_t nh = (size_t)ic[7];
+    size_t npool = (size_t)ic[8] + 2;
+    size_t naddr = ic[39] > 0 ? (size_t)ic[39] : 1;
+    size_t ndepths = ic[40] > 0 ? (size_t)ic[40] : 1;
+    size_t nthresh = ic[41] > 0 ? (size_t)ic[41] : 1;
+    size_t fc = 8;
+    while (fc < npool) fc <<= 1;
+    cx->q_fifo_cap = fc;
+    cx->thresholds = (double *)malloc(nthresh * sizeof(double));
+    cx->sample_depths = (int64_t *)malloc(ndepths * sizeof(int64_t));
+    cx->recent = (int64_t *)malloc(naddr * sizeof(int64_t));
+    cx->cst_used = (uint8_t *)malloc(ne);
+    cx->cst_tag = (int64_t *)malloc(ne * sizeof(int64_t));
+    cx->cst_ptr = (int64_t *)malloc(ne * sizeof(int64_t));
+    cx->cst_ncand = (int32_t *)malloc(ne * sizeof(int32_t));
+    cx->cst_delta = (int64_t *)malloc(ne * nl * sizeof(int64_t));
+    cx->cst_score = (int64_t *)malloc(ne * nl * sizeof(int64_t));
+    cx->r_used = (uint8_t *)malloc(nre);
+    cx->r_haskey = (uint8_t *)malloc(nre);
+    cx->r_active = (int32_t *)malloc(nre * sizeof(int32_t));
+    cx->r_tag = (int64_t *)malloc(nre * sizeof(int64_t));
+    cx->r_lookups = (int64_t *)malloc(nre * sizeof(int64_t));
+    cx->r_lookadapt = (int64_t *)malloc(nre * sizeof(int64_t));
+    cx->r_cstkey = (uint64_t *)malloc(nre * sizeof(uint64_t));
+    cx->h_reduced = (int64_t *)malloc(nh * sizeof(int64_t));
+    cx->h_block = (int64_t *)malloc(nh * sizeof(int64_t));
+    cx->h_line = (int64_t *)malloc(nh * sizeof(int64_t));
+    cx->h_index = (int64_t *)malloc(nh * sizeof(int64_t));
+    cx->q_red = (int64_t *)malloc(npool * sizeof(int64_t));
+    cx->q_delta = (int64_t *)malloc(npool * sizeof(int64_t));
+    cx->q_target = (int64_t *)malloc(npool * sizeof(int64_t));
+    cx->q_issue = (int64_t *)malloc(npool * sizeof(int64_t));
+    cx->q_hit = (uint8_t *)malloc(npool);
+    cx->q_bnext = (int32_t *)malloc(npool * sizeof(int32_t));
+    cx->q_fifo = (int32_t *)malloc(fc * sizeof(int32_t));
+    cx->q_freelist = (int32_t *)malloc(npool * sizeof(int32_t));
+    cx->events = (FbEvent *)malloc(npool * sizeof(FbEvent));
+    cx->ranked = (int *)malloc((nl + 2) * sizeof(int));
+    cx->sel_real = (int *)malloc((nl + 2) * sizeof(int));
+    cx->sel_shadow = (int *)malloc((nl + 2) * sizeof(int));
+    cx->pool = (int *)malloc((nl + 2) * sizeof(int));
+    cx->weights = (double *)malloc((nl + 2) * sizeof(double));
+    cx->cum = (double *)malloc((nl + 2) * sizeof(double));
+    cx->hg_cap = 128;
+    cx->hg_depth = (int64_t *)malloc((size_t)cx->hg_cap * sizeof(int64_t));
+    cx->hg_count = (int64_t *)malloc((size_t)cx->hg_cap * sizeof(int64_t));
+    int maps_ok = map_init(&cx->by_block, 256) && map_init(&cx->hist_map, 256);
+    return maps_ok && cx->thresholds && cx->sample_depths && cx->recent
+        && cx->cst_used && cx->cst_tag && cx->cst_ptr && cx->cst_ncand
+        && cx->cst_delta && cx->cst_score
+        && cx->r_used && cx->r_haskey && cx->r_active && cx->r_tag
+        && cx->r_lookups && cx->r_lookadapt && cx->r_cstkey
+        && cx->h_reduced && cx->h_block && cx->h_line && cx->h_index
+        && cx->q_red && cx->q_delta && cx->q_target && cx->q_issue
+        && cx->q_hit && cx->q_bnext && cx->q_fifo && cx->q_freelist
+        && cx->events && cx->ranked && cx->sel_real && cx->sel_shadow
+        && cx->pool && cx->weights && cx->cum
+        && cx->hg_depth && cx->hg_count;
+}
+
+/* true when the row's buffer sizes are the ones cx was allocated for */
+static int ctx_fits(const Ctx *cx, const int64_t *ic) {
+    return cx->cst_entries == ic[0] && cx->cst_links == ic[1]
+        && cx->r_entries == ic[3] && cx->hist_cap == ic[7]
+        && cx->q_cap == ic[8] && cx->addr_depth == ic[39]
+        && cx->n_sample_depths == ic[40] && cx->n_thresholds == ic[41];
+}
+
+/* every field a run reads, written from the config row: the one
+ * definition of a fresh context state.  ctx_init allocates and then
+ * calls it; the batch driver calls it between the cells one thread
+ * runs, on a state the row fits.  Per-entry arrays are bounded by a
+ * used flag, a count or a free list, so only those are cleared; buffer
+ * capacities (maps, histogram) survive, and no result reads them. */
+static void ctx_reset(Ctx *cx, const int64_t *ic, const double *dc,
+                      const uint32_t *seed_key, int seed_len) {
     cx->cst_entries = (int)ic[0];
     cx->cst_links = (int)ic[1];
     cx->cst_index_bits = ctx_bits_of(ic[0] - 1);
@@ -1897,73 +1995,53 @@ static int ctx_init(Ctx *cx, const int64_t *ic, const double *dc,
     cx->alpha = dc[3];
     cx->shadow_p = dc[4];
     cx->softmax_temp = dc[5];
+    for (int i = 0; i < cx->n_thresholds; i++) cx->thresholds[i] = dc[CTX_DCFG_FIXED + i];
+    for (int i = 0; i < cx->n_sample_depths; i++) cx->sample_depths[i] = ic[CTX_ICFG_FIXED + i];
     mt_init_by_array(&cx->rng, seed_key, seed_len);
     cx->accuracy_ema = 0.0;
     cx->depth_ema = (double)cx->cfg_center;
+    cx->rw_denom = 0.0;
     ctx_set_reward(cx, cx->cfg_lo, cx->cfg_hi, cx->cfg_center);
-    int ne = cx->cst_entries, nl = cx->cst_links, nre = cx->r_entries;
-    int nh = cx->hist_cap;
+    /* capture */
+    cx->n_recent = 0;
+    memset(cx->vals, 0, sizeof(cx->vals));
+    memset(cx->memo_has, 0, sizeof(cx->memo_has));
+    cx->memo_n = 0;
+    /* CST + reducer: the used flags bound every other per-entry array */
+    memset(cx->cst_used, 0, (size_t)cx->cst_entries);
+    memset(cx->r_used, 0, (size_t)cx->r_entries);
+    memset(cx->r_haskey, 0, (size_t)cx->r_entries);
+    cx->h_count = 0;
+    cx->h_pos = 0;
+    /* prefetch queue: every slot free, no buckets */
     int npool = (int)cx->q_cap + 2;
-    size_t fc = 8;
-    while (fc < (size_t)(cx->q_cap + 2)) fc <<= 1;
-    cx->q_fifo_cap = fc;
-    cx->thresholds = (double *)malloc((size_t)(cx->n_thresholds > 0 ? cx->n_thresholds : 1) * sizeof(double));
-    cx->sample_depths = (int64_t *)malloc((size_t)(cx->n_sample_depths > 0 ? cx->n_sample_depths : 1) * sizeof(int64_t));
-    cx->recent = (int64_t *)malloc((size_t)(cx->addr_depth > 0 ? cx->addr_depth : 1) * sizeof(int64_t));
-    cx->cst_used = (uint8_t *)calloc((size_t)ne, 1);
-    cx->cst_tag = (int64_t *)malloc((size_t)ne * sizeof(int64_t));
-    cx->cst_ptr = (int64_t *)malloc((size_t)ne * sizeof(int64_t));
-    cx->cst_ncand = (int32_t *)malloc((size_t)ne * sizeof(int32_t));
-    cx->cst_delta = (int64_t *)malloc((size_t)ne * (size_t)nl * sizeof(int64_t));
-    cx->cst_score = (int64_t *)malloc((size_t)ne * (size_t)nl * sizeof(int64_t));
-    cx->r_used = (uint8_t *)calloc((size_t)nre, 1);
-    cx->r_haskey = (uint8_t *)calloc((size_t)nre, 1);
-    cx->r_active = (int32_t *)malloc((size_t)nre * sizeof(int32_t));
-    cx->r_tag = (int64_t *)malloc((size_t)nre * sizeof(int64_t));
-    cx->r_lookups = (int64_t *)malloc((size_t)nre * sizeof(int64_t));
-    cx->r_lookadapt = (int64_t *)malloc((size_t)nre * sizeof(int64_t));
-    cx->r_cstkey = (uint64_t *)malloc((size_t)nre * sizeof(uint64_t));
-    cx->h_reduced = (int64_t *)malloc((size_t)nh * sizeof(int64_t));
-    cx->h_block = (int64_t *)malloc((size_t)nh * sizeof(int64_t));
-    cx->h_line = (int64_t *)malloc((size_t)nh * sizeof(int64_t));
-    cx->h_index = (int64_t *)malloc((size_t)nh * sizeof(int64_t));
-    cx->q_red = (int64_t *)malloc((size_t)npool * sizeof(int64_t));
-    cx->q_delta = (int64_t *)malloc((size_t)npool * sizeof(int64_t));
-    cx->q_target = (int64_t *)malloc((size_t)npool * sizeof(int64_t));
-    cx->q_issue = (int64_t *)malloc((size_t)npool * sizeof(int64_t));
-    cx->q_hit = (uint8_t *)calloc((size_t)npool, 1);
-    cx->q_bnext = (int32_t *)malloc((size_t)npool * sizeof(int32_t));
-    cx->q_fifo = (int32_t *)malloc(fc * sizeof(int32_t));
-    cx->q_freelist = (int32_t *)malloc((size_t)npool * sizeof(int32_t));
-    cx->events = (FbEvent *)malloc((size_t)npool * sizeof(FbEvent));
-    cx->ranked = (int *)malloc((size_t)(nl + 2) * sizeof(int));
-    cx->sel_real = (int *)malloc((size_t)(nl + 2) * sizeof(int));
-    cx->sel_shadow = (int *)malloc((size_t)(nl + 2) * sizeof(int));
-    cx->pool = (int *)malloc((size_t)(nl + 2) * sizeof(int));
-    cx->weights = (double *)malloc((size_t)(nl + 2) * sizeof(double));
-    cx->cum = (double *)malloc((size_t)(nl + 2) * sizeof(double));
-    cx->hg_cap = 128;
-    cx->hg_depth = (int64_t *)malloc((size_t)cx->hg_cap * sizeof(int64_t));
-    cx->hg_count = (int64_t *)malloc((size_t)cx->hg_cap * sizeof(int64_t));
-    int maps_ok = map_init(&cx->by_block, 256) && map_init(&cx->hist_map, 256);
-    if (!maps_ok || !cx->thresholds || !cx->sample_depths || !cx->recent
-        || !cx->cst_used || !cx->cst_tag || !cx->cst_ptr || !cx->cst_ncand
-        || !cx->cst_delta || !cx->cst_score
-        || !cx->r_used || !cx->r_haskey || !cx->r_active || !cx->r_tag
-        || !cx->r_lookups || !cx->r_lookadapt || !cx->r_cstkey
-        || !cx->h_reduced || !cx->h_block || !cx->h_line || !cx->h_index
-        || !cx->q_red || !cx->q_delta || !cx->q_target || !cx->q_issue
-        || !cx->q_hit || !cx->q_bnext || !cx->q_fifo || !cx->q_freelist
-        || !cx->events || !cx->ranked || !cx->sel_real || !cx->sel_shadow
-        || !cx->pool || !cx->weights || !cx->cum
-        || !cx->hg_depth || !cx->hg_count) {
+    memset(cx->q_hit, 0, (size_t)npool);
+    for (int i = 0; i < npool; i++) cx->q_freelist[i] = npool - 1 - i;
+    cx->q_nfree = npool;
+    cx->q_head = 0;
+    cx->q_len = 0;
+    map_clear(&cx->by_block);
+    map_clear(&cx->hist_map);
+    cx->hg_len = 0;
+    cx->oom = 0;
+    cx->explorations = cx->exploitations = 0;
+    cx->predictions_real = cx->predictions_shadow = 0;
+    cx->rewards_applied = cx->window_updates = cx->feedback_events = 0;
+    cx->cst_assoc_added = cx->cst_assoc_rej_full = 0;
+    cx->cst_conflicts = cx->cst_occ = 0;
+    cx->r_allocs = cx->r_conflicts = cx->r_occ = 0;
+    cx->r_activations = cx->r_deactivations = 0;
+    cx->q_hits = cx->q_expirations = 0;
+}
+
+static int ctx_init(Ctx *cx, const int64_t *ic, const double *dc,
+                    const uint32_t *seed_key, int seed_len) {
+    memset(cx, 0, sizeof(Ctx));
+    if (!ctx_alloc(cx, ic)) {
         ctx_free(cx);
         return 0;
     }
-    for (int i = 0; i < cx->n_thresholds; i++) cx->thresholds[i] = dc[CTX_DCFG_FIXED + i];
-    for (int i = 0; i < cx->n_sample_depths; i++) cx->sample_depths[i] = ic[CTX_ICFG_FIXED + i];
-    for (int i = 0; i < npool; i++) cx->q_freelist[i] = npool - 1 - i;
-    cx->q_nfree = npool;
+    ctx_reset(cx, ic, dc, seed_key, seed_len);
     return 1;
 }
 """
@@ -2407,6 +2485,37 @@ typedef struct RpSim {
 void rp_sim_free(RpSim *s);
 void rp_pf_free(RpPf *p);
 
+/* every field a run can change, back to its construction value: the
+ * one definition of a fresh simulator.  rp_sim_new allocates and then
+ * calls it; the batch driver calls it between the cells one thread runs
+ * (the hierarchy and core configs are shard-wide, so the buffers always
+ * fit).  Grown containers keep their capacity; no result reads it. */
+static void sim_reset(RpSim *s) {
+    Hier *h = &s->hier;
+    cache_reset(&h->l1);
+    cache_reset(&h->l2);
+    mshr_reset(&h->l1m);
+    mshr_reset(&h->l2m);
+    mshr_reset(&h->pfb);
+    h->pending.len = 0;
+    h->backlog_len = 0;
+    h->dram_next_free = 0;
+    h->dram_fetches = 0;
+    map_clear(&h->predicted);
+    log_clear(&h->pred_log);
+    h->access_index = 0;
+    h->l1_acc = h->l1_hit = h->l1_miss = 0;
+    h->l2_acc = h->l2_hit = h->l2_miss = 0;
+    h->prefetches_issued = 0;
+    h->prefetches_rejected_mshr = 0;
+    h->prefetches_redundant = 0;
+    core_reset(&s->core);
+    s->cycle_base = 0;
+    map_clear(&s->predicted_at);
+    log_clear(&s->pred_log);
+    s->bhr_value = 0;
+}
+
 RpSim *rp_sim_new(const int64_t *hc, const int64_t *cc) {
     RpSim *s = (RpSim *)calloc(1, sizeof(RpSim));
     if (!s) return 0;
@@ -2420,6 +2529,8 @@ RpSim *rp_sim_new(const int64_t *hc, const int64_t *cc) {
     h->pf_reserve = hc[12];
     h->backlog_depth = hc[13];
     h->prefetch_fill_l1 = (uint8_t)hc[14];
+    h->prediction_window = 256;
+    s->bhr_mask = (uint64_t)cc[3];
     int ok = 1;
     ok &= cache_init(&h->l1, hc[0] / (hc[1] * line_bytes), (int)hc[1]);
     ok &= cache_init(&h->l2, hc[4] / (hc[5] * line_bytes), (int)hc[5]);
@@ -2431,13 +2542,11 @@ RpSim *rp_sim_new(const int64_t *hc, const int64_t *cc) {
     ok &= h->backlog != 0;
     ok &= map_init(&h->predicted, 1024);
     ok &= log_init(&h->pred_log, 512);
-    h->prediction_window = 256;
     ok &= core_init(&s->core, cc[0], cc[1], cc[2]);
-    s->bhr_value = 0;
-    s->bhr_mask = (uint64_t)cc[3];
     ok &= map_init(&s->predicted_at, 1024);
     ok &= log_init(&s->pred_log, 512);
     if (!ok) { rp_sim_free(s); return 0; }
+    sim_reset(s);
     return s;
 }
 
@@ -2581,6 +2690,22 @@ RpPf *rp_pf_ctx_new(const int64_t *icfg, const double *dcfg,
     p->kind = PF_CONTEXT;
     if (!ctx_init(&p->ctx, icfg, dcfg, seed_key, seed_len)) { free(p); return 0; }
     return p;
+}
+
+/* The batch driver's per-thread prefetcher for its next cell, equal to
+ * a fresh one built from the row.  A context prefetcher is reset in
+ * place when the row's table sizes fit the ones it was allocated for;
+ * any other prefetcher is freed and built anew (the table families are
+ * small).  NULL on allocation failure, with the old one already freed. */
+static RpPf *pf_renew(RpPf *p, int kind, const int64_t *cfg, const double *dcfg,
+                      const uint32_t *seed_key, int seed_len) {
+    if (p && kind == PF_CONTEXT && p->kind == PF_CONTEXT && ctx_fits(&p->ctx, cfg)) {
+        ctx_reset(&p->ctx, cfg, dcfg, seed_key, seed_len);
+        return p;
+    }
+    rp_pf_free(p);
+    if (kind == PF_CONTEXT) return rp_pf_ctx_new(cfg, dcfg, seed_key, seed_len);
+    return rp_pf_new(kind, cfg);
 }
 
 /* Prefetcher.accuracy() == policy._accuracy_ema */
@@ -2831,7 +2956,11 @@ CDEF_BATCH = """
 int rp_batch_openmp(void);
 int rp_batch_max_threads(void);
 int rp_batch_out_slots(void);
-int rp_run_batch(int64_t ncells, RpSim **sims, RpPf **pfs,
+int rp_run_batch(int64_t ncells, const int32_t *kinds,
+                 const int64_t *cfg_at, const int64_t *cfgs,
+                 const int64_t *dcfg_at, const double *dcfgs,
+                 const int64_t *key_at, const uint32_t *keys,
+                 const int64_t *hier_cfg, const int64_t *core_cfg,
                  int64_t n, int64_t start_index, int64_t warmup,
                  const uint64_t *addrs, const uint64_t *pcs,
                  const uint64_t *lines, const uint32_t *inst_gaps,
@@ -2840,20 +2969,25 @@ int rp_run_batch(int64_t ncells, RpSim **sims, RpPf **pfs,
                  const uint64_t *branch_bits, const uint16_t *branch_counts,
                  const uint32_t *type_ids, const uint32_t *link_offsets,
                  const uint8_t *ref_forms,
-                 int64_t *outs, int32_t *rcs, int nthreads);
+                 int64_t *outs, int32_t *rcs, double *accuracies,
+                 int64_t *hist_lens, int64_t *hist_depths,
+                 int64_t *hist_counts, int64_t hist_slots, int nthreads);
 """
 
 SOURCE_BATCH = r"""
 /* ------------------------------------------------------------------ */
 /* batch driver: execute N independent cells over one shared read-only
- * column set in a single GIL-released call.  Each cell owns its RpSim
- * and RpPf (private mutable state, private MT19937 stream) and writes a
- * private RP_BATCH_OUT_SLOTS block at outs + i * RP_BATCH_OUT_SLOTS, so
- * the per-cell work is pure in everything but cell-local state and the
- * schedule cannot influence results: any thread count, any scheduling
- * order, bit-identical output.  PERF005 pins this translation unit and
- * forbids `static`/`__thread` storage here, so no shared mutable state
- * can creep between cell blocks.  The OpenMP pragma degrades to a plain
+ * column set in a single GIL-released call.  The driver owns the cell
+ * state: each thread holds one RpSim and one RpPf for the whole call and
+ * renews them before every cell it runs (sim_reset / pf_renew, beside
+ * the constructors), so a cell starts from a state equal to a fresh one
+ * built from its row.  Cells read only const inputs and write a private
+ * RP_BATCH_OUT_SLOTS block at outs + i * RP_BATCH_OUT_SLOTS plus their
+ * own rcs/accuracies/hist slots, so neither the thread count nor the
+ * order a thread meets its cells can influence results: bit-identical
+ * output at any schedule.  PERF005 pins this translation unit and
+ * forbids `static`/`__thread` storage here; per-thread state lives in
+ * locals of the parallel region.  The OpenMP pragmas degrade to a plain
  * serial loop when the compiler has no -fopenmp (see build.py). */
 
 #ifdef _OPENMP
@@ -2863,6 +2997,13 @@ SOURCE_BATCH = r"""
 #define RP_BATCH_OUT_SLOTS 148  /* must equal _csrc.OUT_SLOTS; the
                                    adapter asserts rp_batch_out_slots()
                                    against the Python constant */
+
+/* per-cell status codes (rcs[i]) besides rp_run's own -1 (out of
+ * memory); the adapter maps each to the reason its cell degrades, and
+ * raises before the call on a warmup that would return -3. */
+#define RP_BATCH_ALLOC_FAILED -2
+#define RP_BATCH_WARMUP_TOO_LONG -3
+#define RP_BATCH_HIST_OVERFLOW -4
 
 int rp_batch_openmp(void) {
 #ifdef _OPENMP
@@ -2897,7 +3038,7 @@ int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
                   const uint32_t *type_ids, const uint32_t *link_offsets,
                   const uint8_t *ref_forms, int64_t *out) {
     if (warmup > 0) {
-        if (warmup >= n) return -3;
+        if (warmup >= n) return RP_BATCH_WARMUP_TOO_LONG;
         int rc = rp_run(sim, pf, warmup, start_index, addrs, pcs, lines,
                         inst_gaps, flags, values, reg_values, branch_bits,
                         branch_counts, type_ids, link_offsets, ref_forms,
@@ -2921,12 +3062,23 @@ int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
                   type_ids, link_offsets, ref_forms, out);
 }
 
-/* whole shard in one call.  nthreads > 0 pins the team size; 0 takes
- * the OpenMP default.  Per-cell status lands in rcs[i] (0 ok, negative
- * rp_run failure), so one out-of-memory cell degrades alone and never
- * poisons its shard-mates' result blocks.  Returns 0 always: cell
- * failures are per-cell data, not a call failure. */
-int rp_run_batch(int64_t ncells, RpSim **sims, RpPf **pfs,
+/* whole shard in one call.  Cell i runs prefetcher kind kinds[i] with
+ * config row cfgs[cfg_at[i]:cfg_at[i+1]] (plus, for the context kind,
+ * dcfgs[dcfg_at[i]:...] and seed key keys[key_at[i]:key_at[i+1]]) on a
+ * simulator built from the shard-wide hier_cfg/core_cfg.  A context
+ * cell also reports its accuracy EMA and its hit-depth histogram: up to
+ * hist_slots (depth, count) pairs at hist_depths/hist_counts +
+ * i * hist_slots, in first-insertion order, hist_lens[i] of them.
+ * nthreads > 0 pins the team size; 0 takes the OpenMP default.  Status
+ * lands in rcs[i] (0 ok), so one failing cell degrades alone and never
+ * poisons its shard-mates' blocks; the thread drops a failed cell's
+ * state instead of renewing it.  Returns 0 always: cell failures are
+ * per-cell data, not a call failure. */
+int rp_run_batch(int64_t ncells, const int32_t *kinds,
+                 const int64_t *cfg_at, const int64_t *cfgs,
+                 const int64_t *dcfg_at, const double *dcfgs,
+                 const int64_t *key_at, const uint32_t *keys,
+                 const int64_t *hier_cfg, const int64_t *core_cfg,
                  int64_t n, int64_t start_index, int64_t warmup,
                  const uint64_t *addrs, const uint64_t *pcs,
                  const uint64_t *lines, const uint32_t *inst_gaps,
@@ -2935,27 +3087,58 @@ int rp_run_batch(int64_t ncells, RpSim **sims, RpPf **pfs,
                  const uint64_t *branch_bits, const uint16_t *branch_counts,
                  const uint32_t *type_ids, const uint32_t *link_offsets,
                  const uint8_t *ref_forms,
-                 int64_t *outs, int32_t *rcs, int nthreads) {
+                 int64_t *outs, int32_t *rcs, double *accuracies,
+                 int64_t *hist_lens, int64_t *hist_depths,
+                 int64_t *hist_counts, int64_t hist_slots, int nthreads) {
 #ifdef _OPENMP
     int team = nthreads > 0 ? nthreads : omp_get_max_threads();
-    #pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-    for (int64_t i = 0; i < ncells; i++) {
-        rcs[i] = (int32_t)rp_batch_cell(
-            sims[i], pfs[i], n, start_index, warmup, addrs, pcs, lines,
-            inst_gaps, flags, values, reg_values, branch_bits,
-            branch_counts, type_ids, link_offsets, ref_forms,
-            outs + i * RP_BATCH_OUT_SLOTS);
-    }
+    #pragma omp parallel num_threads(team)
 #else
     (void)nthreads;
-    for (int64_t i = 0; i < ncells; i++) {
-        rcs[i] = (int32_t)rp_batch_cell(
-            sims[i], pfs[i], n, start_index, warmup, addrs, pcs, lines,
-            inst_gaps, flags, values, reg_values, branch_bits,
-            branch_counts, type_ids, link_offsets, ref_forms,
-            outs + i * RP_BATCH_OUT_SLOTS);
-    }
 #endif
+    {
+        RpSim *sim = 0;
+        RpPf *pf = 0;
+#ifdef _OPENMP
+        #pragma omp for schedule(dynamic, 1)
+#endif
+        for (int64_t i = 0; i < ncells; i++) {
+            int kind = kinds[i];
+            if (sim) sim_reset(sim);
+            else sim = rp_sim_new(hier_cfg, core_cfg);
+            pf = pf_renew(pf, kind, cfgs + cfg_at[i], dcfgs + dcfg_at[i],
+                          keys + key_at[i], (int)(key_at[i + 1] - key_at[i]));
+            int rc = RP_BATCH_ALLOC_FAILED;
+            if (sim && pf)
+                rc = rp_batch_cell(sim, pf, n, start_index, warmup, addrs, pcs,
+                                   lines, inst_gaps, flags, values, reg_values,
+                                   branch_bits, branch_counts, type_ids,
+                                   link_offsets, ref_forms,
+                                   outs + i * RP_BATCH_OUT_SLOTS);
+            accuracies[i] = 0.0;
+            hist_lens[i] = 0;
+            if (rc == 0 && kind == PF_CONTEXT) {
+                int64_t len = rp_pf_ctx_hist_len(pf);
+                if (len > hist_slots) {
+                    rc = RP_BATCH_HIST_OVERFLOW;
+                } else {
+                    accuracies[i] = rp_pf_ctx_accuracy(pf);
+                    hist_lens[i] = len;
+                    rp_pf_ctx_hist(pf, hist_depths + i * hist_slots,
+                                   hist_counts + i * hist_slots);
+                }
+            }
+            if (rc != 0) {
+                rp_sim_free(sim);
+                rp_pf_free(pf);
+                sim = 0;
+                pf = 0;
+            }
+            rcs[i] = (int32_t)rc;
+        }
+        rp_sim_free(sim);
+        rp_pf_free(pf);
+    }
     return 0;
 }
 """

@@ -14,7 +14,9 @@ state.  The registries below remember that.  A run that cannot stay
 native (unsupported config, a decode failure) *before* any handle exists
 falls back to the interpreted path; the same failure on an object that
 already carries native state raises, because silently resuming from the
-stale Python state would diverge.
+stale Python state would diverge.  Batch cells never get handles: the
+batch kernel owns their state (:func:`run_native_batch`), so a cell that
+degrades leaves its untouched Python prefetcher free to run elsewhere.
 """
 
 from __future__ import annotations
@@ -469,7 +471,9 @@ def phase_kernel(kernel, sim_h, pf_h, cols, start_index: int, warmup: int):
     return out
 
 
-def phase_finalize(out, *, workload_name: str, pf, ctx=None) -> SimulationResult:
+def phase_finalize(
+    out, *, workload_name: str, pf, accuracy=None, hist=()
+) -> SimulationResult:
     """Fold the kernel's output block into a :class:`SimulationResult`.
 
     Mirrors the interpreted construction exactly: class counts fold into
@@ -477,11 +481,12 @@ def phase_finalize(out, *, workload_name: str, pf, ctx=None) -> SimulationResult
     wasted-prefetch count lands in ``PREFETCH_NEVER_HIT``, and the depth
     histogram replays through :meth:`HitDepthCDF.add`.
 
-    For a context run ``ctx`` is the ``(kernel, pf_h)`` pair: the hit
-    depths come from the prefetcher's own per-queue-entry histogram when
-    it is non-empty (the interpreted ``if own_histogram:`` truthiness, in
-    Counter insertion order) and the accuracy from the kernel-side
-    policy EMA — the Python policy object never observed the run.
+    A context run passes its kernel-side state as data: ``accuracy`` is
+    the policy EMA (the Python policy object never observed the run) and
+    ``hist`` the prefetcher's own per-queue-entry histogram as
+    ``(depth, count)`` pairs in Counter insertion order.  The hit depths
+    come from ``hist`` when it is non-empty (the interpreted
+    ``if own_histogram:`` truthiness), else from the simulator's block.
     """
     classifier = AccessClassifier()
     counts = classifier.counts
@@ -493,21 +498,9 @@ def phase_finalize(out, *, workload_name: str, pf, ctx=None) -> SimulationResult
     classifier.demand_accesses += out[14]
     classifier.record_wasted_prefetch(out[13])
     hit_depths = HitDepthCDF()
-    accuracy = None
-    own_histogram = False
-    if ctx is not None:
-        kernel, pf_h = ctx
-        ffi, lib = kernel.ffi, kernel.lib
-        accuracy = lib.rp_pf_ctx_accuracy(pf_h)
-        hlen = lib.rp_pf_ctx_hist_len(pf_h)
-        if hlen:
-            own_histogram = True
-            depths = ffi.new("int64_t[]", hlen)
-            hcounts = ffi.new("int64_t[]", hlen)
-            lib.rp_pf_ctx_hist(pf_h, depths, hcounts)
-            for i in range(hlen):
-                hit_depths.add(depths[i], hcounts[i])
-    if not own_histogram:
+    for depth, count in hist:
+        hit_depths.add(depth, count)
+    if not hit_depths.histogram:
         for depth in range(129):
             count = out[19 + depth]
             if count:
@@ -595,15 +588,25 @@ def try_native_run(sim, trace, *, workload_name, limit, start_index, warmup):
             False, trace, limit, "simulator or prefetcher carries interpreted state"
         )
     out = phase_kernel(kernel, sim_h, pf_h, cols, start_index, warmup)
-    if not is_ctx:
+    if is_ctx:
+        accuracy, hist = _ctx_readout(kernel, pf_h)
+    else:
         _SIM_BRANCH_BLIND[sim] = True
+        accuracy, hist = None, ()
     result = phase_finalize(
-        out,
-        workload_name=workload_name,
-        pf=pf,
-        ctx=(kernel, pf_h) if is_ctx else None,
+        out, workload_name=workload_name, pf=pf, accuracy=accuracy, hist=hist
     )
     return True, result, trace, limit, None
+
+
+def _ctx_readout(kernel, pf_h):
+    """``(accuracy, hist)`` off a live context handle, for finalize."""
+    ffi, lib = kernel.ffi, kernel.lib
+    hlen = lib.rp_pf_ctx_hist_len(pf_h)
+    depths = ffi.new("int64_t[]", hlen)
+    counts = ffi.new("int64_t[]", hlen)
+    lib.rp_pf_ctx_hist(pf_h, depths, counts)
+    return lib.rp_pf_ctx_accuracy(pf_h), zip(depths, counts)
 
 
 # ----------------------------------------------------------------------
@@ -635,56 +638,74 @@ def reset_batch_counters() -> None:
         _BATCH_COUNTERS[key] = 0
 
 
-def _batch_handles(kernel, p_hier, p_core, kind: int, pf, ctx_cfg):
-    """A private (RpSim, RpPf) pair for one batch cell, or ``(None, None)``.
+#: (depth, count) pair slots the batch kernel gives each context cell
+#: for its hit-depth histogram.  The most distinct depths any registry
+#: trace reaches at full length is 302 (h264ref); a cell that needs more
+#: degrades alone (:data:`_BATCH_RC_REASONS`) and its single-cell rerun
+#: reads the histogram off its own handle, where nothing caps it.
+BATCH_HIST_SLOTS = 512
 
-    Batch cells are one-shot: their handles live on the returned
-    ``ffi.gc`` wrappers only and are *never* entered into the state
-    registries, so a cell that degrades leaves its untouched Python
-    prefetcher free to run interpreted.
-    """
-    ffi, lib = kernel.ffi, kernel.lib
-    ptr = lib.rp_sim_new(p_hier, p_core)
-    if ptr == ffi.NULL:
-        return None, None
-    sim_h = ffi.gc(ptr, lib.rp_sim_free)
-    if kind == _PF_CONTEXT:
-        icfg, dcfg, key = ctx_cfg
-        p_icfg = ffi.new("int64_t[]", icfg)
-        p_dcfg = ffi.new("double[]", dcfg)
-        p_key = ffi.new("uint32_t[]", key)
-        pf_ptr = lib.rp_pf_ctx_new(p_icfg, p_dcfg, p_key, len(key))
-    else:
-        pf_cfg = ffi.new("int64_t[]", _pf_config_values(pf, kind))
-        pf_ptr = lib.rp_pf_new(kind, pf_cfg)
-    if pf_ptr == ffi.NULL:
-        return None, None
-    return sim_h, ffi.gc(pf_ptr, lib.rp_pf_free)
+#: per-cell kernel status -> why that cell degrades (``rp_run_batch``'s
+#: ``RP_BATCH_*`` codes; -1 is ``rp_run``'s own out-of-memory exit)
+_BATCH_RC_REASONS = {
+    -1: "native kernel ran out of memory mid-run",
+    -2: "native state allocation failed",
+    -4: "the hit-depth histogram overflowed the batch kernel's slots",
+}
 
 
 def phase_batch_kernel(
-    kernel, sim_hs, pf_hs, cols, start_index: int, warmup: int, threads: int
+    kernel, rows, sim_cfg, cols, start_index: int, warmup: int, threads: int
 ):
-    """One ``rp_run_batch`` call over every cell; ``(outs, rcs)`` back.
+    """One ``rp_run_batch`` call over every cell.
 
-    ``outs`` holds one private :data:`OUT_SLOTS` block per cell (cell
-    ``j`` at ``outs + j * OUT_SLOTS``); ``rcs[j]`` is that cell's kernel
-    status (0 ok).  The GIL is released for the whole call (cffi API
-    mode) and the kernel fans cells across its OpenMP team when the
-    loaded build has one — thread count cannot affect results, because
-    cells share only ``const`` columns and write disjoint blocks.
-    A module-level function so ``repro profile`` attributes the whole
-    in-kernel span to one name.
+    ``rows[j]`` is cell ``j``'s ``(kind, icfg, dcfg, seed_key)`` — the
+    values :func:`_pf_config_values` / :func:`_ctx_config_values`
+    produce, with empty ``dcfg``/``seed_key`` for the table families —
+    and ``sim_cfg`` the shard-wide ``(hierarchy, core)`` config arrays.
+    The kernel owns the cell state: each of its threads renews one
+    simulator and one prefetcher in place between cells, so cell ``j``
+    starts from a state equal to a fresh one built from its row.
+
+    Returns ``(outs, rcs, accuracies, hist_lens, depths, counts)``:
+    cell ``j``'s :data:`OUT_SLOTS` block at ``outs + j * OUT_SLOTS``,
+    its status ``rcs[j]`` (0 ok), and for a context cell its accuracy
+    EMA and ``hist_lens[j]`` histogram pairs at
+    ``j * BATCH_HIST_SLOTS`` in ``depths``/``counts``.  The GIL is
+    released for the whole call (cffi API mode) and the kernel fans
+    cells across its OpenMP team when the loaded build has one; thread
+    count cannot affect results, because cells share only ``const``
+    inputs and write disjoint outputs.  A module-level function so
+    ``repro profile`` attributes the whole in-kernel span to one name.
     """
     ffi, lib = kernel.ffi, kernel.lib
     n = cols.n
     if warmup and warmup >= n:
         raise ValueError("warmup consumes the whole trace")
-    ncells = len(sim_hs)
-    sims = ffi.new("RpSim *[]", list(sim_hs))
-    pfs = ffi.new("RpPf *[]", list(pf_hs))
+    ncells = len(rows)
+    slots = BATCH_HIST_SLOTS
+    kinds: list[int] = []
+    cfgs: list[int] = []
+    dcfgs: list[float] = []
+    keys: list[int] = []
+    cfg_at = [0]
+    dcfg_at = [0]
+    key_at = [0]
+    for kind, icfg, dcfg, key in rows:
+        kinds.append(kind)
+        cfgs += icfg
+        cfg_at.append(len(cfgs))
+        dcfgs += dcfg
+        dcfg_at.append(len(dcfgs))
+        keys += key
+        key_at.append(len(keys))
+    hier_values, core_values = sim_cfg
     outs = ffi.new("int64_t[]", ncells * OUT_SLOTS)
     rcs = ffi.new("int32_t[]", ncells)
+    accuracies = ffi.new("double[]", ncells)
+    hist_lens = ffi.new("int64_t[]", ncells)
+    depths = ffi.new("int64_t[]", ncells * slots)
+    counts = ffi.new("int64_t[]", ncells * slots)
     p_addr = ffi.from_buffer("uint64_t[]", cols.addrs)
     p_pc = ffi.from_buffer("uint64_t[]", cols.pcs)
     p_line = ffi.from_buffer("uint64_t[]", cols.lines)
@@ -703,11 +724,22 @@ def phase_batch_kernel(
     else:
         ctx_cols = [ffi.NULL] * 7
     lib.rp_run_batch(
-        ncells, sims, pfs, n, start_index, warmup,
+        ncells,
+        ffi.new("int32_t[]", kinds),
+        ffi.new("int64_t[]", cfg_at),
+        ffi.new("int64_t[]", cfgs),
+        ffi.new("int64_t[]", dcfg_at),
+        ffi.new("double[]", dcfgs),
+        ffi.new("int64_t[]", key_at),
+        ffi.new("uint32_t[]", keys),
+        ffi.new("int64_t[]", hier_values),
+        ffi.new("int64_t[]", core_values),
+        n, start_index, warmup,
         p_addr, p_pc, p_line, p_gap, p_flag, *ctx_cols,
-        outs, rcs, max(0, int(threads)),
+        outs, rcs, accuracies, hist_lens, depths, counts, slots,
+        max(0, int(threads)),
     )
-    return outs, rcs
+    return outs, rcs, accuracies, hist_lens, depths, counts
 
 
 def run_native_batch(
@@ -725,18 +757,20 @@ def run_native_batch(
 ):
     """Execute N independent cells over one trace in one kernel call.
 
-    Every cell gets a *fresh* simulator/prefetcher state built from the
-    shared configs plus its own prefetcher's config — the exact state a
-    ``Simulator(pf, ...)`` construction would hand :func:`try_native_run`
-    — so cell ``i`` here is bit-identical to the single-cell native run
-    of ``prefetchers[i]``, regardless of thread count or schedule.
+    Every cell runs on a state equal to a *fresh* simulator/prefetcher
+    built from the shared configs plus its own prefetcher's config — the
+    exact state a ``Simulator(pf, ...)`` construction would hand
+    :func:`try_native_run` — so cell ``i`` here is bit-identical to the
+    single-cell native run of ``prefetchers[i]``, regardless of thread
+    count, schedule or the cells before it.
 
     Returns ``(results, reasons, trace, limit)``: ``results[i]`` is the
     cell's :class:`SimulationResult` or ``None`` when it must run
     interpreted, in which case ``reasons[i]`` names why.  Per-cell
-    conditions (no native port, unrepresentable config, kernel OOM)
-    degrade that one cell; the call itself only raises for whole-shard
-    programming errors (warmup consuming the trace).
+    conditions (no native port, unrepresentable config, kernel OOM, a
+    histogram over :data:`BATCH_HIST_SLOTS`) degrade that one cell; the
+    call itself only raises for whole-shard programming errors (warmup
+    consuming the trace).
     """
     n_cells = len(prefetchers)
     results: list = [None] * n_cells
@@ -746,9 +780,8 @@ def run_native_batch(
         reason = "compiled kernel unavailable"
         _count_batch(n_cells, 0, threads, 0)
         return results, [reason] * n_cells, trace, limit
-    ffi, lib = kernel.ffi, kernel.lib
-    kinds: list = [None] * n_cells
-    ctx_cfgs: list = [None] * n_cells
+    lib = kernel.lib
+    rows: list = [None] * n_cells
     for i, pf in enumerate(prefetchers):
         kind = _pf_kind(pf)
         if kind is None:
@@ -762,17 +795,19 @@ def run_native_batch(
             if ctx_cfg is None:
                 reasons[i] = reason
                 continue
-            ctx_cfgs[i] = ctx_cfg
-        elif _pf_config_values(pf, kind) is None:
+            rows[i] = (kind, *ctx_cfg)
+            continue
+        cfg = _pf_config_values(pf, kind)
+        if cfg is None:
             reasons[i] = (
                 f"the {pf.name} config exceeds the kernel's fixed buffers"
             )
             continue
-        kinds[i] = kind
+        rows[i] = (kind, cfg, (), ())
     eligible = [i for i in range(n_cells) if reasons[i] is None]
     hier_cfg = hierarchy_config if hierarchy_config is not None else HierarchyConfig()
     if eligible:
-        with_context = any(kinds[i] == _PF_CONTEXT for i in eligible)
+        with_context = any(rows[i][0] == _PF_CONTEXT for i in eligible)
         cols, trace, limit = phase_decode(
             trace, limit, hier_cfg.line_bytes, with_context=with_context
         )
@@ -784,9 +819,8 @@ def run_native_batch(
         _count_batch(n_cells, 0, threads, int(lib.rp_batch_openmp()))
         return results, reasons, trace, limit
     core_cfg = core_config if core_config is not None else CoreConfig()
-    p_hier = ffi.new("int64_t[]", _hier_values(hier_cfg))
-    p_core = ffi.new(
-        "int64_t[]",
+    sim_cfg = (
+        _hier_values(hier_cfg),
         [
             core_cfg.issue_width,
             core_cfg.rob_size,
@@ -794,36 +828,30 @@ def run_native_batch(
             (1 << bhr_bits) - 1,
         ],
     )
-    sim_hs: list = []
-    pf_hs: list = []
-    run_idx: list[int] = []
-    for i in eligible:
-        sim_h, pf_h = _batch_handles(
-            kernel, p_hier, p_core, kinds[i], prefetchers[i], ctx_cfgs[i]
-        )
-        if sim_h is None or pf_h is None:
-            reasons[i] = "native state allocation failed"
-            continue
-        sim_hs.append(sim_h)
-        pf_hs.append(pf_h)
-        run_idx.append(i)
+    outs, rcs, accuracies, hist_lens, depths, counts = phase_batch_kernel(
+        kernel, [rows[i] for i in eligible], sim_cfg, cols, start_index,
+        warmup, threads,
+    )
+    slots = BATCH_HIST_SLOTS
     native_cells = 0
-    if run_idx:
-        outs, rcs = phase_batch_kernel(
-            kernel, sim_hs, pf_hs, cols, start_index, warmup, threads
+    for j, i in enumerate(eligible):
+        rc = rcs[j]
+        if rc != 0:
+            reasons[i] = _BATCH_RC_REASONS[rc]
+            continue
+        accuracy, hist = None, ()
+        if rows[i][0] == _PF_CONTEXT:
+            lo = j * slots
+            hi = lo + hist_lens[j]
+            accuracy, hist = accuracies[j], zip(depths[lo:hi], counts[lo:hi])
+        results[i] = phase_finalize(
+            outs + j * OUT_SLOTS,
+            workload_name=workload_name,
+            pf=prefetchers[i],
+            accuracy=accuracy,
+            hist=hist,
         )
-        for j, i in enumerate(run_idx):
-            if rcs[j] != 0:
-                reasons[i] = "native kernel ran out of memory mid-run"
-                continue
-            is_ctx = kinds[i] == _PF_CONTEXT
-            results[i] = phase_finalize(
-                outs + j * OUT_SLOTS,
-                workload_name=workload_name,
-                pf=prefetchers[i],
-                ctx=(kernel, pf_hs[j]) if is_ctx else None,
-            )
-            native_cells += 1
+        native_cells += 1
     if native_cells != n_cells:
         log.debug(
             "batch kernel handled %d/%d cells; %d fell back",

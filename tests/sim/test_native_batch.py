@@ -5,24 +5,31 @@ one GIL-released ``rp_run_batch`` call per workload-pure shard) must be
 an *invisible* optimization: every cell's result bit-identical to the
 single-cell native run of the same prefetcher — which the kernel-parity
 and fuzz suites in turn prove identical to the interpreted oracle — and
-provably independent of the OpenMP team size, because cells share only
-``const`` trace columns and write disjoint output blocks.
+provably independent of the OpenMP team size and of cell order.  The
+kernel owns the cell state: each thread keeps one simulator and one
+prefetcher for the whole call and resets them in place between cells,
+so a reset state must equal a fresh one.
 
 Coverage here:
 
-* batch-of-N against N fresh single-cell ``Simulator`` runs;
+* batch-of-N against N fresh single-cell ``Simulator`` runs, on a shard
+  ordered so one thread resets a state a grown cell left behind and
+  reallocates after a change of table sizes;
 * thread-count invariance (1, 2, 4 and the OpenMP default);
 * warmup and ``start_index`` riding the shared columns correctly;
-* per-cell fallback isolation — one unrepresentable cell degrades
-  alone, with its reason, while its neighbours stay native;
+* per-cell fallback isolation — one unrepresentable cell, or one whose
+  hit-depth histogram overflows the kernel's slots, degrades alone,
+  with its reason, while its neighbours stay native;
 * the deterministic batch telemetry counters;
 * the pool's ``run_batch`` with the kernel driver on vs off (the PR 9
   per-cell dispatch), which is exactly the parity the sweep benchmark
   gates on;
+* worker memory: a 1,024-cell shard peaks with the thread count's
+  state, not the cell count's;
 * ``--runslow``: a randomized differential fuzz over shard composition
-  (sizes, eligible/fallback mixes, thread counts), and a subprocess leg
-  that forces the serial (no-OpenMP) build and requires bit-identical
-  payloads from whichever build this process loaded.
+  (sizes, eligible/fallback mixes, table sizes, thread counts), and a
+  subprocess leg that forces the serial (no-OpenMP) build and requires
+  bit-identical payloads from whichever build this process loaded.
 """
 
 from __future__ import annotations
@@ -66,10 +73,23 @@ def _trace(name: str) -> list:
 
 
 def _mixed_prefetchers() -> list:
-    """A representative shard: RL context variants + table baselines."""
+    """A representative shard: RL context variants + table baselines.
+
+    The order is load-bearing for state reuse: on one thread the kernel
+    resets the first default cell from a state whose containers the
+    degree-8 adaptive-window cell grew, and reallocates for the second
+    default cell because the ``cst_entries=1024`` cell changed the table
+    sizes.  Each cell must still equal its fresh single-cell run.
+    """
     return [
+        ContextPrefetcher(
+            ContextPrefetcherConfig(
+                max_degree=8, adaptive_window=True, window_update_period=64
+            )
+        ),
         ContextPrefetcher(ContextPrefetcherConfig()),
         ContextPrefetcher(ContextPrefetcherConfig(seed=7, cst_entries=1024)),
+        ContextPrefetcher(ContextPrefetcherConfig()),
         ContextPrefetcher(ContextPrefetcherConfig(policy="softmax")),
         StridePrefetcher(StrideConfig(degree=4)),
         StridePrefetcher(StrideConfig(degree=2, table_entries=16)),
@@ -191,6 +211,51 @@ class TestFallbackIsolation:
         assert interp == oracle
 
 
+class TestHistogramOverflow:
+    """A context cell whose histogram outgrows its slots degrades alone."""
+
+    def test_overflow_degrades_only_that_cell(self, monkeypatch):
+        trace = _trace("list")
+        probe = Simulator(ContextPrefetcher(ContextPrefetcherConfig()), native=True)
+        depths = probe.run(trace, workload_name="batch-test").hit_depths.histogram
+        assert len(depths) > 1, "the trace must reach several hit depths"
+        monkeypatch.setattr(adapter, "BATCH_HIST_SLOTS", 1)
+
+        def cells():
+            return [
+                StridePrefetcher(StrideConfig(degree=4)),
+                ContextPrefetcher(ContextPrefetcherConfig()),
+                StridePrefetcher(StrideConfig(degree=2, table_entries=16)),
+            ]
+
+        results, reasons, _t, _l = adapter.run_native_batch(
+            cells(), trace, workload_name="batch-test", limit=None, threads=1
+        )
+        assert results[1] is None
+        assert "histogram" in reasons[1]
+        for pos in (0, 2):
+            assert reasons[pos] is None
+            single = Simulator(cells()[pos], native=True).run(
+                trace, workload_name="batch-test"
+            )
+            assert encode_result(results[pos]) == encode_result(single)
+
+    def test_run_batch_reruns_the_overflowed_cell(self, monkeypatch):
+        monkeypatch.setattr(adapter, "BATCH_HIST_SLOTS", 1)
+        shared = dict(
+            workload="hist-overflow",
+            limit=None,
+            native=True,
+            trace=tuple(_trace("list")),
+        )
+        cells = ((0, "stride", 0), (1, "context", 0), (2, "none", 0))
+        on, _ = run_batch(BatchShared(**shared, kernel_batch=True), cells)
+        off, _ = run_batch(BatchShared(**shared, kernel_batch=False), cells)
+        assert [(i, p) for i, p, _info in on] == [(i, p) for i, p, _info in off]
+        # the overflowed cell reran through the single-cell native path
+        assert [info for _i, _p, info in on] == [(True, None)] * 3
+
+
 class TestBatchCounters:
     def test_counters_accumulate(self):
         adapter.reset_batch_counters()
@@ -257,6 +322,45 @@ class TestPoolBatchDriver:
         assert on_info[3] == (True, None)
         # the over-cap context cell degraded alone, with a reason
         assert on_info[2][0] is False and on_info[2][1]
+
+
+#: subprocess body for the worker-memory test: one 1,024-cell context
+#: shard through the pool's batch entry point, then the peak RSS in KiB
+_RSS_SCRIPT = """
+import resource
+from repro.core.config import ContextPrefetcherConfig
+from repro.sim.sched.pool import BatchShared, run_batch
+
+table = tuple(ContextPrefetcherConfig(seed=seed) for seed in range(8))
+cells = tuple((i, "context", i % len(table)) for i in range(1024))
+shared = BatchShared(workload="list", limit=50, native=True, context_table=table)
+results, _ = run_batch(shared, cells)
+assert all(info == (True, None) for _i, _p, info in results)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_worker_memory_scales_with_threads_not_cells() -> None:
+    """A shard's cell state costs one simulator/prefetcher pair per
+    kernel thread, not per cell: 1,024 cells of Table 2 sized state
+    (about 1.4 MB a pair) stay far below what per-cell pairs would
+    need."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[2] / "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb < 400, f"worker peaked at {peak_mb:.0f} MB for 1,024 cells"
 
 
 def _batch_fuzz_trace(rng: random.Random, length: int) -> list[MemoryAccess]:
