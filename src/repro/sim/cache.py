@@ -36,7 +36,10 @@ import json
 import logging
 import os
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import is_not
 from pathlib import Path
+from typing import Iterable
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
@@ -93,13 +96,11 @@ def plain_data(value: object) -> object:
     """``dataclasses.asdict`` minus the deepcopy, for canonical JSON.
 
     ``asdict`` deep-copies every leaf; on a config whose fields are all
-    immutable (ints, strings, tuples of frozen attribute dataclasses)
-    that copy is pure overhead — and it dominates key generation on
-    config sweeps with thousands of table slots.  JSON output is
-    identical because ``json.dumps`` renders a tuple as an array and
-    never mutates its input.  :meth:`GridPlan.spec` leans on this too:
-    serializing a 2500-slot grid spec through ``asdict`` costs ~0.75 s
-    inside the sweep's timed region.
+    immutable (ints, strings, tuples of attribute enums) that copy is
+    pure overhead.  JSON output is identical because ``json.dumps``
+    renders a tuple as an array and never mutates its input.
+    :class:`CellKeyer` renders compound config fields through it, and
+    :meth:`GridPlan.spec` the hierarchy and core configs.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
@@ -161,13 +162,6 @@ def cell_key(
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-#: field-value types the CellKeyer fragment memo accepts as dict keys:
-#: always hashable, and covering every frequently-repeated config field
-#: (IntEnums pass as int subclasses).  Compound values — tuples, lists —
-#: bypass the memo instead of risking an unhashable element.
-_MEMO_SCALARS = (int, float, str, bool, type(None))
-
-
 class CellKeyer:
     """Grid-wide key builder: :func:`cell_key` with shared fields frozen.
 
@@ -176,12 +170,13 @@ class CellKeyer:
     of independently-canonicalized ``"field":value`` fragments in sorted
     field order.  Within one sweep grid the codec, code fingerprint,
     limit, hierarchy and core fields never vary, and the context configs
-    repeat once per table slot — re-serializing all of them for every
-    cell dominates key generation on large grids (~0.13 ms/cell, which
-    at 10k cells is a visible slice of the whole batched sweep).  The
-    builder serializes the invariants once; producing a key is then two
-    string joins and one hash.  ``TestCellKeyer`` proves every key
-    byte-identical to :func:`cell_key`'s across all axes.
+    repeat once per table slot, so re-serializing all of them for every
+    cell would dominate key generation on large grids.  The builder
+    serializes the invariants once and each slot once; producing a key
+    is then two string joins and one hash (10,000 keys of a 2,500-slot
+    grid take 30–48 ms on a 2-core VM, most of it SHA-256 over the
+    1.7 KB payload).  ``TestCellKeyer`` proves every key byte-identical
+    to :func:`cell_key`'s across all axes.
     """
 
     def __init__(
@@ -209,46 +204,56 @@ class CellKeyer:
         # cells; canonicalize each distinct value once
         self._pf_fragments: dict[str, str] = {}
         self._tails: dict[tuple[str, str], str] = {}
-        # per-field fragment memo for context configs: a config sweep
-        # varies one or two fields per slot, everything else repeats
+        # sorted field names per config type
         self._config_fields: dict[type, tuple[str, ...]] = {}
-        self._field_fragments: dict[tuple[str, type, object], str] = {}
 
-    def context_fragment(self, context_config: ContextPrefetcherConfig | None) -> str:
-        """Canonical fragment for one context-table slot.
+    def context_fragments(
+        self, context_configs: Iterable[ContextPrefetcherConfig | None]
+    ) -> list[str]:
+        """Canonical JSON of each context-table slot, in order.
 
-        Callers memoize the result per slot (a grid's configs repeat
-        across every workload × prefetcher combination); non-``context``
-        cells ignore the fragment entirely.  Scalar field values
-        canonicalize through a per-(name, type, value) memo — a config
-        sweep varies one or two fields per slot, so all the repeated
-        fields cost one dict probe each (the type is part of the key
-        because ``1 == 1.0 == True`` hash-equal but render as distinct
-        JSON).  Compound values serialize in place every call: they are
-        the rare fields, and skipping them keeps the memo free of
-        hashability concerns.
+        A ``None`` slot renders as the paper default it keys as.  Each
+        fragment is exactly ``json.dumps`` of its config with sorted keys
+        and compact separators, so :meth:`GridPlan.spec` splices it into
+        the sweep spec as is; non-``context`` cells ignore it.
+
+        A config sweep's slot usually differs from the one before it in
+        one or two fields, and ``dataclasses.replace`` shares the others
+        as the very same objects.  A field holding the previous slot's
+        object keeps that slot's rendering: config values are immutable,
+        so one object renders one way, and ``last_values`` keeps the
+        previous slot's objects alive, so an identity match is never a
+        reused address.  The scan for changed fields runs in C; only the
+        changed fields render.
         """
-        cfg = context_config if context_config is not None else ContextPrefetcherConfig()
-        names = self._config_fields.get(type(cfg))
-        if names is None:
-            # canonical JSON sorts keys; field names are plain ASCII
-            # identifiers, so lexicographic name order matches
-            names = tuple(sorted(f.name for f in dataclasses.fields(cfg)))
-            self._config_fields[type(cfg)] = names
-        memo = self._field_fragments
-        parts = []
-        for name in names:
-            value = getattr(cfg, name)
-            if isinstance(value, _MEMO_SCALARS):
-                key = (name, type(value), value)
-                fragment = memo.get(key)
-                if fragment is None:
-                    fragment = f"{_canonical(name)}:{_canonical(plain_data(value))}"
-                    memo[key] = fragment
+        fragments = []
+        last_names: tuple[str, ...] | None = None
+        last_values: tuple = ()
+        last_parts: list[str] = []
+        for cfg in context_configs:
+            if cfg is None:
+                cfg = ContextPrefetcherConfig()
+            names = self._config_fields.get(type(cfg))
+            if names is None:
+                # canonical JSON sorts keys; field names are plain ASCII
+                # identifiers, so lexicographic name order matches
+                names = tuple(sorted(f.name for f in dataclasses.fields(cfg)))
+                self._config_fields[type(cfg)] = names
+            values = tuple(map(getattr, repeat(cfg), names))
+            changed: Iterable[int]
+            if names is last_names:
+                parts = last_parts.copy()
+                changed = compress(count(), map(is_not, values, last_values))
             else:
-                fragment = f"{_canonical(name)}:{_canonical(plain_data(value))}"
-            parts.append(fragment)
-        return "{" + ",".join(parts) + "}"
+                parts = [""] * len(names)
+                changed = range(len(names))
+            for i in changed:
+                parts[i] = (
+                    f"{_canonical(names[i])}:{_canonical(plain_data(values[i]))}"
+                )
+            fragments.append("{" + ",".join(parts) + "}")
+            last_names, last_values, last_parts = names, values, parts
+        return fragments
 
     def key(
         self,

@@ -105,28 +105,38 @@ class GridPlan:
                     yield PlanCell(index, workload, prefetcher, context_id)
                     index += 1
 
-    def cell_keys(self, fingerprints: dict[str, str]) -> list[str]:
+    def context_fragments(self) -> list[str]:
+        """Each context-table slot's canonical JSON, in table order.
+
+        A ``None`` slot renders as the paper default it keys as.  This
+        is the one rendering :meth:`cell_keys` and :meth:`spec` are both
+        built from: ``run_plan`` renders once and hands the list to
+        both.  It is not cached on the plan: for 2,500 slots it is about
+        2.6 MB, which would live as long as the plan does.
+        """
+        return self._keyer().context_fragments(self.context_configs)
+
+    def cell_keys(
+        self,
+        fingerprints: dict[str, str],
+        fragments: Sequence[str] | None = None,
+    ) -> list[str]:
         """Content-addressed key per cell, in enumeration order.
 
         ``fingerprints`` maps each workload to its full-trace content
         fingerprint (the store header carries it; the scheduler resolves
-        it once per workload).  Keys are identical to the result cache's,
-        so DB rows and cache files address the same cells.
+        it once per workload).  Keys are identical to the result cache's
+        :func:`~repro.sim.cache.cell_key`, so DB rows and cache files
+        address the same cells.
 
-        Built through :class:`~repro.sim.cache.CellKeyer` — the configs
-        shared by the whole grid serialize once, each context-table slot
-        once — because this runs inside the sweep's timed region and the
-        naive per-cell :func:`~repro.sim.cache.cell_key` loop costs more
-        than a batched kernel cell does.
+        Built through :class:`~repro.sim.cache.CellKeyer`: the configs
+        shared by the whole grid serialize once, and each context-table
+        slot is its :meth:`context_fragments` entry (``fragments``, when
+        the caller has rendered them already).
         """
-        keyer = CellKeyer(
-            limit=self.limit,
-            hierarchy_config=self.hierarchy_config,
-            core_config=self.core_config,
-        )
-        fragments = [
-            keyer.context_fragment(cfg) for cfg in self.context_configs
-        ]
+        if fragments is None:
+            fragments = self.context_fragments()
+        keyer = self._keyer()
         return [
             keyer.key(
                 workload=cell.workload,
@@ -137,34 +147,50 @@ class GridPlan:
             for cell in self.cells()
         ]
 
-    def spec(self) -> str:
+    def spec(self, fragments: Sequence[str] | None = None) -> str:
         """Canonical JSON description of the grid (stored in the DB).
 
-        Serialized via :func:`~repro.sim.cache.plain_data` rather than
-        ``dataclasses.asdict`` — identical JSON, no per-leaf deepcopy,
-        which matters with thousands of context-config slots (this runs
-        inside the sweep's timed region).
+        Byte-identical to ``json.dumps`` of the plan with
+        ``dataclasses.asdict`` configs, sorted keys and compact
+        separators.  The context-config array is spliced together from
+        :meth:`context_fragments` (``fragments``, when the caller has
+        rendered them already), each of which is its slot's canonical
+        JSON, so no config is serialized a second time.
         """
-        payload = {
-            "workloads": list(self.workloads),
-            "prefetchers": list(self.prefetchers),
-            "context_configs": [
-                None if cfg is None else plain_data(cfg)
-                for cfg in self.context_configs
-            ],
-            "limit": self.limit,
-            "hierarchy": (
-                None
-                if self.hierarchy_config is None
-                else plain_data(self.hierarchy_config)
-            ),
-            "core": (
-                None
-                if self.core_config is None
-                else plain_data(self.core_config)
-            ),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if fragments is None:
+            fragments = self.context_fragments()
+        slots = ",".join(
+            "null" if cfg is None else fragment
+            for cfg, fragment in zip(self.context_configs, fragments, strict=True)
+        )
+        rest = json.dumps(
+            {
+                "workloads": list(self.workloads),
+                "prefetchers": list(self.prefetchers),
+                "limit": self.limit,
+                "hierarchy": (
+                    None
+                    if self.hierarchy_config is None
+                    else plain_data(self.hierarchy_config)
+                ),
+                "core": (
+                    None
+                    if self.core_config is None
+                    else plain_data(self.core_config)
+                ),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        # "context_configs" sorts before every other field
+        return f'{{"context_configs":[{slots}],{rest[1:]}'
+
+    def _keyer(self) -> CellKeyer:
+        return CellKeyer(
+            limit=self.limit,
+            hierarchy_config=self.hierarchy_config,
+            core_config=self.core_config,
+        )
 
     @staticmethod
     def sweep_id(keys: Sequence[str]) -> str:

@@ -291,14 +291,19 @@ class SweepScheduler:
         drain_store_degrades()  # events before this run are not its own
         heals_before = self.store.heals if self.store is not None else 0
         supplies = self._resolve(plan, sources)
+        # one canonical rendering per context slot feeds both the keys
+        # and the spec; it is dropped once the sweep is registered
+        fragments = plan.context_fragments()
         keys = plan.cell_keys(
             {
                 workload: supply.fingerprint or ""
                 for workload, supply in supplies.items()
-            }
+            },
+            fragments,
         )
         sweep = plan.sweep_id(keys)
-        self.db.ensure_sweep(sweep, plan.spec(), plan.n_cells)
+        self.db.ensure_sweep(sweep, plan.spec(fragments), plan.n_cells)
+        del fragments
 
         done_keys = self.db.completed_keys(keys)
         cells = list(plan.cells())

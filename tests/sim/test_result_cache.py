@@ -113,7 +113,7 @@ class TestCellKeyer:
             workload=base["workload"],
             trace_fp=base["trace_fp"],
             prefetcher=base["prefetcher"],
-            context_fragment=keyer.context_fragment(base["context_config"]),
+            context_fragment=keyer.context_fragments([base["context_config"]])[0],
         )
         assert built == cell_key(**base)
 
@@ -135,9 +135,40 @@ class TestCellKeyer:
     def test_live_code_fingerprint(self):
         self.assert_matches(code_version=None)
 
+    def test_shared_keyer_keeps_signed_zeros_apart(self):
+        # 0.0 == -0.0 and both hash alike, but they render differently
+        configs = [
+            ContextPrefetcherConfig(adaptive_epsilon=False, fixed_epsilon=epsilon)
+            for epsilon in (0.0, -0.0)
+        ]
+        shared = CellKeyer(limit=1000, code_version="v0")
+        common = dict(workload="wl", trace_fp="fp", prefetcher="context")
+        for cfg, fragment in zip(configs, shared.context_fragments(configs)):
+            assert shared.key(**common, context_fragment=fragment) == cell_key(
+                **common, limit=1000, context_config=cfg, code_version="v0"
+            )
+
+    def test_shared_keyer_survives_dropped_tuples(self):
+        # each config's degree_thresholds is a fresh tuple that dies with
+        # its config, so a later one may be allocated at the same address
+        def configs():
+            for i in range(64):
+                yield ContextPrefetcherConfig(
+                    degree_thresholds=(i / 64, 0.5 + i / 128, 0.9)
+                )
+
+        fresh = [
+            CellKeyer(limit=10, code_version="v0").context_fragments([cfg])[0]
+            for cfg in configs()
+        ]
+        shared = CellKeyer(limit=10, code_version="v0")
+        assert shared.context_fragments(configs()) == fresh
+
     def test_non_context_cells_ignore_fragment(self):
         keyer = CellKeyer(limit=10, code_version="v0")
-        scaled = keyer.context_fragment(ContextPrefetcherConfig(cst_entries=4096))
+        (scaled,) = keyer.context_fragments(
+            [ContextPrefetcherConfig(cst_entries=4096)]
+        )
         common = dict(workload="wl", trace_fp="fp", prefetcher="stride")
         assert keyer.key(**common, context_fragment=scaled) == keyer.key(**common)
 

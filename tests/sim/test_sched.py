@@ -14,6 +14,8 @@ Two invariants carry the whole subsystem:
   interruption would.
 """
 
+import dataclasses
+import json
 import os
 import sqlite3
 import subprocess
@@ -22,6 +24,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import ContextPrefetcherConfig
+from repro.cpu.core_model import CoreConfig
+from repro.memory.hierarchy import HierarchyConfig
+from repro.sim.cache import cell_key
 from repro.sim.codec import encode_result
 from repro.sim.sched.db import ResultDB, ResultDBError
 from repro.sim.sched.plan import GridPlan, PlanCell, shard_by_workload
@@ -78,6 +84,78 @@ class TestGridPlan:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             GridPlan(workloads=(), prefetchers=PREFETCHERS)
+
+    def test_keys_and_spec_match_reference_constructions(self):
+        configs = (
+            None,
+            ContextPrefetcherConfig().scaled(1024),
+            ContextPrefetcherConfig(policy="softmax", softmax_temperature=2.5),
+            ContextPrefetcherConfig(reward_shape="flat"),
+            ContextPrefetcherConfig(degree_thresholds=(1, 2, 3)),
+            ContextPrefetcherConfig(degree_thresholds=(1.0, 2.0, 3.0)),
+            ContextPrefetcherConfig(adaptive_epsilon=False, fixed_epsilon=0.0),
+            ContextPrefetcherConfig(adaptive_epsilon=False, fixed_epsilon=-0.0),
+            *(
+                ContextPrefetcherConfig(
+                    seed=i,
+                    sample_depths=tuple(range(18, 19 + i % 33)),
+                    degree_thresholds=(i / 200, 0.5, 0.9),
+                )
+                for i in range(200)
+            ),
+        )
+        mixed = GridPlan(
+            workloads=WORKLOADS,
+            prefetchers=("none", "context", "stride"),
+            context_configs=configs,
+            limit=LIMIT,
+            hierarchy_config=HierarchyConfig(l1_size=32 * 1024),
+            core_config=CoreConfig(rob_size=256),
+        )
+        fps = {"list": "aa", "array": "bb"}
+        for plan in (
+            mixed,
+            dataclasses.replace(mixed, hierarchy_config=None, core_config=None),
+        ):
+            keys = [
+                cell_key(
+                    workload=cell.workload,
+                    trace_fp=fps[cell.workload],
+                    prefetcher=cell.prefetcher,
+                    limit=plan.limit,
+                    hierarchy_config=plan.hierarchy_config,
+                    core_config=plan.core_config,
+                    context_config=plan.context_configs[cell.context_id],
+                )
+                for cell in plan.cells()
+            ]
+            spec = json.dumps(
+                {
+                    "workloads": list(plan.workloads),
+                    "prefetchers": list(plan.prefetchers),
+                    "context_configs": [
+                        None if cfg is None else dataclasses.asdict(cfg)
+                        for cfg in plan.context_configs
+                    ],
+                    "limit": plan.limit,
+                    "hierarchy": (
+                        None
+                        if plan.hierarchy_config is None
+                        else dataclasses.asdict(plan.hierarchy_config)
+                    ),
+                    "core": (
+                        None
+                        if plan.core_config is None
+                        else dataclasses.asdict(plan.core_config)
+                    ),
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            # with no fragments, and with the one rendering run_plan shares
+            for fragments in (None, plan.context_fragments()):
+                assert plan.cell_keys(fps, fragments) == keys
+                assert plan.spec(fragments) == spec
 
 
 class TestShardByWorkload:
