@@ -44,7 +44,7 @@ from typing import Iterable
 from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.sim.codec import CODEC_VERSION, CodecError, decode_result, encode_result
+from repro.sim.codec import CODEC_VERSION, CodecError, decode_result, encode_text
 from repro.sim.metrics import SimulationResult
 from repro.workloads.serialize import trace_fingerprint
 
@@ -332,21 +332,27 @@ class SweepCache:
 
     def store(self, key: str, result: SimulationResult) -> None:
         """Persist one cell atomically (write-temp-then-rename)."""
-        self.store_payload(key, encode_result(result))
+        self.store_payload(key, encode_text(result))
 
-    def store_payload(self, key: str, encoded: dict) -> None:
-        """Persist one already-encoded cell (a sweep's worker payload).
+    def store_payload(self, key: str, text: str) -> None:
+        """Persist one cell from its canonical codec text (a sweep's
+        worker payload).
 
-        The directory is (re)created on every store, so deleting
-        ``results/.cache`` mid-run costs the remaining hits, not the run.
-        Storage failures are counted, not raised — caching is strictly
-        an optimization.
+        The record is the canonical JSON of ``{"codec", "key",
+        "result"}``; its keys sort in that order, so splicing ``text``
+        in as the result writes the same bytes as canonicalizing the
+        decoded record.  The directory is (re)created on every store, so
+        deleting ``results/.cache`` mid-run costs the remaining hits,
+        not the run.  Storage failures are counted, not raised — caching
+        is strictly an optimization.
         """
-        payload = {"codec": CODEC_VERSION, "key": key, "result": encoded}
+        record = (
+            f'{{"codec":{CODEC_VERSION},"key":{_canonical(key)},"result":{text}}}'
+        )
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = self._path(key).with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(_canonical(payload), encoding="utf-8")
+            tmp.write_text(record, encoding="utf-8")
             os.replace(tmp, self._path(key))
         except OSError as exc:
             log.warning(

@@ -10,12 +10,23 @@ enforces exactly that.
 ``CODEC_VERSION`` is bumped on any schema change.  The cache treats a
 version mismatch as a miss (re-simulate), never as an error, so stale
 cache directories degrade to a cold start rather than a crash.
+
+A sweep cell travels as text: :func:`render_text` writes the canonical
+JSON of the encoded form (sorted keys, compact separators) straight
+from plain values, so a worker's payload is byte for byte the row the
+result DB stores and the record the JSON cache writes.
+:func:`encode_text` feeds it from a :class:`SimulationResult`; the
+kernel's batch path feeds it from its output block.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import Any, Mapping
+from collections.abc import Iterable, Mapping, Sequence
+from json import dumps
+from json.encoder import encode_basestring_ascii
+from typing import Any
 
 from repro.memory.stats import ACCESS_CLASS_ORDER, AccessClassifier, CacheStats
 from repro.sim.metrics import HitDepthCDF, SimulationResult
@@ -79,8 +90,114 @@ def encode_result(result: SimulationResult) -> dict[str, Any]:
     }
 
 
+def _json_number(value: float) -> str:
+    # json.dumps writes a number as its repr, except the non-finite floats
+    if isinstance(value, float) and not math.isfinite(value):
+        return dumps(value)
+    return repr(value)
+
+
+def render_text(
+    workload: str,
+    prefetcher: str,
+    counters: Sequence[int],
+    hist: Iterable[tuple[int, int]],
+    accuracy: float,
+    storage_bits: int,
+    levels: tuple[str, str],
+) -> str:
+    """The canonical JSON text of one encoded result, from plain values.
+
+    Byte-equal to ``json.dumps(encode_result(r), sort_keys=True,
+    separators=(",", ":"))`` for the result ``r`` the values describe:
+
+    * ``counters``: ``instructions, cycles``; then per cache level
+      ``accesses, hits, misses, prefetch_fills, demand_fills``, L1
+      first; then the classifier's ``demand_accesses`` and its counts in
+      ``ACCESS_CLASS_ORDER``; then ``prefetches_issued, _shadow,
+      _rejected, _redundant`` (23 integers);
+    * ``hist``: ``(depth, count)`` pairs folded as
+      :meth:`HitDepthCDF.add` folds them (duplicate depths sum, zero
+      counts stay);
+    * ``levels``: the L1 and L2 ``CacheStats`` names.
+    """
+    (
+        instructions, cycles,
+        l1_accesses, l1_hits, l1_misses, l1_prefetch_fills, l1_demand_fills,
+        l2_accesses, l2_hits, l2_misses, l2_prefetch_fills, l2_demand_fills,
+        demand_accesses,
+        hit_prefetched, shorter_wait, non_timely, miss_not_prefetched,
+        hit_older_demand, prefetch_never_hit,
+        issued, shadow, rejected, redundant,
+    ) = counters
+    depths: dict[int, int] = {}
+    for depth, count in hist:
+        depths[depth] = depths.get(depth, 0) + count
+    # the keys sort as strings ("10" before "9"); a closing quote sorts
+    # below every digit and "-", so sorting the rendered entries sorts
+    # them by key
+    hit_depths = ",".join(
+        sorted([f'"{depth}":{count}' for depth, count in depths.items()])
+    )
+    l1_name, l2_name = levels
+    # every object's keys in sorted order, as sort_keys writes them
+    return (
+        f'{{"classifier":{{"counts":{{"HIT_OLDER_DEMAND":{hit_older_demand},'
+        f'"HIT_PREFETCHED":{hit_prefetched},'
+        f'"MISS_NOT_PREFETCHED":{miss_not_prefetched},'
+        f'"NON_TIMELY":{non_timely},"PREFETCH_NEVER_HIT":{prefetch_never_hit},'
+        f'"SHORTER_WAIT":{shorter_wait}}},"demand_accesses":{demand_accesses}}},'
+        f'"codec":{CODEC_VERSION},"cycles":{cycles},"hit_depths":{{{hit_depths}}},'
+        f'"instructions":{instructions},'
+        f'"l1":{{"accesses":{l1_accesses},"demand_fills":{l1_demand_fills},'
+        f'"hits":{l1_hits},"misses":{l1_misses},'
+        f'"name":{encode_basestring_ascii(l1_name)},'
+        f'"prefetch_fills":{l1_prefetch_fills}}},'
+        f'"l2":{{"accesses":{l2_accesses},"demand_fills":{l2_demand_fills},'
+        f'"hits":{l2_hits},"misses":{l2_misses},'
+        f'"name":{encode_basestring_ascii(l2_name)},'
+        f'"prefetch_fills":{l2_prefetch_fills}}},'
+        f'"prefetcher":{encode_basestring_ascii(prefetcher)},'
+        f'"prefetcher_accuracy":{_json_number(accuracy)},'
+        f'"prefetches_issued":{issued},"prefetches_redundant":{redundant},'
+        f'"prefetches_rejected":{rejected},"prefetches_shadow":{shadow},'
+        f'"storage_bits":{storage_bits},'
+        f'"workload":{encode_basestring_ascii(workload)}}}'
+    )
+
+
+def encode_text(result: SimulationResult) -> str:
+    """:func:`encode_result` as canonical JSON text (the stored form)."""
+    l1, l2, classifier = result.l1, result.l2, result.classifier
+    counts = classifier.counts
+    return render_text(
+        result.workload,
+        result.prefetcher,
+        (
+            result.instructions,
+            result.cycles,
+            l1.accesses, l1.hits, l1.misses, l1.prefetch_fills, l1.demand_fills,
+            l2.accesses, l2.hits, l2.misses, l2.prefetch_fills, l2.demand_fills,
+            classifier.demand_accesses,
+            *(counts[cls] for cls in ACCESS_CLASS_ORDER),
+            result.prefetches_issued,
+            result.prefetches_shadow,
+            result.prefetches_rejected,
+            result.prefetches_redundant,
+        ),
+        result.hit_depths.histogram.items(),
+        result.prefetcher_accuracy,
+        result.storage_bits,
+        (l1.name, l2.name),
+    )
+
+
 def decode_result(data: Mapping[str, Any]) -> SimulationResult:
     """Inverse of :func:`encode_result`; raises :class:`CodecError`."""
+    if not isinstance(data, Mapping):
+        raise CodecError(
+            f"encoded result is not an object (got {type(data).__name__})"
+        )
     version = data.get("codec")
     if version != CODEC_VERSION:
         raise CodecError(

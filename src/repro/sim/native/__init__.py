@@ -16,7 +16,9 @@ restructured into phases:
   kernel over the decoded columns, chunk-free and allocation-free.
 * **finalize** — kernel counters are folded back into the same
   :class:`~repro.sim.metrics.SimulationResult` the interpreted path
-  builds.
+  builds; on the batch path, **render** writes each cell's payload text
+  straight from the kernel's output block instead, byte for byte the
+  codec's encoding of that result.
 
 The context RL prefetcher — the paper's own contribution — runs in the
 same kernel: CPython's ``random.Random`` is reproduced bit-for-bit
@@ -43,6 +45,7 @@ VECTOR_PHASES = (
     ("kernel", "repro.sim.native.adapter:phase_kernel", "repro.sim.simulator:Simulator.run"),
     ("kernel-batch", "repro.sim.native.adapter:phase_batch_kernel", "repro.sim.sched.pool:run_batch"),
     ("finalize", "repro.sim.native.adapter:phase_finalize", "repro.sim.simulator:Simulator.run"),
+    ("render", "repro.sim.native.adapter:phase_render", "repro.sim.codec:encode_result"),
     ("context", "repro.sim.native.adapter:_ctx_config_values", "repro.core.prefetcher:ContextPrefetcher.on_access"),
 )
 

@@ -5,8 +5,10 @@ One native run is the phase pipeline the package docstring describes:
 compiled state machine (including warmup orchestration), and
 :func:`phase_finalize` folds the kernel's output block into the exact
 :class:`~repro.sim.metrics.SimulationResult` the interpreted path builds.
-The phases are module-level functions on purpose: ``repro profile``
-attributes time to them by name.
+A sweep shard runs as :func:`phase_batch_kernel` instead, and
+:func:`phase_render` writes each cell's payload text from the block
+without building that result.  The phases are module-level functions
+on purpose: ``repro profile`` attributes time to them by name.
 
 State ownership: once a simulator or prefetcher has run natively, its
 native handle — not the untouched Python object — is the authoritative
@@ -16,7 +18,8 @@ falls back to the interpreted path; the same failure on an object that
 already carries native state raises, because silently resuming from the
 stale Python state would diverge.  Batch cells never get handles: the
 batch kernel owns their state (:func:`run_native_batch`), so a cell that
-degrades leaves its untouched Python prefetcher free to run elsewhere.
+degrades leaves its config, or its untouched Python prefetcher, free to
+run elsewhere.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ import itertools
 import logging
 from weakref import WeakKeyDictionary
 
+from repro.core.attributes import ALL_ATTRIBUTES, AttributeSet
 from repro.core.bandit import EpsilonGreedyPolicy, SoftmaxPolicy
+from repro.core.config import ContextPrefetcherConfig
+from repro.core.context import ContextTracker
 from repro.core.prefetcher import ContextPrefetcher
 from repro.core.reward import FlatRewardFunction, RewardFunction
 from repro.cpu.core_model import CoreConfig
@@ -36,6 +42,7 @@ from repro.prefetchers.markov import MarkovPrefetcher
 from repro.prefetchers.nopf import NoPrefetcher
 from repro.prefetchers.sms import SMSPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
+from repro.sim.codec import render_text
 from repro.sim.metrics import HitDepthCDF, SimulationResult
 from repro.sim.native import decode
 from repro.sim.native._csrc import CTX_COUNTER_SLOTS, OUT_SLOTS
@@ -45,6 +52,9 @@ log = logging.getLogger(__name__)
 
 #: the kernel's fixed per-access request buffer (MAX_REQS in the C source)
 MAX_REQUESTS = 64
+
+#: the ``CacheStats`` names of the two cache levels a result reports
+_LEVELS = ("L1D", "L2")
 
 #: kernel prefetcher kinds (PF_* in the C source), keyed by *exact* type —
 #: a subclass may override behaviour the port does not model
@@ -181,34 +191,46 @@ def _recenter_geometry_ok(cfg) -> bool:
     return True
 
 
-def _ctx_config_values(pf):
-    """``((icfg, dcfg, seed_key), None)`` for the context kernel, or
-    ``(None, reason)`` when the config cannot be represented exactly.
+def _ctx_row(
+    cfg,
+    *,
+    flat: bool,
+    softmax: bool,
+    score_threshold,
+    max_degree,
+    alloc_bits: int,
+    initial_count: int,
+    adapt,
+    shadow_on,
+    adaptive_eps,
+    adaptive_window,
+    window_update_period,
+    addr_history_depth,
+    sample_depths,
+    degree_thresholds,
+    eps_min,
+    eps_range,
+    fixed_eps,
+    alpha,
+    shadow_p,
+):
+    """The context kernel's row, or ``(None, reason)``: the one place
+    the layout ``rp_run_batch`` and ``rp_pf_ctx_new`` unpack is written.
 
-    The knobs are marshalled from the *live* component objects (policy,
-    reducer, tracker) — the same flattened attributes the interpreted
-    hot path reads — so a hand-mutated component disagrees loudly in the
-    parity suites instead of silently reading stale config fields.
+    The keyword arguments are the knobs the interpreted hot path reads
+    off its components; :func:`_ctx_config_values` passes the live
+    components' values and :func:`context_row` the config's.
     """
-    cfg = pf.config
-    policy = pf.policy
-    reward = pf.reward
-    if type(policy) not in (EpsilonGreedyPolicy, SoftmaxPolicy):
-        return None, "the policy subclass has no native port"
-    if type(reward) not in (RewardFunction, FlatRewardFunction):
-        return None, "the reward subclass has no native port"
-    flat = type(reward) is FlatRewardFunction
     if not flat and cfg.reward_peak == 1:
         return None, "degenerate bell reward (peak == 1) raises at call time"
-    if policy._max_degree + 2 > MAX_REQUESTS:
+    if max_degree + 2 > MAX_REQUESTS:
         return None, "max_degree exceeds the kernel's request buffer"
     if cfg.cst_links > (1 << 31):
         return None, "cst_links exceeds the single-word getrandbits range"
     if cfg.adaptive_window and not _recenter_geometry_ok(cfg):
         return None, "a reachable recentered reward window is invalid"
-    softmax = type(policy) is SoftmaxPolicy
-    sample_depths = [int(d) for d in pf._sample_depths]
-    thresholds = [float(t) for t in policy._degree_thresholds]
+    sample_depths = [int(d) for d in sample_depths]
+    thresholds = [float(t) for t in degree_thresholds]
     lo_bound, hi_bound = cfg.window_center_bounds
     icfg = [
         cfg.cst_entries,
@@ -234,37 +256,142 @@ def _ctx_config_values(pf):
         cfg.score_max,
         cfg.initial_score,
         cfg.replace_threshold,
-        policy._score_threshold,
-        policy._max_degree,
-        pf._r_alloc_active.bits,
-        len(pf.reducer._initial),
+        score_threshold,
+        max_degree,
+        alloc_bits,
+        initial_count,
         cfg.overload_refs,
         cfg.overload_check_period,
         cfg.underload_lookups,
-        1 if pf._adapt_enabled else 0,
-        1 if policy._shadow_on else 0,
-        1 if policy._adaptive_eps else 0,
+        1 if adapt else 0,
+        1 if shadow_on else 0,
+        1 if adaptive_eps else 0,
         1 if flat else 0,
         1 if softmax else 0,
-        1 if pf._adaptive_window else 0,
-        pf._window_update_period,
+        1 if adaptive_window else 0,
+        window_update_period,
         lo_bound,
         hi_bound,
-        pf._addr_history_depth,
+        addr_history_depth,
         len(sample_depths),
         len(thresholds),
         *sample_depths,
     ]
     dcfg = [
-        policy._eps_min,
-        float(policy._eps_range),
-        policy._fixed_eps,
-        policy._alpha,
-        policy._shadow_p,
+        eps_min,
+        float(eps_range),
+        fixed_eps,
+        alpha,
+        shadow_p,
         cfg.softmax_temperature,
         *thresholds,
     ]
     return (icfg, dcfg, _seed_key(cfg.seed)), None
+
+
+def _ctx_config_values(pf):
+    """``((icfg, dcfg, seed_key), None)`` for the context kernel, or
+    ``(None, reason)`` when the config cannot be represented exactly.
+
+    The knobs are marshalled from the *live* component objects (policy,
+    reducer, tracker) — the same flattened attributes the interpreted
+    hot path reads — so a hand-mutated component disagrees loudly in the
+    parity suites instead of silently reading stale config fields.
+    """
+    policy = pf.policy
+    reward = pf.reward
+    if type(policy) not in (EpsilonGreedyPolicy, SoftmaxPolicy):
+        return None, "the policy subclass has no native port"
+    if type(reward) not in (RewardFunction, FlatRewardFunction):
+        return None, "the reward subclass has no native port"
+    return _ctx_row(
+        pf.config,
+        flat=type(reward) is FlatRewardFunction,
+        softmax=type(policy) is SoftmaxPolicy,
+        score_threshold=policy._score_threshold,
+        max_degree=policy._max_degree,
+        alloc_bits=pf._r_alloc_active.bits,
+        initial_count=len(pf.reducer._initial),
+        adapt=pf._adapt_enabled,
+        shadow_on=policy._shadow_on,
+        adaptive_eps=policy._adaptive_eps,
+        adaptive_window=pf._adaptive_window,
+        window_update_period=pf._window_update_period,
+        addr_history_depth=pf._addr_history_depth,
+        sample_depths=pf._sample_depths,
+        degree_thresholds=policy._degree_thresholds,
+        eps_min=policy._eps_min,
+        eps_range=policy._eps_range,
+        fixed_eps=policy._fixed_eps,
+        alpha=policy._alpha,
+        shadow_p=policy._shadow_p,
+    )
+
+
+#: the reducer's allocation set when adaptive reduction is off
+_ALL_ATTRIBUTE_BITS = AttributeSet(ALL_ATTRIBUTES).bits
+
+#: the address-history depth every ``ContextPrefetcher`` builds its
+#: tracker with (``ContextTracker``'s keyword default)
+_ADDR_HISTORY_DEPTH = ContextTracker.__init__.__kwdefaults__["addr_history_depth"]
+
+
+def context_row(cfg):
+    """``_ctx_config_values(ContextPrefetcher(cfg))``, from ``cfg`` alone.
+
+    A config yields the exact base policy and reward types, so only the
+    config-level refusals apply.  What ``ContextPrefetcher(cfg)``'s
+    components reject raises here too: the same exception, the same
+    message, in the order they construct (reducer and CST masks, the
+    history queue, the prefetch queue, the reward window).
+    """
+    # Reducer and ContextStatesTable build their masks as 1 << width
+    # (the CST's delta bounds too), so a negative width raises there
+    if min(cfg.reducer_tag_bits, cfg.full_hash_bits, cfg.reduced_hash_bits) < 0:
+        raise ValueError("negative shift count")
+    initial = AttributeSet(cfg.initial_attributes)
+    if cfg.cst_tag_bits < 0 or cfg.delta_bits < 1:
+        raise ValueError("negative shift count")
+    # HistoryQueue
+    if cfg.history_entries < 1:
+        raise ValueError("history queue needs capacity >= 1")
+    bad = [d for d in cfg.sample_depths if d < 1 or d > cfg.history_entries]
+    if bad:
+        raise ValueError(f"sample depths out of range: {bad}")
+    # PrefetchQueue
+    if cfg.prefetch_queue_entries < 1:
+        raise ValueError("prefetch queue needs capacity >= 1")
+    # RewardFunction.__post_init__, on the configured window
+    if cfg.window_lo >= cfg.window_hi:
+        raise ValueError("empty reward window")
+    if not cfg.window_lo <= cfg.window_center <= cfg.window_hi:
+        raise ValueError("center outside window")
+    if cfg.reward_peak < 1:
+        raise ValueError("peak must be positive")
+    if cfg.late_penalty >= 0 or cfg.early_penalty >= 0:
+        raise ValueError("edge penalties must be negative")
+    return _ctx_row(
+        cfg,
+        flat=cfg.reward_shape == "flat",
+        softmax=cfg.policy == "softmax",
+        score_threshold=cfg.prefetch_score_threshold,
+        max_degree=cfg.max_degree,
+        alloc_bits=initial.bits if cfg.adaptive_reduction else _ALL_ATTRIBUTE_BITS,
+        initial_count=len(initial),
+        adapt=cfg.adaptive_reduction,
+        shadow_on=cfg.shadow_prefetches,
+        adaptive_eps=cfg.adaptive_epsilon,
+        adaptive_window=cfg.adaptive_window,
+        window_update_period=cfg.window_update_period,
+        addr_history_depth=_ADDR_HISTORY_DEPTH,
+        sample_depths=sorted(set(cfg.sample_depths)),
+        degree_thresholds=cfg.degree_thresholds,
+        eps_min=cfg.epsilon_min,
+        eps_range=cfg.epsilon_max - cfg.epsilon_min,
+        fixed_eps=cfg.fixed_epsilon,
+        alpha=cfg.accuracy_ema_alpha,
+        shadow_p=cfg.shadow_probability,
+    )
 
 
 def _hier_config_values(hier) -> list[int]:
@@ -505,13 +632,14 @@ def phase_finalize(
             count = out[19 + depth]
             if count:
                 hit_depths.add(depth, count)
+    l1_name, l2_name = _LEVELS
     return SimulationResult(
         workload=workload_name,
         prefetcher=pf.name,
         instructions=out[0],
         cycles=out[1],
-        l1=CacheStats(name="L1D", accesses=out[2], hits=out[3], misses=out[4]),
-        l2=CacheStats(name="L2", accesses=out[5], hits=out[6], misses=out[7]),
+        l1=CacheStats(name=l1_name, accesses=out[2], hits=out[3], misses=out[4]),
+        l2=CacheStats(name=l2_name, accesses=out[5], hits=out[6], misses=out[7]),
         classifier=classifier,
         hit_depths=hit_depths,
         prefetches_issued=out[15],
@@ -742,8 +870,75 @@ def phase_batch_kernel(
     return outs, rcs, accuracies, hist_lens, depths, counts
 
 
+def phase_render(kernel, block, cells, *, workload_name: str) -> list:
+    """Each cell's payload text, straight from the batch kernel's block.
+
+    ``block`` is :func:`phase_batch_kernel`'s return and ``cells[j]``
+    cell ``j``'s ``(prefetcher name, storage bits, accuracy)``, with
+    accuracy ``None`` for a context cell: its accuracy EMA and hit-depth
+    pairs come from the kernel.  The hit depths are the cell's pairs,
+    else (none recorded, or a table family) the simulator's depth block,
+    as :func:`phase_finalize` reads them.  A cell whose status is
+    nonzero renders ``None``.  The text is
+    :func:`~repro.sim.codec.encode_text` of the result
+    :func:`phase_finalize` would build, without building it.
+
+    The per-cell status, accuracy and pair count unpack once per shard;
+    a cell's counters and pairs unpack on their own, because the block
+    reserves :data:`BATCH_HIST_SLOTS` pair slots and 148 counter slots
+    per cell of which a cell reads a few dozen.
+    """
+    unpack = kernel.ffi.unpack
+    n = len(cells)
+    outs, rcs, accuracies, hist_lens, depths, counts = block
+    rcs = unpack(rcs, n)
+    accuracies = unpack(accuracies, n)
+    hist_lens = unpack(hist_lens, n)
+    texts: list = []
+    for j, (name, storage_bits, accuracy) in enumerate(cells):
+        if rcs[j]:
+            texts.append(None)
+            continue
+        out = outs + j * OUT_SLOTS
+        (
+            instructions, cycles, l1_accesses, l1_hits, l1_misses,
+            l2_accesses, l2_hits, l2_misses, hit_prefetched, shorter_wait,
+            non_timely, miss_not_prefetched, hit_older_demand, wasted,
+            demand_accesses, issued, shadow, rejected, redundant,
+        ) = unpack(out, 19)
+        pairs = 0
+        if accuracy is None:
+            accuracy = accuracies[j]
+            pairs = hist_lens[j]
+        if pairs:
+            at = j * BATCH_HIST_SLOTS
+            hist = zip(unpack(depths + at, pairs), unpack(counts + at, pairs))
+        else:
+            hist = [(d, c) for d, c in enumerate(unpack(out + 19, 129)) if c]
+        texts.append(
+            render_text(
+                workload_name,
+                name,
+                (
+                    instructions, cycles,
+                    l1_accesses, l1_hits, l1_misses, 0, 0,
+                    l2_accesses, l2_hits, l2_misses, 0, 0,
+                    demand_accesses,
+                    hit_prefetched, shorter_wait, non_timely,
+                    miss_not_prefetched, hit_older_demand, wasted,
+                    issued, shadow, rejected, redundant,
+                ),
+                hist,
+                accuracy,
+                storage_bits,
+                _LEVELS,
+            )
+        )
+    return texts
+
+
 def run_native_batch(
-    prefetchers,
+    cells,
     trace,
     *,
     workload_name: str,
@@ -757,53 +952,64 @@ def run_native_batch(
 ):
     """Execute N independent cells over one trace in one kernel call.
 
-    Every cell runs on a state equal to a *fresh* simulator/prefetcher
-    built from the shared configs plus its own prefetcher's config — the
-    exact state a ``Simulator(pf, ...)`` construction would hand
+    ``cells[i]`` is a context cell's :class:`ContextPrefetcherConfig`
+    (its row comes from :func:`context_row`) or a table family's fresh
+    prefetcher.  Every cell runs on a state equal to a *fresh*
+    simulator/prefetcher built from the shared configs plus its own —
+    the exact state a ``Simulator(pf, ...)`` construction would hand
     :func:`try_native_run` — so cell ``i`` here is bit-identical to the
-    single-cell native run of ``prefetchers[i]``, regardless of thread
+    single-cell native run of its prefetcher, regardless of thread
     count, schedule or the cells before it.
 
-    Returns ``(results, reasons, trace, limit)``: ``results[i]`` is the
-    cell's :class:`SimulationResult` or ``None`` when it must run
-    interpreted, in which case ``reasons[i]`` names why.  Per-cell
-    conditions (no native port, unrepresentable config, kernel OOM, a
-    histogram over :data:`BATCH_HIST_SLOTS`) degrade that one cell; the
-    call itself only raises for whole-shard programming errors (warmup
-    consuming the trace).
+    Returns ``(texts, reasons, trace, limit)``: ``texts[i]`` is the
+    cell's payload text (:func:`phase_render`) or ``None`` when it must
+    run on the per-cell path, in which case ``reasons[i]`` names why.
+    Per-cell conditions (no native port, unrepresentable config, kernel
+    OOM, a histogram over :data:`BATCH_HIST_SLOTS`) degrade that one
+    cell.  The call raises for whole-shard programming errors (warmup
+    consuming the trace) and for a context config its prefetcher's
+    components reject (see :func:`context_row`), so such a cell never
+    reaches the kernel.
     """
-    n_cells = len(prefetchers)
-    results: list = [None] * n_cells
+    n_cells = len(cells)
+    texts: list = [None] * n_cells
     reasons: list = [None] * n_cells
     kernel = kernel_or_none()
     if kernel is None:
         reason = "compiled kernel unavailable"
         _count_batch(n_cells, 0, threads, 0)
-        return results, [reason] * n_cells, trace, limit
+        return texts, [reason] * n_cells, trace, limit
     lib = kernel.lib
     rows: list = [None] * n_cells
-    for i, pf in enumerate(prefetchers):
-        kind = _pf_kind(pf)
-        if kind is None:
-            reasons[i] = f"the {pf.name} prefetcher has no native port"
-            continue
-        if pf in _PF_STATES or not pf.is_pristine():
-            reasons[i] = "prefetcher carries prior run state"
-            continue
-        if kind == _PF_CONTEXT:
-            ctx_cfg, reason = _ctx_config_values(pf)
-            if ctx_cfg is None:
+    meta: list = [None] * n_cells
+    for i, cell in enumerate(cells):
+        if isinstance(cell, ContextPrefetcherConfig):
+            row, reason = context_row(cell)
+            if row is None:
                 reasons[i] = reason
                 continue
-            rows[i] = (kind, *ctx_cfg)
+            rows[i] = (_PF_CONTEXT, *row)
+            meta[i] = (ContextPrefetcher.name, cell.storage_bits(), None)
             continue
-        cfg = _pf_config_values(pf, kind)
+        kind = _pf_kind(cell)
+        if kind == _PF_CONTEXT:
+            raise TypeError(
+                "a context cell enters the batch as its ContextPrefetcherConfig"
+            )
+        if kind is None:
+            reasons[i] = f"the {cell.name} prefetcher has no native port"
+            continue
+        if cell in _PF_STATES or not cell.is_pristine():
+            reasons[i] = "prefetcher carries prior run state"
+            continue
+        cfg = _pf_config_values(cell, kind)
         if cfg is None:
             reasons[i] = (
-                f"the {pf.name} config exceeds the kernel's fixed buffers"
+                f"the {cell.name} config exceeds the kernel's fixed buffers"
             )
             continue
         rows[i] = (kind, cfg, (), ())
+        meta[i] = (cell.name, cell.storage_bits(), cell.accuracy())
     eligible = [i for i in range(n_cells) if reasons[i] is None]
     hier_cfg = hierarchy_config if hierarchy_config is not None else HierarchyConfig()
     if eligible:
@@ -817,7 +1023,7 @@ def run_native_batch(
             eligible = []
     if not eligible:
         _count_batch(n_cells, 0, threads, int(lib.rp_batch_openmp()))
-        return results, reasons, trace, limit
+        return texts, reasons, trace, limit
     core_cfg = core_config if core_config is not None else CoreConfig()
     sim_cfg = (
         _hier_values(hier_cfg),
@@ -828,29 +1034,20 @@ def run_native_batch(
             (1 << bhr_bits) - 1,
         ],
     )
-    outs, rcs, accuracies, hist_lens, depths, counts = phase_batch_kernel(
+    block = phase_batch_kernel(
         kernel, [rows[i] for i in eligible], sim_cfg, cols, start_index,
         warmup, threads,
     )
-    slots = BATCH_HIST_SLOTS
+    rendered = phase_render(
+        kernel, block, [meta[i] for i in eligible], workload_name=workload_name
+    )
+    rcs = block[1]
     native_cells = 0
     for j, i in enumerate(eligible):
-        rc = rcs[j]
-        if rc != 0:
-            reasons[i] = _BATCH_RC_REASONS[rc]
+        if rendered[j] is None:
+            reasons[i] = _BATCH_RC_REASONS[rcs[j]]
             continue
-        accuracy, hist = None, ()
-        if rows[i][0] == _PF_CONTEXT:
-            lo = j * slots
-            hi = lo + hist_lens[j]
-            accuracy, hist = accuracies[j], zip(depths[lo:hi], counts[lo:hi])
-        results[i] = phase_finalize(
-            outs + j * OUT_SLOTS,
-            workload_name=workload_name,
-            pf=prefetchers[i],
-            accuracy=accuracy,
-            hist=hist,
-        )
+        texts[i] = rendered[j]
         native_cells += 1
     if native_cells != n_cells:
         log.debug(
@@ -858,7 +1055,7 @@ def run_native_batch(
             native_cells, n_cells, n_cells - native_cells,
         )
     _count_batch(n_cells, native_cells, threads, int(lib.rp_batch_openmp()))
-    return results, reasons, trace, limit
+    return texts, reasons, trace, limit
 
 
 def _count_batch(cells: int, native_cells: int, threads: int, openmp: int) -> None:

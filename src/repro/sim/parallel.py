@@ -29,6 +29,7 @@ timing inject a clock via ``progress`` closures (see
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -195,7 +196,7 @@ def run_grid(
 
     def on_batch(batch: list) -> None:
         for index, payload, info in batch:
-            results[index] = decode_result(payload)
+            results[index] = decode_result(json.loads(payload))
             native_info[index] = info
             report(results[index])
 

@@ -179,6 +179,7 @@ _NATIVE_PHASE_FUNCS = (
     "phase_kernel",
     "phase_batch_kernel",
     "phase_finalize",
+    "phase_render",
 )
 
 

@@ -1,9 +1,11 @@
 """SQLite result store for sweep cells, under ``results/``.
 
-One row per content-addressed sweep cell, carrying the versioned codec
-payload the cache and the worker IPC already use — so a DB row, a cache
-file and an in-flight result are the same bytes-level encoding, gated
-by the same parity suites.  Design constraints:
+One row per content-addressed sweep cell, carrying the versioned
+codec's canonical JSON text (:func:`~repro.sim.codec.encode_text`).  A
+worker renders that text, it crosses the result queue as is, and it is
+the string this store commits and the JSON cache splices into its
+record — so a DB row, a cache file and an in-flight result are the same
+bytes, gated by the same parity suites.  Design constraints:
 
 * **per-batch commits** — a crash leaves only whole, valid cells, which
   is what makes resume a pure key diff;
@@ -42,7 +44,7 @@ import logging
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.sim.codec import CODEC_VERSION, CodecError, decode_result
 from repro.sim.metrics import SimulationResult
@@ -213,25 +215,19 @@ class ResultDB:
     def store_cells(
         self,
         sweep: str,
-        rows: Iterable[tuple[str, int, str, str, dict[str, Any]]],
+        rows: Iterable[tuple[str, int, str, str, str]],
     ) -> int:
         """Insert ``(key, index, workload, prefetcher, payload)`` rows.
 
-        One transaction per call — the scheduler calls this once per
-        drained batch, so a kill can only ever lose the in-flight batch,
-        never tear a cell.  Returns the number of rows newly inserted
-        (keys already present are the same content and are left alone).
+        ``payload`` is the cell's canonical codec text
+        (:func:`~repro.sim.codec.encode_text`), stored as given.  One
+        transaction per call — the scheduler calls this once per drained
+        batch, so a kill can only ever lose the in-flight batch, never
+        tear a cell.  Returns the number of rows newly inserted (keys
+        already present are the same content and are left alone).
         """
         packed = [
-            (
-                key,
-                sweep,
-                index,
-                workload,
-                prefetcher,
-                CODEC_VERSION,
-                json.dumps(payload, sort_keys=True, separators=(",", ":")),
-            )
+            (key, sweep, index, workload, prefetcher, CODEC_VERSION, payload)
             for key, index, workload, prefetcher, payload in rows
         ]
         if not packed:

@@ -17,11 +17,13 @@ Batch protocol (PERF004 pins the layout):
   context-config *table*, plus per-cell tuples of exactly
   :data:`CELL_FIELDS` — ``(index, prefetcher, context_id)``.  Configs
   cross the boundary once per batch, never once per cell;
-* results return as ``("done", batch_id, [(index, encoded payload,
-  native_info), ...], store_degrades)`` — every result crosses through
-  the versioned codec the cache and the result DB store, and
-  worker-side store-degrade counts ride back *by value* (each process
-  counts its own events; nothing is shared across spawn);
+* results return as ``("done", batch_id, [(index, payload text,
+  native_info), ...], store_degrades)``: each payload is the canonical
+  JSON text of the versioned codec's encoding — the very string the
+  result DB stores and the JSON cache writes, so the parent commits it
+  without decoding it — and worker-side store-degrade counts ride back
+  *by value* (each process counts its own events; nothing is shared
+  across spawn);
 * a worker exception answers ``("error", batch_id, message)`` and the
   worker survives to take the next batch.
 
@@ -46,7 +48,7 @@ from repro.core.config import ContextPrefetcherConfig
 from repro.core.prefetcher import ContextPrefetcher
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.sim.codec import encode_result
+from repro.sim.codec import encode_text
 from repro.sim.config import PREFETCHER_FACTORIES
 from repro.sim.sched.supply import drain_store_degrades, resolve_worker_trace
 from repro.sim.simulator import Simulator
@@ -102,26 +104,30 @@ class BatchShared:
     kernel_threads: int = 0
 
 
-def _make_cell_prefetcher(shared: BatchShared, prefetcher: str, context_id: int):
-    config = shared.context_table[context_id]
-    if prefetcher == "context" and config is not None:
-        return ContextPrefetcher(config)
+def _cell(shared: BatchShared, prefetcher: str, context_id: int):
+    """A context cell's config, or a table family's fresh prefetcher."""
+    if prefetcher == "context":
+        config = shared.context_table[context_id]
+        return ContextPrefetcherConfig() if config is None else config
     return PREFETCHER_FACTORIES[prefetcher]()
 
 
 def run_batch(
     shared: BatchShared, cells: Sequence[tuple[int, str, int]]
-) -> tuple[list[tuple[int, dict[str, Any], tuple[bool, str | None]]], int]:
+) -> tuple[list[tuple[int, str, tuple[bool, str | None]]], int]:
     """Execute one batch in this process; ``(results, store degrades)``.
 
-    The trace resolves through the per-process memo (decode once, reuse
-    across batches).  When the batch is native and the kernel's batch
-    driver is enabled, the whole cell list crosses into C in one
-    GIL-released ``rp_run_batch`` call — per-cell results bit-identical
-    to the per-cell dispatch below, which both serves as the fallback
-    for cells the kernel cannot represent (each degrades alone, with
-    its own reason) and remains the whole path when ``kernel_batch`` is
-    off.
+    Each result is ``(index, payload text, native_info)``.  The trace
+    resolves through the per-process memo (decode once, reuse across
+    batches).  When the batch is native and the kernel's batch driver is
+    enabled, the whole cell list crosses into C in one GIL-released
+    ``rp_run_batch`` call and each cell's payload text is rendered from
+    the kernel's output block: no prefetcher, result or payload dict is
+    built for a cell the kernel runs.  A cell the kernel refuses (each
+    degrades alone, with its own reason) builds its prefetcher and runs
+    the per-cell ``Simulator`` path below, which is also the whole path
+    when ``kernel_batch`` or ``native`` is off; the payloads are byte
+    for byte the same either way.
     """
     trace = resolve_worker_trace(
         shared.workload,
@@ -132,16 +138,16 @@ def run_batch(
         shared.trace,
     )
     limit = shared.limit
-    prefetchers = [
-        _make_cell_prefetcher(shared, prefetcher, context_id)
+    batch_cells = [
+        _cell(shared, prefetcher, context_id)
         for _index, prefetcher, context_id in cells
     ]
-    batch_results = None
+    texts = None
     if shared.native and shared.kernel_batch:
         from repro.sim.native.adapter import run_native_batch
 
-        batch_results, _reasons, trace, limit = run_native_batch(
-            prefetchers,
+        texts, _reasons, trace, limit = run_native_batch(
+            batch_cells,
             trace,
             workload_name=shared.workload,
             limit=limit,
@@ -151,11 +157,14 @@ def run_batch(
         )
     out = []
     for pos, (index, _prefetcher, _context_id) in enumerate(cells):
-        if batch_results is not None and batch_results[pos] is not None:
-            out.append((index, encode_result(batch_results[pos]), (True, None)))
+        if texts is not None and texts[pos] is not None:
+            out.append((index, texts[pos], (True, None)))
             continue
+        cell = batch_cells[pos]
+        if isinstance(cell, ContextPrefetcherConfig):
+            cell = ContextPrefetcher(cell)
         sim = Simulator(
-            prefetchers[pos],
+            cell,
             hierarchy_config=shared.hierarchy_config,
             core_config=shared.core_config,
             native=shared.native,
@@ -164,7 +173,7 @@ def run_batch(
         out.append(
             (
                 index,
-                encode_result(result),
+                encode_text(result),
                 (sim.last_run_native, sim.last_native_fallback),
             )
         )

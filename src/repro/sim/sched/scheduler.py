@@ -25,18 +25,23 @@ completed cells are never re-simulated — the kill-and-resume suite
 proves a resumed sweep's DB is canonically identical to an
 uninterrupted one.
 
+Payloads stay text end to end: a worker returns each cell's canonical
+codec text, and the commit hands it to the DB and the JSON cache as is,
+so the parent neither decodes nor re-serializes what it stores.
+
 Wall-clock time is deliberately absent (lint rule DET003 covers this
-package): throughput measurement lives in ``scripts/bench_report.py``.
+package): throughput is measured by the sweep benchmark,
+``perfbench/run.py`` (cells/s end to end, and a layer-traced replay).
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.sim.cache import SweepCache
-from repro.sim.codec import encode_result
+from repro.sim.codec import encode_text
 from repro.sim.sched.db import IN_MEMORY, ResultDB
 from repro.sim.sched.plan import (
     DEFAULT_BATCH_CELLS,
@@ -64,8 +69,8 @@ __all__ = [
 
 ProgressFn = Callable[[str], None]
 
-#: a worker's ordered ``(index, encoded payload, native_info)`` results
-BatchResults = list[tuple[int, dict[str, Any], tuple[bool, str | None]]]
+#: a worker's ordered ``(index, payload text, native_info)`` results
+BatchResults = list[tuple[int, str, tuple[bool, str | None]]]
 
 #: batches in flight per worker: 2 keeps every worker busy the moment it
 #: finishes (the next batch is already queued) without ballooning queues
@@ -198,7 +203,7 @@ class SweepScheduler:
                         cell.index,
                         cell.workload,
                         cell.prefetcher,
-                        encode_result(result),
+                        encode_text(result),
                     )
                 )
         self.db.store_cells(sweep, rows)

@@ -2,7 +2,7 @@
 
 Runs with ``REPRO_NATIVE_NO_OPENMP=1``, so the kernel loads (or builds)
 the serial artifact; executes the same fixed shard as the parent test
-and prints the encoded payloads as JSON.  A real script file — the
+and prints the payload texts as JSON.  A real script file — the
 worker path uses spawn, and spawned interpreters cannot re-import
 stdin-fed ``__main__`` bodies.
 """
@@ -31,7 +31,7 @@ def main() -> int:
               file=sys.stderr)
         return 3
     encoded, reasons = batch_suite._batch_encoded(
-        batch_suite._mixed_prefetchers(),
+        batch_suite._mixed_cells(),
         batch_suite._trace(WORKLOAD),
         threads=THREADS,
     )

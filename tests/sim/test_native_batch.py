@@ -19,7 +19,10 @@ Coverage here:
 * warmup and ``start_index`` riding the shared columns correctly;
 * per-cell fallback isolation — one unrepresentable cell, or one whose
   hit-depth histogram overflows the kernel's slots, degrades alone,
-  with its reason, while its neighbours stay native;
+  with its reason, while its neighbours stay native; a context config
+  its prefetcher's components reject fails the whole batch instead;
+* payload text rendered from the kernel's block against the codec's
+  encoding of the result :func:`phase_finalize` builds from it;
 * the deterministic batch telemetry counters;
 * the pool's ``run_batch`` with the kernel driver on vs off (the PR 9
   per-cell dispatch), which is exactly the parity the sweep benchmark
@@ -49,7 +52,7 @@ from repro.core.config import ContextPrefetcherConfig
 from repro.core.prefetcher import ContextPrefetcher
 from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 from repro.sim import native as native_pkg
-from repro.sim.codec import encode_result
+from repro.sim.codec import encode_text
 from repro.sim.native import adapter
 from repro.sim.sched.pool import BatchShared, run_batch
 from repro.sim.simulator import Simulator
@@ -72,8 +75,8 @@ def _trace(name: str) -> list:
     return _TRACES[name]
 
 
-def _mixed_prefetchers() -> list:
-    """A representative shard: RL context variants + table baselines.
+def _mixed_cells() -> list:
+    """A representative shard: RL context configs + table baselines.
 
     The order is load-bearing for state reuse: on one thread the kernel
     resets the first default cell from a state whose containers the
@@ -82,46 +85,50 @@ def _mixed_prefetchers() -> list:
     sizes.  Each cell must still equal its fresh single-cell run.
     """
     return [
-        ContextPrefetcher(
-            ContextPrefetcherConfig(
-                max_degree=8, adaptive_window=True, window_update_period=64
-            )
+        ContextPrefetcherConfig(
+            max_degree=8, adaptive_window=True, window_update_period=64
         ),
-        ContextPrefetcher(ContextPrefetcherConfig()),
-        ContextPrefetcher(ContextPrefetcherConfig(seed=7, cst_entries=1024)),
-        ContextPrefetcher(ContextPrefetcherConfig()),
-        ContextPrefetcher(ContextPrefetcherConfig(policy="softmax")),
+        ContextPrefetcherConfig(),
+        ContextPrefetcherConfig(seed=7, cst_entries=1024),
+        ContextPrefetcherConfig(),
+        ContextPrefetcherConfig(policy="softmax"),
         StridePrefetcher(StrideConfig(degree=4)),
         StridePrefetcher(StrideConfig(degree=2, table_entries=16)),
     ]
 
 
-def _batch_encoded(prefetchers, trace, *, threads: int, **kwargs) -> list:
-    results, reasons, _trace, _limit = adapter.run_native_batch(
-        prefetchers,
+def _prefetcher(cell):
+    """The prefetcher a batch cell stands for, for its single-cell run."""
+    if isinstance(cell, ContextPrefetcherConfig):
+        return ContextPrefetcher(cell)
+    return cell
+
+
+def _batch_encoded(cells, trace, *, threads: int, **kwargs) -> list:
+    texts, reasons, _trace, _limit = adapter.run_native_batch(
+        cells,
         trace,
         workload_name="batch-test",
         limit=None,
         threads=threads,
         **kwargs,
     )
-    return [
-        None if r is None else encode_result(r) for r in results
-    ], reasons
+    return texts, reasons
 
 
 class TestBatchParity:
     def test_batch_equals_single_cell_native_runs(self):
         trace = _trace("list")
         encoded, reasons = _batch_encoded(
-            _mixed_prefetchers(), trace, threads=1
+            _mixed_cells(), trace, threads=1
         )
         assert all(r is None for r in reasons), reasons
-        for pos, pf in enumerate(_mixed_prefetchers()):
+        for pos, cell in enumerate(_mixed_cells()):
+            pf = _prefetcher(cell)
             sim = Simulator(pf, native=True)
             single = sim.run(trace, workload_name="batch-test")
             assert sim.last_run_native, sim.last_native_fallback
-            assert encoded[pos] == encode_result(single), (
+            assert encoded[pos] == encode_text(single), (
                 f"cell {pos} ({pf.name}) diverged from its single-cell run"
             )
 
@@ -130,7 +137,7 @@ class TestBatchParity:
         reference = None
         for threads in (0, 1, 2, 4):
             encoded, reasons = _batch_encoded(
-                _mixed_prefetchers(), trace, threads=threads
+                _mixed_cells(), trace, threads=threads
             )
             assert all(r is None for r in reasons), reasons
             if reference is None:
@@ -143,28 +150,30 @@ class TestBatchParity:
     def test_warmup_parity(self):
         trace = _trace("list")
         encoded, reasons = _batch_encoded(
-            _mixed_prefetchers(), trace, threads=2, warmup=50
+            _mixed_cells(), trace, threads=2, warmup=50
         )
         assert all(r is None for r in reasons), reasons
-        for pos, pf in enumerate(_mixed_prefetchers()):
+        for pos, cell in enumerate(_mixed_cells()):
+            pf = _prefetcher(cell)
             sim = Simulator(pf, native=True)
             single = sim.run(trace, workload_name="batch-test", warmup=50)
             assert sim.last_run_native, sim.last_native_fallback
-            assert encoded[pos] == encode_result(single)
+            assert encoded[pos] == encode_text(single)
 
     def test_start_index_parity(self):
         trace = _trace("array")
         encoded, reasons = _batch_encoded(
-            _mixed_prefetchers(), trace, threads=2, start_index=1000
+            _mixed_cells(), trace, threads=2, start_index=1000
         )
         assert all(r is None for r in reasons), reasons
-        for pos, pf in enumerate(_mixed_prefetchers()):
+        for pos, cell in enumerate(_mixed_cells()):
+            pf = _prefetcher(cell)
             sim = Simulator(pf, native=True)
             single = sim.run(
                 trace, workload_name="batch-test", start_index=1000
             )
             assert sim.last_run_native, sim.last_native_fallback
-            assert encoded[pos] == encode_result(single)
+            assert encoded[pos] == encode_text(single)
 
 
 class TestFallbackIsolation:
@@ -174,7 +183,7 @@ class TestFallbackIsolation:
         trace = _trace("list")
         bad = StridePrefetcher(StrideConfig(degree=100))
         cells = [
-            ContextPrefetcher(ContextPrefetcherConfig()),
+            ContextPrefetcherConfig(),
             bad,
             StridePrefetcher(StrideConfig(degree=4)),
         ]
@@ -192,7 +201,7 @@ class TestFallbackIsolation:
             )
             sim = Simulator(pf, native=True)
             single = sim.run(trace, workload_name="batch-test")
-            assert encode_result(results[pos]) == encode_result(single)
+            assert results[pos] == encode_text(single)
 
     def test_fallback_prefetcher_left_pristine(self):
         # a degraded cell's Python prefetcher must be untouched, so the
@@ -211,6 +220,117 @@ class TestFallbackIsolation:
         assert interp == oracle
 
 
+class TestRejectedConfig:
+    """A context config its prefetcher's components reject fails the
+    batch, with the exception ``ContextPrefetcher(cfg)`` raises; it never
+    reaches the kernel."""
+
+    def test_batch_raises_what_the_prefetcher_raises(self):
+        trace = _trace("list")
+        bad = ContextPrefetcherConfig(sample_depths=(0, 18))
+        with pytest.raises(ValueError) as want:
+            ContextPrefetcher(bad)
+        with pytest.raises(ValueError) as got:
+            adapter.run_native_batch(
+                [ContextPrefetcherConfig(), bad],
+                trace,
+                workload_name="batch-test",
+                limit=None,
+                threads=1,
+            )
+        assert str(got.value) == str(want.value)
+
+    def test_pool_batch_fails_alike_on_and_off(self):
+        shared = dict(
+            workload="rejected-config",
+            limit=None,
+            native=True,
+            context_table=(ContextPrefetcherConfig(reward_peak=0),),
+            trace=tuple(_trace("list")),
+        )
+        cells = ((0, "none", 0), (1, "context", 0))
+        messages = []
+        for kernel_batch in (True, False):
+            with pytest.raises(ValueError) as err:
+                run_batch(BatchShared(**shared, kernel_batch=kernel_batch), cells)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "peak must be positive"
+
+    def test_context_cells_enter_as_configs(self):
+        with pytest.raises(TypeError):
+            adapter.run_native_batch(
+                [ContextPrefetcher(ContextPrefetcherConfig())],
+                _trace("list"),
+                workload_name="batch-test",
+                limit=None,
+            )
+
+
+class TestRender:
+    """The payload text rendered from a batch block equals the codec's
+    encoding of the result :func:`phase_finalize` builds from it."""
+
+    WORKLOAD = 'ad "hoc" \\ é'
+
+    def test_render_matches_finalize(self):
+        from repro.sim.native.build import kernel_or_none
+
+        kernel = kernel_or_none()
+        ffi = kernel.ffi
+        slots = adapter.BATCH_HIST_SLOTS
+        out_slots = adapter.OUT_SLOTS
+        config = ContextPrefetcherConfig(seed=3)
+        # (prefetcher, pairs, depth block, status): duplicate and zero-count
+        # pairs, depths 9 and 10, no pairs (the 129-slot block), a table
+        # family, and a failed cell
+        cases = [
+            (config, [(10, 2), (9, 3), (4, 0), (9, 1), (128, 7)], {}, 0),
+            (config, [], {3: 5, 12: 1, 0: 2}, 0),
+            (StridePrefetcher(StrideConfig(degree=4)), [], {9: 4, 10: 1}, 0),
+            (config, [(1, 1)], {}, -4),
+        ]
+        n = len(cases)
+        outs = ffi.new("int64_t[]", n * out_slots)
+        rcs = ffi.new("int32_t[]", n)
+        accuracies = ffi.new("double[]", n)
+        hist_lens = ffi.new("int64_t[]", n)
+        depths = ffi.new("int64_t[]", n * slots)
+        counts = ffi.new("int64_t[]", n * slots)
+        meta = []
+        for j, (cell, pairs, block, rc) in enumerate(cases):
+            for k in range(19):
+                outs[j * out_slots + k] = 1000 * j + 37 * k + 1
+            for depth, count in block.items():
+                outs[j * out_slots + 19 + depth] = count
+            rcs[j] = rc
+            accuracies[j] = 0.1 * (j + 1) / 3
+            hist_lens[j] = len(pairs)
+            for k, (depth, count) in enumerate(pairs):
+                depths[j * slots + k] = depth
+                counts[j * slots + k] = count
+            if isinstance(cell, ContextPrefetcherConfig):
+                meta.append(("context", cell.storage_bits(), None))
+            else:
+                meta.append((cell.name, cell.storage_bits(), cell.accuracy()))
+        texts = adapter.phase_render(
+            kernel,
+            (outs, rcs, accuracies, hist_lens, depths, counts),
+            meta,
+            workload_name=self.WORKLOAD,
+        )
+        assert texts[3] is None
+        for j, (cell, pairs, _block, _rc) in enumerate(cases[:3]):
+            context = isinstance(cell, ContextPrefetcherConfig)
+            want = adapter.phase_finalize(
+                outs + j * out_slots,
+                workload_name=self.WORKLOAD,
+                pf=ContextPrefetcher(cell) if context else cell,
+                accuracy=accuracies[j] if context else None,
+                hist=pairs if context else (),
+            )
+            assert texts[j] == encode_text(want), f"case {j}"
+
+
 class TestHistogramOverflow:
     """A context cell whose histogram outgrows its slots degrades alone."""
 
@@ -224,7 +344,7 @@ class TestHistogramOverflow:
         def cells():
             return [
                 StridePrefetcher(StrideConfig(degree=4)),
-                ContextPrefetcher(ContextPrefetcherConfig()),
+                ContextPrefetcherConfig(),
                 StridePrefetcher(StrideConfig(degree=2, table_entries=16)),
             ]
 
@@ -238,7 +358,7 @@ class TestHistogramOverflow:
             single = Simulator(cells()[pos], native=True).run(
                 trace, workload_name="batch-test"
             )
-            assert encode_result(results[pos]) == encode_result(single)
+            assert results[pos] == encode_text(single)
 
     def test_run_batch_reruns_the_overflowed_cell(self, monkeypatch):
         monkeypatch.setattr(adapter, "BATCH_HIST_SLOTS", 1)
@@ -261,7 +381,7 @@ class TestBatchCounters:
         adapter.reset_batch_counters()
         trace = _trace("list")
         cells = [
-            ContextPrefetcher(ContextPrefetcherConfig()),
+            ContextPrefetcherConfig(),
             StridePrefetcher(StrideConfig(degree=100)),  # falls back
             StridePrefetcher(StrideConfig(degree=4)),
         ]
@@ -466,7 +586,7 @@ def test_no_openmp_build_parity(tmp_path) -> None:
 
     trace = _trace(payload["workload"])
     encoded, reasons = _batch_encoded(
-        _mixed_prefetchers(), trace, threads=payload["threads"]
+        _mixed_cells(), trace, threads=payload["threads"]
     )
     assert all(r is None for r in reasons), reasons
     assert encoded == payload["results"], (

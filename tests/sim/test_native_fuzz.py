@@ -19,6 +19,7 @@ against the interpreted oracle, not just replayed at the default config.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -274,3 +275,84 @@ def test_native_differential_fuzz(case: int) -> None:
 @pytest.mark.parametrize("case", range(NUM_SLOW_CASES))
 def test_native_differential_fuzz_extended(case: int) -> None:
     _run_case(f"native-fuzz/slow/{case}", (800, 4000))
+
+
+# ----------------------------------------------------------------------
+# context rows from configs: the batch path reads a context cell's kernel
+# row off its config, the single-cell path off the live components
+
+
+def _edge_configs():
+    """Configs that reach each config-level refusal, or sit just beside it."""
+    from repro.core.config import ContextPrefetcherConfig
+
+    base = ContextPrefetcherConfig()
+    return [
+        base,
+        dataclasses.replace(base, reward_peak=1),  # degenerate bell: refused
+        dataclasses.replace(base, reward_peak=1, reward_shape="flat"),
+        dataclasses.replace(base, max_degree=62),
+        dataclasses.replace(base, max_degree=63),  # over the request buffer
+        dataclasses.replace(base, cst_links=(1 << 31) + 1),
+        dataclasses.replace(base, adaptive_window=True, window_center_bounds=(12, 200)),
+        dataclasses.replace(base, adaptive_window=True),
+        dataclasses.replace(base, adaptive_reduction=False),
+        dataclasses.replace(base, sample_depths=(50, 18, 18, 26)),
+        dataclasses.replace(base, initial_attributes=()),
+        dataclasses.replace(base, seed=-(1 << 70)),
+    ]
+
+
+def test_context_row_equals_live_row() -> None:
+    """``context_row(cfg)`` is ``_ctx_config_values(ContextPrefetcher(cfg))``
+    over the fuzz suite's context space, refusal reasons included."""
+    from repro.core.prefetcher import ContextPrefetcher
+    from repro.sim.native.adapter import _ctx_config_values, context_row
+
+    configs = _edge_configs()
+    for case in range(NUM_FAST_CASES):
+        rng = random.Random(_seed_for(f"native-fuzz/context-row/{case}"))
+        degree = 100 if rng.random() < 0.05 else rng.randrange(1, 9)
+        configs.append(_fuzz_context(rng, degree).config)
+    reasons = set()
+    for cfg in configs:
+        want = _ctx_config_values(ContextPrefetcher(cfg))
+        assert context_row(cfg) == want, cfg
+        reasons.add(want[1])
+    # every config-level refusal is exercised
+    assert len(reasons - {None}) == 4, reasons
+
+
+def test_context_row_raises_what_the_components_raise() -> None:
+    """A config ``ContextPrefetcher(cfg)`` rejects raises the same
+    exception, with the same message, from ``context_row``."""
+    from repro.core.config import ContextPrefetcherConfig
+    from repro.core.prefetcher import ContextPrefetcher
+    from repro.sim.native.adapter import context_row
+
+    base = ContextPrefetcherConfig()
+    rejected = [
+        dataclasses.replace(base, sample_depths=(0, 18)),
+        dataclasses.replace(base, reward_peak=0),
+        dataclasses.replace(base, late_penalty=0),
+        dataclasses.replace(base, early_penalty=1, sample_depths=(0,)),
+        dataclasses.replace(base, reducer_tag_bits=-1, sample_depths=(0,)),
+        dataclasses.replace(base, delta_bits=0, reward_peak=0),
+    ]
+    # the config checks its own invariants at construction only
+    for field, value in (
+        ("history_entries", 0),
+        ("prefetch_queue_entries", 0),
+        ("window_center", 99),
+        ("window_lo", 60),
+    ):
+        cfg = dataclasses.replace(base)
+        setattr(cfg, field, value)
+        rejected.append(cfg)
+    for cfg in rejected:
+        with pytest.raises(Exception) as want:
+            ContextPrefetcher(cfg)
+        with pytest.raises(type(want.value)) as got:
+            context_row(cfg)
+        assert type(got.value) is type(want.value), cfg
+        assert str(got.value) == str(want.value), cfg

@@ -22,6 +22,7 @@ from repro.sim.cache import (
     resolve_cache,
     trace_fingerprint,
 )
+from repro.sim.codec import CODEC_VERSION, encode_result
 from repro.sim.runner import compare, run_workload
 from repro.workloads.trace import MemoryAccess
 
@@ -196,6 +197,17 @@ class TestSweepCache:
         assert cache.load(key()) == result
         assert cache.counters.hits == 1 and cache.counters.stores == 1
 
+    def test_record_is_canonical_json(self, tmp_path):
+        # the payload text is spliced into the record: the file must be
+        # the canonical JSON of the whole record, byte for byte
+        cache = SweepCache(tmp_path)
+        result = self._result()
+        cache.store(key(), result)
+        record = {"codec": CODEC_VERSION, "key": key(), "result": encode_result(result)}
+        assert (tmp_path / f"{key()}.json").read_text(encoding="utf-8") == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        )
+
     def test_missing_key_is_miss(self, tmp_path):
         cache = SweepCache(tmp_path)
         assert cache.load(key()) is None
@@ -207,6 +219,11 @@ class TestSweepCache:
         (tmp_path / f"{key()}.json").write_text("{ not json", encoding="utf-8")
         assert cache.load(key()) is None
         assert cache.counters.errors == 1
+        # valid JSON whose result is not an object
+        record = {"codec": CODEC_VERSION, "key": key(), "result": []}
+        (tmp_path / f"{key()}.json").write_text(json.dumps(record), encoding="utf-8")
+        assert cache.load(key()) is None
+        assert cache.counters.errors == 2
 
     def test_codec_version_skew_is_miss(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -27,14 +27,15 @@ import pytest
 from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
+from repro.sim import native as native_pkg
 from repro.sim.cache import cell_key
-from repro.sim.codec import encode_result
+from repro.sim.codec import encode_result, encode_text
 from repro.sim.sched.db import ResultDB, ResultDBError
 from repro.sim.sched.plan import GridPlan, PlanCell, shard_by_workload
 from repro.sim.sched.pool import CELL_FIELDS, shared_pool
 from repro.sim.sched.scheduler import SweepScheduler
 from repro.workloads.store import TraceStore
-from tests.oracle import serial_compare
+from tests.oracle import serial_compare, serial_storage_sweep
 
 WORKLOADS = ("list", "array")
 PREFETCHERS = ("none", "context")
@@ -59,9 +60,24 @@ def serial(plan):
     return serial_compare(plan.workloads, plan.prefetchers, limit=plan.limit)
 
 
-def run_plan(plan, db, store, jobs, **kwargs):
-    scheduler = SweepScheduler(db=db, store=store, jobs=jobs)
+def run_plan(plan, db, store, jobs, native=False, **kwargs):
+    scheduler = SweepScheduler(db=db, store=store, jobs=jobs, native=native)
     return scheduler.run_plan_sync(plan, **kwargs)
+
+
+def stored_text(db, key):
+    """The payload column of one row, exactly as the DB holds it."""
+    with sqlite3.connect(db.path) as conn:
+        (payload,) = conn.execute(
+            "SELECT payload FROM cells WHERE key = ?", (key,)
+        ).fetchone()
+    return payload
+
+
+needs_kernel = pytest.mark.skipif(
+    not native_pkg.is_available(),
+    reason="compiled kernel unavailable (numpy/cffi/toolchain)",
+)
 
 
 class TestGridPlan:
@@ -183,26 +199,31 @@ class TestResultDB:
     def test_round_trip_and_ignore_duplicates(self, tmp_path, serial):
         db = ResultDB(tmp_path / "db.sqlite")
         result = serial.get("list", "none")
-        payload = encode_result(result)
+        payload = encode_text(result)
         row = ("k1", 0, "list", "none", payload)
         assert db.store_cells("s1", [row]) == 1
         assert db.store_cells("s1", [row]) == 0  # content-addressed
-        assert encode_result(db.load("k1")) == payload
+        assert encode_text(db.load("k1")) == payload
+        assert stored_text(db, "k1") == payload  # stored as given
         assert db.load("missing") is None
         assert db.completed_keys(["k1", "k2"]) == {"k1"}
 
     def test_corrupt_payload_degrades_to_miss(self, tmp_path, serial, caplog):
         db = ResultDB(tmp_path / "db.sqlite")
-        payload = encode_result(serial.get("list", "none"))
+        payload = encode_text(serial.get("list", "none"))
         db.store_cells("s1", [("k1", 0, "list", "none", payload)])
-        with sqlite3.connect(db.path) as conn:
-            conn.execute("UPDATE cells SET payload = ?", (b"\x00garbage",))
-        with caplog.at_level("WARNING"):
-            assert db.load("k1") is None
-        assert any("k1" in r.message for r in caplog.records)
+        # junk, and valid JSON that is not an object
+        for junk in (b"\x00garbage", "[]", "1", '"x"', "null"):
+            with sqlite3.connect(db.path) as conn:
+                conn.execute("UPDATE cells SET payload = ?", (junk,))
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert db.load("k1") is None, junk
+                assert db.query(sweep="s1") == [], junk
+            assert any("k1" in r.message for r in caplog.records), junk
 
     def test_canonical_dump_is_key_ordered(self, tmp_path, serial):
-        payload = encode_result(serial.get("list", "none"))
+        payload = encode_text(serial.get("list", "none"))
         a = ResultDB(tmp_path / "a.sqlite")
         b = ResultDB(tmp_path / "b.sqlite")
         rows = [
@@ -300,11 +321,37 @@ class TestWarmPool:
 
 
 class TestSchedulerDeterminism:
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_bit_identical_to_serial(self, tmp_path, store, plan, serial, jobs):
+    """Interpreted and kernel sweeps, in process and through spawned
+    workers, against the serial oracle.  On the kernel side every cell
+    must run in the batch kernel, and the payload text a worker rendered
+    is what the DB holds: ``encode_text`` of the oracle's result."""
+
+    @pytest.mark.parametrize(
+        "jobs, native",
+        [
+            pytest.param(1, False, id="1"),
+            pytest.param(2, False, id="2"),
+            pytest.param(4, False, id="4"),
+            pytest.param(1, True, id="native-1", marks=needs_kernel),
+            pytest.param(2, True, id="native-2", marks=needs_kernel),
+        ],
+    )
+    def test_bit_identical_to_serial(
+        self, tmp_path, store, plan, serial, jobs, native
+    ):
         db = ResultDB(tmp_path / "db.sqlite")
-        stats = run_plan(plan, db, store, jobs=jobs)
+        infos = []
+        stats = run_plan(
+            plan,
+            db,
+            store,
+            jobs=jobs,
+            native=native,
+            on_batch=lambda batch: infos.extend(info for _i, _p, info in batch),
+        )
         assert (stats.executed, stats.resumed) == (plan.n_cells, 0)
+        if native:
+            assert infos == [(True, None)] * plan.n_cells
         fps = {wl: store.ensure(wl)[0].fingerprint for wl in plan.workloads}
         keys = plan.cell_keys(fps)
         for cell in plan.cells():
@@ -313,21 +360,38 @@ class TestSchedulerDeterminism:
             assert encode_result(got) == encode_result(want), (
                 f"{cell.workload}/{cell.prefetcher} diverged at jobs={jobs}"
             )
+            if native:
+                assert stored_text(db, keys[cell.index]) == encode_text(want)
 
     def test_config_axis_jobs_invariant(self, tmp_path, store):
+        self._config_axis(tmp_path, store, native=False)
+
+    @needs_kernel
+    def test_config_axis_jobs_invariant_native(self, tmp_path, store):
+        self._config_axis(tmp_path, store, native=True)
+
+    @staticmethod
+    def _config_axis(tmp_path, store, *, native):
         from repro.serve.service import plan_from_axes
 
+        sizes = [128, 256]
         plan = plan_from_axes(
             workloads=["list"],
             prefetchers=["context"],
-            cst_sizes=[128, 256],
+            cst_sizes=sizes,
             limit=LIMIT,
         )
+        oracle = serial_storage_sweep(["list"], sizes, limit=LIMIT) if native else {}
         dumps = []
         for jobs in (1, 2):
             db = ResultDB(tmp_path / f"db{jobs}.sqlite")
-            run_plan(plan, db, store, jobs=jobs)
+            stats = run_plan(plan, db, store, jobs=jobs, native=native)
             dumps.append(db.canonical_dump())
+            if native:
+                for cell in plan.cells():
+                    want = oracle[sizes[cell.context_id]][cell.workload]
+                    got = stored_text(db, stats.keys[cell.index])
+                    assert got == encode_text(want), (cell, jobs)
         assert dumps[0] == dumps[1]
 
 
