@@ -34,6 +34,14 @@ class CoreConfig:
     rob_size: int = 192
     lq_size: int = 32
 
+    def __post_init__(self) -> None:
+        # the issue cursor divides by the width and the load queue is a
+        # ring of lq_size slots: neither means anything below one
+        if self.issue_width < 1:
+            raise ValueError("issue_width must be at least 1")
+        if self.lq_size < 1:
+            raise ValueError("lq_size must be at least 1")
+
 
 @dataclass(slots=True)
 class CoreStats:

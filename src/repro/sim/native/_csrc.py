@@ -24,6 +24,26 @@ OUT_SLOTS = 19 + 129
 #: profile CLI reports for native context runs)
 CTX_COUNTER_SLOTS = 20
 
+#: the kernel units the unit-timing build times (UT_* in the C source, in
+#: this order): the paper's Algorithm 1 split as ChampSim's context_pref.cc
+#: splits it, plus the table families, the hierarchy and the core model
+UNIT_NAMES = (
+    "capture",
+    "feedback",
+    "collection",
+    "reduction",
+    "selection",
+    "issue",
+    "table",
+    "demand",
+    "prefetch",
+    "core",
+)
+
+#: number of int64 slots rp_sim_unit_times fills: ns and interval count
+#: per unit, then timed accesses, accesses, kernel ns and clock-read ns
+UNIT_SLOTS = 2 * len(UNIT_NAMES) + 4
+
 #: version of the batch-call layout below (``CDEF_BATCH`` +
 #: ``SOURCE_BATCH``); analysis rule PERF005 pins the pair's content hash
 #: per version, so editing the batch driver without bumping this (and
@@ -65,12 +85,105 @@ int64_t rp_hash_uint(uint64_t v);
 int64_t rp_hash_int(int64_t v);
 int64_t rp_hash_tuple(const int64_t *item_hashes, int64_t n);
 int64_t rp_ctx_key(const int64_t *values, int active_bits);
+void rp_sim_unit_times(const RpSim *sim, int64_t *out);
 """
 
 SOURCE_RUNTIME = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* ------------------------------------------------------------------ */
+/* per-unit timers, compiled only into the unit-timing artifact (build.py
+ * defines RP_UNIT_TIMING for it); in every other build the UT_* macros
+ * expand to nothing, so the per-access path carries no timing code.  One
+ * access in about UT_PERIOD is timed, the gaps drawn from a xorshift so
+ * they cannot alias a periodic trace: UT_BEGIN reads CLOCK_MONOTONIC at
+ * the access's top, and each UT_MARK charges the interval since the
+ * previous read to a unit.  The units, in UNIT_NAMES order (_csrc.py): */
+
+#define UT_CAPTURE 0      /* context capture and the context-key hashes */
+#define UT_FEEDBACK 1     /* prefetch-queue match and its rewards */
+#define UT_COLLECTION 2   /* history sampling and CST insert */
+#define UT_REDUCTION 3    /* reducer lookup and adaptation */
+#define UT_SELECTION 4    /* epsilon-greedy / softmax selection */
+#define UT_ISSUE 5        /* queue push (FIFO eviction, expiry feedback) */
+#define UT_TABLE 6        /* a table-family prefetcher's on_access */
+#define UT_DEMAND 7       /* hierarchy demand access */
+#define UT_PREFETCH 8     /* hierarchy prefetch + prediction bookkeeping */
+#define UT_CORE 9         /* core model: issue time, completion, LQ/ROB */
+#define UT_UNITS 10
+
+#ifdef RP_UNIT_TIMING
+#include <time.h>
+
+#define UT_PERIOD 32   /* mean gap: gaps are uniform on 1..2 * UT_PERIOD */
+
+typedef struct {
+    int on;              /* the current access is timed */
+    int countdown;       /* accesses left to the next timed one */
+    uint64_t draw;       /* xorshift64 state for the gaps */
+    int64_t last;        /* the previous clock read, ns */
+    int64_t ns[UT_UNITS];
+    int64_t intervals[UT_UNITS];
+    int64_t timed, accesses, kernel_ns;
+    int64_t read_ns;     /* cost of one clock read (min of back-to-back) */
+} UnitClock;
+
+static int64_t ut_now(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + (int64_t)ts.tv_nsec;
+}
+
+static void ut_reset(UnitClock *u) {
+    memset(u, 0, sizeof(UnitClock));
+    u->draw = 0x9E3779B97F4A7C15ULL;
+    u->read_ns = INT64_MAX;
+}
+
+static int ut_gap(UnitClock *u) {
+    u->draw ^= u->draw << 13;
+    u->draw ^= u->draw >> 7;
+    u->draw ^= u->draw << 17;
+    return 1 + (int)(u->draw % (2 * UT_PERIOD));
+}
+
+/* rp_run entry: calibrate the read cost, start the kernel-time span */
+static int64_t ut_enter(UnitClock *u) {
+    for (int i = 0; i < 16; i++) {
+        int64_t a = ut_now(), b = ut_now();
+        if (b - a < u->read_ns) u->read_ns = b - a;
+    }
+    return ut_now();
+}
+
+#define UT_BEGIN(u) do { \
+    if (--(u)->countdown <= 0) { \
+        (u)->countdown = ut_gap(u); (u)->on = 1; (u)->timed++; \
+        (u)->last = ut_now(); \
+    } else (u)->on = 0; \
+} while (0)
+#define UT_MARK(u, unit) do { \
+    if ((u)->on) { \
+        int64_t t_ = ut_now(); \
+        (u)->ns[unit] += t_ - (u)->last; (u)->intervals[unit]++; \
+        (u)->last = t_; \
+    } \
+} while (0)
+#else
+#define UT_BEGIN(u) ((void)0)
+#define UT_MARK(u, unit) ((void)0)
+#endif
+
+/* log2(v) when v is a positive power of two, else -1: the shift that
+ * may replace a division by v */
+static int shift_of(int64_t v) {
+    if (v <= 0 || (v & (v - 1))) return -1;
+    int s = 0;
+    while ((v >> s) != 1) s++;
+    return s;
+}
 
 /* ------------------------------------------------------------------ */
 /* open-addressing hash map: int64 key -> int64 value.  Linear probing
@@ -148,6 +261,24 @@ static int map_grow(Map *m) {
     return 1;
 }
 
+/* one probe for get-or-insert: the slot of key, with *found telling
+ * whether it was already there (its value untouched) or was just added
+ * with val; (size_t)-1 when growing the table failed */
+static size_t map_find_or_add(Map *m, int64_t key, int64_t val, int *found) {
+    if ((m->count + 1) * 4 >= m->cap * 3) {
+        if (!map_grow(m)) return (size_t)-1;
+    }
+    size_t mask = m->cap - 1;
+    size_t i = (size_t)mix64((uint64_t)key) & mask;
+    while (m->used[i]) {
+        if (m->keys[i] == key) { *found = 1; return i; }
+        i = (i + 1) & mask;
+    }
+    m->keys[i] = key; m->vals[i] = val; m->used[i] = 1; m->count++;
+    *found = 0;
+    return i;
+}
+
 /* value of key, or `absent` when missing */
 static int64_t map_get(const Map *m, int64_t key, int64_t absent) {
     size_t i = map_find(m, key);
@@ -176,6 +307,12 @@ static void map_del_slot(Map *m, size_t i) {
 static void map_del(Map *m, int64_t key) {
     size_t i = map_find(m, key);
     if (i != (size_t)-1) map_del_slot(m, i);
+}
+
+/* del m[key] if m.get(key) == val, through the one probe */
+static void map_del_if(Map *m, int64_t key, int64_t val) {
+    size_t i = map_find(m, key);
+    if (i != (size_t)-1 && m->vals[i] == val) map_del_slot(m, i);
 }
 
 /* pop(key, default): removes and returns, like dict.pop */
@@ -384,22 +521,22 @@ static Pair pheap_pop(PairHeap *h) {
 
 SOURCE_MEMORY = r"""
 /* ------------------------------------------------------------------ */
-/* MSHR file: linear entry table (files are small) + expiry heap with
- * the _next_expiry short-circuit invariant; lazy retirement exactly as
- * the interpreted MSHRFile.  NEVER == INT64_MAX stands in for inf. */
+/* MSHR file: the live entries packed into [0, count) of two parallel
+ * arrays + expiry heap with the _next_expiry short-circuit invariant;
+ * lazy retirement exactly as the interpreted MSHRFile.  Packing is
+ * exact because nothing reads a slot position: lines in one file are
+ * unique (allocation merges), so a lookup's match is the same whatever
+ * the order, and the retirement order comes from the heap.  A lookup
+ * scans only the busy entries, allocation appends, and retirement moves
+ * the last entry into the hole.  NEVER == INT64_MAX stands in for inf. */
 
 #define MSHR_NEVER INT64_MAX
 
 typedef struct {
-    int64_t line;
-    int64_t completes_at;
-    uint8_t used;
-} MEntry;
-
-typedef struct {
     int num_entries;
-    MEntry *entries;
     int count;
+    int64_t *lines;
+    int64_t *completes;
     PairHeap heap;
     int64_t next_expiry;
 } Mshr;
@@ -407,36 +544,39 @@ typedef struct {
 static void mshr_reset(Mshr *m) {
     m->count = 0;
     m->next_expiry = MSHR_NEVER;
-    memset(m->entries, 0, (size_t)m->num_entries * sizeof(MEntry));
     m->heap.len = 0;
 }
 
 static int mshr_init(Mshr *m, int num_entries) {
     m->num_entries = num_entries;
-    m->entries = (MEntry *)malloc((size_t)num_entries * sizeof(MEntry));
-    if (!m->entries) return 0;
+    m->lines = (int64_t *)malloc((size_t)num_entries * sizeof(int64_t));
+    m->completes = (int64_t *)malloc((size_t)num_entries * sizeof(int64_t));
+    if (!m->lines || !m->completes) return 0;
     return pheap_init(&m->heap, (size_t)num_entries + 1);
 }
 
 static void mshr_free(Mshr *m) {
-    free(m->entries); m->entries = 0;
+    free(m->lines); free(m->completes);
+    m->lines = 0; m->completes = 0;
     pheap_free(&m->heap);
 }
 
-static MEntry *mshr_slot(Mshr *m, int64_t line) {
-    for (int i = 0; i < m->num_entries; i++) {
-        if (m->entries[i].used && m->entries[i].line == line) return &m->entries[i];
+/* position of an in-flight line in [0, count), or -1 */
+static int mshr_find(const Mshr *m, int64_t line) {
+    for (int i = 0; i < m->count; i++) {
+        if (m->lines[i] == line) return i;
     }
-    return 0;
+    return -1;
 }
 
 static void mshr_expire(Mshr *m, int64_t now) {
     if (now < m->next_expiry) return;
     while (m->heap.len && m->heap.a[0].t <= now) {
         Pair p = pheap_pop(&m->heap);
-        MEntry *e = mshr_slot(m, p.line);
-        e->used = 0;
-        m->count--;
+        int i = mshr_find(m, p.line);
+        int last = --m->count;
+        m->lines[i] = m->lines[last];
+        m->completes[i] = m->completes[last];
     }
     m->next_expiry = m->heap.len ? m->heap.a[0].t : MSHR_NEVER;
 }
@@ -449,8 +589,8 @@ static int mshr_available(Mshr *m, int64_t now) {
 /* completion time of an in-flight line, or -1 */
 static int64_t mshr_lookup(Mshr *m, int64_t line, int64_t now) {
     if (now >= m->next_expiry) mshr_expire(m, now);
-    MEntry *e = mshr_slot(m, line);
-    return e ? e->completes_at : -1;
+    int i = mshr_find(m, line);
+    return i >= 0 ? m->completes[i] : -1;
 }
 
 static int64_t mshr_earliest(Mshr *m, int64_t now) {
@@ -461,20 +601,13 @@ static int64_t mshr_earliest(Mshr *m, int64_t now) {
 
 static int mshr_allocate(Mshr *m, int64_t line, int64_t now, int64_t completes_at) {
     if (now >= m->next_expiry) mshr_expire(m, now);
-    MEntry *e = mshr_slot(m, line);
-    if (e) return 1;  /* merge: completion time unchanged */
+    if (mshr_find(m, line) >= 0) return 1;  /* merge: completion time unchanged */
     if (m->count >= m->num_entries) return 0;
-    for (int i = 0; i < m->num_entries; i++) {
-        if (!m->entries[i].used) {
-            m->entries[i].line = line;
-            m->entries[i].completes_at = completes_at;
-            m->entries[i].used = 1;
-            break;
-        }
-    }
+    m->lines[m->count] = line;
+    m->completes[m->count] = completes_at;
+    m->count++;
     pheap_push(&m->heap, (Pair){completes_at, line});
     if (completes_at < m->next_expiry) m->next_expiry = completes_at;
-    m->count++;
     return 1;
 }
 
@@ -651,7 +784,7 @@ static void hier_note_unissued(Hier *h, int64_t line) {
     while (h->pred_log.len && h->pred_log.idx[h->pred_log.head] < cutoff) {
         int64_t idx, ln;
         log_pop(&h->pred_log, &idx, &ln);
-        if (map_get(&h->predicted, ln, -1) == idx) map_del(&h->predicted, ln);
+        map_del_if(&h->predicted, ln, idx);
     }
 }
 
@@ -786,11 +919,11 @@ static void hier_demand_access(Hier *h, int64_t line, int64_t now,
         *ac = AC_MISS_NOT_PREFETCHED;
 }
 
-/* prefetch of addr at now; returns the outcome's issued flag */
-static int hier_prefetch(Hier *h, int64_t addr, int64_t now) {
+/* prefetch of line (the request address // line_bytes) at now; returns
+ * the outcome's issued flag */
+static int hier_prefetch(Hier *h, int64_t line, int64_t now) {
     if ((h->pending.len && h->pending.a[0].t <= now) || h->backlog_len)
         hier_apply_fills(h, now);
-    int64_t line = addr / h->line_bytes;
     int64_t reserve = h->pf_reserve;
 
     if (cache_contains(&h->l1, line)) {
@@ -1029,33 +1162,49 @@ SOURCE_CTX_HASH = r"""
  * Plus float.__round__'s half-to-even for the bell reward. */
 
 #define PYHASH_MOD 0x1FFFFFFFFFFFFFFFULL  /* 2**61 - 1 */
+#define XXPRIME_1 11400714785074694791ULL
+#define XXPRIME_2 14029467366897019727ULL
+#define XXPRIME_5 2870177450012600261ULL
+
+/* v % (2**61 - 1) by the Mersenne fold: v = a * 2**61 + b with a < 8,
+ * and 2**61 == 1 (mod M), so v == a + b (mod M) with a + b < 2M */
+static uint64_t pyhash_mod(uint64_t v) {
+    uint64_t r = (v & PYHASH_MOD) + (v >> 61);
+    return r >= PYHASH_MOD ? r - PYHASH_MOD : r;
+}
 
 /* hash(v) for v >= 0 interpreted as an unsigned 64-bit int */
 static int64_t pyhash_u64(uint64_t v) {
-    return (int64_t)(v % PYHASH_MOD);
+    return (int64_t)pyhash_mod(v);
 }
 
 /* hash(v) for signed v: hash(|v|) negated for v < 0; -1 becomes -2 */
 static int64_t pyhash_i64(int64_t v) {
-    if (v >= 0) return (int64_t)(((uint64_t)v) % PYHASH_MOD);
+    if (v >= 0) return (int64_t)pyhash_mod((uint64_t)v);
     uint64_t uv = (uint64_t)(-(v + 1)) + 1u;   /* |v|, INT64_MIN-safe */
-    int64_t h = -(int64_t)(uv % PYHASH_MOD);
+    int64_t h = -(int64_t)pyhash_mod(uv);
     if (h == -1) h = -2;
     return h;
 }
 
-/* CPython tuplehash (xxHash variant), item hashes precomputed */
-static int64_t pyhash_tuple(const int64_t *item_hashes, int64_t n) {
-    uint64_t acc = 2870177450012600261ULL;              /* XXPRIME_5 */
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t lane = (uint64_t)item_hashes[i];
-        acc += lane * 14029467366897019727ULL;          /* XXPRIME_2 */
-        acc = (acc << 31) | (acc >> 33);
-        acc *= 11400714785074694791ULL;                 /* XXPRIME_1 */
-    }
-    acc += ((uint64_t)n) ^ (2870177450012600261ULL ^ 3527539ULL);
+/* one lane of CPython's tuplehash (xxHash variant) */
+static uint64_t xx_round(uint64_t acc, int64_t lane) {
+    acc += (uint64_t)lane * XXPRIME_2;
+    acc = (acc << 31) | (acc >> 33);
+    return acc * XXPRIME_1;
+}
+
+static int64_t xx_finish(uint64_t acc, int64_t n) {
+    acc += ((uint64_t)n) ^ (XXPRIME_5 ^ 3527539ULL);
     if (acc == (uint64_t)-1) acc = 1546275796ULL;
     return (int64_t)acc;
+}
+
+/* CPython tuplehash, item hashes precomputed */
+static int64_t pyhash_tuple(const int64_t *item_hashes, int64_t n) {
+    uint64_t acc = XXPRIME_5;
+    for (int64_t i = 0; i < n; i++) acc = xx_round(acc, item_hashes[i]);
+    return xx_finish(acc, n);
 }
 
 /* context.py finalizer: key = (h * golden) & MASK64; key ^= key >> 29.
@@ -1078,17 +1227,24 @@ static int64_t py_round_i64(double x) {
  * two signed attributes; everything else hashes as an unsigned pattern. */
 static const uint8_t CTX_SIGNED_ATTR[8] = {0, 0, 0, 0, 1, 0, 1, 0};
 
-/* hash((bits, *values[gathered ascending])) + finalize, unmasked */
-static uint64_t ctx_hash_bits(const int64_t *vals, int bits) {
-    int64_t lanes[9];
-    int n = 0;
-    lanes[n++] = (int64_t)bits;   /* hash(small nonneg int) == itself */
+/* hash(value) per attribute: the lanes every key gathers from */
+static void ctx_lanes(const int64_t *vals, int64_t *lanes) {
+    for (int i = 0; i < 8; i++)
+        lanes[i] = CTX_SIGNED_ATTR[i] ? pyhash_i64(vals[i])
+                                      : pyhash_u64((uint64_t)vals[i]);
+}
+
+/* hash((bits, *values[gathered ascending])) + finalize, unmasked, from
+ * the lane hashes (a lane does not depend on the bitmap) */
+static uint64_t ctx_key_of(const int64_t *lanes, int bits) {
+    uint64_t acc = xx_round(XXPRIME_5, (int64_t)bits);  /* hash(bits) == bits */
+    int64_t n = 1;
     for (int i = 0; i < 8; i++) {
         if (!((bits >> i) & 1)) continue;
-        lanes[n++] = CTX_SIGNED_ATTR[i] ? pyhash_i64(vals[i])
-                                        : pyhash_u64((uint64_t)vals[i]);
+        acc = xx_round(acc, lanes[i]);
+        n++;
     }
-    return ctx_finalize(pyhash_tuple(lanes, n));
+    return ctx_finalize(xx_finish(acc, n));
 }
 
 /* ---- exported reference-vector hooks (test suite only) ---- */
@@ -1103,7 +1259,9 @@ int64_t rp_hash_tuple(const int64_t *item_hashes, int64_t n) {
 
 /* full unmasked context key for an 8-value vector + active bitmap */
 int64_t rp_ctx_key(const int64_t *values, int active_bits) {
-    return (int64_t)ctx_hash_bits(values, active_bits);
+    int64_t lanes[8];
+    ctx_lanes(values, lanes);
+    return (int64_t)ctx_key_of(lanes, active_bits);
 }
 """
 # drift: end native-context-hash
@@ -1139,6 +1297,7 @@ typedef struct Ctx {
     int hist_cap;
     int64_t q_cap;
     int64_t block_bytes, granularity;
+    int block_shift, granularity_shift;   /* shift_of(): -1 divides */
     int64_t delta_min, delta_max;
     /* reward config geometry + live window */
     int64_t cfg_lo, cfg_hi, cfg_center;
@@ -1166,11 +1325,7 @@ typedef struct Ctx {
     int addr_depth;
     int64_t *recent;
     int n_recent;
-    int64_t vals[8];
-    uint64_t memo_key[256];
-    uint8_t memo_has[256];
-    int memo_list[16];
-    int memo_n;
+    int64_t lanes[8];   /* hash() of each captured attribute value */
     /* RNG + EMAs */
     RpRng rng;
     double accuracy_ema, depth_ema;
@@ -1194,6 +1349,7 @@ typedef struct Ctx {
     int64_t *q_red, *q_delta, *q_target, *q_issue;
     uint8_t *q_hit;
     int32_t *q_bnext;
+    int32_t *q_btail;   /* per bucket head: the bucket's last slot */
     int32_t *q_fifo;
     size_t q_fifo_cap;  /* power of two */
     size_t q_head;
@@ -1217,6 +1373,9 @@ typedef struct Ctx {
     int64_t cst_assoc_added, cst_assoc_rej_full, cst_conflicts, cst_occ;
     int64_t r_allocs, r_conflicts, r_activations, r_deactivations, r_occ;
     int64_t q_hits, q_expirations;
+#ifdef RP_UNIT_TIMING
+    UnitClock *clock;   /* the running simulator's, set by rp_run */
+#endif
 } Ctx;
 
 static int popcount8(int v) {
@@ -1226,8 +1385,8 @@ static int popcount8(int v) {
 }
 
 /* ContextTracker.capture: splitmix fold over the OLD recent blocks,
- * fill the 8-value vector, then append the block (bounded deque), and
- * invalidate the per-access hash memo. */
+ * hash the 8-value vector into its lanes, then append the block
+ * (bounded deque).  Every key of this access is built from the lanes. */
 static void ctx_capture(Ctx *cx, uint64_t pc, int64_t type_id, int64_t link_offset,
                         int64_t ref_form, int64_t last_value, uint64_t branch_hist,
                         int64_t reg_value, int64_t block) {
@@ -1240,14 +1399,16 @@ static void ctx_capture(Ctx *cx, uint64_t pc, int64_t type_id, int64_t link_offs
         state *= 0x94D049BB133111EBULL;
         hfold = state ^ (state >> 31);
     }
-    cx->vals[0] = (int64_t)pc;        /* IP */
-    cx->vals[1] = type_id;            /* TYPE_ID */
-    cx->vals[2] = link_offset;        /* LINK_OFFSET */
-    cx->vals[3] = ref_form;           /* REF_FORM */
-    cx->vals[4] = last_value;         /* LAST_VALUE (signed) */
-    cx->vals[5] = (int64_t)branch_hist;  /* BRANCH_HISTORY */
-    cx->vals[6] = reg_value;          /* REG_VALUE (signed) */
-    cx->vals[7] = (int64_t)hfold;     /* ADDR_HISTORY */
+    int64_t vals[8];
+    vals[0] = (int64_t)pc;        /* IP */
+    vals[1] = type_id;            /* TYPE_ID */
+    vals[2] = link_offset;        /* LINK_OFFSET */
+    vals[3] = ref_form;           /* REF_FORM */
+    vals[4] = last_value;         /* LAST_VALUE (signed) */
+    vals[5] = (int64_t)branch_hist;  /* BRANCH_HISTORY */
+    vals[6] = reg_value;          /* REG_VALUE (signed) */
+    vals[7] = (int64_t)hfold;     /* ADDR_HISTORY */
+    ctx_lanes(vals, cx->lanes);
     if (cx->addr_depth > 0) {
         if (cx->n_recent == cx->addr_depth) {
             for (int i = 1; i < cx->n_recent; i++) cx->recent[i - 1] = cx->recent[i];
@@ -1256,21 +1417,12 @@ static void ctx_capture(Ctx *cx, uint64_t pc, int64_t type_id, int64_t link_offs
             cx->recent[cx->n_recent++] = block;
         }
     }
-    for (int i = 0; i < cx->memo_n; i++) cx->memo_has[cx->memo_list[i]] = 0;
-    cx->memo_n = 0;
 }
 
-/* ContextCapture.hash memo: unmasked finalized key per active bitmap,
- * cleared every capture; callers apply their own bit masks. */
-static uint64_t ctx_capture_key(Ctx *cx, int bits) {
-    if (cx->memo_has[bits]) return cx->memo_key[bits];
-    uint64_t key = ctx_hash_bits(cx->vals, bits);
-    if (cx->memo_n < 16) {
-        cx->memo_key[bits] = key;
-        cx->memo_has[bits] = 1;
-        cx->memo_list[cx->memo_n++] = bits;
-    }
-    return key;
+/* ContextCapture.hash: the unmasked finalized key of the captured
+ * vector under an active bitmap; callers apply their own bit masks. */
+static uint64_t ctx_capture_key(const Ctx *cx, int bits) {
+    return ctx_key_of(cx->lanes, bits);
 }
 """
 # drift: end native-context-state
@@ -1651,32 +1803,25 @@ static void ctx_select_softmax(Ctx *cx, int64_t ce, int *n_real, int *n_shadow) 
 SOURCE_CTX_ACCESS = r"""
 /* ------------------------------------------------------------------ */
 /* PrefetchQueue + ContextPrefetcher.on_access.  Buckets are singly
- * linked slot chains headed in the by_block map; the interpreted
- * invariant (a present bucket is non-empty and all-unhit) makes the
- * map-presence probe and identity-based removal exact. */
+ * linked slot chains headed in the by_block map, each head carrying its
+ * bucket's tail slot (q_btail) so a push appends without a walk.  Two
+ * interpreted invariants keep the chains exact:
+ *  - a present bucket is non-empty and all-unhit (an entry turns hit
+ *    only in match, which pops its whole bucket), so the map-presence
+ *    probe is the shadow flag and match needs no per-entry hit check;
+ *  - the FIFO's oldest entry, when evicted unhit, heads its bucket
+ *    (everything pushed earlier to the same target was evicted or popped
+ *    first), and when evicted hit it is in no bucket at all (its bucket
+ *    was popped; a newer bucket for the target holds only newer, unhit
+ *    entries, none equal to it), so eviction only ever unlinks a head. */
 
-static void q_bucket_remove(Ctx *cx, int slot) {
-    size_t ms = map_find(&cx->by_block, cx->q_target[slot]);
-    if (ms == (size_t)-1) return;   /* bucket already popped by match */
-    int head = (int)cx->by_block.vals[ms];
-    if (head == slot) {
-        if (cx->q_bnext[slot] >= 0) cx->by_block.vals[ms] = cx->q_bnext[slot];
-        else map_del_slot(&cx->by_block, ms);
-        return;
-    }
-    int prev = head, cur = cx->q_bnext[head];
-    while (cur >= 0) {
-        if (cur == slot) { cx->q_bnext[prev] = cx->q_bnext[cur]; return; }
-        prev = cur;
-        cur = cx->q_bnext[cur];
-    }
-}
-
-/* push + FIFO overflow: the evicted entry leaves its bucket, and an
- * unhit eviction applies a single expiry feedback event MID push loop,
- * exactly as the interpreted queue.push. */
-static void q_push_entry(Ctx *cx, uint64_t reduced, int64_t delta,
-                         int64_t target, int64_t issue_index) {
+/* push + FIFO overflow: an evicted unhit entry leaves the head of its
+ * bucket and applies a single expiry feedback event MID push loop,
+ * exactly as the interpreted queue.push.  Returns whether a bucket for
+ * the target was already present (the shadow flag), through the same
+ * probe that appends to it. */
+static int q_push_entry(Ctx *cx, uint64_t reduced, int64_t delta,
+                        int64_t target, int64_t issue_index) {
     int slot = cx->q_freelist[--cx->q_nfree];
     cx->q_red[slot] = (int64_t)reduced;
     cx->q_delta[slot] = delta;
@@ -1684,73 +1829,93 @@ static void q_push_entry(Ctx *cx, uint64_t reduced, int64_t delta,
     cx->q_issue[slot] = issue_index;
     cx->q_hit[slot] = 0;
     cx->q_bnext[slot] = -1;
+    int present;
+    size_t ms = map_find_or_add(&cx->by_block, target, slot, &present);
+    if (ms == (size_t)-1) {   /* the run fails; keep the queue consistent */
+        cx->q_nfree++;
+        cx->oom = 1;
+        return 0;
+    }
     cx->q_fifo[(cx->q_head + (size_t)cx->q_len) & (cx->q_fifo_cap - 1)] = slot;
     cx->q_len++;
-    size_t ms = map_find(&cx->by_block, target);
-    if (ms == (size_t)-1) {
-        if (!map_set(&cx->by_block, target, slot)) { cx->oom = 1; return; }
+    if (present) {
+        int head = (int)cx->by_block.vals[ms];
+        cx->q_bnext[cx->q_btail[head]] = slot;
+        cx->q_btail[head] = slot;
     } else {
-        int cur = (int)cx->by_block.vals[ms];
-        while (cx->q_bnext[cur] >= 0) cur = cx->q_bnext[cur];
-        cx->q_bnext[cur] = slot;
+        cx->q_btail[slot] = slot;
     }
     if (cx->q_len > cx->q_cap) {
         int ev = cx->q_fifo[cx->q_head & (cx->q_fifo_cap - 1)];
         cx->q_head++;
         cx->q_len--;
-        q_bucket_remove(cx, ev);
-        int was_hit = cx->q_hit[ev];
-        FbEvent e;
-        e.reduced = (uint64_t)cx->q_red[ev];
-        e.delta = cx->q_delta[ev];
-        e.depth = cx->q_cap;
-        e.expired = 1;
         cx->q_freelist[cx->q_nfree++] = ev;
-        if (!was_hit) {
+        if (!cx->q_hit[ev]) {
+            size_t es = map_find(&cx->by_block, cx->q_target[ev]);
+            int next = cx->q_bnext[ev];
+            if (next >= 0) {
+                cx->by_block.vals[es] = next;
+                cx->q_btail[next] = cx->q_btail[ev];
+            } else {
+                map_del_slot(&cx->by_block, es);
+            }
+            FbEvent e;
+            e.reduced = (uint64_t)cx->q_red[ev];
+            e.delta = cx->q_delta[ev];
+            e.depth = cx->q_cap;
+            e.expired = 1;
             cx->q_expirations++;
             ctx_apply_feedback(cx, &e, 1);
         }
     }
+    return present;
 }
 
-/* PrefetchQueue.match: pop the whole bucket, mark hits, emit feedback
- * events in bucket (issue) order. */
-static int ctx_q_match(Ctx *cx, int64_t block, int64_t index) {
-    int cur = (int)map_pop(&cx->by_block, block, -1);
-    if (cur < 0) return 0;
+/* PrefetchQueue.match: pop the whole bucket at map slot ms, mark hits,
+ * emit feedback events in bucket (issue) order. */
+static int ctx_q_match(Ctx *cx, size_t ms, int64_t index) {
+    int cur = (int)cx->by_block.vals[ms];
+    map_del_slot(&cx->by_block, ms);
     int n = 0;
-    int64_t hits = 0;
     while (cur >= 0) {
-        if (!cx->q_hit[cur]) {
-            cx->q_hit[cur] = 1;
-            hits++;
-            cx->events[n].reduced = (uint64_t)cx->q_red[cur];
-            cx->events[n].delta = cx->q_delta[cur];
-            cx->events[n].depth = index - cx->q_issue[cur];
-            cx->events[n].expired = 0;
-            n++;
-        }
+        cx->q_hit[cur] = 1;
+        cx->events[n].reduced = (uint64_t)cx->q_red[cur];
+        cx->events[n].delta = cx->q_delta[cur];
+        cx->events[n].depth = index - cx->q_issue[cur];
+        cx->events[n].expired = 0;
+        n++;
         cur = cx->q_bnext[cur];
     }
-    cx->q_hits += hits;
+    cx->q_hits += n;
     return n;
 }
 
+/* uaddr // d, as a shift when d is a power of two (shift >= 0) */
+static int64_t ctx_div(uint64_t uaddr, int shift, int64_t d) {
+    return shift >= 0 ? (int64_t)(uaddr >> shift) : (int64_t)(uaddr / (uint64_t)d);
+}
+
 /* ContextPrefetcher.on_access: capture -> feedback -> collection ->
- * reduction -> prediction -> history push, statement for statement.
- * Emits request line addresses + shadow flags; returns the count. */
+ * reduction -> prediction -> history push, statement for statement
+ * (the 255 key is hashed with the capture: nothing before its interpreted
+ * use changes the captured vector).  Emits request line addresses +
+ * shadow flags; returns the count. */
 static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
                          int64_t type_id, int64_t link_offset, int64_t ref_form,
                          int64_t last_value, uint64_t branch_hist, int64_t reg_value,
                          int64_t *req_addr, uint8_t *req_shadow) {
-    int64_t block = (int64_t)(uaddr / (uint64_t)cx->block_bytes);
-    int64_t line = (int64_t)(uaddr / (uint64_t)cx->granularity);
+    int64_t block = ctx_div(uaddr, cx->block_shift, cx->block_bytes);
+    int64_t line = ctx_div(uaddr, cx->granularity_shift, cx->granularity);
     ctx_capture(cx, pc, type_id, link_offset, ref_form, last_value,
                 branch_hist, reg_value, block);
-    if (map_find(&cx->by_block, line) != (size_t)-1) {
-        int nev = ctx_q_match(cx, line, index);
+    uint64_t key = ctx_capture_key(cx, 255);
+    UT_MARK(cx->clock, UT_CAPTURE);
+    size_t ms = map_find(&cx->by_block, line);
+    if (ms != (size_t)-1) {
+        int nev = ctx_q_match(cx, ms, index);
         ctx_apply_feedback(cx, cx->events, nev);
     }
+    UT_MARK(cx->clock, UT_FEEDBACK);
     int64_t count = cx->h_count;
     int pos = cx->h_pos;
     if (count) {
@@ -1764,7 +1929,7 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
                 cst_add_assoc(cx, (uint64_t)cx->h_reduced[ridx], delta);
         }
     }
-    uint64_t key = ctx_capture_key(cx, 255);
+    UT_MARK(cx->clock, UT_COLLECTION);
     uint64_t full_hash = key & cx->full_mask;
     int64_t ri = (int64_t)(full_hash & cx->r_index_mask);
     int64_t rtag = (int64_t)((full_hash >> cx->r_index_bits) & cx->r_tag_mask);
@@ -1796,34 +1961,35 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
     if (cx->adaptive_reduction
         && cx->r_lookups[ri] - cx->r_lookadapt[ri] >= cx->overload_period)
         reduced = ctx_adapt(cx, ri, reduced);
+    UT_MARK(cx->clock, UT_REDUCTION);
     int nreq = 0;
+    int n_real = 0, n_shadow = 0;
     int64_t ce = cst_find_slot(cx, reduced);
     if (ce >= 0 && cx->cst_ncand[ce] > 0) {
-        int n_real, n_shadow;
         if (cx->policy_softmax) ctx_select_softmax(cx, ce, &n_real, &n_shadow);
         else ctx_select_egreedy(cx, ce, &n_real, &n_shadow);
-        int64_t base = ce * cx->cst_links;
-        for (int i = 0; i < n_real; i++) {
-            int64_t delta = cx->cst_delta[base + cx->sel_real[i]];
-            int64_t target = line + delta;
-            if (target < 0) continue;
-            int shadow = map_find(&cx->by_block, target) != (size_t)-1;
-            q_push_entry(cx, reduced, delta, target, index);
-            if (shadow) cx->predictions_shadow++; else cx->predictions_real++;
-            req_addr[nreq] = target * cx->granularity;
-            req_shadow[nreq] = (uint8_t)shadow;
-            nreq++;
-        }
-        for (int i = 0; i < n_shadow; i++) {
-            int64_t delta = cx->cst_delta[base + cx->sel_shadow[i]];
-            int64_t target = line + delta;
-            if (target < 0) continue;
-            q_push_entry(cx, reduced, delta, target, index);
-            cx->predictions_shadow++;
-            req_addr[nreq] = target * cx->granularity;
-            req_shadow[nreq] = 1;
-            nreq++;
-        }
+    }
+    UT_MARK(cx->clock, UT_SELECTION);
+    int64_t base = ce * cx->cst_links;
+    for (int i = 0; i < n_real; i++) {
+        int64_t delta = cx->cst_delta[base + cx->sel_real[i]];
+        int64_t target = line + delta;
+        if (target < 0) continue;
+        int shadow = q_push_entry(cx, reduced, delta, target, index);
+        if (shadow) cx->predictions_shadow++; else cx->predictions_real++;
+        req_addr[nreq] = target * cx->granularity;
+        req_shadow[nreq] = (uint8_t)shadow;
+        nreq++;
+    }
+    for (int i = 0; i < n_shadow; i++) {
+        int64_t delta = cx->cst_delta[base + cx->sel_shadow[i]];
+        int64_t target = line + delta;
+        if (target < 0) continue;
+        q_push_entry(cx, reduced, delta, target, index);
+        cx->predictions_shadow++;
+        req_addr[nreq] = target * cx->granularity;
+        req_shadow[nreq] = 1;
+        nreq++;
     }
     cx->h_reduced[pos] = (int64_t)reduced;
     cx->h_block[pos] = block;
@@ -1831,6 +1997,7 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
     cx->h_index[pos] = index;
     cx->h_count = count + 1;
     cx->h_pos = pos + 1 == cx->hist_cap ? 0 : pos + 1;
+    UT_MARK(cx->clock, UT_ISSUE);
     return nreq;
 }
 
@@ -1852,7 +2019,8 @@ static void ctx_free(Ctx *cx) {
     free(cx->r_tag); free(cx->r_lookups); free(cx->r_lookadapt); free(cx->r_cstkey);
     free(cx->h_reduced); free(cx->h_block); free(cx->h_line); free(cx->h_index);
     free(cx->q_red); free(cx->q_delta); free(cx->q_target); free(cx->q_issue);
-    free(cx->q_hit); free(cx->q_bnext); free(cx->q_fifo); free(cx->q_freelist);
+    free(cx->q_hit); free(cx->q_bnext); free(cx->q_btail);
+    free(cx->q_fifo); free(cx->q_freelist);
     map_free(&cx->by_block);
     free(cx->events);
     free(cx->ranked); free(cx->sel_real); free(cx->sel_shadow); free(cx->pool);
@@ -1901,6 +2069,7 @@ static int ctx_alloc(Ctx *cx, const int64_t *ic) {
     cx->q_issue = (int64_t *)malloc(npool * sizeof(int64_t));
     cx->q_hit = (uint8_t *)malloc(npool);
     cx->q_bnext = (int32_t *)malloc(npool * sizeof(int32_t));
+    cx->q_btail = (int32_t *)malloc(npool * sizeof(int32_t));
     cx->q_fifo = (int32_t *)malloc(fc * sizeof(int32_t));
     cx->q_freelist = (int32_t *)malloc(npool * sizeof(int32_t));
     cx->events = (FbEvent *)malloc(npool * sizeof(FbEvent));
@@ -1921,7 +2090,8 @@ static int ctx_alloc(Ctx *cx, const int64_t *ic) {
         && cx->r_lookups && cx->r_lookadapt && cx->r_cstkey
         && cx->h_reduced && cx->h_block && cx->h_line && cx->h_index
         && cx->q_red && cx->q_delta && cx->q_target && cx->q_issue
-        && cx->q_hit && cx->q_bnext && cx->q_fifo && cx->q_freelist
+        && cx->q_hit && cx->q_bnext && cx->q_btail
+        && cx->q_fifo && cx->q_freelist
         && cx->events && cx->ranked && cx->sel_real && cx->sel_shadow
         && cx->pool && cx->weights && cx->cum
         && cx->hg_depth && cx->hg_count;
@@ -1958,6 +2128,8 @@ static void ctx_reset(Ctx *cx, const int64_t *ic, const double *dc,
     cx->q_cap = ic[8];
     cx->block_bytes = ic[9];
     cx->granularity = ic[10];
+    cx->block_shift = shift_of(cx->block_bytes);
+    cx->granularity_shift = shift_of(cx->granularity);
     cx->delta_min = ic[11];
     cx->delta_max = ic[12];
     cx->cfg_lo = ic[13];
@@ -2002,11 +2174,8 @@ static void ctx_reset(Ctx *cx, const int64_t *ic, const double *dc,
     cx->depth_ema = (double)cx->cfg_center;
     cx->rw_denom = 0.0;
     ctx_set_reward(cx, cx->cfg_lo, cx->cfg_hi, cx->cfg_center);
-    /* capture */
+    /* capture (the lanes are written before every read) */
     cx->n_recent = 0;
-    memset(cx->vals, 0, sizeof(cx->vals));
-    memset(cx->memo_has, 0, sizeof(cx->memo_has));
-    cx->memo_n = 0;
     /* CST + reducer: the used flags bound every other per-entry array */
     memset(cx->cst_used, 0, (size_t)cx->cst_entries);
     memset(cx->r_used, 0, (size_t)cx->r_entries);
@@ -2480,6 +2649,9 @@ typedef struct RpSim {
     Log pred_log;
     uint64_t bhr_value;   /* BranchHistoryRegister, warm across runs */
     uint64_t bhr_mask;
+#ifdef RP_UNIT_TIMING
+    UnitClock clock;    /* unit totals since construction / reset */
+#endif
 } RpSim;
 
 void rp_sim_free(RpSim *s);
@@ -2514,6 +2686,9 @@ static void sim_reset(RpSim *s) {
     map_clear(&s->predicted_at);
     log_clear(&s->pred_log);
     s->bhr_value = 0;
+#ifdef RP_UNIT_TIMING
+    ut_reset(&s->clock);
+#endif
 }
 
 RpSim *rp_sim_new(const int64_t *hc, const int64_t *cc) {
@@ -2771,6 +2946,11 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
     Log *plog = &s->pred_log;
     map_clear(predicted_at);
     log_clear(plog);
+#ifdef RP_UNIT_TIMING
+    UnitClock *clk = &s->clock;
+    int64_t t_enter = ut_enter(clk);
+    if (pf->kind == PF_CONTEXT) pf->ctx.clock = clk;
+#endif
 
     int64_t depth_counts[DEPTH_CAP + 1];
     memset(depth_counts, 0, sizeof(depth_counts));
@@ -2795,6 +2975,7 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
     int64_t stall_cycles = 0, instructions = 0;
 
     for (int64_t k = 0; k < n; k++) {
+        UT_BEGIN(clk);
         int64_t index = start_index + k;
         int64_t gap = (int64_t)inst_gaps[k];
         uint64_t uaddr = addrs[k];
@@ -2824,12 +3005,14 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         }
         if (rob_floor > issue_f) issue_f = rob_floor;
         int64_t issue = (int64_t)issue_f;
+        UT_MARK(clk, UT_CORE);
 
         /* --- Hierarchy.demand_access --- */
         int64_t latency;
         int l1_hit, served, ac;
         hier_demand_access(h, (int64_t)lines[k], issue, &latency, &l1_hit, &served, &ac);
         class_counts[ac]++;
+        UT_MARK(clk, UT_DEMAND);
 
         /* --- CoreModel.complete --- */
         double completion = (double)(issue + latency);
@@ -2850,14 +3033,7 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         }
         if (!core_rob_push(c, completion, inst_pos)) return -1;
         instructions += insts;
-
-        /* hit-depth bookkeeping */
-        int64_t line = (int64_t)lines[k];
-        int64_t prev = map_pop(predicted_at, line, -1);
-        if (prev >= 0) {
-            int64_t depth = index - prev;
-            if (depth <= DEPTH_CAP) depth_counts[depth]++;
-        }
+        UT_MARK(clk, UT_CORE);
 
         /* --- prefetcher --- */
         int primary_miss = !l1_hit && served != SERVED_MSHR;
@@ -2870,6 +3046,16 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
                                  reqs, req_shadow);
         } else {
             nreq = pf_on_access(pf, index, uaddr, pcs[k], primary_miss, reqs);
+            UT_MARK(clk, UT_TABLE);
+        }
+
+        /* hit-depth bookkeeping: the demand line's prediction is popped
+         * before this access's requests record theirs (no prefetcher
+         * reads predicted_at, so the pop may follow on_access) */
+        int64_t prev = map_pop(predicted_at, (int64_t)lines[k], -1);
+        if (prev >= 0) {
+            int64_t depth = index - prev;
+            if (depth <= DEPTH_CAP) depth_counts[depth]++;
         }
         for (int r = 0; r < nreq; r++) {
             int64_t req_addr = reqs[r];
@@ -2877,7 +3063,7 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
             if (is_ctx && req_shadow[r]) {
                 hier_note_unissued(h, pf_line);
                 issued_shadow++;
-            } else if (hier_prefetch(h, req_addr, issue)) {
+            } else if (hier_prefetch(h, pf_line, issue)) {
                 issued_real++;
             } else {
                 /* on_prefetch_issue: a rejected real prediction demotes */
@@ -2885,9 +3071,12 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
                 hier_note_unissued(h, pf_line);
                 issued_shadow++;
             }
-            prev = map_get(predicted_at, pf_line, -1);
-            if (prev < 0 || index - prev > DEPTH_CAP) {
-                if (!map_set(predicted_at, pf_line, index)) return -1;
+            /* predicted_at.get, then set when absent or stale: one probe */
+            int known;
+            size_t ps = map_find_or_add(predicted_at, pf_line, index, &known);
+            if (ps == (size_t)-1) return -1;
+            if (!known || index - predicted_at->vals[ps] > DEPTH_CAP) {
+                predicted_at->vals[ps] = index;
                 if (!log_push(plog, index, pf_line)) return -1;
             }
         }
@@ -2895,9 +3084,10 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         while (plog->len && plog->idx[plog->head] < cutoff) {
             int64_t i, ln;
             log_pop(plog, &i, &ln);
-            if (map_get(predicted_at, ln, -1) == i) map_del(predicted_at, ln);
+            map_del_if(predicted_at, ln, i);
         }
         if (is_ctx && (flags[k] & 1)) last_value = values[k];
+        UT_MARK(clk, UT_PREFETCH);
     }
     if (is_ctx && pf->ctx.oom) return -1;
 
@@ -2935,7 +3125,32 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
     out[17] = h->prefetches_rejected_mshr;
     out[18] = h->prefetches_redundant;
     for (int d = 0; d <= DEPTH_CAP; d++) out[19 + d] = depth_counts[d];
+#ifdef RP_UNIT_TIMING
+    clk->accesses += n;
+    clk->kernel_ns += ut_now() - t_enter;
+#endif
     return 0;
+}
+
+/* the unit-timing totals (UNIT_SLOTS int64s): per unit its ns and its
+ * interval count, then timed accesses, all accesses, the ns spent inside
+ * rp_run and the cost of one clock read.  Zeros unless this is the
+ * unit-timing build. */
+void rp_sim_unit_times(const RpSim *s, int64_t *out) {
+    memset(out, 0, (2 * UT_UNITS + 4) * sizeof(int64_t));
+#ifdef RP_UNIT_TIMING
+    const UnitClock *u = &s->clock;
+    for (int i = 0; i < UT_UNITS; i++) {
+        out[i] = u->ns[i];
+        out[UT_UNITS + i] = u->intervals[i];
+    }
+    out[2 * UT_UNITS] = u->timed;
+    out[2 * UT_UNITS + 1] = u->accesses;
+    out[2 * UT_UNITS + 2] = u->kernel_ns;
+    out[2 * UT_UNITS + 3] = u->read_ns == INT64_MAX ? 0 : u->read_ns;
+#else
+    (void)s;
+#endif
 }
 """
 

@@ -45,7 +45,12 @@ from repro.prefetchers.stride import StridePrefetcher
 from repro.sim.codec import render_text
 from repro.sim.metrics import HitDepthCDF, SimulationResult
 from repro.sim.native import decode
-from repro.sim.native._csrc import CTX_COUNTER_SLOTS, OUT_SLOTS
+from repro.sim.native._csrc import (
+    CTX_COUNTER_SLOTS,
+    OUT_SLOTS,
+    UNIT_NAMES,
+    UNIT_SLOTS,
+)
 from repro.sim.native.build import kernel_or_none
 
 log = logging.getLogger(__name__)
@@ -1109,3 +1114,38 @@ def context_unit_counters(pf) -> dict | None:
     buf = ffi.new("int64_t[]", CTX_COUNTER_SLOTS)
     lib.rp_pf_ctx_counters(pf_h, buf)
     return {name: int(buf[i]) for i, name in enumerate(CTX_COUNTER_NAMES)}
+
+
+def unit_times(sim) -> dict | None:
+    """The unit-timing totals of a simulator that ran natively: ``units``
+    maps each timed unit (in :data:`UNIT_NAMES` order) to its ns per
+    access, next to ``kernel_ns_per_access`` (the time inside ``rp_run``
+    over every access) and the ``timed``/``accesses`` counts.
+
+    A unit's ns per access is its summed intervals, less one clock read
+    per interval (the calibrated ``read_ns``), over the timed accesses.
+    ``None`` when the simulator has no native handle, or the loaded
+    kernel is not the unit-timing build (it reports no timed access).
+    """
+    kernel = kernel_or_none()
+    sim_h = _SIM_STATES.get(sim)
+    if kernel is None or sim_h is None:
+        return None
+    buf = kernel.ffi.new("int64_t[]", UNIT_SLOTS)
+    kernel.lib.rp_sim_unit_times(sim_h, buf)
+    raw = kernel.ffi.unpack(buf, UNIT_SLOTS)
+    n_units = len(UNIT_NAMES)
+    timed, accesses, kernel_ns, read_ns = raw[2 * n_units :]
+    if not timed:
+        return None
+    units = {
+        name: max(0, raw[i] - raw[n_units + i] * read_ns) / timed
+        for i, name in enumerate(UNIT_NAMES)
+        if raw[n_units + i]
+    }
+    return {
+        "units": units,
+        "kernel_ns_per_access": kernel_ns / accesses,
+        "timed": timed,
+        "accesses": accesses,
+    }

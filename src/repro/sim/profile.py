@@ -18,14 +18,23 @@ questions about one simulated run:
    the timings are wall-clock and vary with the machine, which is why
    they live in a clearly separated section instead of the counters.
 
+3. **Where does the time go inside the kernel?**  A native run goes
+   through the unit-timing build of the kernel
+   (:func:`repro.sim.native.build.unit_timing`), which times one access
+   in 32 unit by unit; the report carries each unit's ns per access and
+   its share, beside the kernel's own ns per access.  The timed build
+   computes the same result as the default one.
+
 The harness itself never reads the wall clock (rule ``DET003``):
-cProfile's timer is internal to the optional profiling section and no
-simulated behaviour depends on it.
+cProfile's timer is internal to the optional profiling section, the unit
+timers live in the C kernel, and no simulated behaviour depends on
+either.
 """
 
 from __future__ import annotations
 
 import cProfile
+import contextlib
 import io
 import pstats
 from dataclasses import dataclass, field
@@ -57,6 +66,11 @@ class ProfileReport:
     #: path, thread setting) accumulated in this process — all zero for
     #: single-cell runs; see ``repro.sim.native.adapter.batch_counters``
     batch_counters: dict[str, int] = field(default_factory=dict)
+    #: kernel unit -> ns per access, from the unit-timing build (native
+    #: runs only; machine-dependent); see ``adapter.unit_times``
+    kernel_units: dict[str, float] = field(default_factory=dict)
+    #: ns per access inside the timed kernel call, all units included
+    kernel_ns_per_access: float = 0.0
 
 
 def _unit_counters(
@@ -224,19 +238,28 @@ def profile_run(
 
     timing_table = ""
     native_phases: dict[str, float] = {}
-    if with_cprofile:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = sim.run(trace, workload_name=workload_name)
-        profiler.disable()
-        buf = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buf)
-        stats.sort_stats("cumulative").print_stats(top)
-        timing_table = buf.getvalue()
+    timed = None
+    # a native run uses the unit-timing build; its handles live and die
+    # inside the block, with every read of them
+    with _kernel_scope(native):
+        if with_cprofile:
+            profiler = cProfile.Profile()
+            profiler.enable()
+            result = sim.run(trace, workload_name=workload_name)
+            profiler.disable()
+            buf = io.StringIO()
+            stats = pstats.Stats(profiler, stream=buf)
+            stats.sort_stats("cumulative").print_stats(top)
+            timing_table = buf.getvalue()
+            if sim.last_run_native:
+                native_phases = _native_phase_times(profiler)
+        else:
+            result = sim.run(trace, workload_name=workload_name)
+        units = _unit_counters(sim, result, native_ran=sim.last_run_native)
         if sim.last_run_native:
-            native_phases = _native_phase_times(profiler)
-    else:
-        result = sim.run(trace, workload_name=workload_name)
+            from repro.sim.native.adapter import unit_times
+
+            timed = unit_times(sim)
 
     if native:
         from repro.sim.native.adapter import batch_counters
@@ -249,14 +272,25 @@ def profile_run(
         workload=workload_name,
         prefetcher=prefetcher_name,
         accesses=len(trace),
-        units=_unit_counters(sim, result, native_ran=sim.last_run_native),
+        units=units,
         result=result,
         timing_table=timing_table,
         top=top,
         native=sim.last_run_native,
         native_phases=native_phases,
         batch_counters=batch,
+        kernel_units=timed["units"] if timed else {},
+        kernel_ns_per_access=timed["kernel_ns_per_access"] if timed else 0.0,
     )
+
+
+def _kernel_scope(native: bool):
+    """The unit-timing kernel for a native profile, else nothing."""
+    if not native:
+        return contextlib.nullcontext()
+    from repro.sim.native.build import unit_timing
+
+    return unit_timing()
 
 
 def render(report: ProfileReport) -> str:
@@ -285,6 +319,22 @@ def render(report: ProfileReport) -> str:
         for name, seconds in report.native_phases.items():
             share = seconds / total if total else 0.0
             lines.append(f"    {name:28s} {seconds:>10.4f}s  ({share:5.1%})")
+    if report.kernel_units:
+        total = sum(report.kernel_units.values())
+        kernel = report.kernel_ns_per_access
+        lines += [
+            "",
+            "kernel unit timings (unit-timing build, 1 access in 32; "
+            "machine-dependent):",
+        ]
+        for name, ns in report.kernel_units.items():
+            share = ns / total if total else 0.0
+            lines.append(f"    {name:28s} {ns:>10.1f} ns/access  ({share:5.1%})")
+        covered = total / kernel if kernel else 0.0
+        lines.append(
+            f"    {'units, summed':28s} {total:>10.1f} ns/access  "
+            f"({covered:5.1%} of the kernel's {kernel:.1f} ns/access)"
+        )
     if any(report.batch_counters.values()):
         lines += ["", "batch kernel counters (this process, deterministic):"]
         for name, value in report.batch_counters.items():

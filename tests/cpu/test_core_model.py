@@ -86,3 +86,39 @@ class TestAccounting:
         stats = model.finalize()
         assert stats.cycles == 0
         assert stats.ipc == 0.0
+
+
+class TestConfigValidation:
+    """A zero-sized core is refused at construction, on every path: the
+    compiled kernel reads the load-queue ring and divides by the issue
+    width without checking either."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"issue_width": 0}, "issue_width"),
+            ({"issue_width": -4}, "issue_width"),
+            ({"lq_size": 0}, "lq_size"),
+            ({"lq_size": -1}, "lq_size"),
+        ],
+    )
+    def test_rejects_sizes_below_one(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            CoreConfig(**fields)
+
+    def test_smallest_valid_core_runs(self):
+        model = CoreModel(CoreConfig(issue_width=1, rob_size=1, lq_size=1))
+        stats = run_accesses(model, [(0, 5, False)] * 10)
+        assert stats.instructions == 10
+
+    @pytest.mark.parametrize("fields", [{"issue_width": 0}, {"lq_size": 0}])
+    def test_native_simulator_refuses_before_running(self, fields):
+        # at the parent, lq_size=0 killed the process (SIGFPE in the
+        # kernel's load-queue ring) and issue_width=0 returned a result
+        # where the interpreted oracle raises ZeroDivisionError
+        from repro.prefetchers.nopf import NoPrefetcher
+        from repro.sim.simulator import Simulator
+
+        with pytest.raises(ValueError):
+            Simulator(NoPrefetcher(), core_config=CoreConfig(**fields), native=True)
+

@@ -180,6 +180,12 @@ def _fuzz_context(rng: random.Random, degree: int):
     still forces the documented native fallback on ~5% of cases.  The
     adaptive-window ablation keeps the default (known recenter-safe)
     window geometry so both kernels stay on the represented path.
+
+    Two shapes are drawn last, so every earlier draw is unchanged:
+    non-power-of-two block and delta granularities (the kernel divides
+    where a power of two lets it shift), and a saturating queue — no
+    longer than the reward window, eight predictions per access — whose
+    pushes append to live buckets and whose FIFO evicts unhit heads.
     """
     from repro.core.config import ContextPrefetcherConfig
     from repro.core.prefetcher import ContextPrefetcher
@@ -222,10 +228,38 @@ def _fuzz_context(rng: random.Random, degree: int):
         adaptive_window=adaptive_window,
         window_update_period=rng.choice((512, 2048)),
     )
+    shape = rng.random()
+    if shape < 0.15:
+        cfg = dataclasses.replace(
+            cfg,
+            block_bytes=rng.choice((24, 48)),
+            delta_granularity=rng.choice((96, 192)),
+        )
+    elif shape < 0.3 and not adaptive_window:
+        # (a recentered window could then overrun the short queue)
+        cfg = dataclasses.replace(
+            cfg, prefetch_queue_entries=cfg.window_hi, max_degree=8
+        )
     return ContextPrefetcher(cfg)
 
 
-def _run_case(label: str, length_range: tuple[int, int]) -> None:
+def _saturating(pf) -> bool:
+    """The saturating-queue shape :func:`_fuzz_context` draws."""
+    from repro.core.prefetcher import ContextPrefetcher
+
+    if not isinstance(pf, ContextPrefetcher):
+        return False
+    cfg = pf.config
+    return cfg.prefetch_queue_entries == cfg.window_hi and cfg.max_degree == 8
+
+
+def _run_case(
+    label: str, length_range: tuple[int, int], *, saturation_check: bool = False
+) -> None:
+    """One differential case; ``saturation_check`` also requires a native
+    saturating-queue run to have hit and expired queue entries (a short
+    fast-tier trace may never train the CST past its score threshold, so
+    only the extended tier's traces carry that claim)."""
     rng = random.Random(_seed_for(label))
     line = rng.choice((32, 64, 64, 64, 128))
     trace = _fuzz_trace(rng, rng.randrange(*length_range), line)
@@ -258,6 +292,14 @@ def _run_case(label: str, length_range: tuple[int, int]) -> None:
             # a fallback is legal, but it must say why — the sweep
             # summary aggregates exactly these strings
             assert sim.last_native_fallback, f"{label}: silent fallback"
+        if saturation_check and native and sim.last_run_native and _saturating(pf):
+            # the saturating shape reaches the queue's edge cases: pushes
+            # that append to a live bucket and evictions of unhit heads
+            from repro.sim.native.adapter import context_unit_counters
+
+            counters = context_unit_counters(pf)
+            assert counters["queue_hits"] > 0, label
+            assert counters["queue_expirations"] > 0, label
     interpreted, native_result = results
     assert native_result == interpreted, (
         f"{label}: native kernel diverged from the interpreted oracle\n"
@@ -274,7 +316,7 @@ def test_native_differential_fuzz(case: int) -> None:
 @pytest.mark.slow
 @pytest.mark.parametrize("case", range(NUM_SLOW_CASES))
 def test_native_differential_fuzz_extended(case: int) -> None:
-    _run_case(f"native-fuzz/slow/{case}", (800, 4000))
+    _run_case(f"native-fuzz/slow/{case}", (800, 4000), saturation_check=True)
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,8 @@ class TestInterpretedMode:
         report = profile_run("mcf", "stride", limit=500, with_cprofile=False)
         assert report.timing_table == ""
         assert "cProfile" not in render(report)
+        assert not report.kernel_units
+        assert "kernel unit timings" not in render(report)
 
 
 class TestNativeMode:
@@ -97,3 +99,27 @@ class TestNativeMode:
         }
         text = render(report)
         assert "native kernel" in text
+
+    def test_native_unit_table_from_the_timing_build(self):
+        # the native profile runs the unit-timing build; its result must
+        # equal the default kernel's, and its table covers the units a
+        # run reaches (the table-family unit only on table families)
+        _require_native()
+        from repro.sim.config import PREFETCHER_FACTORIES
+        from repro.sim.native._csrc import UNIT_NAMES
+        from repro.sim.simulator import Simulator
+        from repro.workloads.suites import get_workload
+
+        trace = get_workload("array").build().trace()[:2000]
+        for name, absent in (("context", {"table"}), ("stride", set(UNIT_NAMES[:6]))):
+            report = profile_run(
+                "array", name, limit=2000, with_cprofile=False, native=True
+            )
+            sim = Simulator(PREFETCHER_FACTORIES[name](), native=True)
+            assert report.result == sim.run(trace, workload_name="array")
+            assert set(report.kernel_units) == set(UNIT_NAMES) - absent, name
+            assert report.kernel_ns_per_access > 0
+            text = render(report)
+            assert "kernel unit timings" in text
+            assert "units, summed" in text
+
