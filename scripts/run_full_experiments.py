@@ -4,14 +4,17 @@ Usage:  python scripts/run_full_experiments.py [small|medium|full] [outdir]
             [--jobs N] [--no-cache] [--cache-dir DIR]
             [--no-store] [--store-dir DIR] [--db PATH]
 
-This is the script behind EXPERIMENTS.md: it executes the shared sweep
-once, regenerates every figure from it, and writes the rendered text
-reports (plus a machine-readable summary JSON) into the output directory.
+This is the script behind EXPERIMENTS.md: it runs every figure's cells
+through one result DB (the ``--db`` file, else an in-memory one), so a
+cell two reports share is simulated once, and writes the rendered text
+reports (plus a machine-readable summary JSON) into the output
+directory.  ``--db`` keeps the whole evaluation queryable with
+``repro serve query``.
 
-``--jobs N`` fans the sweep grid over N worker processes; sweep cells
+``--jobs N`` fans the sweep grids over N worker processes; sweep cells
 are memoized under ``results/.cache/`` unless ``--no-cache`` is given,
 and workload traces are compiled once into binary store files under
-``results/.cache/traces/`` unless ``--no-store`` is given.  All three
+``results/.cache/traces/`` unless ``--no-store`` is given.  All of these
 are bit-neutral (see docs/parallel_runner.md and docs/trace_store.md) —
 only wall-clock time changes, which this script reports per job.
 """
@@ -26,7 +29,7 @@ from pathlib import Path
 import repro.experiments as ex
 from repro.sim.cache import DEFAULT_CACHE_DIR, SweepCache
 from repro.sim.parallel import set_default_execution
-from repro.sim.sched.db import ResultDB
+from repro.sim.sched.db import IN_MEMORY, ResultDB
 from repro.workloads.store import DEFAULT_TRACE_DIR, TraceStore
 
 
@@ -52,8 +55,9 @@ def parse_args() -> argparse.Namespace:
                              "kernel (bit-exact; --no-native forces the "
                              "interpreted reference loop)")
     parser.add_argument("--db", default=None, metavar="PATH",
-                        help="also commit sweep cells into this resumable "
-                             "SQLite result store (see docs/sweep_service.md)")
+                        help="commit the run's cells into this resumable "
+                             "SQLite result store instead of an in-memory "
+                             "one (see docs/sweep_service.md)")
     parser.add_argument("--kernel-threads", type=int, default=0, metavar="T",
                         help="OpenMP threads per worker for the kernel's "
                              "in-shard batch driver (0 = runtime default; "
@@ -69,13 +73,13 @@ def main() -> int:
 
     cache = None if args.no_cache else SweepCache(args.cache_dir or DEFAULT_CACHE_DIR)
     store = None if args.no_store else TraceStore(args.store_dir or DEFAULT_TRACE_DIR)
-    db = None if args.db is None else ResultDB(args.db)
+    db = ResultDB(IN_MEMORY if args.db is None else args.db)
     set_default_execution(jobs=args.jobs, cache=cache, store=store,
                           native=args.native, db=db,
                           kernel_threads=args.kernel_threads)
     print(f"result cache: {'off' if cache is None else cache.root}")
     print(f"trace store:  {'off' if store is None else store.root}")
-    print(f"result db:    {'off' if db is None else db.path}")
+    print(f"result db:    {db.path}")
     print(f"kernel:       {'native' if args.native else 'interpreted'}")
 
     t0 = time.time()
@@ -174,6 +178,7 @@ def main() -> int:
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, default=str), encoding="utf-8"
     )
+    db.close()
     print(f"[{time.time()-t0:7.1f}s] done -> {outdir}")
     return 0
 

@@ -103,6 +103,11 @@ class ContextPrefetcherConfig:
     window_center_bounds: tuple[int, int] = (12, 90)
 
     def __post_init__(self) -> None:
+        # 0 passes the power-of-two tests (0 & -1 == 0); granules divide
+        for name in ("cst_entries", "reducer_entries", "cst_links",
+                     "block_bytes", "delta_granularity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.cst_entries & (self.cst_entries - 1):
             raise ValueError("cst_entries must be a power of two")
         if self.reducer_entries & (self.reducer_entries - 1):

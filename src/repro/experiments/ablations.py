@@ -9,7 +9,9 @@ DESIGN.md calls out five mechanisms worth isolating:
 * history-queue sampling density (sparse vs dense collection)
 
 Each variant runs the same workloads; the report shows mean speedup over
-the no-prefetch baseline per variant.
+the no-prefetch baseline per variant.  The prefetcher variants are one
+plan over the context-config axis; the hierarchy variants are one plan
+each, and every variant divides by the same baseline cells.
 """
 
 from __future__ import annotations
@@ -17,14 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.experiments.report import render_table
-from repro.experiments.sweep import SCALES
+from repro.experiments.sweep import SCALES, context_speedups
 from repro.memory.hierarchy import HierarchyConfig
 from repro.sim.metrics import geomean
-from repro.sim.runner import run_workload
-from repro.sim.simulator import Simulator
-from repro.workloads.suites import get_workload
+from repro.sim.runner import compare
 
 #: irregular-leaning subset where the learning machinery matters most
 DEFAULT_WORKLOADS = ("list", "hashtest", "graph500-list", "mcf", "array")
@@ -69,26 +68,15 @@ def run(
     scale: str = "small", workloads: tuple[str, ...] = DEFAULT_WORKLOADS
 ) -> AblationResult:
     limit = SCALES[scale]["limit"]
-    specs = [get_workload(name) for name in workloads]
-    traces = {spec.name: spec.build().trace() for spec in specs}
-    baselines = {
-        name: run_workload(get_workload(name), "none", limit=limit)
-        for name in traces
-    }
-
-    speedups: dict[str, dict[str, float]] = {}
-    for label, config in variant_configs().items():
-        speedups[label] = {}
-        for name, trace in traces.items():
-            sim = Simulator(ContextPrefetcher(config))
-            result = sim.run(trace, workload_name=name, limit=limit)
-            speedups[label][name] = result.speedup_over(baselines[name])
-    for label, hier_config in hierarchy_variants().items():
-        speedups[label] = {}
-        for name, trace in traces.items():
-            sim = Simulator(ContextPrefetcher(), hierarchy_config=hier_config)
-            result = sim.run(trace, workload_name=name, limit=limit)
-            speedups[label][name] = result.speedup_over(baselines[name])
+    baselines = compare(workloads, ("none",), limit=limit)
+    configs = variant_configs()
+    speedups = dict(
+        zip(configs, context_speedups(baselines, configs.values(), limit=limit))
+    )
+    for label, hierarchy in hierarchy_variants().items():
+        (speedups[label],) = context_speedups(
+            baselines, [configs["full"]], limit=limit, hierarchy_config=hierarchy
+        )
     means = {
         label: geomean(list(per_wl.values())) for label, per_wl in speedups.items()
     }

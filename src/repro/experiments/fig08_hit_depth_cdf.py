@@ -14,7 +14,7 @@ from repro.core.config import ContextPrefetcherConfig
 from repro.experiments.report import render_table
 from repro.experiments.sweep import SCALES, UKERNELS
 from repro.sim.metrics import HitDepthCDF
-from repro.sim.runner import run_workload
+from repro.sim.runner import compare
 
 
 #: the "regular benchmarks" subset of the paper's bottom panel
@@ -48,11 +48,11 @@ def run(
     workloads: tuple[str, ...] = UKERNELS,
 ) -> Figure8Result:
     config = ContextPrefetcherConfig()
-    limit = SCALES[scale]["limit"]
-    cdfs: dict[str, HitDepthCDF] = {}
-    for name in workloads:
-        result = run_workload(name, "context", limit=limit)
-        cdfs[name] = result.hit_depths
+    comparison = compare(workloads, ("context",), limit=SCALES[scale]["limit"])
+    cdfs = {
+        name: comparison.get(name, "context").hit_depths
+        for name in comparison.workloads()
+    }
     return Figure8Result(cdfs=cdfs, window=(config.window_lo, config.window_hi))
 
 

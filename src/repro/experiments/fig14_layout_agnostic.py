@@ -16,8 +16,12 @@ from repro.experiments.report import render_table
 from repro.experiments.sweep import SCALES
 from repro.sim.config import PREFETCHER_ORDER
 from repro.sim.runner import compare
-from repro.workloads.bfs import Graph500CSRProgram, Graph500Program
-from repro.workloads.ssca2 import SSCA2CSRProgram, SSCA2ListProgram
+
+#: case study -> layout -> registry workload
+STUDIES = {
+    "ssca2": {"linked": "ssca2-list", "array": "ssca2-csr"},
+    "graph500": {"linked": "graph500-list", "array": "graph500-csr"},
+}
 
 
 @dataclass
@@ -32,25 +36,18 @@ class Figure14Result:
 
 
 def run(scale: str = "small", prefetchers=PREFETCHER_ORDER) -> Figure14Result:
-    limit = SCALES[scale]["limit"]
-    studies = {
-        "ssca2": {
-            "linked": SSCA2ListProgram(),
-            "array": SSCA2CSRProgram(),
-        },
-        "graph500": {
-            "linked": Graph500Program(),
-            "array": Graph500CSRProgram(),
-        },
+    comparison = compare(
+        [name for layouts in STUDIES.values() for name in layouts.values()],
+        prefetchers,
+        limit=SCALES[scale]["limit"],
+    )
+    cpi = {
+        study: {
+            layout: {pf: comparison.get(name, pf).cpi for pf in prefetchers}
+            for layout, name in layouts.items()
+        }
+        for study, layouts in STUDIES.items()
     }
-    cpi: dict[str, dict[str, dict[str, float]]] = {}
-    for study, layouts in studies.items():
-        cpi[study] = {}
-        for layout, program in layouts.items():
-            comparison = compare([program], prefetchers, limit=limit)
-            cpi[study][layout] = {
-                pf: comparison.get(program.name, pf).cpi for pf in prefetchers
-            }
     return Figure14Result(cpi=cpi)
 
 

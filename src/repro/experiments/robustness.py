@@ -5,6 +5,10 @@ graph structure) and the prefetcher's (ε-greedy exploration).  This
 experiment re-runs a workload subset across several seeds of each and
 reports the spread of the context prefetcher's speedup — evidence that
 the reproduction's conclusions do not hinge on a lucky seed.
+
+The prefetcher seeds are one plan over the context-config axis, divided
+by one set of baseline cells; each workload seed is one ``compare`` of
+the reseeded programs under both prefetchers.
 """
 
 from __future__ import annotations
@@ -13,11 +17,9 @@ import statistics
 from dataclasses import dataclass, replace
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.experiments.report import render_table
-from repro.experiments.sweep import SCALES
-from repro.prefetchers.nopf import NoPrefetcher
-from repro.sim.simulator import Simulator
+from repro.experiments.sweep import SCALES, context_speedups
+from repro.sim.runner import compare
 from repro.workloads.suites import get_workload
 
 DEFAULT_WORKLOADS = ("list", "graph500-list", "array")
@@ -54,43 +56,37 @@ class RobustnessResult:
     prefetcher_seed_spread: dict[str, SpeedupSpread]
 
 
-def _speedup(trace, pf_config: ContextPrefetcherConfig, limit) -> float:
-    base = Simulator(NoPrefetcher()).run(trace, limit=limit)
-    ctx = Simulator(ContextPrefetcher(pf_config)).run(trace, limit=limit)
-    return ctx.speedup_over(base)
-
-
 def run(
     scale: str = "small",
     workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
 ) -> RobustnessResult:
     limit = SCALES[scale]["limit"]
-    base_config = ContextPrefetcherConfig()
-
-    workload_spread: dict[str, SpeedupSpread] = {}
-    prefetcher_spread: dict[str, SpeedupSpread] = {}
-    for name in workloads:
-        spec = get_workload(name)
-
-        samples = []
-        for seed in seeds:
-            program = spec.factory()
+    # every seed's programs carry the registry names, and one grid holds
+    # one workload per name: a compare per workload seed
+    workload_samples: dict[str, list[float]] = {name: [] for name in workloads}
+    for seed in seeds:
+        programs = {name: get_workload(name).build() for name in workloads}
+        for program in programs.values():
             program.seed = seed
-            if hasattr(program, "_trace_cache"):
-                del program._trace_cache
-            samples.append(_speedup(program.trace(), base_config, limit))
-        workload_spread[name] = SpeedupSpread(samples)
-
-        trace = spec.build().trace()
-        samples = [
-            _speedup(trace, replace(base_config, seed=seed), limit)
-            for seed in seeds
-        ]
-        prefetcher_spread[name] = SpeedupSpread(samples)
+        speedups = compare(
+            programs.values(), ("none", "context"), limit=limit
+        ).speedups()
+        for name, program in programs.items():
+            workload_samples[name].append(speedups[program.name]["context"])
+    by_prefetcher_seed = context_speedups(
+        compare(workloads, ("none",), limit=limit),
+        [replace(ContextPrefetcherConfig(), seed=seed) for seed in seeds],
+        limit=limit,
+    )
     return RobustnessResult(
-        workload_seed_spread=workload_spread,
-        prefetcher_seed_spread=prefetcher_spread,
+        workload_seed_spread={
+            name: SpeedupSpread(samples) for name, samples in workload_samples.items()
+        },
+        prefetcher_seed_spread={
+            name: SpeedupSpread([per_wl[name] for per_wl in by_prefetcher_seed])
+            for name in workloads
+        },
     )
 
 

@@ -10,7 +10,9 @@ paper fixes by construction, showing how robust the headline result is:
 * exploration ceiling ε_max
 
 Each variant reports the geometric-mean speedup over the no-prefetch
-baseline on an irregular-leaning workload subset.
+baseline on an irregular-leaning workload subset.  Every setting is one
+slot of a single plan's context-config axis; the paper-default setting
+each knob repeats is one config, so its cells run once.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.experiments.report import render_table
-from repro.experiments.sweep import SCALES
+from repro.experiments.sweep import SCALES, context_speedups
 from repro.sim.metrics import geomean
-from repro.sim.runner import run_workload
-from repro.sim.simulator import Simulator
-from repro.workloads.suites import get_workload
+from repro.sim.runner import compare
 
 DEFAULT_WORKLOADS = ("list", "graph500-list", "array")
 
@@ -89,23 +88,19 @@ def run(
     scale: str = "small", workloads: tuple[str, ...] = DEFAULT_WORKLOADS
 ) -> SensitivityResult:
     limit = SCALES[scale]["limit"]
-    specs = [get_workload(name) for name in workloads]
-    traces = {spec.name: spec.build().trace() for spec in specs}
-    baselines = {
-        name: run_workload(get_workload(name), "none", limit=limit)
-        for name in traces
-    }
-
+    settings = [
+        (knob, label, config)
+        for knob, by_label in parameter_grid().items()
+        for label, config in by_label.items()
+    ]
+    speedups = context_speedups(
+        compare(workloads, ("none",), limit=limit),
+        [config for _, _, config in settings],
+        limit=limit,
+    )
     grid: dict[str, dict[str, float]] = {}
-    for knob, settings in parameter_grid().items():
-        grid[knob] = {}
-        for label, config in settings.items():
-            speedups = []
-            for name, trace in traces.items():
-                sim = Simulator(ContextPrefetcher(config))
-                result = sim.run(trace, workload_name=name, limit=limit)
-                speedups.append(result.speedup_over(baselines[name]))
-            grid[knob][label] = geomean(speedups)
+    for (knob, label, _), per_wl in zip(settings, speedups):
+        grid.setdefault(knob, {})[label] = geomean(list(per_wl.values()))
     return SensitivityResult(grid=grid, workloads=workloads)
 
 

@@ -162,27 +162,6 @@ class ComparisonResult:
         )
 
 
-def _execution(
-    jobs: int | None,
-    cache: "SweepCache | Path | str | bool | None",
-    store: "TraceStore | Path | str | bool | None",
-    native: bool | None,
-) -> dict:
-    """The sweep's execution choices, ``None`` deferring to the
-    process-wide defaults (:func:`repro.sim.parallel.set_default_execution`)."""
-    from repro.sim.cache import resolve_cache
-    from repro.sim.parallel import default_execution
-    from repro.workloads.store import resolve_store
-
-    defaults = default_execution()
-    return dict(
-        jobs=defaults.jobs if jobs is None else max(1, jobs),
-        cache=resolve_cache(cache, default=defaults.cache),
-        store=resolve_store(store, default=defaults.store),
-        native=defaults.native if native is None else native,
-    )
-
-
 def compare(
     workloads: Iterable[WorkloadSpec | TraceProgram | str],
     prefetchers: Iterable[str] = PREFETCHER_ORDER,
@@ -221,7 +200,10 @@ def compare(
         core_config=core_config,
         limit=limit,
         progress=progress,
-        **_execution(jobs, cache, store, native),
+        jobs=jobs,
+        cache=cache,
+        store=store,
+        native=native,
     )
 
 
@@ -251,5 +233,8 @@ def storage_sweep(
         cst_sizes,
         limit=limit,
         base_config=base_config,
-        **_execution(jobs, cache, store, native),
+        jobs=jobs,
+        cache=cache,
+        store=store,
+        native=native,
     )

@@ -146,6 +146,17 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             ContextPrefetcherConfig(history_entries=10, sample_depths=(5, 20))
 
+    @pytest.mark.parametrize(
+        "field",
+        ["cst_entries", "reducer_entries", "cst_links", "block_bytes",
+         "delta_granularity"],
+    )
+    def test_zero_sized_tables_and_granules_rejected(self, field):
+        # a zero table size passes the power-of-two test and hangs the
+        # kernel; a zero granule divides by zero on the first access
+        with pytest.raises(ValueError, match=field):
+            ContextPrefetcherConfig(**{field: 0})
+
 
 class TestDeterminismAndReset:
     def test_deterministic_across_instances(self):

@@ -7,6 +7,7 @@ meaningful scale).
 
 import pytest
 
+from repro.core.config import ContextPrefetcherConfig
 from repro.experiments import (
     ablations,
     fig01_semantic_locality as fig01,
@@ -20,10 +21,11 @@ from repro.experiments import (
     fig14_layout_agnostic as fig14,
     tables,
 )
-from repro.experiments.sweep import sweep_workloads
+from repro.experiments.sweep import SCALES, sweep_workloads
 from repro.memory.stats import ACCESS_CLASS_ORDER
 from repro.sim.runner import compare
 from repro.workloads.suites import get_workload
+from tests.oracle import serial_compare, serial_context_grid
 
 
 @pytest.fixture(scope="module")
@@ -150,15 +152,17 @@ class TestFig13:
 
 
 class TestFig14:
-    def test_structure(self):
-        result = fig14.run(scale="small", prefetchers=("none", "context"))
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig14.run(scale="small", prefetchers=("none", "context"))
+
+    def test_structure(self, result):
         assert set(result.cpi) == {"ssca2", "graph500"}
         assert set(result.cpi["ssca2"]) == {"linked", "array"}
         gap = result.layout_gap("ssca2", "none")
         assert gap > 0
 
-    def test_render(self):
-        result = fig14.run(scale="small", prefetchers=("none", "context"))
+    def test_render(self, result):
         assert "Figure 14" in fig14.render(result)
 
 
@@ -184,14 +188,35 @@ class TestAblations:
         assert not configs["no-reducer"].adaptive_reduction
         assert configs["flat-reward"].reward_shape == "flat"
 
-    def test_run_structure(self):
-        result = ablations.run(workloads=("array",))
+    @pytest.fixture(scope="class")
+    def result(self):
+        return ablations.run(workloads=("array",))
+
+    def test_run_structure(self, result):
         expected = set(ablations.variant_configs()) | set(
             ablations.hierarchy_variants()
         )
         assert set(result.means) == expected
         assert all(m > 0 for m in result.means.values())
 
-    def test_render(self):
-        result = ablations.run(workloads=("array",))
+    def test_render(self, result):
         assert "Ablations" in ablations.render(result)
+
+    def test_speedups_equal_a_direct_simulator_loop(self, monkeypatch):
+        limit = 1000
+        monkeypatch.setitem(SCALES, "tiny", dict(limit=limit, subset=True))
+        result = ablations.run("tiny", workloads=("list",))
+
+        baseline = serial_compare(["list"], ("none",), limit=limit).get("list", "none")
+        configs = ablations.variant_configs()
+        grid = serial_context_grid(["list"], configs.values(), limit=limit)
+        runs = dict(zip(configs, grid))
+        for label, hierarchy in ablations.hierarchy_variants().items():
+            (runs[label],) = serial_context_grid(
+                ["list"], [ContextPrefetcherConfig()], limit=limit,
+                hierarchy_config=hierarchy,
+            )
+        assert result.speedups == {
+            label: {"list": by_wl["list"].speedup_over(baseline)}
+            for label, by_wl in runs.items()
+        }

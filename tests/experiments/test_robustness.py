@@ -1,9 +1,18 @@
 """Tests for the seed-robustness experiment."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.config import ContextPrefetcherConfig
 from repro.experiments import robustness
-from repro.experiments.robustness import SpeedupSpread
+from repro.experiments.robustness import RobustnessResult, SpeedupSpread
+from repro.experiments.sweep import SCALES
+from repro.workloads.suites import get_workload
+from tests.oracle import serial_compare, serial_context_grid
+
+#: a scale small enough for the interpreted oracle to replay every seed
+TINY = dict(limit=1000, subset=True)
 
 
 class TestSpeedupSpread:
@@ -51,3 +60,44 @@ class TestRun:
         text = robustness.render(result)
         assert "Seed robustness" in text
         assert "workload-seed" in text and "prefetcher-seed" in text
+
+
+class TestAgainstOracle:
+    def test_both_seed_axes_equal_a_direct_simulator_loop(self, monkeypatch):
+        monkeypatch.setitem(SCALES, "tiny", TINY)
+        workloads, seeds = ("list",), (7, 11)
+        result = robustness.run("tiny", workloads, seeds)
+
+        limit = TINY["limit"]
+
+        def workload_seed_speedup(name, seed):
+            program = get_workload(name).build()
+            program.seed = seed
+            runs = serial_compare([program], ("none", "context"), limit=limit)
+            return runs.get(name, "context").speedup_over(runs.get(name, "none"))
+
+        baselines = serial_compare(workloads, ("none",), limit=limit)
+        per_seed = serial_context_grid(
+            workloads,
+            [replace(ContextPrefetcherConfig(), seed=seed) for seed in seeds],
+            limit=limit,
+        )
+        expected = RobustnessResult(
+            workload_seed_spread={
+                name: SpeedupSpread(
+                    [workload_seed_speedup(name, seed) for seed in seeds]
+                )
+                for name in workloads
+            },
+            prefetcher_seed_spread={
+                name: SpeedupSpread(
+                    [
+                        by_wl[name].speedup_over(baselines.get(name, "none"))
+                        for by_wl in per_seed
+                    ]
+                )
+                for name in workloads
+            },
+        )
+        assert result == expected
+        assert robustness.render(result) == robustness.render(expected)

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.experiments import sensitivity
+from repro.experiments.sweep import SCALES
+from repro.sim.metrics import geomean
+from tests.oracle import serial_compare, serial_context_grid
+
+#: a scale small enough for the interpreted oracle to replay every setting
+TINY = dict(limit=1000, subset=True)
 
 
 class TestGrid:
@@ -48,3 +54,29 @@ class TestRun:
         text = sensitivity.render(result)
         assert "best" in text
         assert "Parameter sensitivity" in text
+
+
+class TestAgainstOracle:
+    def test_report_equals_a_direct_simulator_loop(self, monkeypatch):
+        monkeypatch.setitem(SCALES, "tiny", TINY)
+        workloads = ("list",)
+        result = sensitivity.run("tiny", workloads)
+
+        limit = TINY["limit"]
+        settings = [
+            (knob, label, config)
+            for knob, by_label in sensitivity.parameter_grid().items()
+            for label, config in by_label.items()
+        ]
+        baselines = serial_compare(workloads, ("none",), limit=limit)
+        runs = serial_context_grid(
+            workloads, [config for *_, config in settings], limit=limit
+        )
+        grid = {}
+        for (knob, label, _), by_wl in zip(settings, runs):
+            grid.setdefault(knob, {})[label] = geomean(
+                [by_wl[wl].speedup_over(baselines.get(wl, "none")) for wl in workloads]
+            )
+        expected = sensitivity.SensitivityResult(grid=grid, workloads=workloads)
+        assert result == expected
+        assert sensitivity.render(result) == sensitivity.render(expected)

@@ -10,6 +10,7 @@ from typing import Iterable
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.core.prefetcher import ContextPrefetcher
+from repro.memory.hierarchy import HierarchyConfig
 from repro.sim.config import PREFETCHER_FACTORIES
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import ComparisonResult
@@ -44,18 +45,32 @@ def serial_compare(
     return out
 
 
+def serial_context_grid(
+    workloads: Workloads,
+    configs: Iterable[ContextPrefetcherConfig],
+    *,
+    limit: int | None = None,
+    hierarchy_config: HierarchyConfig | None = None,
+) -> list[dict[str, SimulationResult]]:
+    """What a context-config axis must return: per config, in order, the
+    context prefetcher's result on every workload."""
+    traces = list(_traces(workloads))
+    return [
+        {
+            name: Simulator(
+                ContextPrefetcher(config), hierarchy_config=hierarchy_config
+            ).run(trace, workload_name=name, limit=limit)
+            for name, trace in traces
+        }
+        for config in configs
+    ]
+
+
 def serial_storage_sweep(
     workloads: Workloads, cst_sizes: Iterable[int], *, limit: int | None = None
 ) -> dict[int, dict[str, SimulationResult]]:
     """What ``storage_sweep`` must return under the default base config."""
-    traces = list(_traces(workloads))
+    sizes = list(cst_sizes)
     base = ContextPrefetcherConfig()
-    return {
-        size: {
-            name: Simulator(ContextPrefetcher(base.scaled(size))).run(
-                trace, workload_name=name, limit=limit
-            )
-            for name, trace in traces
-        }
-        for size in cst_sizes
-    }
+    configs = [base.scaled(size) for size in sizes]
+    return dict(zip(sizes, serial_context_grid(workloads, configs, limit=limit)))
