@@ -5,8 +5,9 @@ The sweep behind Figures 9–12 is expensive, so it runs once per session
 each figure from it.  The sweep itself is benchmarked separately in
 ``test_bench_sweep.py``.
 
-The result cache is always disabled here — benchmarks must measure
-simulation, not disk reads.  Set ``REPRO_BENCH_JOBS=N`` to run the
+Every sweep here commits into a private in-memory result DB (no
+``--db`` default applies outside the CLI), so benchmarks measure
+simulation, not reads of earlier runs.  Set ``REPRO_BENCH_JOBS=N`` to run the
 benchmark sweeps through the parallel engine (the parity suite
 guarantees the numbers themselves cannot change, only wall-clock time).
 """
@@ -39,7 +40,6 @@ def bench_sweep_impl(jobs: int | None = None):
         workloads,
         limit=BENCH_LIMIT,
         jobs=bench_jobs() if jobs is None else jobs,
-        cache=False,
     )
 
 

@@ -24,7 +24,7 @@ the repo carries a measured trajectory instead of asserted speedups:
   without it.  Per workload: build (TraceBuilder) vs encode
   (``write_trace``) vs decode (``read_trace``) vs warm ``ensure`` time.
   Per sweep: wall time of the same multi-cell grid dispatched with
-  ``jobs=2`` with the store off (the ``legacy`` leg: no cache or DB,
+  ``jobs=2`` with the store off (the ``legacy`` leg: an in-memory DB,
   so cells are keyed without fingerprints and the workers rebuild each
   trace by name) and on (cold compile, then warm mmap), with the two
   results asserted field-for-field identical before any number is
@@ -183,7 +183,7 @@ def measure_kernel(
 
 
 def measure_figures(quick: bool) -> dict:
-    """Wall time of representative figure regenerations (cache off)."""
+    """Wall time of representative figure regenerations (in-memory DB)."""
     from repro.experiments import fig01_semantic_locality, fig05_reward
     from repro.experiments import fig12_speedup
     from repro.sim.runner import compare
@@ -202,9 +202,7 @@ def measure_figures(quick: bool) -> dict:
         workloads = [get_workload(n) for n in KERNEL_WORKLOADS]
         comparison = timed(
             "sweep_compact",
-            lambda: compare(
-                workloads, limit=KERNEL_LIMIT, jobs=1, cache=False
-            ),
+            lambda: compare(workloads, limit=KERNEL_LIMIT, jobs=1),
         )
         timed(
             "fig12_speedup_view",
@@ -294,12 +292,11 @@ def measure_trace_pipeline(quick: bool) -> dict:
                 prefetchers,
                 limit=limit,
                 jobs=jobs,
-                cache=False,
                 store=store,
             )
             return time.perf_counter() - t0, result
 
-        # store off, no cache or DB: cells are keyed without
+        # store off, in-memory DB: cells are keyed without
         # fingerprints and workers rebuild each trace by name
         legacy_s = float("inf")
         for _ in range(repeats):

@@ -36,7 +36,7 @@ GOLDEN_PATH = REPO / "tests" / "golden" / "small_sweep.json"
 def collect_metrics() -> dict:
     sweep = compare(
         SPEC["workloads"], tuple(SPEC["prefetchers"]), limit=SPEC["limit"],
-        jobs=1, cache=False,
+        jobs=1,
     )
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     for wl in sweep.workloads():

@@ -1,19 +1,20 @@
 """Run every paper figure at a chosen scale and dump rendered reports.
 
 Usage:  python scripts/run_full_experiments.py [small|medium|full] [outdir]
-            [--jobs N] [--no-cache] [--cache-dir DIR]
-            [--no-store] [--store-dir DIR] [--db PATH]
+            [--jobs N] [--no-store] [--store-dir DIR] [--db PATH]
+            [--native/--no-native] [--kernel-threads T]
 
 This is the script behind EXPERIMENTS.md: it runs every figure's cells
-through one result DB (the ``--db`` file, else an in-memory one), so a
-cell two reports share is simulated once, and writes the rendered text
-reports (plus a machine-readable summary JSON) into the output
-directory.  ``--db`` keeps the whole evaluation queryable with
-``repro serve query``.
+through one result DB, so a cell two reports share is simulated once,
+and writes the rendered text reports (plus a machine-readable summary
+JSON) into the output directory.  The execution flags are the CLI's
+(``repro sweep``/``repro figure``): the DB is ``results/sweep.db``
+unless ``--db`` names another, so a rerun resumes every cell and
+``repro serve query`` reads the whole evaluation; ``--db :memory:``
+recomputes everything.
 
-``--jobs N`` fans the sweep grids over N worker processes; sweep cells
-are memoized under ``results/.cache/`` unless ``--no-cache`` is given,
-and workload traces are compiled once into binary store files under
+``--jobs N`` fans the sweep grids over N worker processes, and workload
+traces are compiled once into binary store files under
 ``results/.cache/traces/`` unless ``--no-store`` is given.  All of these
 are bit-neutral (see docs/parallel_runner.md and docs/trace_store.md) —
 only wall-clock time changes, which this script reports per job.
@@ -27,10 +28,7 @@ import time
 from pathlib import Path
 
 import repro.experiments as ex
-from repro.sim.cache import DEFAULT_CACHE_DIR, SweepCache
-from repro.sim.parallel import set_default_execution
-from repro.sim.sched.db import IN_MEMORY, ResultDB
-from repro.workloads.store import DEFAULT_TRACE_DIR, TraceStore
+from repro.cli import _add_execution_flags, _configure_execution
 
 
 def parse_args() -> argparse.Namespace:
@@ -38,30 +36,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("scale", nargs="?", default="medium",
                         choices=("small", "medium", "full"))
     parser.add_argument("outdir", nargs="?", default=None)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep grids (default: 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every sweep cell (skip results/.cache)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="result-cache directory (default: results/.cache)")
-    parser.add_argument("--no-store", action="store_true",
-                        help="rebuild traces in-process (skip the trace store)")
-    parser.add_argument("--store-dir", default=None, metavar="DIR",
-                        help="trace-store directory "
-                             "(default: results/.cache/traces)")
-    parser.add_argument("--native", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="run eligible cells through the compiled batch "
-                             "kernel (bit-exact; --no-native forces the "
-                             "interpreted reference loop)")
-    parser.add_argument("--db", default=None, metavar="PATH",
-                        help="commit the run's cells into this resumable "
-                             "SQLite result store instead of an in-memory "
-                             "one (see docs/sweep_service.md)")
-    parser.add_argument("--kernel-threads", type=int, default=0, metavar="T",
-                        help="OpenMP threads per worker for the kernel's "
-                             "in-shard batch driver (0 = runtime default; "
-                             "bit-identical at any thread count)")
+    _add_execution_flags(parser)
     return parser.parse_args()
 
 
@@ -70,25 +45,15 @@ def main() -> int:
     scale = args.scale
     outdir = Path(args.outdir or f"results/{scale}")
     outdir.mkdir(parents=True, exist_ok=True)
-
-    cache = None if args.no_cache else SweepCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    store = None if args.no_store else TraceStore(args.store_dir or DEFAULT_TRACE_DIR)
-    db = ResultDB(IN_MEMORY if args.db is None else args.db)
-    set_default_execution(jobs=args.jobs, cache=cache, store=store,
-                          native=args.native, db=db,
-                          kernel_threads=args.kernel_threads)
-    print(f"result cache: {'off' if cache is None else cache.root}")
-    print(f"trace store:  {'off' if store is None else store.root}")
-    print(f"result db:    {db.path}")
-    print(f"kernel:       {'native' if args.native else 'interpreted'}")
+    db = _configure_execution(args)
 
     t0 = time.time()
     # the engine itself is wall-clock-free (lint rule DET003); per-job
     # timing is injected here, from outside the simulator package
     print(
         f"[{time.time()-t0:7.1f}s] running standard sweep at scale={scale} "
-        f"(jobs={args.jobs}, cache={'off' if cache is None else 'on'}, "
-        f"store={'off' if store is None else 'on'}) ..."
+        f"(jobs={args.jobs}, result DB {db.path}, "
+        f"store={'off' if args.no_store else 'on'}) ..."
     )
     sweep = ex.standard_sweep(
         scale, progress=lambda s: print(f"    [{time.time()-t0:7.1f}s] {s}")

@@ -32,7 +32,7 @@ from repro.hints import RefForm, SemanticHints, TypeRegistry
 from repro.memory.hierarchy import Hierarchy, HierarchyConfig
 from repro.sim.config import PREFETCHER_FACTORIES, SystemConfig, make_prefetcher
 from repro.sim.metrics import SimulationResult, geomean
-from repro.sim.runner import ComparisonResult, compare, run_workload, storage_sweep
+from repro.sim.runner import ComparisonResult, compare, run_workload
 from repro.sim.simulator import Simulator
 from repro.workloads.suites import all_workloads, get_workload, workloads_in_suite
 
@@ -57,7 +57,6 @@ __all__ = [
     "get_workload",
     "make_prefetcher",
     "run_workload",
-    "storage_sweep",
     "workloads_in_suite",
     "__version__",
 ]

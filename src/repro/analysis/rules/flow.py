@@ -21,8 +21,9 @@ PR would quietly give back the 2x.  These rules pin the shape:
   by one go through rich comparison and ``__hash__``; the kernel uses
   ``is`` on hoisted members instead.
 * **FLW004** — a silent degrade path: an ``except`` handler in
-  ``sim/cache.py`` / ``workloads/store.py`` that neither re-raises nor
-  logs.  Degrade-to-rebuild is a *feature* of those modules, but an
+  ``sim/sched/db.py``, ``workloads/store.py`` or the native kernel's
+  build/decode/adapter layers that neither re-raises nor logs.
+  Degrade-to-rebuild is a *feature* of those modules, but an
   unobservable degrade hides corrupt stores and cold-cache storms.
   Handlers catching only ``FileNotFoundError`` are exempt: a cold miss
   is the expected case, not a degradation.
@@ -63,11 +64,13 @@ DEFAULT_HOT_TARGETS: tuple[tuple[str, str], ...] = (
     ("sim/simulator.py", "Simulator.run"),
 )
 
-#: default FLW004 scope: the degrade-to-rebuild modules (the native
-#: kernel's build/decode/adapter layers all degrade to the interpreted
-#: path and must never swallow a failure silently)
+#: default FLW004 scope: the degrade-to-rebuild modules (the result DB
+#: recomputes rows that will not decode, the trace store rebuilds
+#: corrupt files, and the native kernel's build/decode/adapter layers
+#: all degrade to the interpreted path): none may swallow a failure
+#: silently
 DEFAULT_DEGRADE_SCOPE: tuple[str, ...] = (
-    "sim/cache.py",
+    "sim/sched/db.py",
     "workloads/store.py",
     "sim/native/build.py",
     "sim/native/adapter.py",

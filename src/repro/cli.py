@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.experiments import (
     ablations,
@@ -53,6 +53,9 @@ from repro.sim.config import PREFETCHER_FACTORIES, PREFETCHER_ORDER
 from repro.sim.runner import compare, run_workload
 from repro.workloads.suites import SUITES, get_workload
 
+if TYPE_CHECKING:  # the result DB loads only for the commands that run sweeps
+    from repro.sim.sched.db import ResultDB
+
 #: figure name -> (module with run()/render(), takes scale?)
 _FIGURES = {
     "1": (fig01_semantic_locality, False),
@@ -75,7 +78,8 @@ _FIGURES = {
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel/caching surface shared by sweep-driven commands."""
+    """The execution surface shared by sweep-driven commands (and by
+    ``scripts/run_full_experiments.py``)."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -83,17 +87,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for the sweep grid (default: 1, runs "
         "in this process)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every sweep cell instead of reusing results/.cache/",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-cache directory (default: results/.cache)",
     )
     parser.add_argument(
         "--no-store",
@@ -118,8 +111,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--db",
         default=None,
         metavar="PATH",
-        help="stream executed cells into (and reuse cells from) a "
-        "queryable result DB (see `repro serve`)",
+        help="result DB the run's cells resume from and commit to, "
+        "queryable with `repro serve query` (default: results/sweep.db; "
+        ":memory: recomputes every cell)",
     )
     parser.add_argument(
         "--kernel-threads",
@@ -132,35 +126,30 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _configure_execution(args: argparse.Namespace) -> None:
-    """Install the --jobs/--no-cache/--no-store choices process-wide.
+def _configure_execution(args: argparse.Namespace) -> "ResultDB":
+    """Install the execution flags process-wide; returns the result DB,
+    which the caller closes when its sweeps are done.
 
     Figure modules call :func:`standard_sweep` themselves, so the flags
     are threaded through the execution defaults rather than every
-    ``run()`` signature.  Results are bit-identical either way — the
-    cache, the trace store and the worker pool only change wall-clock
-    time.  The chosen paths go to stderr so scripts can see exactly
-    which cache/store directories a run touched.
+    ``run()`` signature.  Every sweep of the invocation shares the one
+    result DB, so a cell two of its sweeps name runs once, and a rerun
+    resumes every cell an earlier one committed.  Results are
+    bit-identical either way — the DB, the trace store and the worker
+    pool only change wall-clock time.  The chosen paths go to stderr so
+    scripts can see exactly which DB and store a run touched.
     """
-    from repro.sim.cache import DEFAULT_CACHE_DIR, SweepCache
     from repro.sim.parallel import set_default_execution
+    from repro.sim.sched.db import DEFAULT_DB_PATH, ResultDB
     from repro.workloads.store import DEFAULT_TRACE_DIR, TraceStore
 
-    cache = None
-    if not args.no_cache:
-        cache = SweepCache(args.cache_dir or DEFAULT_CACHE_DIR)
     store = None
     if not args.no_store:
         store = TraceStore(args.store_dir or DEFAULT_TRACE_DIR)
-    db = None
-    if getattr(args, "db", None):
-        from repro.sim.sched.db import ResultDB
-
-        db = ResultDB(args.db)
-    kernel_threads = max(0, getattr(args, "kernel_threads", 0))
+    db = ResultDB(args.db or DEFAULT_DB_PATH)
+    kernel_threads = max(0, args.kernel_threads)
     set_default_execution(
         jobs=args.jobs,
-        cache=cache,
         store=store,
         native=args.native,
         db=db,
@@ -168,13 +157,13 @@ def _configure_execution(args: argparse.Namespace) -> None:
     )
     print(
         f"execution: jobs={args.jobs}, "
-        f"result cache {cache.root if cache else 'off'}, "
+        f"result DB {db.path}, "
         f"trace store {store.root if store else 'off'}, "
         f"kernel {'native' if args.native else 'interpreted'}"
-        + (f", kernel threads {kernel_threads}" if kernel_threads else "")
-        + (f", result DB {db.path}" if db is not None else ""),
+        + (f", kernel threads {kernel_threads}" if kernel_threads else ""),
         file=sys.stderr,
     )
+    return db
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -419,15 +408,15 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    _configure_execution(args)
     prefetchers = tuple(p.strip() for p in args.prefetchers.split(",") if p.strip())
-    if args.workloads:
-        workloads = [
-            get_workload(name.strip()) for name in args.workloads.split(",")
-        ]
-        comparison = compare(workloads, prefetchers, limit=args.limit)
-    else:
-        comparison = standard_sweep(args.scale, prefetchers=prefetchers)
+    with _configure_execution(args):
+        if args.workloads:
+            workloads = [
+                get_workload(name.strip()) for name in args.workloads.split(",")
+            ]
+            comparison = compare(workloads, prefetchers, limit=args.limit)
+        else:
+            comparison = standard_sweep(args.scale, prefetchers=prefetchers)
     result = fig12_speedup.run(comparison=comparison)
     rendered = fig12_speedup.render(result)
     # kernel coverage of the executed grid: how many cells the compiled
@@ -435,8 +424,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     native_line = comparison.native_summary()
     if native_line is not None:
         rendered = f"{rendered}\n\n{native_line}"
-    # corrupt-file recoveries (result cache heals, store degrades) are
-    # bit-neutral but worth surfacing next to the kernel-coverage line
+    # corrupt-file recoveries (store degrades) are bit-neutral but
+    # worth surfacing next to the kernel-coverage line
     resilience_line = comparison.resilience_summary()
     if resilience_line is not None:
         sep = "\n" if native_line is not None else "\n\n"
@@ -445,11 +434,11 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_figure(args: argparse.Namespace) -> str:
-    _configure_execution(args)
     module, takes_scale = _FIGURES[args.which]
-    if module is tables:
-        return "\n\n".join((tables.table1(), tables.table2(), tables.table3()))
-    result = module.run(args.scale) if takes_scale else module.run()
+    with _configure_execution(args):
+        if module is tables:
+            return "\n\n".join((tables.table1(), tables.table2(), tables.table3()))
+        result = module.run(args.scale) if takes_scale else module.run()
     return module.render(result)
 
 
@@ -570,10 +559,8 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     from repro.sim.sched.db import DEFAULT_DB_PATH
 
     if args.serve_command == "submit":
-        _configure_execution(args)
         from repro.sim.parallel import default_execution
 
-        defaults = default_execution()
         workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
         prefetchers = [
             p.strip() for p in args.prefetchers.split(",") if p.strip()
@@ -589,22 +576,20 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             cst_sizes=cst_sizes,
             limit=args.limit,
         )
-        # --db doubles as the service DB; the execution defaults opened
-        # it already when given, otherwise fall back to the default path
-        db = defaults.db if defaults.db is not None else DEFAULT_DB_PATH
-        service = SweepService(
+        db = _configure_execution(args)
+        defaults = default_execution()
+        with SweepService(
             db=db,
             store=defaults.store,
-            cache=defaults.cache,
             jobs=defaults.jobs,
             native=defaults.native,
             kernel_threads=defaults.kernel_threads,
-        )
-        stats = service.submit(
-            plan,
-            progress=lambda line: print(line, file=sys.stderr),
-            max_cells=args.max_cells,
-        )
+        ) as service:
+            stats = service.submit(
+                plan,
+                progress=lambda line: print(line, file=sys.stderr),
+                max_cells=args.max_cells,
+            )
         return stats.summary()
 
     service = SweepService(db=args.db or DEFAULT_DB_PATH)

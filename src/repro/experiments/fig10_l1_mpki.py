@@ -7,6 +7,7 @@ prefetcher consistently lowest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.experiments.report import render_table
@@ -36,8 +37,10 @@ def _run_level(
     table = {
         wl: row for wl, row in full.items() if row.get("none", 0.0) > threshold
     }
+    # fsum: correctly rounded on every Python (see metrics.geomean)
     average = {
-        pf: sum(full[wl][pf] for wl in full) / len(full) for pf in prefetchers
+        pf: math.fsum(full[wl][pf] for wl in full) / len(full)
+        for pf in prefetchers
     }
     return MPKIResult(level=level, table=table, average=average, threshold=threshold)
 

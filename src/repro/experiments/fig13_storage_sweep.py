@@ -8,6 +8,7 @@ dip — because a larger action space slows the bandit's convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.config import ContextPrefetcherConfig
@@ -51,8 +52,9 @@ def run(
     for size, config, speedups in zip(sizes, configs, swept):
         values = sorted(speedups.values(), reverse=True)
         top = values[: min(10, len(values))]
-        mean_all[size] = sum(values) / len(values)
-        mean_top10[size] = sum(top) / len(top)
+        # fsum: correctly rounded on every Python (see metrics.geomean)
+        mean_all[size] = math.fsum(values) / len(values)
+        mean_top10[size] = math.fsum(top) / len(top)
         storage_kib[size] = config.storage_bits() / 8 / 1024
     return Figure13Result(
         storage_kib=storage_kib, mean_all=mean_all, mean_top10=mean_top10

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.serve.progress import ProgressTracker
-from repro.sim.cache import SweepCache
 from repro.sim.sched.db import DEFAULT_DB_PATH, CellRow, ResultDB
 from repro.sim.sched.plan import GridPlan
 from repro.sim.sched.scheduler import SweepScheduler, SweepStats
@@ -77,7 +76,6 @@ class SweepService:
         *,
         db: ResultDB | str | Path = DEFAULT_DB_PATH,
         store: TraceStore | None = None,
-        cache: SweepCache | None = None,
         jobs: int = 1,
         native: bool = False,
         kernel_batch: bool = True,
@@ -85,7 +83,6 @@ class SweepService:
     ):
         self.db = db if isinstance(db, ResultDB) else ResultDB(db)
         self.store = store
-        self.cache = cache
         self.jobs = max(1, jobs)
         self.native = native
         self.kernel_batch = kernel_batch
@@ -120,7 +117,6 @@ class SweepService:
         scheduler = SweepScheduler(
             db=self.db,
             store=self.store,
-            cache=self.cache,
             jobs=self.jobs,
             native=self.native,
             kernel_batch=self.kernel_batch,

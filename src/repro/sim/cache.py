@@ -1,13 +1,14 @@
-"""On-disk result cache for sweep cells.
+"""Content-addressed keys for sweep cells.
 
 Every evaluation figure reduces to the workload × prefetcher sweep, and
 every cell of that sweep is a pure function of (trace, prefetcher,
-configuration, limit, simulator code).  This module memoizes cells under
-``results/.cache/`` keyed by a stable hash of exactly those inputs, so
+configuration, limit, simulator code).  This module names each cell by
+a stable hash of exactly those inputs: the key the result DB
+(:mod:`repro.sim.sched.db`) files the cell under and resumes it by.  So
 re-running a figure after an unrelated edit (docs, CLI, figure
-formatting, the sweep engine itself) is a cache hit, while any change
-that could alter simulated behaviour — a trace, a config field, the
-truncation limit, or the simulator core's source — is a miss.
+formatting, the sweep engine itself) finds its cells again, while any
+change that could alter simulated behaviour — a trace, a config field,
+the truncation limit, or the simulator core's source — is a new key.
 
 Key anatomy (see docs/parallel_runner.md):
 
@@ -21,11 +22,6 @@ Key anatomy (see docs/parallel_runner.md):
 * a fingerprint of the simulator's *semantic* source (the packages that
   define simulated behaviour — not figures, CLI, docs or this engine);
 * the result codec version.
-
-Corrupt or version-skewed cache files are treated as misses and
-overwritten; a cache directory deleted mid-run is recreated on the next
-store.  The cache never changes results — only whether they are
-recomputed — and the parity suite proves a warm run equals a cold run.
 """
 
 from __future__ import annotations
@@ -33,9 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
-import os
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import is_not
 from pathlib import Path
@@ -44,31 +37,21 @@ from typing import Iterable
 from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.sim.codec import CODEC_VERSION, CodecError, decode_result, encode_text
-from repro.sim.metrics import SimulationResult
+from repro.sim.codec import CODEC_VERSION
 from repro.workloads.serialize import trace_fingerprint
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
-    "CacheCounters",
     "CellKeyer",
-    "SweepCache",
     "cell_key",
     "code_fingerprint",
     "plain_data",
-    "resolve_cache",
     "trace_fingerprint",  # canonical impl lives in workloads.serialize
 ]
-
-log = logging.getLogger(__name__)
-
-#: default cache location, relative to the invoking directory
-DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
 #: source whose edits can change simulated behaviour: the packages the
 #: simulator core is built from.  experiments/, cli.py, analysis/ and the
 #: sweep engine itself (parallel.py, cache.py, export.py) are excluded on
-#: purpose — editing them must not invalidate cached results.
+#: purpose — editing them must not re-key stored results.
 SEMANTIC_SOURCE_PREFIXES = (
     "compiler/",
     "core/",
@@ -144,7 +127,7 @@ def cell_key(
     context_config: ContextPrefetcherConfig | None = None,
     code_version: str | None = None,
 ) -> str:
-    """The cache key for one (workload, prefetcher) sweep cell."""
+    """The content-addressed key for one (workload, prefetcher) sweep cell."""
     context: dict | None = None
     if prefetcher == "context":
         context = dataclasses.asdict(context_config or ContextPrefetcherConfig())
@@ -263,7 +246,7 @@ class CellKeyer:
         prefetcher: str,
         context_fragment: str = "null",
     ) -> str:
-        """The cache key for one cell; equals the :func:`cell_key` key."""
+        """The key for one cell; equals the :func:`cell_key` key."""
         context = context_fragment if prefetcher == "context" else "null"
         pf = self._pf_fragments.get(prefetcher)
         if pf is None:
@@ -276,113 +259,3 @@ class CellKeyer:
             )
         payload = f"{self._head}{context}{self._mid}{pf}{tail}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class CacheCounters:
-    """Per-run observability: how the cache behaved during a sweep."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    errors: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"cache: {self.hits} hits, {self.misses} misses, "
-            f"{self.stores} stored, {self.errors} unreadable"
-        )
-
-
-class SweepCache:
-    """Directory of memoized sweep cells, one JSON file per cell key."""
-
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR):
-        self.root = Path(root)
-        self.counters = CacheCounters()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def load(self, key: str) -> SimulationResult | None:
-        """The cached result for ``key``, or None on any kind of miss.
-
-        Unreadable files — truncated writes, foreign junk, older codec
-        versions — count as misses so a corrupt cache degrades to a cold
-        start instead of failing the sweep.
-        """
-        try:
-            payload = json.loads(self._path(key).read_text(encoding="utf-8"))
-            result = decode_result(payload["result"])
-        except FileNotFoundError:
-            self.counters.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError, CodecError) as exc:
-            log.warning(
-                "sweep cache: unreadable entry %s (%s: %s); treating as miss",
-                self._path(key),
-                type(exc).__name__,
-                exc,
-            )
-            self.counters.errors += 1
-            self.counters.misses += 1
-            return None
-        self.counters.hits += 1
-        return result
-
-    def store(self, key: str, result: SimulationResult) -> None:
-        """Persist one cell atomically (write-temp-then-rename)."""
-        self.store_payload(key, encode_text(result))
-
-    def store_payload(self, key: str, text: str) -> None:
-        """Persist one cell from its canonical codec text (a sweep's
-        worker payload).
-
-        The record is the canonical JSON of ``{"codec", "key",
-        "result"}``; its keys sort in that order, so splicing ``text``
-        in as the result writes the same bytes as canonicalizing the
-        decoded record.  The directory is (re)created on every store, so
-        deleting ``results/.cache`` mid-run costs the remaining hits,
-        not the run.  Storage failures are counted, not raised — caching
-        is strictly an optimization.
-        """
-        record = (
-            f'{{"codec":{CODEC_VERSION},"key":{_canonical(key)},"result":{text}}}'
-        )
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self._path(key).with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(record, encoding="utf-8")
-            os.replace(tmp, self._path(key))
-        except OSError as exc:
-            log.warning(
-                "sweep cache: cannot store %s (%s: %s); result not memoized",
-                self._path(key),
-                type(exc).__name__,
-                exc,
-            )
-            self.counters.errors += 1
-            return
-        self.counters.stores += 1
-
-
-def resolve_cache(
-    cache: "SweepCache | Path | str | bool | None",
-    default: SweepCache | None = None,
-) -> SweepCache | None:
-    """Normalize the user-facing ``cache`` argument.
-
-    ``None`` → the configured ``default`` (no caching when unset);
-    ``False`` → caching explicitly off; ``True`` → the default on-disk
-    location; a path → a cache rooted there; a :class:`SweepCache` →
-    itself.
-    """
-    if cache is None:
-        return default
-    if cache is False:
-        return None
-    if cache is True:
-        return SweepCache(DEFAULT_CACHE_DIR)
-    if isinstance(cache, SweepCache):
-        return cache
-    return SweepCache(Path(cache))

@@ -1,20 +1,20 @@
 """Versioned, lossless :class:`SimulationResult` codec.
 
 The parallel sweep engine ships results across process boundaries and
-the on-disk result cache persists them between runs; both paths go
+the result DB persists them between runs; both paths go
 through this codec, so a decoded result must compare equal — field for
 field, dataclass ``==`` — to the result the simulator produced.  The
 determinism-parity suite (``tests/sim/test_parallel_parity.py``)
 enforces exactly that.
 
-``CODEC_VERSION`` is bumped on any schema change.  The cache treats a
-version mismatch as a miss (re-simulate), never as an error, so stale
-cache directories degrade to a cold start rather than a crash.
+``CODEC_VERSION`` is bumped on any schema change.  The result DB treats
+a version mismatch as a miss (re-simulate), never as an error, so stale
+rows degrade to a recompute rather than a crash.
 
 A sweep cell travels as text: :func:`render_text` writes the canonical
 JSON of the encoded form (sorted keys, compact separators) straight
 from plain values, so a worker's payload is byte for byte the row the
-result DB stores and the record the JSON cache writes.
+result DB stores.
 :func:`encode_text` feeds it from a :class:`SimulationResult`; the
 kernel's batch path feeds it from its output block.
 """

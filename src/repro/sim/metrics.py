@@ -10,12 +10,17 @@ from repro.memory.stats import AccessClass, AccessClassifier, CacheStats
 
 
 def geomean(values: list[float]) -> float:
-    """Geometric mean (the conventional speedup aggregate)."""
+    """Geometric mean (the conventional speedup aggregate).
+
+    The logs are summed with :func:`math.fsum`, which is correctly
+    rounded: the builtin ``sum()`` of floats changed its rounding in
+    Python 3.12, and reports must not depend on the interpreter.
+    """
     if not values:
         return 0.0
     if any(v <= 0 for v in values):
         raise ValueError("geomean needs strictly positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
 
 
 @dataclass

@@ -1,8 +1,7 @@
 """Sweep entry points and the process-wide execution defaults.
 
-Every sweep — ``compare``, ``storage_sweep``, every experiment of the
-paper's evaluation except the convergence trajectory,
-:func:`parallel_compare` and :func:`parallel_storage_sweep` — runs
+Every sweep — ``compare``, every experiment of the paper's evaluation
+except the convergence trajectory, and :func:`parallel_compare` — runs
 through :func:`run_grid`, which
 
 1. builds one :class:`~repro.sim.sched.plan.GridPlan` (workloads outer,
@@ -13,11 +12,12 @@ through :func:`run_grid`, which
    batch protocol in this process at ``jobs == 1``;
 3. reads every cell back by key into :class:`ComparisonResult` objects.
 
-The result DB is every run's completion record: the configured one
-(``--db``), or a private in-memory store when none is.  Cells the DB or
-the JSON result cache already hold are resumed, never re-simulated, and
-executed cells commit once per batch.  Every path is field-for-field
-identical to a one-job run (``tests/sim/test_parallel_parity.py``).
+The result DB is every run's completion record and its one result
+store: the configured one (``--db``, ``results/sweep.db`` for the CLI),
+or a private in-memory store when none is.  Cells the DB already holds
+are resumed, never re-simulated, and executed cells commit once per
+batch.  Every path is field-for-field identical to a one-job run
+(``tests/sim/test_parallel_parity.py``).
 
 Observability: ``progress`` receives one line per cell
 (``[done/total] workload/prefetcher: …``) — executed cells as their
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
 
     from repro.cpu.core_model import CoreConfig
     from repro.memory.hierarchy import HierarchyConfig
-    from repro.sim.cache import SweepCache
     from repro.sim.metrics import SimulationResult
     from repro.sim.runner import ComparisonResult
     from repro.sim.sched.db import ResultDB
@@ -57,11 +56,10 @@ class ExecutionDefaults:
     """Process-wide defaults the CLI/scripts set once per invocation."""
 
     jobs: int = 1
-    cache: "SweepCache | None" = None
     store: "TraceStore | None" = None
     native: bool = False
-    #: the result DB sweeps commit into and resume from (content-addressed
-    #: like the cache); unset, every sweep gets a private in-memory DB
+    #: the result DB sweeps commit into and resume from; unset, every
+    #: sweep gets a private in-memory DB
     db: "ResultDB | None" = None
     #: OpenMP team size for the kernel's in-shard batch driver
     #: (0 = the OpenMP default; serial builds ignore it, bit-identically)
@@ -79,7 +77,6 @@ def default_execution() -> ExecutionDefaults:
 def set_default_execution(
     *,
     jobs: int | None = None,
-    cache: "SweepCache | None | bool" = False,
     store: "TraceStore | None | bool" = False,
     native: bool | None = None,
     db: "ResultDB | None | bool" = False,
@@ -87,16 +84,15 @@ def set_default_execution(
 ) -> ExecutionDefaults:
     """Set process-wide defaults; returns the previous values.
 
-    ``cache=False`` / ``store=False`` / ``db=False`` (the sentinels)
-    leave that default untouched; pass an explicit instance or ``None``
-    to change it.  ``native=None`` / ``kernel_threads=None`` similarly
-    leave the kernel selections untouched.
+    ``store=False`` / ``db=False`` (the sentinels) leave that default
+    untouched; pass an explicit instance or ``None`` to change it.
+    ``native=None`` / ``kernel_threads=None`` similarly leave the kernel
+    selections untouched.
     """
     global _DEFAULTS
     previous = _DEFAULTS
     _DEFAULTS = ExecutionDefaults(
         jobs=previous.jobs if jobs is None else max(1, jobs),
-        cache=previous.cache if cache is False else cache,
         store=previous.store if store is False else store,
         native=previous.native if native is None else bool(native),
         db=previous.db if db is False else db,
@@ -140,7 +136,6 @@ def run_grid(
     core_config: "CoreConfig | None" = None,
     limit: int | None = None,
     jobs: int | None = None,
-    cache: "SweepCache | Path | str | bool | None" = None,
     store: "TraceStore | Path | str | bool | None" = None,
     native: bool | None = None,
     db: "ResultDB | None" = None,
@@ -154,14 +149,11 @@ def run_grid(
     they run once and their entries are the same object.  ``db`` is
     where cells resume from and commit to; without one, the run uses a
     private in-memory DB.  ``store`` supplies registry traces from
-    compiled files and ``cache`` resumes cells from (and records them
-    into) the JSON result cache; none of these changes a result.
-    Execution arguments left at ``None`` take the process-wide
-    defaults; ``cache=False`` / ``store=False`` force that feature off.
-    The resilience counts (cache heals, store degrades) are the whole
-    run's, so every slice carries the same totals.
+    compiled files; neither changes a result.  Execution arguments left
+    at ``None`` take the process-wide defaults; ``store=False`` forces
+    the store off.  The store-degrade count is the whole run's, so
+    every slice carries the same total.
     """
-    from repro.sim.cache import resolve_cache
     from repro.sim.codec import decode_result
     from repro.sim.runner import ComparisonResult
     from repro.sim.sched.db import IN_MEMORY, ResultDB, ResultDBError
@@ -171,7 +163,6 @@ def run_grid(
 
     defaults = default_execution()
     jobs = defaults.jobs if jobs is None else max(1, jobs)
-    cache = resolve_cache(cache, default=defaults.cache)
     store = resolve_store(store, default=defaults.store)
     native = defaults.native if native is None else native
     sources = _by_name(workloads)
@@ -199,7 +190,6 @@ def run_grid(
     scheduler = SweepScheduler(
         db=run_db,
         store=store,
-        cache=cache,
         jobs=jobs,
         native=native,
         kernel_threads=defaults.kernel_threads,
@@ -219,8 +209,8 @@ def run_grid(
 
     def read_resumed(keys: list[str]) -> list[str]:
         """Load the cells this run did not execute from the DB: rows of
-        earlier runs, or cache hits the scheduler just committed.
-        Returns the keys of rows that no longer decode."""
+        earlier runs, or the row of a cell sharing their key.  Returns
+        the keys of rows that no longer decode."""
         unreadable = []
         for cell in plan.cells():
             if cell.index not in results:
@@ -232,14 +222,13 @@ def run_grid(
                     report(result, " [resumed]")
         return unreadable
 
-    cache_errors = cache.counters.errors if cache is not None else 0
     try:
         stats = scheduler.run_plan_sync(plan, on_batch=on_batch, sources=sources)
         store_degrades = stats.store_degrades
         unreadable = read_resumed(stats.keys)
         if unreadable:
             # rows that exist but will not decode (junk, codec skew) are
-            # misses: drop them and run those cells again, cache first
+            # misses: drop them and run those cells again
             run_db.discard(unreadable)
             stats = scheduler.run_plan_sync(
                 plan, on_batch=on_batch, sources=sources
@@ -262,13 +251,9 @@ def run_grid(
         if native and cell.index in native_info:
             name = f"{cell.workload}/{cell.prefetcher}"
             part.native_cells[name] = native_info[cell.index]
-    cache_heals = cache.counters.errors - cache_errors if cache is not None else 0
     for part in parts:
-        part.cache_heals = cache_heals
         part.store_degrades = store_degrades
     if progress is not None:
-        if cache is not None:
-            progress(cache.counters.summary())
         lines = [part.native_summary() for part in parts]
         lines.append(parts[0].resilience_summary())
         for line in lines:
@@ -286,7 +271,6 @@ def parallel_compare(
     context_config: ContextPrefetcherConfig | None = None,
     limit: int | None = None,
     jobs: int | None = None,
-    cache: "SweepCache | Path | str | bool | None" = None,
     store: "TraceStore | Path | str | bool | None" = None,
     native: bool | None = None,
     db: "ResultDB | None" = None,
@@ -305,7 +289,6 @@ def parallel_compare(
         core_config=core_config,
         limit=limit,
         jobs=jobs,
-        cache=cache,
         store=store,
         native=native,
         db=db,
@@ -314,50 +297,10 @@ def parallel_compare(
     return comparison
 
 
-def parallel_storage_sweep(
-    workloads: Iterable["WorkloadSpec | TraceProgram | str"],
-    cst_sizes: Iterable[int],
-    *,
-    limit: int | None = None,
-    base_config: ContextPrefetcherConfig | None = None,
-    jobs: int | None = None,
-    cache: "SweepCache | Path | str | bool | None" = None,
-    store: "TraceStore | Path | str | bool | None" = None,
-    native: bool | None = None,
-    progress: ProgressFn | None = None,
-) -> dict[int, dict[str, "SimulationResult"]]:
-    """Figure 13's (CST size × workload) grid as one plan.
-
-    Each size is one slot of the plan's context-config axis (CST
-    rescaled, reducer at 8×), so every size × workload cell is keyed,
-    sharded and resumed like any other sweep cell.
-    """
-    base = base_config or ContextPrefetcherConfig()
-    sizes = list(cst_sizes)
-    if not sizes:
-        return {}
-    slices = run_grid(
-        workloads,
-        ("context",),
-        context_configs=tuple(base.scaled(size) for size in sizes),
-        limit=limit,
-        jobs=jobs,
-        cache=cache,
-        store=store,
-        native=native,
-        progress=progress,
-    )
-    return {
-        size: {wl: part.get(wl, "context") for wl in part.workloads()}
-        for size, part in zip(sizes, slices)
-    }
-
-
 __all__ = [
     "ExecutionDefaults",
     "default_execution",
     "parallel_compare",
-    "parallel_storage_sweep",
     "run_grid",
     "set_default_execution",
 ]

@@ -1,21 +1,18 @@
 """Experiment runner: workload × prefetcher sweeps and derived figures.
 
 The figures all reduce to the same sweep — run every workload under every
-prefetcher and compare against the no-prefetch baseline — plus the
-Figure 13 storage sweep, which rescales the context prefetcher's CST.
+prefetcher and compare against the no-prefetch baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 if TYPE_CHECKING:
-    from repro.sim.cache import SweepCache
     from repro.workloads.store import TraceStore
 
-from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.prefetchers.base import Prefetcher
@@ -74,13 +71,11 @@ class ComparisonResult:
     results: dict[str, dict[str, SimulationResult]] = field(default_factory=dict)
     #: ``"workload/prefetcher" -> (kernel handled?, fallback reason)``,
     #: recorded only for cells a native-mode sweep actually executed —
-    #: resumed cells (result DB or cache hits) ran no kernel and are
-    #: absent.  The values never affect the results (the kernel is
+    #: resumed cells (read back from the result DB) ran no kernel and
+    #: are absent.  The values never affect the results (the kernel is
     #: bit-neutral); they exist so sweeps can report how much of the
     #: grid the compiled path took and why the rest fell back.
     native_cells: dict[str, tuple[bool, str | None]] = field(default_factory=dict)
-    #: result-cache entries that were unreadable and healed by recompute
-    cache_heals: int = 0
     #: store files that degraded (corrupt read → rebuild, or corrupt
     #: file → recompile) during this sweep, worker-side events included
     store_degrades: int = 0
@@ -148,18 +143,15 @@ class ComparisonResult:
         return f"{line}; fallbacks: {top}"
 
     def resilience_summary(self) -> str | None:
-        """One line of degrade/heal counts, or ``None`` for a clean run.
+        """One line of store degrades, or ``None`` for a clean run.
 
         Rendered next to :meth:`native_summary` in sweep output so
         corrupt-file recoveries are visible in the summary, not only in
         the log stream.
         """
-        if not self.cache_heals and not self.store_degrades:
+        if not self.store_degrades:
             return None
-        return (
-            f"resilience: {self.cache_heals} cache heal(s), "
-            f"{self.store_degrades} store degrade(s)"
-        )
+        return f"resilience: {self.store_degrades} store degrade(s)"
 
 
 def compare(
@@ -171,7 +163,7 @@ def compare(
     limit: int | None = None,
     progress: Callable[[str], None] | None = None,
     jobs: int | None = None,
-    cache: "SweepCache | Path | str | bool | None" = None,
+    cache: "Literal[False] | None" = None,
     store: "TraceStore | Path | str | bool | None" = None,
     native: bool | None = None,
 ) -> ComparisonResult:
@@ -180,18 +172,28 @@ def compare(
     Every workload's trace is replayed under every prefetcher, so
     results across prefetchers are strictly comparable.
 
-    ``jobs`` > 1 fans the grid out over worker processes, ``cache``
-    memoizes cells on disk (``True`` → ``results/.cache/``), and
-    ``store`` supplies registry traces from compiled binary files
-    (``True`` → ``results/.cache/traces/``); all three are bit-neutral —
-    the parity suites prove the output identical to a one-job run.
-    ``None`` defers to the process-wide defaults the CLI and scripts
-    configure via :func:`repro.sim.parallel.set_default_execution`
-    (which also name the result DB and the kernel thread count);
-    ``cache=False`` / ``store=False`` force that feature off regardless
-    of those defaults.
+    ``jobs`` > 1 fans the grid out over worker processes, and ``store``
+    supplies registry traces from compiled binary files (``True`` →
+    ``results/.cache/traces/``); both are bit-neutral — the parity
+    suites prove the output identical to a one-job run.  ``None``
+    defers to the process-wide defaults the CLI and scripts configure
+    via :func:`repro.sim.parallel.set_default_execution`, which also
+    name the result DB the cells resume from and commit to, and the
+    kernel thread count; ``store=False`` forces the store off.
+
+    ``cache`` is inert: it accepts ``None`` or ``False`` and is never
+    used, because the result DB is the one result store.  It stays only
+    for the sweep benchmark (``perfbench/``), which passes
+    ``cache=False``; the benchmark change that drops that argument
+    deletes the keyword (ROADMAP item 3).
     """
     from repro.sim.parallel import parallel_compare
+
+    if cache is not None and cache is not False:
+        raise TypeError(
+            f"compare(cache={cache!r}): only None or False is accepted; "
+            "cells resume from the result DB"
+        )
 
     return parallel_compare(
         workloads,
@@ -201,40 +203,6 @@ def compare(
         limit=limit,
         progress=progress,
         jobs=jobs,
-        cache=cache,
-        store=store,
-        native=native,
-    )
-
-
-def storage_sweep(
-    workloads: Iterable[WorkloadSpec | TraceProgram | str],
-    cst_sizes: Iterable[int],
-    *,
-    limit: int | None = None,
-    base_config: ContextPrefetcherConfig | None = None,
-    jobs: int | None = None,
-    cache: "SweepCache | Path | str | bool | None" = None,
-    store: "TraceStore | Path | str | bool | None" = None,
-    native: bool | None = None,
-) -> dict[int, dict[str, SimulationResult]]:
-    """Figure 13: context-prefetcher results per CST size per workload.
-
-    Each entry of ``cst_sizes`` is a CST entry count; the reducer scales
-    at 8× as the paper does.  Returns {cst_entries: {workload: result}}.
-    Baseline (no-prefetch) results are not included: callers run a
-    separate baseline comparison; this helper focuses on the context
-    prefetcher itself.  Execution arguments behave as in :func:`compare`.
-    """
-    from repro.sim.parallel import parallel_storage_sweep
-
-    return parallel_storage_sweep(
-        workloads,
-        cst_sizes,
-        limit=limit,
-        base_config=base_config,
-        jobs=jobs,
-        cache=cache,
         store=store,
         native=native,
     )

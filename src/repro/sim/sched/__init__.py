@@ -5,8 +5,8 @@ testable on its own:
 
 * :mod:`repro.sim.sched.plan` — a declarative :class:`GridPlan`
   (workload × context-config × prefetcher axes) enumerated in
-  deterministic grid order, content-addressed per cell with the result
-  cache's :func:`~repro.sim.cache.cell_key`, and sharded into
+  deterministic grid order, content-addressed per cell with
+  :func:`~repro.sim.cache.cell_key`, and sharded into
   workload-affinity batches;
 * :mod:`repro.sim.sched.supply` — how each workload's trace reaches a
   batch (compiled store file, registry name, or by value) and the
@@ -23,12 +23,13 @@ testable on its own:
   layout;
 * :mod:`repro.sim.sched.scheduler` — the asyncio submit/drain loop that
   ties them together and implements resume: a restarted sweep diffs its
-  plan's keys against the DB and re-enqueues only the remainder.
+  plan's keys against the DB and enqueues only the remainder, each
+  distinct key once.
 
 ``repro serve`` (:mod:`repro.serve`) submits plans directly, and
 ``run_grid`` in ``sim/parallel.py`` builds one for every
-``compare``/``storage_sweep``/figure sweep, so all of them share the
-warm workers and the resume logic.
+``compare`` and figure sweep, so all of them share the warm workers
+and the resume logic.
 """
 
 from repro.sim.sched.db import DEFAULT_DB_PATH, ResultDB, ResultDBError

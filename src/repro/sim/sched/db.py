@@ -1,11 +1,13 @@
 """SQLite result store for sweep cells, under ``results/``.
 
-One row per content-addressed sweep cell, carrying the versioned
-codec's canonical JSON text (:func:`~repro.sim.codec.encode_text`).  A
-worker renders that text, it crosses the result queue as is, and it is
-the string this store commits and the JSON cache splices into its
-record — so a DB row, a cache file and an in-flight result are the same
-bytes, gated by the same parity suites.  Design constraints:
+The one result store: one row per content-addressed sweep cell,
+carrying the versioned codec's canonical JSON text
+(:func:`~repro.sim.codec.encode_text`).  A worker renders that text, it
+crosses the result queue as is, and it is the string this store
+commits — so a DB row and an in-flight result are the same bytes, gated
+by the same parity suites.  The CLI opens :data:`DEFAULT_DB_PATH` by
+default, so a rerun resumes every cell an earlier run committed.
+Design constraints:
 
 * **per-batch commits** — a crash leaves only whole, valid cells, which
   is what makes resume a pure key diff;
@@ -30,9 +32,8 @@ the interleaving of writers is unobservable: any set of submitters
 producing the same cells yields byte-identical canonical dumps.
 
 
-Corrupt rows degrade on read (logged, counted by the caller) exactly
-like the JSON result cache, and a sweep discards and recomputes them;
-a corrupt *file* raises
+Corrupt rows degrade on read (logged, treated as misses), and a sweep
+discards and recomputes them; a corrupt *file* raises
 :class:`ResultDBError` at open so the CLI can report it instead of
 silently starting an empty store.
 """
@@ -189,8 +190,12 @@ class ResultDB:
                     raise
                 try:
                     self._conn.rollback()
-                except sqlite3.Error:
-                    pass
+                except sqlite3.Error as rollback_exc:
+                    # the retry below starts a fresh transaction anyway
+                    log.warning(
+                        "result DB %s: rollback after busy failed (%s)",
+                        self.path, rollback_exc,
+                    )
                 log.warning(
                     "result DB %s: busy (%s); retry %d/%d",
                     self.path, exc, tries + 1, _BUSY_RETRIES - 1,
@@ -294,7 +299,7 @@ class ResultDB:
         """The decoded result for one cell key, or ``None`` on a miss.
 
         A row that fails to decode (foreign junk, codec skew) degrades
-        to a miss with a warning, mirroring the JSON cache's contract.
+        to a miss with a warning; the sweep then recomputes it.
         """
         try:
             row = self._conn.execute(

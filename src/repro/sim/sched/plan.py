@@ -7,9 +7,9 @@ order is the serial loop's order — workloads outer, configs middle,
 prefetchers inner — so every consumer (scheduler, result DB, progress
 reporting) agrees on cell indices without communicating.
 
-Cells are content-addressed with the result cache's
-:func:`~repro.sim.cache.cell_key`, so a plan cell, a cache file and a
-result-DB row for the same simulated inputs all share one key.  The
+Cells are content-addressed with :func:`~repro.sim.cache.cell_key`,
+so a plan cell and the result-DB row for the same simulated inputs
+share one key, whichever plan committed it.  The
 sweep id is a hash over the ordered key list: two plans that simulate
 the same cells in the same order are the same sweep, however they were
 spelled, and any change that would alter a simulated result (trace
@@ -125,9 +125,9 @@ class GridPlan:
 
         ``fingerprints`` maps each workload to its full-trace content
         fingerprint (the store header carries it; the scheduler resolves
-        it once per workload).  Keys are identical to the result cache's
-        :func:`~repro.sim.cache.cell_key`, so DB rows and cache files
-        address the same cells.
+        it once per workload).  Keys are identical to
+        :func:`~repro.sim.cache.cell_key`'s, so every plan addresses a
+        DB row the same way.
 
         Built through :class:`~repro.sim.cache.CellKeyer`: the configs
         shared by the whole grid serialize once, and each context-table

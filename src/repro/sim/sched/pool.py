@@ -20,8 +20,8 @@ Batch protocol (PERF004 pins the layout):
 * results return as ``("done", batch_id, [(index, payload text,
   native_info), ...], store_degrades)``: each payload is the canonical
   JSON text of the versioned codec's encoding — the very string the
-  result DB stores and the JSON cache writes, so the parent commits it
-  without decoding it — and worker-side store-degrade counts ride back
+  result DB stores, so the parent commits it without decoding it — and
+  worker-side store-degrade counts ride back
   *by value* (each process counts its own events; nothing is shared
   across spawn);
 * a worker exception answers ``("error", batch_id, message)`` and the

@@ -2,32 +2,29 @@
 
 Every sweep runs through :meth:`SweepScheduler.run_plan`: ``repro serve
 submit`` hands it a :class:`~repro.sim.sched.plan.GridPlan` directly,
-and ``run_grid`` in ``sim/parallel.py`` — behind ``compare``,
-``storage_sweep`` and the figure sweeps — builds one and does the same.
+and ``run_grid`` in ``sim/parallel.py`` — behind ``compare`` and the
+figure sweeps — builds one and does the same.
 ``jobs > 1`` dispatches to the process-wide persistent worker pool;
 ``jobs == 1`` runs the very same batch messages in this process through
 :class:`~repro.sim.sched.pool.InlineWorker`, spawning nothing.
 
 Ordering contract: batches are processed **in submission order**, never
 completion order.  Out-of-order results are buffered until their turn,
-so progress lines, cache stores and DB commits are deterministic for a
-given grid regardless of worker scheduling — which is what lets the
-parity suites compare a batched run against a one-job run line for
-line.  In-flight batches are capped, so a million-cell grid streams
+so progress lines and DB commits are deterministic for a given grid
+regardless of worker scheduling — which is what lets the parity suites
+compare a batched run against a one-job run line for line.  In-flight batches are capped, so a million-cell grid streams
 through bounded queues instead of materialising everywhere at once.
 
 Resume: before dispatching, :meth:`run_plan` diffs the plan's
-content-addressed cell keys against the result DB, then looks the
-remainder up in the JSON result cache when one is configured (a hit is
-committed to the DB and counted as resumed), and enqueues only what is
-left.  The DB diff is therefore the one "skip this cell" test, and
-completed cells are never re-simulated — the kill-and-resume suite
-proves a resumed sweep's DB is canonically identical to an
-uninterrupted one.
+content-addressed cell keys against the result DB and enqueues only the
+first cell of each key the DB lacks.  The DB diff is therefore the one
+"skip this cell" test: completed cells are never re-simulated, and
+cells that share a key run once — the kill-and-resume suite proves a
+resumed sweep's DB is canonically identical to an uninterrupted one.
 
 Payloads stay text end to end: a worker returns each cell's canonical
-codec text, and the commit hands it to the DB and the JSON cache as is,
-so the parent neither decodes nor re-serializes what it stores.
+codec text, and the commit hands it to the DB as is, so the parent
+neither decodes nor re-serializes what it stores.
 
 Wall-clock time is deliberately absent (lint rule DET003 covers this
 package): throughput is measured by the sweep benchmark,
@@ -40,8 +37,6 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.sim.cache import SweepCache
-from repro.sim.codec import encode_text
 from repro.sim.sched.db import IN_MEMORY, ResultDB
 from repro.sim.sched.plan import (
     DEFAULT_BATCH_CELLS,
@@ -88,6 +83,8 @@ class SweepStats:
     sweep: str
     total: int
     executed: int
+    #: cells read back by key instead of run: held by the DB already,
+    #: or sharing their key with a cell this call executed
     resumed: int
     store_degrades: int = 0
     #: content-addressed key per plan cell, in enumeration order
@@ -148,7 +145,6 @@ class SweepScheduler:
         *,
         db: ResultDB,
         store: TraceStore | None = None,
-        cache: SweepCache | None = None,
         jobs: int = 1,
         native: bool = False,
         kernel_batch: bool = True,
@@ -156,7 +152,6 @@ class SweepScheduler:
     ):
         self.db = db
         self.store = store
-        self.cache = cache
         self.jobs = max(1, jobs)
         self.native = native
         #: hand whole shards to the kernel's batch driver (native only);
@@ -173,11 +168,11 @@ class SweepScheduler:
         sources: Mapping[str, str | WorkloadSpec | TraceProgram] | None,
     ) -> dict[str, TraceSupply]:
         """One :class:`TraceSupply` per plan workload (see ``supply``)."""
-        # a key in a DB file or the JSON cache outlives this process, so
-        # it must name its trace's content.  An in-memory DB dies with
-        # the process, and within a process a registry name stands for
-        # one stream: those keys skip hashing traces no store holds
-        content_keys = self.cache is not None or str(self.db.path) != IN_MEMORY
+        # a key in a DB file outlives this process, so it must name its
+        # trace's content.  An in-memory DB dies with the process, and
+        # within a process a registry name stands for one stream: those
+        # keys skip hashing traces no store holds
+        content_keys = str(self.db.path) != IN_MEMORY
         supplies: dict[str, TraceSupply] = {}
         for workload in plan.workloads:
             if workload not in supplies:
@@ -185,29 +180,6 @@ class SweepScheduler:
                 supply = resolve_supply(source, self.store)
                 supplies[workload] = supply.hashed() if content_keys else supply
         return supplies
-
-    def _resume_from_cache(
-        self, sweep: str, keys: list[str], pending: list[PlanCell]
-    ) -> list[PlanCell]:
-        """Commit the JSON cache's hits to the DB; the cells left to run."""
-        assert self.cache is not None
-        rows, rest = [], []
-        for cell in pending:
-            result = self.cache.load(keys[cell.index])
-            if result is None:
-                rest.append(cell)
-            else:
-                rows.append(
-                    (
-                        keys[cell.index],
-                        cell.index,
-                        cell.workload,
-                        cell.prefetcher,
-                        encode_text(result),
-                    )
-                )
-        self.db.store_cells(sweep, rows)
-        return rest
 
     @staticmethod
     def _trace_header(
@@ -307,17 +279,27 @@ class SweepScheduler:
             fragments,
         )
         sweep = plan.sweep_id(keys)
-        self.db.ensure_sweep(sweep, plan.spec(fragments), plan.n_cells)
+        cells = list(plan.cells())
+        # cells that share a key share one result (a non-``context``
+        # cell's key ignores the context config): the first of each key,
+        # in plan order, is the one that runs, and the sweep's total is
+        # its number of distinct results
+        first: dict[str, PlanCell] = {}
+        for cell in cells:
+            first.setdefault(keys[cell.index], cell)
+        self.db.ensure_sweep(sweep, plan.spec(fragments), len(first))
         del fragments
 
-        done_keys = self.db.completed_keys(keys)
-        cells = list(plan.cells())
-        pending = [cell for cell in cells if keys[cell.index] not in done_keys]
-        if self.cache is not None and pending:
-            pending = self._resume_from_cache(sweep, keys, pending)
+        done_keys = self.db.completed_keys(first)
+        pending = [cell for key, cell in first.items() if key not in done_keys]
+        # every other cell is read back by key: from an earlier run, or
+        # from the cell of its key that this run executes
         resumed = len(cells) - len(pending)
         if max_cells is not None:
+            cut = {keys[cell.index] for cell in pending[max_cells:]}
             pending = pending[:max_cells]
+            # a key cut off here is neither run nor resumed, in any cell
+            resumed = sum(key not in cut for key in keys) - len(pending)
 
         stats = SweepStats(
             sweep=sweep,
@@ -328,7 +310,7 @@ class SweepScheduler:
             keys=keys,
         )
         if progress is not None and resumed:
-            progress(f"resume: {resumed}/{len(cells)} cells already in the DB")
+            progress(f"resume: {resumed}/{len(cells)} cells need no run")
         if on_cells is not None:
             on_cells(sweep, resumed, len(cells))
         if not pending:
@@ -367,8 +349,6 @@ class SweepScheduler:
                 rows.append(
                     (keys[index], index, cell.workload, cell.prefetcher, payload)
                 )
-                if self.cache is not None:
-                    self.cache.store_payload(keys[index], payload)
             self.db.store_cells(sweep, rows)
             finished += len(results)
             if on_batch is not None:

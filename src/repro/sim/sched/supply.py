@@ -110,7 +110,7 @@ def drain_store_degrades() -> int:
 
 #: full-trace fingerprints of *registry* workloads, memoized per process:
 #: the trace is a pure function of the workload source (hashed into the
-#: store address and the cache's code fingerprint), so within a process
+#: store address and the cell keys' code fingerprint), so within a process
 #: the same name can never map to two different streams
 _REGISTRY_FP_MEMO: dict[str, str] = {}
 

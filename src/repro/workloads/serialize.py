@@ -69,8 +69,8 @@ def access_from_dict(data: dict) -> MemoryAccess:
 def trace_fingerprint(trace: Iterable[MemoryAccess]) -> str:
     """Stable content hash of an access stream (canonical serialized form).
 
-    This is the fingerprint the result cache keys sweep cells on and the
-    binary trace store records in its header — both must agree byte for
+    This is the fingerprint sweep cells are keyed on in the result DB and
+    the binary trace store records in its header — both must agree byte for
     byte, which is why the one implementation lives here, next to the
     canonical dict form it hashes.
     """

@@ -124,7 +124,7 @@ _U64_MAX = (1 << 64) - 1
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 _U32_MAX = (1 << 32) - 1
 
-#: default store location, beside the result cache
+#: default store location, beside the native kernel builds
 DEFAULT_TRACE_DIR = Path("results") / ".cache" / "traces"
 
 
@@ -342,8 +342,8 @@ def write_trace(
     """Compile ``trace`` into a store file (atomic write-temp-then-rename).
 
     ``fingerprint`` defaults to :func:`trace_fingerprint` of the stream —
-    the same content hash the result cache keys on, so a store-supplied
-    trace produces identical cache keys to an in-memory one.
+    the same content hash sweep cells are keyed on, so a store-supplied
+    trace produces identical cell keys to an in-memory one.
     """
     path = Path(path)
     meta = TraceMeta(

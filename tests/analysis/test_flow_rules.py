@@ -6,7 +6,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import analyze, load_project
-from repro.analysis.rules.flow import HotPathDataflowRule
+from repro.analysis.rules.flow import DEFAULT_DEGRADE_SCOPE, HotPathDataflowRule
 
 
 def run_flow(
@@ -229,6 +229,27 @@ class TestFlw004SilentDegrade:
         )
         assert [f.rule for f in findings] == ["FLW004"]
         assert "except (OSError)" in findings[0].message
+
+    def test_default_scope_covers_the_result_db(self, tmp_path):
+        # the result DB is the store every CLI run opens: a silent
+        # handler there hides a failed commit or rollback
+        findings = run_flow(
+            tmp_path,
+            {
+                "sim/sched/db.py": """
+                import sqlite3
+
+                def rollback(conn):
+                    try:
+                        conn.rollback()
+                    except sqlite3.Error:
+                        pass
+                """
+            },
+            hot_targets=(),
+            degrade_scope=DEFAULT_DEGRADE_SCOPE,
+        )
+        assert [(f.path, f.rule) for f in findings] == [("sim/sched/db.py", "FLW004")]
 
     def test_out_of_scope_files_are_ignored(self, tmp_path):
         findings = run_flow(

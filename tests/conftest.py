@@ -1,9 +1,9 @@
 """Shared test fixtures.
 
-The CLI installs process-wide execution defaults (jobs / result cache /
-trace store / native kernel / result DB / kernel threads) via
+The CLI installs process-wide execution defaults (jobs / trace store /
+native kernel / result DB / kernel threads) via
 ``set_default_execution``; without a reset, a CLI test that ran first
-would leak its cache, store and DB into every later ``compare()`` call
+would leak its store and DB into every later ``compare()`` call
 in the same pytest process.  Restore the whole defaults object around
 every test so ordering can never matter.
 

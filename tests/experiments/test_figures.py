@@ -114,6 +114,20 @@ class TestFig10And11:
         assert result.ratio_vs_none > 0
         assert result.ratio_vs_sms > 0
 
+    def test_average_is_correctly_rounded(self):
+        class TenWorkloads:
+            """Ten workloads whose L1 MPKI is 0.1 under every prefetcher."""
+
+            def mpki(self, level):
+                return {f"wl{i}": {"none": 0.1} for i in range(10)}
+
+            def prefetchers(self):
+                return ["none"]
+
+        # ten 0.1s sum to 0.9999999999999999 left to right (Python 3.11)
+        result = fig10.run(comparison=TenWorkloads())
+        assert result.average == {"none": 0.1}
+
     def test_renders(self, tiny_sweep):
         assert "Figure 10" in fig10.render(fig10.run(comparison=tiny_sweep))
         assert "Figure 11" in fig11.render(fig11.run(comparison=tiny_sweep))

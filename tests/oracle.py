@@ -69,7 +69,8 @@ def serial_context_grid(
 def serial_storage_sweep(
     workloads: Workloads, cst_sizes: Iterable[int], *, limit: int | None = None
 ) -> dict[int, dict[str, SimulationResult]]:
-    """What ``storage_sweep`` must return under the default base config."""
+    """What Figure 13's CST-size axis must return, per size, under the
+    default base config."""
     sizes = list(cst_sizes)
     base = ContextPrefetcherConfig()
     configs = [base.scaled(size) for size in sizes]

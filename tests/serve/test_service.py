@@ -90,7 +90,6 @@ class TestServeCLI:
             "--jobs", "2",
             "--db", db,
             "--store-dir", str(store.root),
-            "--no-cache",
         ]
         assert main(base) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Tests for result containers and derived metrics."""
 
+import math
+
 import pytest
 
 from repro.memory.stats import AccessClass, AccessClassifier, CacheStats
@@ -19,6 +21,14 @@ class TestGeomean:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             geomean([1.0, 0.0])
+
+    def test_log_sum_is_correctly_rounded(self):
+        # the small middle log is lost when added to the large one left
+        # to right (Python 3.11's float sum()); 3.12's sum() and fsum
+        # keep it, so the report does not depend on the interpreter
+        values = [2.0**1000, math.exp(1e-13), 2.0**-1000]
+        logs = [math.log(v) for v in values]
+        assert geomean(values) == math.exp(math.fsum(logs) / len(logs))
 
 
 class TestHitDepthCDF:

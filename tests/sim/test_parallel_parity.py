@@ -2,19 +2,22 @@
 
 PR 1 made bit-reproducibility a machine-enforced invariant; this suite
 extends it across process boundaries: fanning the sweep grid out over
-worker processes, or replaying cells from the on-disk cache, must change
-nothing but wall-clock time.  Every comparison here is field-for-field
-over the full :class:`SimulationResult` — counters, classifier
-breakdown, hit-depth histogram, accuracy EMA — not just headline IPC.
+worker processes, or reading cells back from a result DB an earlier run
+filled, must change nothing but wall-clock time.  Every comparison here
+is field-for-field over the full :class:`SimulationResult` — counters,
+classifier breakdown, hit-depth histogram, accuracy EMA — not just
+headline IPC.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.sim.cache import SweepCache
+from repro.core.config import ContextPrefetcherConfig
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import compare, storage_sweep
+from repro.sim.parallel import run_grid
+from repro.sim.runner import compare
+from repro.sim.sched.db import ResultDB
 from repro.workloads.linked_list import ListTraversalProgram
 from repro.workloads.store import TraceStore
 from tests.oracle import serial_compare, serial_storage_sweep
@@ -49,13 +52,34 @@ def assert_sweeps_identical(a, b) -> None:
             assert_identical(a.get(wl, pf), b.get(wl, pf), f"{wl}/{pf}")
 
 
+def cold_then_warm(db_path, **kwargs):
+    """The grid twice against one DB file: the warm run executes no cell.
+
+    ``kwargs`` go to :func:`run_grid`; returns both runs' slices.
+    """
+    db = ResultDB(db_path)
+    cold = run_grid(WORKLOADS, PREFETCHERS, limit=LIMIT, db=db, **kwargs)
+    lines = []
+    warm = run_grid(
+        WORKLOADS, PREFETCHERS, limit=LIMIT, db=db, progress=lines.append, **kwargs
+    )
+    cells = [line for line in lines if line.startswith("[")]
+    assert len(cells) == len(WORKLOADS) * len(PREFETCHERS)
+    assert all(line.endswith(" [resumed]") for line in cells), cells
+    return cold[0], warm[0]
+
+
+def cst_configs(sizes):
+    return [ContextPrefetcherConfig().scaled(size) for size in sizes]
+
+
 class TestParallelParity:
     def test_jobs4_identical_to_serial(self, serial_sweep):
-        parallel = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, cache=False)
+        parallel = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4)
         assert_sweeps_identical(serial_sweep, parallel)
 
     def test_grid_order_preserved(self, serial_sweep):
-        parallel = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, cache=False)
+        parallel = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4)
         # dict insertion order is the figures' plotting order; the merge
         # must restore grid order no matter which worker finished first
         assert list(parallel.results) == list(serial_sweep.results)
@@ -67,7 +91,7 @@ class TestParallelParity:
         # traces ship by value and must produce the same results
         make = lambda: ListTraversalProgram(num_nodes=256, iterations=4)
         serial = serial_compare([make()], ("none", "context"))
-        parallel = compare([make()], ("none", "context"), jobs=3, cache=False)
+        parallel = compare([make()], ("none", "context"), jobs=3)
         assert_sweeps_identical(serial, parallel)
 
     def test_progress_reports_every_cell(self, serial_sweep):
@@ -77,7 +101,6 @@ class TestParallelParity:
             PREFETCHERS,
             limit=LIMIT,
             jobs=2,
-            cache=False,
             progress=lines.append,
         )
         assert len(lines) == len(WORKLOADS) * len(PREFETCHERS)
@@ -86,39 +109,34 @@ class TestParallelParity:
 
 
 class TestCacheParity:
+    """The result DB as the cross-run memo: a rerun against the same DB
+    file reads every cell back, and what it reads equals the oracle."""
+
     def test_warm_run_identical_to_cold(self, serial_sweep, tmp_path):
-        cache = SweepCache(tmp_path / "cache")
-        cold = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=cache)
-        assert cache.counters.hits == 0
-        assert cache.counters.stores == len(WORKLOADS) * len(PREFETCHERS)
-
-        warm = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=cache)
-        assert cache.counters.hits == len(WORKLOADS) * len(PREFETCHERS)
-
+        cold, warm = cold_then_warm(tmp_path / "sweep.db", jobs=1)
         assert_sweeps_identical(cold, warm)
         assert_sweeps_identical(serial_sweep, cold)
 
     def test_parallel_with_cache_matches_serial(self, serial_sweep, tmp_path):
-        cache = SweepCache(tmp_path / "cache")
-        cold = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, cache=cache)
-        warm = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, cache=cache)
+        cold, warm = cold_then_warm(tmp_path / "sweep.db", jobs=4)
         assert_sweeps_identical(serial_sweep, cold)
         assert_sweeps_identical(serial_sweep, warm)
 
     def test_storage_sweep_parity(self, tmp_path):
         sizes = (512, 1024)
         serial = serial_storage_sweep(["list"], sizes, limit=1500)
-        parallel = storage_sweep(
-            ["list"], sizes, limit=1500, jobs=2, cache=tmp_path / "cache"
-        )
-        warm = storage_sweep(
-            ["list"], sizes, limit=1500, jobs=1, cache=tmp_path / "cache"
-        )
-        for size in sizes:
-            assert_identical(
-                serial[size]["list"], parallel[size]["list"], f"cst={size}"
-            )
-            assert_identical(serial[size]["list"], warm[size]["list"], f"cst={size}")
+        db = ResultDB(tmp_path / "sweep.db")
+        grid = dict(context_configs=cst_configs(sizes), limit=1500, db=db)
+        parallel = run_grid(["list"], ("context",), jobs=2, **grid)
+        lines = []
+        warm = run_grid(["list"], ("context",), jobs=1, progress=lines.append, **grid)
+        cells = [line for line in lines if line.startswith("[")]
+        assert len(cells) == len(sizes)
+        assert all(line.endswith(" [resumed]") for line in cells), cells
+        for size, cold_part, warm_part in zip(sizes, parallel, warm):
+            want = serial[size]["list"]
+            assert_identical(want, cold_part.get("list", "context"), f"cst={size}")
+            assert_identical(want, warm_part.get("list", "context"), f"cst={size}")
 
 
 class TestTraceStoreParity:
@@ -134,10 +152,10 @@ class TestTraceStoreParity:
     ):
         store = TraceStore(tmp_path / "traces")
         cold = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=False, store=store
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, store=store
         )
         warm = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=False, store=store
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, store=store
         )
         assert_sweeps_identical(serial_sweep, cold)
         assert_sweeps_identical(serial_sweep, warm)
@@ -145,25 +163,25 @@ class TestTraceStoreParity:
     def test_jobs4_store_identical_to_serial(self, serial_sweep, tmp_path):
         store = TraceStore(tmp_path / "traces")
         dispatched = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, cache=False, store=store
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, store=store
         )
         assert_sweeps_identical(serial_sweep, dispatched)
         # and again with every trace served from the warm store files
         warm = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, cache=False, store=store
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=4, store=store
         )
         assert_sweeps_identical(serial_sweep, warm)
 
     def test_corrupt_store_degrades_to_rebuild(self, serial_sweep, tmp_path):
         store = TraceStore(tmp_path / "traces")
         clean = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=False, store=store
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, store=store
         )
         assert clean.resilience_summary() is None
         for path in store.root.glob("*.rpt"):
             path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
         healed = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=2, cache=False, store=store
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=2, store=store
         )
         assert_sweeps_identical(serial_sweep, healed)
         # the recoveries surface in the sweep summary, not only the log
@@ -178,20 +196,13 @@ class TestTraceStoreParity:
         make = lambda: ListTraversalProgram(num_nodes=256, iterations=4)
         serial = serial_compare([make()], ("none", "context"))
         stored = compare(
-            [make()], ("none", "context"), jobs=3, cache=False, store=store
+            [make()], ("none", "context"), jobs=3, store=store
         )
         assert_sweeps_identical(serial, stored)
 
     def test_store_with_cache_matches_serial(self, serial_sweep, tmp_path):
         store = TraceStore(tmp_path / "traces")
-        cache = SweepCache(tmp_path / "cache")
-        cold = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=2, cache=cache, store=store
-        )
-        warm = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=2, cache=cache, store=store
-        )
-        assert cache.counters.hits == len(WORKLOADS) * len(PREFETCHERS)
+        cold, warm = cold_then_warm(tmp_path / "sweep.db", jobs=2, store=store)
         assert_sweeps_identical(serial_sweep, cold)
         assert_sweeps_identical(serial_sweep, warm)
 
@@ -199,10 +210,15 @@ class TestTraceStoreParity:
         sizes = (512, 1024)
         store = TraceStore(tmp_path / "traces")
         serial = serial_storage_sweep(["list"], sizes, limit=1500)
-        stored = storage_sweep(
-            ["list"], sizes, limit=1500, jobs=2, cache=False, store=store
+        stored = run_grid(
+            ["list"],
+            ("context",),
+            context_configs=cst_configs(sizes),
+            limit=1500,
+            jobs=2,
+            store=store,
         )
-        for size in sizes:
+        for size, part in zip(sizes, stored):
             assert_identical(
-                serial[size]["list"], stored[size]["list"], f"cst={size}"
+                serial[size]["list"], part.get("list", "context"), f"cst={size}"
             )

@@ -1,29 +1,23 @@
-"""Cache-key suite: hits, misses, and graceful degradation.
+"""Cell-key suite: what re-keys a stored result, and graceful degradation.
 
-The cache key must change whenever any input that could alter simulated
+The cell key must change whenever any input that could alter simulated
 behaviour changes — trace, prefetcher, config field, limit, simulator
 code version — and must NOT change otherwise, so re-running a figure
-after an unrelated edit stays a cache hit.  Corrupt or missing cache
-state must degrade to a cold start, never to an error or a wrong
-result.
+after an unrelated edit resumes its cells from the result DB.  Corrupt
+rows in that DB must degrade to a recompute, never to an error or a
+wrong result.
 """
 
 import dataclasses
-import json
+import sqlite3
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.sim.cache import (
-    CellKeyer,
-    SweepCache,
-    cell_key,
-    code_fingerprint,
-    resolve_cache,
-    trace_fingerprint,
-)
-from repro.sim.codec import CODEC_VERSION, encode_result
-from repro.sim.runner import compare, run_workload
+from repro.sim.cache import CellKeyer, cell_key, code_fingerprint, trace_fingerprint
+from repro.sim.parallel import set_default_execution
+from repro.sim.runner import compare
+from repro.sim.sched.db import ResultDB
 from repro.workloads.trace import MemoryAccess
 
 TRACE = [MemoryAccess(addr=0x1000 + 64 * i, pc=0x400000 + i % 3) for i in range(32)]
@@ -186,94 +180,16 @@ class TestTraceFingerprint:
         assert trace_fingerprint(TRACE) != trace_fingerprint(changed)
 
 
-class TestSweepCache:
-    def _result(self):
-        return run_workload("array", "context", limit=400)
-
-    def test_round_trip(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        result = self._result()
-        cache.store(key(), result)
-        assert cache.load(key()) == result
-        assert cache.counters.hits == 1 and cache.counters.stores == 1
-
-    def test_record_is_canonical_json(self, tmp_path):
-        # the payload text is spliced into the record: the file must be
-        # the canonical JSON of the whole record, byte for byte
-        cache = SweepCache(tmp_path)
-        result = self._result()
-        cache.store(key(), result)
-        record = {"codec": CODEC_VERSION, "key": key(), "result": encode_result(result)}
-        assert (tmp_path / f"{key()}.json").read_text(encoding="utf-8") == json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        )
-
-    def test_missing_key_is_miss(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        assert cache.load(key()) is None
-        assert cache.counters.misses == 1
-
-    def test_corrupt_file_is_miss_not_error(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cache.store(key(), self._result())
-        (tmp_path / f"{key()}.json").write_text("{ not json", encoding="utf-8")
-        assert cache.load(key()) is None
-        assert cache.counters.errors == 1
-        # valid JSON whose result is not an object
-        record = {"codec": CODEC_VERSION, "key": key(), "result": []}
-        (tmp_path / f"{key()}.json").write_text(json.dumps(record), encoding="utf-8")
-        assert cache.load(key()) is None
-        assert cache.counters.errors == 2
-
-    def test_codec_version_skew_is_miss(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cache.store(key(), self._result())
-        path = tmp_path / f"{key()}.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["result"]["codec"] = 999
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert cache.load(key()) is None
-
-    def test_directory_deleted_mid_run(self, tmp_path):
-        import shutil
-
-        root = tmp_path / "cache"
-        cache = SweepCache(root)
-        cache.store(key(), self._result())
-        shutil.rmtree(root)
-        assert cache.load(key()) is None  # cold again, no crash
-        cache.store(key(), self._result())  # directory recreated
-        assert cache.load(key()) == self._result()
-
-
 class TestEndToEndDegradation:
     def test_corrupt_cache_rerun_matches_clean(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        clean = compare(["array"], ("none", "context"), limit=800, cache=False)
-        compare(["array"], ("none", "context"), limit=800, cache=cache_dir)
-        for path in sorted(cache_dir.glob("*.json")):
-            path.write_text("garbage", encoding="utf-8")
-        rerun = compare(["array"], ("none", "context"), limit=800, cache=cache_dir)
+        clean = compare(["array"], ("none", "context"), limit=800)
+        path = tmp_path / "sweep.db"
+        set_default_execution(db=ResultDB(path))
+        compare(["array"], ("none", "context"), limit=800)
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE cells SET payload = 'garbage'")
+        conn.close()
+        rerun = compare(["array"], ("none", "context"), limit=800)
         for wl in clean.workloads():
             for pf in clean.prefetchers():
                 assert clean.get(wl, pf) == rerun.get(wl, pf)
-
-
-class TestResolveCache:
-    def test_none_uses_default(self, tmp_path):
-        fallback = SweepCache(tmp_path)
-        assert resolve_cache(None, default=fallback) is fallback
-        assert resolve_cache(None, default=None) is None
-
-    def test_false_forces_off(self, tmp_path):
-        assert resolve_cache(False, default=SweepCache(tmp_path)) is None
-
-    def test_path_and_instance(self, tmp_path):
-        cache = resolve_cache(tmp_path / "c")
-        assert isinstance(cache, SweepCache)
-        assert cache.root == tmp_path / "c"
-        assert resolve_cache(cache) is cache
-
-    def test_true_uses_default_location(self):
-        cache = resolve_cache(True)
-        assert isinstance(cache, SweepCache)

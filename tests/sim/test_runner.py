@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.config import ContextPrefetcherConfig
 from repro.sim.config import PREFETCHER_FACTORIES, make_prefetcher
-from repro.sim.runner import compare, run_workload, storage_sweep
+from repro.sim.parallel import run_grid
+from repro.sim.runner import compare, run_workload
 from repro.workloads.arrays import ArrayTraversalProgram
 from repro.workloads.linked_list import ListTraversalProgram
 
@@ -88,15 +90,36 @@ class TestCompare:
         assert a.instructions == b.instructions
 
 
+def cst_sweep(workloads, cst_sizes, limit=None):
+    """Figure 13's grid: one context-config slot per CST size."""
+    configs = [ContextPrefetcherConfig().scaled(size) for size in cst_sizes]
+    slices = run_grid(workloads, ("context",), context_configs=configs, limit=limit)
+    return dict(zip(cst_sizes, slices))
+
+
 class TestStorageSweep:
     def test_figure13_grid(self):
-        results = storage_sweep([SMALL_LIST()], cst_sizes=[256, 1024], limit=800)
+        results = cst_sweep([SMALL_LIST()], cst_sizes=[256, 1024], limit=800)
         assert set(results) == {256, 1024}
-        assert "list" in results[256]
+        assert results[256].workloads() == ["list"]
 
     def test_larger_cst_not_worse_on_small_workload(self):
-        results = storage_sweep([SMALL_LIST()], cst_sizes=[64, 2048])
+        results = cst_sweep([SMALL_LIST()], cst_sizes=[64, 2048])
         # with a tiny CST the working set cannot be covered
-        small = results[64]["list"].ipc
-        large = results[2048]["list"].ipc
+        small = results[64].get("list", "context").ipc
+        large = results[2048].get("list", "context").ipc
         assert large >= small * 0.9
+
+
+class TestCompareCacheKeyword:
+    """``compare(cache=...)`` is inert; only the benchmark passes it."""
+
+    def test_false_and_none_are_accepted(self):
+        for cache in (None, False):
+            result = compare([SMALL_ARRAY()], ("none",), limit=200, cache=cache)
+            assert result.workloads() == ["array"]
+
+    @pytest.mark.parametrize("cache", [True, "results/.cache"])
+    def test_any_other_value_raises(self, cache):
+        with pytest.raises(TypeError, match="result DB"):
+            compare([SMALL_ARRAY()], ("none",), limit=200, cache=cache)

@@ -30,6 +30,7 @@ from repro.memory.hierarchy import HierarchyConfig
 from repro.sim import native as native_pkg
 from repro.sim.cache import cell_key
 from repro.sim.codec import encode_result, encode_text
+from repro.sim.sched import pool
 from repro.sim.sched.db import ResultDB, ResultDBError
 from repro.sim.sched.plan import GridPlan, PlanCell, shard_by_workload
 from repro.sim.sched.pool import CELL_FIELDS, shared_pool
@@ -423,3 +424,59 @@ class TestResume:
         lines = []
         run_plan(plan, db, store, jobs=1, progress=lines.append)
         assert any("resume: 2/4" in line for line in lines)
+
+
+class TestSharedKeys:
+    """Cells that share a key share one result, so each key runs once.
+
+    A non-``context`` cell's key ignores the context config, so on a
+    config axis every ``none`` and ``stride`` cell repeats once per
+    config slot.
+    """
+
+    def test_each_distinct_key_runs_once(self, tmp_path, store, monkeypatch):
+        from repro.serve.service import SweepService, plan_from_axes
+
+        executed = []
+        original = pool.run_batch
+
+        def counting_run_batch(shared, cells):
+            executed.extend(cells)
+            return original(shared, cells)
+
+        monkeypatch.setattr(pool, "run_batch", counting_run_batch)
+        plan = plan_from_axes(
+            workloads=list(WORKLOADS),
+            prefetchers=["none", "stride", "context"],
+            cst_sizes=[256, 2048],
+            limit=LIMIT,
+        )
+        db = ResultDB(tmp_path / "db.sqlite")
+        stats = run_plan(plan, db, store, jobs=1)
+        # per workload: none, stride and one context cell per CST size
+        distinct = 2 * 4
+        assert len(set(stats.keys)) == distinct
+        assert len(executed) == distinct
+        assert (stats.total, stats.executed, stats.resumed) == (12, 8, 4)
+        # the registered total counts results, so the sweep reads done
+        assert [(s.done, s.total) for s in SweepService(db=db).status()] == [
+            (distinct, distinct)
+        ]
+
+    def test_max_cells_counts_only_covered_cells_as_resumed(
+        self, tmp_path, store
+    ):
+        from repro.serve.service import plan_from_axes
+
+        plan = plan_from_axes(
+            workloads=["list"],
+            prefetchers=["none", "context"],
+            cst_sizes=[256, 2048],
+            limit=LIMIT,
+        )
+        db = ResultDB(tmp_path / "db.sqlite")
+        # cells: none, context@256, none (shares the first key), context@2048
+        partial = run_plan(plan, db, store, jobs=1, max_cells=1)
+        assert (partial.executed, partial.resumed) == (1, 1)
+        rest = run_plan(plan, db, store, jobs=1)
+        assert (rest.executed, rest.resumed) == (2, 2)

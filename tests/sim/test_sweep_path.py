@@ -1,6 +1,6 @@
 """The one sweep path: every grid is a GridPlan run by the scheduler.
 
-``compare``, ``storage_sweep`` and the figure sweeps all build a plan,
+``compare``, ``run_grid`` and the figure sweeps all build a plan,
 run it through ``SweepScheduler.run_plan`` and read the cells back from
 the run's result DB.  These tests pin the properties that used to
 differ between the dispatch paths: a configured DB records every
@@ -9,6 +9,7 @@ each trace once, and the process-wide execution defaults never leak
 from one test into the next.
 """
 
+import dataclasses
 import sqlite3
 
 import pytest
@@ -16,14 +17,13 @@ import pytest
 from repro.core.config import ContextPrefetcherConfig
 from repro.experiments import fig14_layout_agnostic as fig14
 from repro.experiments.sweep import SCALES
-from repro.sim.cache import SweepCache
 from repro.sim.parallel import (
     ExecutionDefaults,
     default_execution,
     run_grid,
     set_default_execution,
 )
-from repro.sim.runner import compare, storage_sweep
+from repro.sim.runner import compare
 from repro.sim.sched import pool, supply
 from repro.sim.sched.db import IN_MEMORY, ResultDB
 from repro.workloads.linked_list import ListTraversalProgram
@@ -47,14 +47,13 @@ class TestResultDBRecordsEveryRun:
     ):
         db = ResultDB(tmp_path / "sweep.db")
         set_default_execution(db=db)
-        first = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=jobs, cache=False)
+        first = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=jobs)
         assert len(db.query()) == CELLS
 
         monkeypatch.setattr(pool, "run_batch", _no_execution)
         lines = []
         again = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=jobs, cache=False,
-            progress=lines.append,
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=jobs, progress=lines.append
         )
         assert len(lines) == CELLS
         assert all(line.endswith(" [resumed]") for line in lines)
@@ -66,8 +65,11 @@ class TestResultDBRecordsEveryRun:
         db = ResultDB(tmp_path / "sweep.db")
         set_default_execution(db=db)
         sizes = (256, 512, 1024)
-        out = storage_sweep(["list"], sizes, limit=LIMIT, jobs=1, cache=False)
-        assert sorted(out) == sorted(sizes)
+        configs = [ContextPrefetcherConfig().scaled(size) for size in sizes]
+        out = run_grid(
+            ["list"], ("context",), context_configs=configs, limit=LIMIT, jobs=1
+        )
+        assert len(out) == len(sizes)
         # one sweep registered, covering every size of the config axis
         assert [(done, total) for _id, done, total in db.sweeps()] == [
             (len(sizes), len(sizes))
@@ -75,12 +77,10 @@ class TestResultDBRecordsEveryRun:
 
 
 class TestUnreadableRows:
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_junk_row_is_recomputed(self, tmp_path, monkeypatch, cached):
+    def test_junk_row_is_recomputed(self, tmp_path):
         path = tmp_path / "sweep.db"
         set_default_execution(db=ResultDB(path))
-        cache = SweepCache(tmp_path / "cache") if cached else False
-        compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=cache)
+        compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1)
         conn = sqlite3.connect(path)
         with conn:
             conn.execute(
@@ -88,14 +88,10 @@ class TestUnreadableRows:
                 "WHERE workload = 'list' AND prefetcher = 'context'"
             )
         conn.close()
-        if cached:
-            # the cache holds a good copy: the row heals without a run
-            monkeypatch.setattr(pool, "run_batch", _no_execution)
 
         lines = []
         again = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=cache,
-            progress=lines.append,
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, progress=lines.append
         )
         oracle = serial_compare(WORKLOADS, PREFETCHERS, limit=LIMIT)
         for wl in WORKLOADS:
@@ -104,7 +100,7 @@ class TestUnreadableRows:
         cells = [line for line in lines if line.startswith("[")]
         executed = [line for line in cells if not line.endswith(" [resumed]")]
         assert len(cells) == CELLS
-        assert len(executed) == (0 if cached else 1)
+        assert len(executed) == 1
         assert len(default_execution().db.query()) == CELLS
 
 
@@ -117,7 +113,7 @@ class TestOneJobRunsInProcess:
         monkeypatch.setattr(
             "repro.sim.sched.scheduler.shared_pool", no_pool
         )
-        result = compare(["array"], ("none",), limit=LIMIT, jobs=1, cache=False)
+        result = compare(["array"], ("none",), limit=LIMIT, jobs=1)
         assert result.get("array", "none").workload == "array"
 
     @pytest.mark.parametrize("keyed", [True, False])
@@ -136,14 +132,13 @@ class TestOneJobRunsInProcess:
             # a persistent DB needs content keys: the parent builds the
             # trace to fingerprint it, and the batch runs that trace
             set_default_execution(db=ResultDB(tmp_path / "sweep.db"))
-        compare(["array"], PREFETCHERS, limit=LIMIT, jobs=1, cache=False,
-                store=False)
+        compare(["array"], PREFETCHERS, limit=LIMIT, jobs=1, store=False)
         assert builds == ["array"]
 
     def test_two_workloads_under_one_name_are_refused(self):
         make = lambda nodes: ListTraversalProgram(num_nodes=nodes, iterations=2)
         with pytest.raises(ValueError, match="'list'"):
-            compare([make(64), make(128)], ("none",), jobs=1, cache=False)
+            compare([make(64), make(128)], ("none",), jobs=1)
 
 
 class TestEqualConfigsShareOneSlot:
@@ -166,12 +161,38 @@ class TestEqualConfigsShareOneSlot:
             context_configs=(base, small, ContextPrefetcherConfig()),
             limit=LIMIT,
             jobs=1,
-            cache=False,
         )
         assert len(executed) == 2
         assert slices[2] is slices[0]
         oracle = serial_context_grid(["list"], (base, small), limit=LIMIT)
         for part, expected in zip(slices, oracle):
+            assert part.get("list", "context") == expected["list"]
+
+    def test_a_key_shared_across_configs_runs_once(self, monkeypatch):
+        # a `none` cell's key ignores the context config: two seeds give
+        # two context keys but one `none` key, so three cells run
+        executed = []
+        original = pool.run_batch
+
+        def counting_run_batch(shared, cells):
+            executed.extend(cells)
+            return original(shared, cells)
+
+        monkeypatch.setattr(pool, "run_batch", counting_run_batch)
+        base = ContextPrefetcherConfig()
+        seeded = dataclasses.replace(base, seed=1)
+        slices = run_grid(
+            ["list"],
+            ("none", "context"),
+            context_configs=(base, seeded),
+            limit=LIMIT,
+            jobs=1,
+        )
+        assert len(executed) == 3
+        none = serial_compare(["list"], ("none",), limit=LIMIT).get("list", "none")
+        oracle = serial_context_grid(["list"], (base, seeded), limit=LIMIT)
+        for part, expected in zip(slices, oracle):
+            assert part.get("list", "none") == none
             assert part.get("list", "context") == expected["list"]
 
 

@@ -182,7 +182,7 @@ class TestTraceStoreCommands:
         err = capsys.readouterr().err
         assert "version 999" in err
 
-    def test_sweep_prints_store_and_cache_paths(self, tmp_path, capsys):
+    def test_sweep_prints_store_and_db_paths(self, tmp_path, capsys):
         code = main(
             [
                 "sweep",
@@ -192,8 +192,8 @@ class TestTraceStoreCommands:
                 "none,stride",
                 "--limit",
                 "600",
-                "--cache-dir",
-                str(tmp_path / "cache"),
+                "--db",
+                str(tmp_path / "sweep.db"),
                 "--store-dir",
                 str(tmp_path / "traces"),
             ]
@@ -201,10 +201,11 @@ class TestTraceStoreCommands:
         assert code == 0
         captured = capsys.readouterr()
         assert "execution: jobs=1" in captured.err
+        assert f"result DB {tmp_path / 'sweep.db'}" in captured.err
         assert str(tmp_path / "traces") in captured.err
         assert "GEOMEAN" in captured.out
 
-    def test_no_store_and_no_cache_report_off(self, tmp_path, capsys):
+    def test_no_store_and_in_memory_db_report_off(self, capsys):
         code = main(
             [
                 "sweep",
@@ -214,10 +215,52 @@ class TestTraceStoreCommands:
                 "none",
                 "--limit",
                 "400",
-                "--no-cache",
+                "--db",
+                ":memory:",
                 "--no-store",
             ]
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert "result cache off" in err and "trace store off" in err
+        assert "result DB :memory:" in err and "trace store off" in err
+
+
+class TestDefaultResultDB:
+    """With no ``--db``, runs share ``results/sweep.db`` in the working
+    directory: a rerun executes nothing, and ``serve`` reads the cells."""
+
+    def test_rerun_resumes_and_serve_query_lists_the_cells(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.sim.sched import pool
+
+        monkeypatch.chdir(tmp_path)
+        sweep = [
+            "sweep",
+            "--workloads",
+            "random",
+            "--prefetchers",
+            "none,stride",
+            "--limit",
+            "400",
+            "--no-store",
+            "--no-native",
+        ]
+        assert main(sweep) == 0
+        assert "result DB results/sweep.db" in capsys.readouterr().err
+        assert (tmp_path / "results" / "sweep.db").is_file()
+
+        def no_execution(*_args):
+            raise AssertionError("the rerun executed a batch")
+
+        monkeypatch.setattr(pool, "run_batch", no_execution)
+        assert main(sweep) == 0
+        assert "GEOMEAN" in capsys.readouterr().out
+
+        assert main(["serve", "query"]) == 0
+        out = capsys.readouterr().out
+        assert "random/none" in out and "random/stride" in out
+        assert "2 cell(s)" in out
+
+        assert main(["serve", "status"]) == 0
+        assert "2     2" in capsys.readouterr().out

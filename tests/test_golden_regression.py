@@ -38,7 +38,6 @@ def sweep(golden):
         tuple(spec["prefetchers"]),
         limit=spec["limit"],
         jobs=1,
-        cache=False,
     )
 
 
