@@ -20,15 +20,15 @@ the repo carries a measured trajectory instead of asserted speedups:
   not touch repo code.  ``--check`` normalises the committed kernel
   number by the calibration ratio before comparing, so a slower CI
   machine does not read as a regression.
-* **trace_pipeline** (PR 5) — the compiled trace store versus sweeps
-  without it.  Per workload: build (TraceBuilder) vs encode
-  (``write_trace``) vs decode (``read_trace``) vs warm ``ensure`` time.
-  Per sweep: wall time of the same multi-cell grid dispatched with
-  ``jobs=2`` with the store off (the ``legacy`` leg: an in-memory DB,
-  so cells are keyed without fingerprints and the workers rebuild each
-  trace by name) and on (cold compile, then warm mmap), with the two
-  results asserted field-for-field identical before any number is
-  written.
+* **trace_pipeline** (schema 2; schema 8 drops the store-off ``legacy``
+  leg) — the compiled trace store.  Per workload: build (TraceBuilder)
+  vs encode (``write_trace``) vs decode (``read_trace``) vs warm
+  ``ensure`` time.  Per sweep: wall time of the same multi-cell grid
+  dispatched with ``jobs=2`` on a cold store (compiling every file)
+  and on the warm one (mapping them), with the two results asserted
+  field-for-field identical before any number is written.  The store
+  is the only trace supply, so there is no store-off leg to time; the
+  ``legacy`` numbers stay in BENCH_5–10.json as history.
 * **native_vs_reference** (PR 7, schema 3; schema 4 from PR 8) — the
   compiled batch kernel (``repro.sim.native``) against the interpreted
   reference loop, per prefetcher family, over mmap-backed ``.rpt``
@@ -104,8 +104,10 @@ from repro.workloads.suites import get_workload  # noqa: E402
 #: the PR 5 store-fed dispatch); schema 6 (PR 10) adds ``batch_kernel``
 #: (the in-kernel multi-cell batch driver vs the per-cell warm path);
 #: schema 7 drops ``sweep_throughput``'s legacy-dispatch leg and fields
-#: (the pool-per-call path it timed is gone)
-SCHEMA = 7
+#: (the pool-per-call path it timed is gone); schema 8 drops
+#: ``trace_pipeline``'s store-off ``legacy`` leg (the store is the only
+#: trace supply)
+SCHEMA = 8
 
 #: the kernel measurement grid: one streaming, one pointer-chasing and
 #: one graph workload, truncated so a full report stays minutes-scale
@@ -296,14 +298,7 @@ def measure_trace_pipeline(quick: bool) -> dict:
             )
             return time.perf_counter() - t0, result
 
-        # store off, in-memory DB: cells are keyed without
-        # fingerprints and workers rebuild each trace by name
-        legacy_s = float("inf")
-        for _ in range(repeats):
-            elapsed, legacy_result = timed_compare(False)
-            legacy_s = min(legacy_s, elapsed)
-
-        # the store path: cold run compiles the files, warm runs map them
+        # the cold run compiles the files, warm runs map them
         sweep_store = TraceStore(tmp / "sweep")
         store_cold_s, cold_result = timed_compare(sweep_store)
         store_warm_s = float("inf")
@@ -311,8 +306,7 @@ def measure_trace_pipeline(quick: bool) -> dict:
             elapsed, warm_result = timed_compare(sweep_store)
             store_warm_s = min(store_warm_s, elapsed)
 
-        _assert_sweeps_identical(legacy_result, cold_result, "legacy vs cold")
-        _assert_sweeps_identical(legacy_result, warm_result, "legacy vs warm")
+        _assert_sweeps_identical(cold_result, warm_result, "cold vs warm")
 
         cells = len(workloads) * len(prefetchers)
         return {
@@ -324,13 +318,10 @@ def measure_trace_pipeline(quick: bool) -> dict:
             "cells": cells,
             "per_workload": per_workload,
             "dispatch": {
-                "legacy_seconds": round(legacy_s, 3),
                 "store_cold_seconds": round(store_cold_s, 3),
                 "store_warm_seconds": round(store_warm_s, 3),
-                "legacy_per_cell_seconds": round(legacy_s / cells, 4),
                 "store_warm_per_cell_seconds": round(store_warm_s / cells, 4),
-                "speedup_cold_vs_legacy": round(legacy_s / store_cold_s, 3),
-                "speedup_warm_vs_legacy": round(legacy_s / store_warm_s, 3),
+                "speedup_warm_vs_cold": round(store_cold_s / store_warm_s, 3),
                 "parity": "bit-identical",
             },
         }
@@ -504,7 +495,7 @@ def measure_sweep_throughput(quick: bool) -> dict:
         db = ResultDB(tmp / "sweep.db")
         scheduler = SweepScheduler(db=db, store=store, jobs=jobs, native=True)
         t0 = time.perf_counter()
-        stats = scheduler.run_plan_sync(plan)
+        stats = scheduler.run_plan(plan)
         warm_s = time.perf_counter() - t0
         assert stats.executed == plan.n_cells
 
@@ -634,7 +625,7 @@ def measure_batch_kernel(quick: bool) -> dict:
                 kernel_threads=threads,
             )
             t0 = time.perf_counter()
-            stats = scheduler.run_plan_sync(plan)
+            stats = scheduler.run_plan(plan)
             elapsed = time.perf_counter() - t0
             assert stats.executed == plan.n_cells
             return db, elapsed
@@ -932,9 +923,9 @@ def main(argv=None) -> int:
     dispatch = report["trace_pipeline"]["dispatch"]
     print(
         f"trace pipeline: warm-store dispatch "
-        f"{dispatch['store_warm_seconds']}s vs legacy "
-        f"{dispatch['legacy_seconds']}s "
-        f"({dispatch['speedup_warm_vs_legacy']:.2f}x, parity "
+        f"{dispatch['store_warm_seconds']}s vs cold "
+        f"{dispatch['store_cold_seconds']}s "
+        f"({dispatch['speedup_warm_vs_cold']:.2f}x, parity "
         f"{dispatch['parity']})"
     )
     native = report["native_vs_reference"]

@@ -1,7 +1,7 @@
 """Run every paper figure at a chosen scale and dump rendered reports.
 
 Usage:  python scripts/run_full_experiments.py [small|medium|full] [outdir]
-            [--jobs N] [--no-store] [--store-dir DIR] [--db PATH]
+            [--jobs N] [--store-dir DIR] [--db PATH]
             [--native/--no-native] [--kernel-threads T]
 
 This is the script behind EXPERIMENTS.md: it runs every figure's cells
@@ -15,8 +15,9 @@ recomputes everything.
 
 ``--jobs N`` fans the sweep grids over N worker processes, and workload
 traces are compiled once into binary store files under
-``results/.cache/traces/`` unless ``--no-store`` is given.  All of these
-are bit-neutral (see docs/parallel_runner.md and docs/trace_store.md) —
+``results/.cache/traces/`` (``--store-dir`` names another directory;
+a fresh one builds every trace from source).  All of these are
+bit-neutral (see docs/parallel_runner.md and docs/trace_store.md) —
 only wall-clock time changes, which this script reports per job.
 """
 
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import repro.experiments as ex
 from repro.cli import _add_execution_flags, _configure_execution
+from repro.sim.parallel import default_store
 
 
 def parse_args() -> argparse.Namespace:
@@ -53,7 +55,7 @@ def main() -> int:
     print(
         f"[{time.time()-t0:7.1f}s] running standard sweep at scale={scale} "
         f"(jobs={args.jobs}, result DB {db.path}, "
-        f"store={'off' if args.no_store else 'on'}) ..."
+        f"trace store {default_store().root}) ..."
     )
     sweep = ex.standard_sweep(
         scale, progress=lambda s: print(f"    [{time.time()-t0:7.1f}s] {s}")

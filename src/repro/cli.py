@@ -89,16 +89,11 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "in this process)",
     )
     parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="rebuild traces in-process instead of using the compiled "
-        "trace store",
-    )
-    parser.add_argument(
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="trace-store directory (default: results/.cache/traces)",
+        help="trace-store directory every registry trace is compiled "
+        "into and mapped from (default: results/.cache/traces)",
     )
     parser.add_argument(
         "--native",
@@ -143,9 +138,7 @@ def _configure_execution(args: argparse.Namespace) -> "ResultDB":
     from repro.sim.sched.db import DEFAULT_DB_PATH, ResultDB
     from repro.workloads.store import DEFAULT_TRACE_DIR, TraceStore
 
-    store = None
-    if not args.no_store:
-        store = TraceStore(args.store_dir or DEFAULT_TRACE_DIR)
+    store = TraceStore(args.store_dir or DEFAULT_TRACE_DIR)
     db = ResultDB(args.db or DEFAULT_DB_PATH)
     kernel_threads = max(0, args.kernel_threads)
     set_default_execution(
@@ -158,7 +151,7 @@ def _configure_execution(args: argparse.Namespace) -> "ResultDB":
     print(
         f"execution: jobs={args.jobs}, "
         f"result DB {db.path}, "
-        f"trace store {store.root if store else 'off'}, "
+        f"trace store {store.root}, "
         f"kernel {'native' if args.native else 'interpreted'}"
         + (f", kernel threads {kernel_threads}" if kernel_threads else ""),
         file=sys.stderr,

@@ -4,8 +4,10 @@ This is deliberately a thin composition layer — policy (enumeration,
 sharding, resume, ordering) lives in :mod:`repro.sim.sched`, and the
 service only wires a DB handle, a trace store and a pool size together
 so callers (the ``repro serve`` CLI, scripts, tests) do not repeat the
-plumbing.  Everything here is synchronous: the asyncio loop lives
-inside the scheduler and is an implementation detail of dispatch.
+plumbing.  Everything here is synchronous: ``submit`` returns when the
+plan has run, and ``status``/``query`` from other processes read what
+it has committed so far.  ``store=None`` takes the configured default
+trace store (:func:`repro.sim.parallel.default_store`).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class SweepService:
             kernel_batch=self.kernel_batch,
             kernel_threads=self.kernel_threads,
         )
-        return scheduler.run_plan_sync(
+        return scheduler.run_plan(
             plan,
             progress=progress,
             max_cells=max_cells,

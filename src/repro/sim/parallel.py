@@ -16,8 +16,9 @@ The result DB is every run's completion record and its one result
 store: the configured one (``--db``, ``results/sweep.db`` for the CLI),
 or a private in-memory store when none is.  Cells the DB already holds
 are resumed, never re-simulated, and executed cells commit once per
-batch.  Every path is field-for-field identical to a one-job run
-(``tests/sim/test_parallel_parity.py``).
+batch.  Registry traces come from the compiled trace store
+(:func:`default_store`).  Every path is field-for-field identical to a
+one-job run (``tests/sim/test_parallel_parity.py``).
 
 Observability: ``progress`` receives one line per cell
 (``[done/total] workload/prefetcher: …``) — executed cells as their
@@ -37,8 +38,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.core.config import ContextPrefetcherConfig
 
 if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
-    from pathlib import Path
-
     from repro.cpu.core_model import CoreConfig
     from repro.memory.hierarchy import HierarchyConfig
     from repro.sim.metrics import SimulationResult
@@ -56,6 +55,8 @@ class ExecutionDefaults:
     """Process-wide defaults the CLI/scripts set once per invocation."""
 
     jobs: int = 1
+    #: the trace store registry traces come from; unset, a store at
+    #: ``results/.cache/traces`` (see :func:`default_store`)
     store: "TraceStore | None" = None
     native: bool = False
     #: the result DB sweeps commit into and resume from; unset, every
@@ -72,6 +73,15 @@ _DEFAULTS = ExecutionDefaults()
 def default_execution() -> ExecutionDefaults:
     """The currently configured process-wide execution defaults."""
     return _DEFAULTS
+
+
+def default_store() -> "TraceStore":
+    """The configured trace store, or one at ``DEFAULT_TRACE_DIR`` when
+    none is configured."""
+    from repro.workloads.store import DEFAULT_TRACE_DIR, TraceStore
+
+    store = _DEFAULTS.store
+    return store if store is not None else TraceStore(DEFAULT_TRACE_DIR)
 
 
 def set_default_execution(
@@ -136,7 +146,7 @@ def run_grid(
     core_config: "CoreConfig | None" = None,
     limit: int | None = None,
     jobs: int | None = None,
-    store: "TraceStore | Path | str | bool | None" = None,
+    store: "TraceStore | None" = None,
     native: bool | None = None,
     db: "ResultDB | None" = None,
     progress: ProgressFn | None = None,
@@ -148,22 +158,20 @@ def run_grid(
     workload × prefetcher cells.  Equal configs share one plan slot, so
     they run once and their entries are the same object.  ``db`` is
     where cells resume from and commit to; without one, the run uses a
-    private in-memory DB.  ``store`` supplies registry traces from
-    compiled files; neither changes a result.  Execution arguments left
-    at ``None`` take the process-wide defaults; ``store=False`` forces
-    the store off.  The store-degrade count is the whole run's, so
-    every slice carries the same total.
+    private in-memory DB.  ``store`` is the compiled trace store every
+    registry trace comes from; neither changes a result.  Execution
+    arguments left at ``None`` take the process-wide defaults (for
+    ``store``, :func:`default_store`).  The store-degrade count is the
+    whole run's, so every slice carries the same total.
     """
     from repro.sim.codec import decode_result
     from repro.sim.runner import ComparisonResult
     from repro.sim.sched.db import IN_MEMORY, ResultDB, ResultDBError
     from repro.sim.sched.plan import GridPlan
     from repro.sim.sched.scheduler import SweepScheduler
-    from repro.workloads.store import resolve_store
 
     defaults = default_execution()
     jobs = defaults.jobs if jobs is None else max(1, jobs)
-    store = resolve_store(store, default=defaults.store)
     native = defaults.native if native is None else native
     sources = _by_name(workloads)
     prefetcher_names = tuple(prefetchers)
@@ -223,16 +231,14 @@ def run_grid(
         return unreadable
 
     try:
-        stats = scheduler.run_plan_sync(plan, on_batch=on_batch, sources=sources)
+        stats = scheduler.run_plan(plan, on_batch=on_batch, sources=sources)
         store_degrades = stats.store_degrades
         unreadable = read_resumed(stats.keys)
         if unreadable:
             # rows that exist but will not decode (junk, codec skew) are
             # misses: drop them and run those cells again
             run_db.discard(unreadable)
-            stats = scheduler.run_plan_sync(
-                plan, on_batch=on_batch, sources=sources
-            )
+            stats = scheduler.run_plan(plan, on_batch=on_batch, sources=sources)
             store_degrades += stats.store_degrades
             unreadable = read_resumed(stats.keys)
         if unreadable:
@@ -271,7 +277,7 @@ def parallel_compare(
     context_config: ContextPrefetcherConfig | None = None,
     limit: int | None = None,
     jobs: int | None = None,
-    store: "TraceStore | Path | str | bool | None" = None,
+    store: "TraceStore | None" = None,
     native: bool | None = None,
     db: "ResultDB | None" = None,
     progress: ProgressFn | None = None,
@@ -300,6 +306,7 @@ def parallel_compare(
 __all__ = [
     "ExecutionDefaults",
     "default_execution",
+    "default_store",
     "parallel_compare",
     "run_grid",
     "set_default_execution",

@@ -7,7 +7,6 @@ prefetcher and compare against the no-prefetch baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 if TYPE_CHECKING:
@@ -164,7 +163,7 @@ def compare(
     progress: Callable[[str], None] | None = None,
     jobs: int | None = None,
     cache: "Literal[False] | None" = None,
-    store: "TraceStore | Path | str | bool | None" = None,
+    store: "TraceStore | None" = None,
     native: bool | None = None,
 ) -> ComparisonResult:
     """The standard sweep every evaluation figure is built from.
@@ -173,13 +172,14 @@ def compare(
     results across prefetchers are strictly comparable.
 
     ``jobs`` > 1 fans the grid out over worker processes, and ``store``
-    supplies registry traces from compiled binary files (``True`` →
-    ``results/.cache/traces/``); both are bit-neutral — the parity
-    suites prove the output identical to a one-job run.  ``None``
-    defers to the process-wide defaults the CLI and scripts configure
-    via :func:`repro.sim.parallel.set_default_execution`, which also
-    name the result DB the cells resume from and commit to, and the
-    kernel thread count; ``store=False`` forces the store off.
+    is the compiled trace store every registry trace comes from; both
+    are bit-neutral — the parity suites prove the output identical to
+    a one-job run.  ``None`` defers to the process-wide defaults the
+    CLI and scripts configure via
+    :func:`repro.sim.parallel.set_default_execution`, which also name
+    the result DB the cells resume from and commit to, and the kernel
+    thread count; with no store configured, traces are compiled under
+    ``results/.cache/traces/``.
 
     ``cache`` is inert: it accepts ``None`` or ``False`` and is never
     used, because the result DB is the one result store.  It stays only

@@ -9,7 +9,7 @@ testable on its own:
   :func:`~repro.sim.cache.cell_key`, and sharded into
   workload-affinity batches;
 * :mod:`repro.sim.sched.supply` — how each workload's trace reaches a
-  batch (compiled store file, registry name, or by value) and the
+  batch (a compiled store file, or the records by value) and the
   per-process trace memo that materialises it;
 * :mod:`repro.sim.sched.pool` — the batch executors: the persistent
   spawn-based worker pool, whose workers keep mmap'd trace readers,
@@ -21,10 +21,10 @@ testable on its own:
   the versioned codec, committed per batch, with a canonical logical
   dump so two DBs can be compared bit-for-bit regardless of page
   layout;
-* :mod:`repro.sim.sched.scheduler` — the asyncio submit/drain loop that
-  ties them together and implements resume: a restarted sweep diffs its
-  plan's keys against the DB and enqueues only the remainder, each
-  distinct key once.
+* :mod:`repro.sim.sched.scheduler` — the blocking submit/drain loop
+  that ties them together and implements resume: a restarted sweep
+  diffs its plan's keys against the DB and enqueues only the remainder,
+  each distinct key once.
 
 ``repro serve`` (:mod:`repro.serve`) submits plans directly, and
 ``run_grid`` in ``sim/parallel.py`` builds one for every

@@ -89,11 +89,12 @@ class BatchShared:
     core_config: CoreConfig | None = None
     #: context-config table; per-cell tuples index into it
     context_table: tuple[ContextPrefetcherConfig | None, ...] = (None,)
-    #: compiled store file + content fingerprint (preferred supply)
+    #: compiled store file + content fingerprint (registry workloads)
     store_path: str | None = None
     store_fingerprint: str = ""
-    #: trace shipped by value: ad-hoc workloads no worker can rebuild,
-    #: or records the (in-process) executor already holds
+    #: the records by value, when there is no store file: ad-hoc
+    #: workloads no worker can rebuild, or a store that could not be
+    #: written.  A batch carries one or the other
     trace: Sequence[MemoryAccess] | None = None
     #: hand whole shards to the kernel's batch driver (one GIL-released
     #: C call per batch) when native; False pins the per-cell dispatch
@@ -293,6 +294,9 @@ class InlineWorker:
         batch_id, shared, cells = self._queue.popleft()
         results, degrades = run_batch(shared, cells)
         return batch_id, results, degrades
+
+    def close(self) -> None:
+        self._queue.clear()
 
 
 # -- process-wide shared pool -------------------------------------------

@@ -1,4 +1,4 @@
-"""The asyncio submit/drain scheduler: the one sweep dispatch path.
+"""The submit/drain scheduler: the one sweep dispatch path.
 
 Every sweep runs through :meth:`SweepScheduler.run_plan`: ``repro serve
 submit`` hands it a :class:`~repro.sim.sched.plan.GridPlan` directly,
@@ -12,8 +12,11 @@ Ordering contract: batches are processed **in submission order**, never
 completion order.  Out-of-order results are buffered until their turn,
 so progress lines and DB commits are deterministic for a given grid
 regardless of worker scheduling — which is what lets the parity suites
-compare a batched run against a one-job run line for line.  In-flight batches are capped, so a million-cell grid streams
-through bounded queues instead of materialising everywhere at once.
+compare a batched run against a one-job run line for line.  In-flight
+batches are capped, so a million-cell grid streams through bounded
+queues instead of materialising everywhere at once.  Dispatch is plain
+blocking code: the caller's thread waits on the result queue, and
+``repro serve status``/``query`` read the DB from their own processes.
 
 Resume: before dispatching, :meth:`run_plan` diffs the plan's
 content-addressed cell keys against the result DB and enqueues only the
@@ -33,11 +36,11 @@ package): throughput is measured by the sweep benchmark,
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.sim.sched.db import IN_MEMORY, ResultDB
+from repro.sim.parallel import default_store
+from repro.sim.sched.db import ResultDB
 from repro.sim.sched.plan import (
     DEFAULT_BATCH_CELLS,
     KERNEL_BATCH_CELLS,
@@ -100,7 +103,7 @@ class SweepStats:
         return line
 
 
-async def dispatch(
+def dispatch(
     pool: WorkerPool | InlineWorker,
     batches: Sequence[tuple[BatchShared, tuple[tuple[int, str, int], ...]]],
     on_batch: Callable[[int, list, int], None],
@@ -111,34 +114,46 @@ async def dispatch(
     batch **in submission order**; ``results`` is the worker's ordered
     ``(index, payload, native_info)`` list.  At most
     ``_INFLIGHT_PER_WORKER × pool.jobs`` batches are in flight.
+
+    A failure with batches still in flight (a worker error, a commit
+    that raises, Ctrl-C) closes ``pool``: their results would otherwise
+    answer the next sweep's batches of the same ids.  ``shared_pool``
+    replaces a closed pool with a fresh one.
     """
     inflight_cap = max(2, _INFLIGHT_PER_WORKER * pool.jobs)
     buffered: dict[int, tuple[list, int]] = {}
     next_submit = 0
     next_finish = 0
-    while next_finish < len(batches):
-        while next_submit < len(batches) and (
-            next_submit - next_finish
-        ) < inflight_cap:
-            shared, cells = batches[next_submit]
-            pool.submit(next_submit, shared, cells)
-            next_submit += 1
-        if next_finish in buffered:
-            results, degrades = buffered.pop(next_finish)
-        else:
-            # queue reads block; keep the event loop responsive so
-            # concurrent serve callers (status/query) stay serviceable
-            batch_id, results, degrades = await asyncio.to_thread(pool.drain_one)
-            if batch_id != next_finish:
-                buffered[batch_id] = (results, degrades)
-                continue
-        on_batch(next_finish, results, degrades)
-        next_finish += 1
+    try:
+        while next_finish < len(batches):
+            while next_submit < len(batches) and (
+                next_submit - next_finish
+            ) < inflight_cap:
+                shared, cells = batches[next_submit]
+                pool.submit(next_submit, shared, cells)
+                next_submit += 1
+            if next_finish in buffered:
+                results, degrades = buffered.pop(next_finish)
+            else:
+                batch_id, results, degrades = pool.drain_one()
+                if batch_id != next_finish:
+                    buffered[batch_id] = (results, degrades)
+                    continue
+            on_batch(next_finish, results, degrades)
+            next_finish += 1
+    except BaseException:
+        if next_submit > next_finish:
+            pool.close()
+        raise
 
 
 class SweepScheduler:
     """Runs grid plans into the result DB: over the shared worker pool,
-    or in this process when ``jobs == 1``."""
+    or in this process when ``jobs == 1``.
+
+    ``store`` supplies every registry trace; ``None`` takes the
+    configured default (:func:`~repro.sim.parallel.default_store`).
+    """
 
     def __init__(
         self,
@@ -151,7 +166,7 @@ class SweepScheduler:
         kernel_threads: int = 0,
     ):
         self.db = db
-        self.store = store
+        self.store = store if store is not None else default_store()
         self.jobs = max(1, jobs)
         self.native = native
         #: hand whole shards to the kernel's batch driver (native only);
@@ -168,38 +183,23 @@ class SweepScheduler:
         sources: Mapping[str, str | WorkloadSpec | TraceProgram] | None,
     ) -> dict[str, TraceSupply]:
         """One :class:`TraceSupply` per plan workload (see ``supply``)."""
-        # a key in a DB file outlives this process, so it must name its
-        # trace's content.  An in-memory DB dies with the process, and
-        # within a process a registry name stands for one stream: those
-        # keys skip hashing traces no store holds
-        content_keys = str(self.db.path) != IN_MEMORY
         supplies: dict[str, TraceSupply] = {}
         for workload in plan.workloads:
             if workload not in supplies:
                 source = sources.get(workload, workload) if sources else workload
-                supply = resolve_supply(source, self.store)
-                supplies[workload] = supply.hashed() if content_keys else supply
+                supplies[workload] = resolve_supply(source, self.store)
         return supplies
 
     @staticmethod
     def _trace_header(
-        supply: TraceSupply, limit: int | None, inline: bool
+        supply: TraceSupply, limit: int | None
     ) -> tuple[str | None, str, Sequence | None]:
         """``(store path, store fingerprint, trace by value)`` for the
         batches of one workload."""
         if supply.store_path is not None:
-            return supply.store_path, supply.fingerprint or "", None
-        if supply.trace is None or (
-            supply.by_name and limit is None and not inline
-        ):
-            # rebuilt by name where the batch runs: a whole registry trace
-            # costs as much to pickle as to rebuild
-            return None, "", None
-        if inline:
-            # this process holds the records already: run them as they are
-            return None, "", supply.trace
-        # ad hoc (no worker can rebuild it), or a truncated registry
-        # trace the parent already built: ship the records by value
+            return supply.store_path, supply.fingerprint, None
+        # no store file to map: the records ship by value
+        assert supply.trace is not None
         return None, "", tuple(supply.trace[:limit])
 
     def _batch_message(
@@ -235,7 +235,7 @@ class SweepScheduler:
 
     # ------------------------------------------------------------------
 
-    async def run_plan(
+    def run_plan(
         self,
         plan: GridPlan,
         *,
@@ -266,16 +266,13 @@ class SweepScheduler:
         ship by value; a name it does not map is a registry workload.
         """
         drain_store_degrades()  # events before this run are not its own
-        heals_before = self.store.heals if self.store is not None else 0
+        heals_before = self.store.heals
         supplies = self._resolve(plan, sources)
         # one canonical rendering per context slot feeds both the keys
         # and the spec; it is dropped once the sweep is registered
         fragments = plan.context_fragments()
         keys = plan.cell_keys(
-            {
-                workload: supply.fingerprint or ""
-                for workload, supply in supplies.items()
-            },
+            {workload: supply.fingerprint for workload, supply in supplies.items()},
             fragments,
         )
         sweep = plan.sweep_id(keys)
@@ -317,7 +314,6 @@ class SweepScheduler:
             self._finish(stats, heals_before, progress)
             return stats
 
-        inline = self.jobs == 1
         # in-kernel batching amortises the C-call boundary across the
         # whole shard, so bigger shards help; cap them lower on the
         # per-cell path, where a shard is also the commit granule
@@ -334,7 +330,7 @@ class SweepScheduler:
             workload = batch[0].workload
             if workload not in headers:
                 headers[workload] = self._trace_header(
-                    supplies[workload], plan.limit, inline
+                    supplies[workload], plan.limit
                 )
             batches.append(self._batch_message(plan, headers[workload], batch))
         by_index = {cell.index: cell for cell in pending}
@@ -362,8 +358,8 @@ class SweepScheduler:
                     f"batch {batch_pos + 1}/{len(batches)} ({workload}) committed"
                 )
 
-        pool = InlineWorker() if inline else shared_pool(self.jobs)
-        await dispatch(pool, batches, commit)
+        pool = InlineWorker() if self.jobs == 1 else shared_pool(self.jobs)
+        dispatch(pool, batches, commit)
         self._finish(stats, heals_before, progress)
         return stats
 
@@ -371,29 +367,6 @@ class SweepScheduler:
         self, stats: SweepStats, heals_before: int, progress: ProgressFn | None
     ) -> None:
         # store files healed by recompiling are degrades of this run too
-        if self.store is not None:
-            stats.store_degrades += self.store.heals - heals_before
+        stats.store_degrades += self.store.heals - heals_before
         if progress is not None:
             progress(stats.summary())
-
-    def run_plan_sync(
-        self,
-        plan: GridPlan,
-        *,
-        progress: ProgressFn | None = None,
-        max_cells: int | None = None,
-        on_cells: Callable[[str, int, int], None] | None = None,
-        on_batch: Callable[[BatchResults], None] | None = None,
-        sources: Mapping[str, str | WorkloadSpec | TraceProgram] | None = None,
-    ) -> SweepStats:
-        """:meth:`run_plan` for synchronous callers (CLI, scripts)."""
-        return asyncio.run(
-            self.run_plan(
-                plan,
-                progress=progress,
-                max_cells=max_cells,
-                on_cells=on_cells,
-                on_batch=on_batch,
-                sources=sources,
-            )
-        )

@@ -585,6 +585,36 @@ class TraceStore:
 
     # ------------------------------------------------------------------
 
+    def _current_or_compiled(
+        self, workload: str, build: "WorkloadSpec | None", force: bool
+    ) -> tuple[TraceMeta, list[MemoryAccess] | None]:
+        """``(meta, None)`` for a valid file, else ``(meta, trace)`` once
+        this call has compiled ``workload`` into the store.
+
+        A file that cannot be read is replaced, and counts as a heal
+        only once its replacement is written: a store that cannot be
+        written raises :class:`TraceStoreError` and heals nothing.
+        """
+        path = self.path_for(workload)
+        unreadable = False
+        if not force:
+            try:
+                return read_meta(path), None
+            except FileNotFoundError:
+                pass  # cold miss: expected, compiled below
+            except TraceStoreError as exc:
+                unreadable = True
+                log.warning("trace store: %s; compiling %s", exc, workload)
+        if build is None:
+            from repro.workloads.suites import get_workload
+
+            build = get_workload(workload)
+        trace = build.build().trace()
+        meta = write_trace(path, trace, workload=workload)
+        if unreadable:
+            self.heals += 1
+        return meta, trace
+
     def ensure(
         self, workload: str, *, build: "WorkloadSpec | None" = None
     ) -> tuple[StoredTrace, list[MemoryAccess] | None]:
@@ -595,67 +625,20 @@ class TraceStore:
         can reuse the in-memory copy instead of re-decoding the file
         they just wrote.  Corrupt or stale files are recompiled in
         place; an unwritable store directory raises
-        :class:`TraceStoreError` (callers fall back to in-memory
-        shipping).
+        :class:`TraceStoreError` (callers ship the records by value).
         """
-        path = self.path_for(workload)
-        try:
-            meta = read_meta(path)
-        except FileNotFoundError:
-            pass  # cold miss: expected, compiled below
-        except TraceStoreError as exc:
-            self.heals += 1
-            log.warning(
-                "trace store: %s is corrupt or stale (%s); recompiling %s",
-                path,
-                exc,
-                workload,
-            )
-        else:
-            return (
-                StoredTrace(
-                    path=str(path),
-                    fingerprint=meta.fingerprint,
-                    records=meta.records,
-                ),
-                None,
-            )
-        if build is None:
-            from repro.workloads.suites import get_workload
-
-            build = get_workload(workload)
-        trace = build.build().trace()
-        meta = write_trace(path, trace, workload=workload)
-        return (
-            StoredTrace(
-                path=str(path), fingerprint=meta.fingerprint, records=meta.records
-            ),
-            trace,
+        meta, trace = self._current_or_compiled(workload, build, force=False)
+        ref = StoredTrace(
+            path=str(meta.path), fingerprint=meta.fingerprint, records=meta.records
         )
+        return ref, trace
 
     def compile(
         self, workload: str, *, force: bool = False
     ) -> tuple[TraceMeta, bool]:
         """Compile one registry workload; ``(meta, compiled-this-call?)``."""
-        from repro.workloads.suites import get_workload
-
-        spec = get_workload(workload)
-        path = self.path_for(workload)
-        if not force:
-            try:
-                return read_meta(path), False
-            except FileNotFoundError:
-                pass  # cold miss: expected, compiled below
-            except TraceStoreError as exc:
-                self.heals += 1
-                log.warning(
-                    "trace store: %s is corrupt or stale (%s); recompiling %s",
-                    path,
-                    exc,
-                    workload,
-                )
-        trace = spec.build().trace()
-        return write_trace(path, trace, workload=workload), True
+        meta, trace = self._current_or_compiled(workload, None, force)
+        return meta, trace is not None
 
     # ------------------------------------------------------------------
 
@@ -711,27 +694,6 @@ class TraceStore:
         return kept, removed
 
 
-def resolve_store(
-    store: "TraceStore | Path | str | bool | None",
-    default: TraceStore | None = None,
-) -> TraceStore | None:
-    """Normalize the user-facing ``store`` argument (mirrors the cache).
-
-    ``None`` → the configured ``default``; ``False`` → store off;
-    ``True`` → the default on-disk location; a path → a store rooted
-    there; a :class:`TraceStore` → itself.
-    """
-    if store is None:
-        return default
-    if store is False:
-        return None
-    if store is True:
-        return TraceStore(DEFAULT_TRACE_DIR)
-    if isinstance(store, TraceStore):
-        return store
-    return TraceStore(Path(store))
-
-
 __all__ = [
     "DEFAULT_TRACE_DIR",
     "RECORD_FIELDS",
@@ -747,7 +709,6 @@ __all__ = [
     "read_trace",
     "record_dtype",
     "record_layout_hash",
-    "resolve_store",
     "workloads_fingerprint",
     "write_trace",
 ]

@@ -891,14 +891,14 @@ class TestBatchDispatchLayoutRule:
                     self._task_q.put(None)
             """,
             "sim/sched/scheduler.py": """
-            async def dispatch(pool, batches, on_batch):
+            def dispatch(pool, batches, on_batch):
                 for i, (shared, cells) in enumerate(batches):
                     pool.submit(i, shared, cells)
             """,
             "sim/parallel.py": """
             def parallel_compare(workloads, prefetchers):
                 plan = GridPlan(workloads, prefetchers)
-                return SweepScheduler().run_plan_sync(plan)
+                return SweepScheduler().run_plan(plan)
             """,
         }
 
@@ -943,7 +943,7 @@ class TestBatchDispatchLayoutRule:
         files["sim/sched/scheduler.py"] = """
         from repro.sim.parallel import SweepJob
 
-        async def dispatch(pool, batches, on_batch):
+        def dispatch(pool, batches, on_batch):
             for i, batch in enumerate(batches):
                 pool.submit(i, [SweepJob(c) for c in batch], ())
         """
@@ -957,7 +957,7 @@ class TestBatchDispatchLayoutRule:
         files["sim/sched/scheduler.py"] = """
         from concurrent.futures import ProcessPoolExecutor
 
-        async def dispatch(pool, batches, on_batch):
+        def dispatch(pool, batches, on_batch):
             pass
         """
         write_tree(tmp_path, files)

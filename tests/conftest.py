@@ -7,6 +7,12 @@ would leak its store and DB into every later ``compare()`` call
 in the same pytest process.  Restore the whole defaults object around
 every test so ordering can never matter.
 
+Every sweep takes its registry traces from the compiled trace store,
+which defaults to ``results/.cache/traces`` under the working
+directory.  The session installs one store in a temporary directory as
+the default instead, so the suite compiles each trace once and writes
+nothing into the checkout.
+
 ``--runslow`` opts into tests marked ``@pytest.mark.slow`` — extended
 sweeps (the wide differential-fuzz tiers) that are too expensive for the
 tier-1 run but worth running before a release or a kernel change.
@@ -17,6 +23,7 @@ import dataclasses
 import pytest
 
 from repro.sim.parallel import default_execution, set_default_execution
+from repro.workloads.store import TraceStore
 
 
 def pytest_addoption(parser):
@@ -43,8 +50,17 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_slow)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_store(tmp_path_factory):
+    """The trace store every test's sweeps default to."""
+    store = TraceStore(tmp_path_factory.mktemp("traces"))
+    previous = set_default_execution(store=store)
+    yield store
+    set_default_execution(store=previous.store)
+
+
 @pytest.fixture(autouse=True)
-def _restore_execution_defaults():
+def _restore_execution_defaults(session_store):
     previous = default_execution()
     yield
     set_default_execution(

@@ -26,7 +26,7 @@ def main(argv: list[str]) -> int:
     scheduler = SweepScheduler(
         db=ResultDB(db_path), store=TraceStore(store_root), jobs=1
     )
-    stats = scheduler.run_plan_sync(plan)
+    stats = scheduler.run_plan(plan)
     return 0 if stats.executed + stats.resumed == plan.n_cells else 1
 
 

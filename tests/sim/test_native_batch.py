@@ -450,10 +450,14 @@ _RSS_SCRIPT = """
 import resource
 from repro.core.config import ContextPrefetcherConfig
 from repro.sim.sched.pool import BatchShared, run_batch
+from repro.workloads.suites import get_workload
 
 table = tuple(ContextPrefetcherConfig(seed=seed) for seed in range(8))
 cells = tuple((i, "context", i % len(table)) for i in range(1024))
-shared = BatchShared(workload="list", limit=50, native=True, context_table=table)
+trace = tuple(get_workload("list").build().trace()[:50])
+shared = BatchShared(
+    workload="list", limit=50, native=True, context_table=table, trace=trace
+)
 results, _ = run_batch(shared, cells)
 assert all(info == (True, None) for _i, _p, info in results)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)

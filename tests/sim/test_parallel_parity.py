@@ -87,8 +87,8 @@ class TestParallelParity:
             assert list(parallel.results[wl]) == list(serial_sweep.results[wl])
 
     def test_adhoc_trace_program(self):
-        # ad-hoc programs can't be rebuilt by name in workers; their
-        # traces ship by value and must produce the same results
+        # ad-hoc programs have no store file; their traces ship by
+        # value and must produce the same results
         make = lambda: ListTraversalProgram(num_nodes=256, iterations=4)
         serial = serial_compare([make()], ("none", "context"))
         parallel = compare([make()], ("none", "context"), jobs=3)
@@ -188,6 +188,20 @@ class TestTraceStoreParity:
         assert healed.store_degrades > 0
         summary = healed.resilience_summary()
         assert summary is not None and "store degrade" in summary
+
+    def test_unwritable_store_ships_records_by_value(
+        self, serial_sweep, tmp_path
+    ):
+        # a regular file where the store directory should be: every
+        # workload counts one degrade, nothing heals, and the records
+        # ship by value to the same results
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        store = TraceStore(blocker)
+        got = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, store=store)
+        assert got.store_degrades == len(WORKLOADS)
+        assert store.heals == 0
+        assert_sweeps_identical(serial_sweep, got)
 
     def test_adhoc_programs_bypass_the_store(self, tmp_path):
         # ad-hoc programs aren't registry-addressable; with a store set

@@ -63,7 +63,7 @@ def serial(plan):
 
 def run_plan(plan, db, store, jobs, native=False, **kwargs):
     scheduler = SweepScheduler(db=db, store=store, jobs=jobs, native=native)
-    return scheduler.run_plan_sync(plan, **kwargs)
+    return scheduler.run_plan(plan, **kwargs)
 
 
 def stored_text(db, key):
@@ -319,6 +319,43 @@ class TestWarmPool:
         # both sweeps ran on the same resident workers: no respawn
         assert pool.worker_pids() == pids
         assert pool.alive()
+
+    def test_a_failed_dispatch_leaves_nothing_for_the_next(
+        self, tmp_path, store, monkeypatch
+    ):
+        # one cell per batch, so batches are still in flight when the
+        # first commit raises; their results must not answer the next
+        # sweep's batches of the same ids
+        monkeypatch.setattr(
+            "repro.sim.sched.scheduler.DEFAULT_BATCH_CELLS", 1
+        )
+        base = ContextPrefetcherConfig()
+
+        def seeds(first):
+            return GridPlan(
+                workloads=WORKLOADS,
+                prefetchers=("context",),
+                context_configs=tuple(
+                    dataclasses.replace(base, seed=first + i) for i in range(4)
+                ),
+                limit=300,
+            )
+
+        def boom(_results):
+            raise RuntimeError("commit failed")
+
+        pool = shared_pool(2)
+        with pytest.raises(RuntimeError, match="commit failed"):
+            run_plan(
+                seeds(0), ResultDB(tmp_path / "a.db"), store, jobs=2,
+                on_batch=boom,
+            )
+        assert not pool.alive()
+        got = ResultDB(tmp_path / "b.db")
+        run_plan(seeds(100), got, store, jobs=2)
+        want = ResultDB(tmp_path / "c.db")
+        run_plan(seeds(100), want, store, jobs=1)
+        assert got.canonical_dump() == want.canonical_dump()
 
 
 class TestSchedulerDeterminism:

@@ -5,8 +5,9 @@ run it through ``SweepScheduler.run_plan`` and read the cells back from
 the run's result DB.  These tests pin the properties that used to
 differ between the dispatch paths: a configured DB records every
 executed cell at any ``jobs``, ``jobs=1`` spawns nothing and builds
-each trace once, and the process-wide execution defaults never leak
-from one test into the next.
+each trace once, a cell's key names its trace's content whatever the
+DB, and the process-wide execution defaults never leak from one test
+into the next.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.sim.runner import compare
 from repro.sim.sched import pool, supply
 from repro.sim.sched.db import IN_MEMORY, ResultDB
 from repro.workloads.linked_list import ListTraversalProgram
+from repro.workloads.store import DEFAULT_TRACE_DIR, TraceStore
 from repro.workloads.suites import WorkloadSpec
 from tests.oracle import serial_compare, serial_context_grid
 
@@ -116,8 +118,13 @@ class TestOneJobRunsInProcess:
         result = compare(["array"], ("none",), limit=LIMIT, jobs=1)
         assert result.get("array", "none").workload == "array"
 
-    @pytest.mark.parametrize("keyed", [True, False])
-    def test_jobs1_builds_each_trace_once(self, tmp_path, monkeypatch, keyed):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_jobs1_builds_each_trace_once(self, tmp_path, monkeypatch, warm):
+        # a cold store compiles the trace once, in the parent, and the
+        # batch maps the file; a warm store builds nothing at all
+        store = TraceStore(tmp_path / "traces")
+        if warm:
+            store.ensure("array")
         builds = []
         original = WorkloadSpec.build
 
@@ -126,14 +133,9 @@ class TestOneJobRunsInProcess:
             return original(self)
 
         monkeypatch.setattr(WorkloadSpec, "build", counting_build)
-        monkeypatch.setattr(supply, "_REGISTRY_FP_MEMO", {})
         monkeypatch.setattr(supply, "_WORKER_TRACE_MEMO", {})
-        if keyed:
-            # a persistent DB needs content keys: the parent builds the
-            # trace to fingerprint it, and the batch runs that trace
-            set_default_execution(db=ResultDB(tmp_path / "sweep.db"))
-        compare(["array"], PREFETCHERS, limit=LIMIT, jobs=1, store=False)
-        assert builds == ["array"]
+        compare(["array"], PREFETCHERS, limit=LIMIT, jobs=1, store=store)
+        assert builds == ([] if warm else ["array"])
 
     def test_two_workloads_under_one_name_are_refused(self):
         make = lambda nodes: ListTraversalProgram(num_nodes=nodes, iterations=2)
@@ -196,6 +198,25 @@ class TestEqualConfigsShareOneSlot:
             assert part.get("list", "context") == expected["list"]
 
 
+class TestKeysNameContent:
+    def test_in_memory_and_file_dbs_hold_the_same_keys(
+        self, tmp_path, monkeypatch
+    ):
+        # no store configured: the default one under the working
+        # directory supplies the trace, and each key names its content
+        # whether the DB outlives the process or not
+        monkeypatch.chdir(tmp_path)
+        set_default_execution(store=None)
+        memory = ResultDB(IN_MEMORY)
+        on_disk = ResultDB(tmp_path / "sweep.db")
+        for db in (memory, on_disk):
+            run_grid(["array"], PREFETCHERS, limit=LIMIT, jobs=1, db=db)
+        keys = [sorted(row.key for row in db.query()) for db in (memory, on_disk)]
+        assert len(keys[0]) == len(PREFETCHERS)
+        assert keys[0] == keys[1]
+        assert list((tmp_path / DEFAULT_TRACE_DIR).glob("array-*.rpt"))
+
+
 class TestReportsShareOneDB:
     def test_fig14_executes_no_cell_after_a_compare_of_its_workloads(
         self, monkeypatch
@@ -226,7 +247,7 @@ class TestExecutionDefaultsIsolation:
         )
         assert default_execution().kernel_threads == 3
 
-    def test_2_defaults_are_restored(self):
+    def test_2_defaults_are_restored(self, session_store):
         assert default_execution().db is None
         assert default_execution().kernel_threads == 0
-        assert default_execution() == ExecutionDefaults()
+        assert default_execution() == ExecutionDefaults(store=session_store)

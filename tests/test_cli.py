@@ -37,8 +37,16 @@ class TestRun:
             main(["run", "array", "oracle"])
 
 
+@pytest.fixture
+def in_tmp_dir(tmp_path, monkeypatch):
+    """Run from an empty directory: the default result DB and trace
+    store are created under the working directory."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
 class TestSweep:
-    def test_explicit_workloads_and_prefetchers(self, capsys):
+    def test_explicit_workloads_and_prefetchers(self, in_tmp_dir, capsys):
         code = main(
             [
                 "sweep",
@@ -54,18 +62,20 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "GEOMEAN" in out
         assert "array" in out and "random" in out
+        # printed for executed cells only: a fresh DB executes all four
+        assert "/4 executed cells" in out
 
 
 class TestFigure:
-    def test_figure_1(self, capsys):
+    def test_figure_1(self, in_tmp_dir, capsys):
         assert main(["figure", "1"]) == 0
         assert "Figure 1" in capsys.readouterr().out
 
-    def test_figure_5(self, capsys):
+    def test_figure_5(self, in_tmp_dir, capsys):
         assert main(["figure", "5"]) == 0
         assert "Figure 5" in capsys.readouterr().out
 
-    def test_tables(self, capsys):
+    def test_tables(self, in_tmp_dir, capsys):
         assert main(["figure", "tables"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out and "Table 3" in out
@@ -205,24 +215,28 @@ class TestTraceStoreCommands:
         assert str(tmp_path / "traces") in captured.err
         assert "GEOMEAN" in captured.out
 
-    def test_no_store_and_in_memory_db_report_off(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--workloads",
-                "random",
-                "--prefetchers",
-                "none",
-                "--limit",
-                "400",
-                "--db",
-                ":memory:",
-                "--no-store",
-            ]
-        )
-        assert code == 0
+    def test_in_memory_db_and_default_store_are_reported(
+        self, in_tmp_dir, capsys
+    ):
+        sweep = [
+            "sweep",
+            "--workloads",
+            "random",
+            "--prefetchers",
+            "none",
+            "--limit",
+            "400",
+            "--db",
+            ":memory:",
+        ]
+        assert main(sweep) == 0
         err = capsys.readouterr().err
-        assert "result DB :memory:" in err and "trace store off" in err
+        assert "result DB :memory:" in err
+        assert "trace store results/.cache/traces" in err
+        assert list((in_tmp_dir / "results/.cache/traces").glob("random-*.rpt"))
+        # the store is the only trace supply: there is no flag to skip it
+        with pytest.raises(SystemExit):
+            main([*sweep, "--no-store"])
 
 
 class TestDefaultResultDB:
@@ -243,7 +257,6 @@ class TestDefaultResultDB:
             "none,stride",
             "--limit",
             "400",
-            "--no-store",
             "--no-native",
         ]
         assert main(sweep) == 0

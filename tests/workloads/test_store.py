@@ -188,6 +188,7 @@ class TestStoreDirectory:
         path.write_bytes(path.read_bytes()[: RECORD_SIZE * 3])
         healed, rebuilt = store.ensure("array")
         assert rebuilt is not None  # corruption forced a recompile
+        assert store.heals == 1
         assert healed.fingerprint == ref.fingerprint
         assert read_meta(path).records == healed.records
 
@@ -401,7 +402,9 @@ class TestNumpyDecode:
             store_path=str(path),
             store_fingerprint=trace_fingerprint(built),
         )
-        reference = BatchShared(workload="array", limit=200, native=False)
+        reference = BatchShared(
+            workload="array", limit=200, native=False, trace=tuple(built)
+        )
         got, degrades = run_batch(stored, cells)
         want, _ = run_batch(reference, cells)
         assert degrades == 1
