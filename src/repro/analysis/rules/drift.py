@@ -71,6 +71,8 @@ MARKER_RE = re.compile(r"#\s*drift:\s*(begin|end)\s+([A-Za-z0-9_.-]+)")
 #: and are re-pinned after the parity suites pass.  The kernel's MT19937
 #: region carries no pair — its canonical is CPython's own ``_random``,
 #: and ``tests/sim/test_native_rng.py`` compares against that directly.
+#: ``native-render`` ties the kernel's payload renderer (``SOURCE_RENDER``)
+#: to the template it writes, ``codec.render_text``.
 DRIFT_PAIRS: tuple[tuple[str, str, str, str], ...] = (
     ("core-issue-time", "cpu/core_model.py", "CoreModel.issue_time", "sim/simulator.py"),
     ("core-complete", "cpu/core_model.py", "CoreModel.complete", "sim/simulator.py"),
@@ -88,6 +90,7 @@ DRIFT_PAIRS: tuple[tuple[str, str, str, str], ...] = (
     ("native-context-select", "core/bandit.py", "EpsilonGreedyPolicy.select", "sim/native/_csrc.py"),
     ("native-context-softmax", "core/bandit.py", "SoftmaxPolicy.select", "sim/native/_csrc.py"),
     ("native-context-kernel", "core/prefetcher.py", "ContextPrefetcher.on_access", "sim/native/_csrc.py"),
+    ("native-render", "sim/codec.py", "render_text", "sim/native/_csrc.py"),
 )
 
 

@@ -564,6 +564,8 @@ PINNED_BATCH_LAYOUTS = {
     1: "6936c5c2fe7b921543cedc75f1608142e5b9bf5c4580f0a72469af0d08171c2f",
     # 2: the driver owns cell state (per-thread renew) and takes config rows
     2: "6d156aceb371b4a1d955f45d9554a29b5729ffbb759f271fbeda3e86f6f9851a",
+    # 3: cells index a shared row table and seed keys; the payload renderer
+    3: "df010a276cb70a43f91c5432533e05afaef709619b9c7c2362c474963d576606",
 }
 
 #: storage-class tokens banned from the batch source: anything with

@@ -17,7 +17,9 @@ nobody) simply reports no rate.
 
 The sidecar is advisory: losing or deleting it loses nothing but the
 rate display, and concurrent submitters clobbering each other's write
-at worst drops a sample from the other's window.
+at worst drops a sample from the other's window.  An in-memory DB
+(``:memory:``) has no file to sit next to: its tracker keeps the
+samples in memory, for the life of the service that owns it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import json
 import time
 from pathlib import Path
 from typing import Callable
+
+from repro.sim.sched.db import IN_MEMORY
 
 __all__ = ["ProgressTracker", "throughput"]
 
@@ -62,7 +66,13 @@ class ProgressTracker:
         db_path: str | Path,
         clock: Callable[[], float] | None = None,
     ):
-        self.path = Path(str(db_path) + ".progress.json")
+        #: the sidecar file; ``None`` for an in-memory DB, whose samples
+        #: stay in this object
+        self.path = (
+            None
+            if str(db_path) == IN_MEMORY
+            else Path(str(db_path) + ".progress.json")
+        )
         # injectable clock so tests drive deterministic timelines; the
         # default is the one reviewed wall-clock read in the serve layer
         self._clock = clock if clock is not None else time.time
@@ -73,12 +83,16 @@ class ProgressTracker:
     def _load(self) -> dict[str, dict]:
         if self._data is None:
             try:
+                if self.path is None:
+                    raise FileNotFoundError("an in-memory DB has no sidecar")
                 self._data = json.loads(self.path.read_text())
             except (OSError, ValueError):
                 self._data = {}
         return self._data
 
     def _flush(self) -> None:
+        if self.path is None:
+            return
         try:
             self.path.write_text(json.dumps(self._data))
         except OSError:  # advisory telemetry: never fail the sweep

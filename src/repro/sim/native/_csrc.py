@@ -48,7 +48,7 @@ UNIT_SLOTS = 2 * len(UNIT_NAMES) + 4
 #: ``SOURCE_BATCH``); analysis rule PERF005 pins the pair's content hash
 #: per version, so editing the batch driver without bumping this (and
 #: re-pinning) fails ``repro lint``
-BATCH_VERSION = 2
+BATCH_VERSION = 3
 
 CDEF_CORE = """
 typedef struct RpSim RpSim;
@@ -3171,7 +3171,8 @@ CDEF_BATCH = """
 int rp_batch_openmp(void);
 int rp_batch_max_threads(void);
 int rp_batch_out_slots(void);
-int rp_run_batch(int64_t ncells, const int32_t *kinds,
+int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
+                 const int32_t *kinds,
                  const int64_t *cfg_at, const int64_t *cfgs,
                  const int64_t *dcfg_at, const double *dcfgs,
                  const int64_t *key_at, const uint32_t *keys,
@@ -3187,6 +3188,13 @@ int rp_run_batch(int64_t ncells, const int32_t *kinds,
                  int64_t *outs, int32_t *rcs, double *accuracies,
                  int64_t *hist_lens, int64_t *hist_depths,
                  int64_t *hist_counts, int64_t hist_slots, int nthreads);
+int64_t rp_render_batch(int64_t ncells, const int32_t *names,
+                        const int64_t *bits, const char *text,
+                        const int64_t *text_at, int64_t codec,
+                        const int64_t *outs, const int32_t *rcs,
+                        const int64_t *hist_lens, const int64_t *hist_depths,
+                        const int64_t *hist_counts, int64_t hist_slots,
+                        char *buf, int64_t cap, int64_t *marks);
 """
 
 SOURCE_BATCH = r"""
@@ -3277,10 +3285,11 @@ int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
                   type_ids, link_offsets, ref_forms, out);
 }
 
-/* whole shard in one call.  Cell i runs prefetcher kind kinds[i] with
- * config row cfgs[cfg_at[i]:cfg_at[i+1]] (plus, for the context kind,
- * dcfgs[dcfg_at[i]:...] and seed key keys[key_at[i]:key_at[i+1]]) on a
- * simulator built from the shard-wide hier_cfg/core_cfg.  A context
+/* whole shard in one call.  Cell i runs row r = rows[i] of the row
+ * table: prefetcher kind kinds[r] with config row cfgs + cfg_at[r] (plus,
+ * for the context kind, dcfgs + dcfg_at[r] and seed key k = seeds[i],
+ * keys[key_at[k]:key_at[k+1]]) on a simulator built from the shard-wide
+ * hier_cfg/core_cfg.  Cells that share a config share its row.  A context
  * cell also reports its accuracy EMA and its hit-depth histogram: up to
  * hist_slots (depth, count) pairs at hist_depths/hist_counts +
  * i * hist_slots, in first-insertion order, hist_lens[i] of them.
@@ -3289,7 +3298,8 @@ int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
  * poisons its shard-mates' blocks; the thread drops a failed cell's
  * state instead of renewing it.  Returns 0 always: cell failures are
  * per-cell data, not a call failure. */
-int rp_run_batch(int64_t ncells, const int32_t *kinds,
+int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
+                 const int32_t *kinds,
                  const int64_t *cfg_at, const int64_t *cfgs,
                  const int64_t *dcfg_at, const double *dcfgs,
                  const int64_t *key_at, const uint32_t *keys,
@@ -3318,11 +3328,13 @@ int rp_run_batch(int64_t ncells, const int32_t *kinds,
         #pragma omp for schedule(dynamic, 1)
 #endif
         for (int64_t i = 0; i < ncells; i++) {
-            int kind = kinds[i];
+            int64_t r = rows[i];
+            int64_t k = seeds[i];
+            int kind = kinds[r];
             if (sim) sim_reset(sim);
             else sim = rp_sim_new(hier_cfg, core_cfg);
-            pf = pf_renew(pf, kind, cfgs + cfg_at[i], dcfgs + dcfg_at[i],
-                          keys + key_at[i], (int)(key_at[i + 1] - key_at[i]));
+            pf = pf_renew(pf, kind, cfgs + cfg_at[r], dcfgs + dcfg_at[r],
+                          keys + key_at[k], (int)(key_at[k + 1] - key_at[k]));
             int rc = RP_BATCH_ALLOC_FAILED;
             if (sim && pf)
                 rc = rp_batch_cell(sim, pf, n, start_index, warmup, addrs, pcs,
@@ -3358,11 +3370,199 @@ int rp_run_batch(int64_t ncells, const int32_t *kinds,
 }
 """
 
+# drift: begin native-render
+SOURCE_RENDER = r"""
+/* ------------------------------------------------------------------ */
+/* payload renderer: each batch cell's canonical JSON text, byte for byte
+ * what codec.render_text writes for the result phase_finalize would
+ * build from the cell's block: every object's keys in sorted order,
+ * compact separators, integers in decimal, and the hit-depth keys sorted
+ * as strings ("10" before "9").  The depths are the cell's (depth, count)
+ * pairs when it has any (duplicate depths sum, zero counts stay), else
+ * the nonzero slots of its 129-slot depth block.  The block carries no
+ * fill counts, so both levels' prefetch_fills and demand_fills are 0.
+ *
+ * Names arrive as JSON string literals, quotes included and already
+ * escaped: name j is text[text_at[j]:text_at[j+1]], names 0-2 are the
+ * workload and the L1/L2 level names, and names[i] is cell i's
+ * prefetcher.  The one float, prefetcher_accuracy, is left to the
+ * caller (C has no exact match for Python's shortest repr): cell i's
+ * text is buf[start:marks[2i]], then the accuracy, then
+ * buf[marks[2i]:marks[2i+1]], where start is marks[2i-1] (0 for the
+ * first cell).  A cell with a nonzero status renders empty.
+ *
+ * Returns the bytes all texts need; only what fits in cap is written,
+ * so a caller whose buffer came back short renders again into one of
+ * the returned size.  -1: scratch allocation failed; -2: a cell claims
+ * more pairs than hist_slots. */
+
+typedef struct {
+    char key[24];
+    int len;
+    int64_t count;
+} RdEntry;
+
+typedef struct {
+    char *buf;
+    int64_t cap;
+    int64_t pos;
+} RdOut;
+
+static void rd_put(RdOut *o, const char *s, int64_t len) {
+    if (o->pos + len <= o->cap) memcpy(o->buf + o->pos, s, (size_t)len);
+    o->pos += len;
+}
+
+#define RD_LIT(o, s) rd_put((o), (s), (int64_t)(sizeof(s) - 1))
+
+/* v in decimal at dst (no terminator); returns the length */
+static int rd_digits(char *dst, int64_t v) {
+    char rev[20];
+    int n = 0, len = 0;
+    uint64_t u = v < 0 ? (uint64_t)0 - (uint64_t)v : (uint64_t)v;
+    do {
+        rev[n++] = (char)('0' + (int)(u % 10));
+        u /= 10;
+    } while (u);
+    if (v < 0) dst[len++] = '-';
+    while (n) dst[len++] = rev[--n];
+    return len;
+}
+
+static void rd_int(RdOut *o, int64_t v) {
+    char tmp[24];
+    rd_put(o, tmp, rd_digits(tmp, v));
+}
+
+static void rd_name(RdOut *o, const char *text, const int64_t *text_at,
+                    int64_t j) {
+    rd_put(o, text + text_at[j], text_at[j + 1] - text_at[j]);
+}
+
+static void rd_entry(RdEntry *e, int64_t depth, int64_t count) {
+    e->len = rd_digits(e->key, depth);
+    e->key[e->len] = 0;
+    e->count = count;
+}
+
+static int rd_key_cmp(const void *a, const void *b) {
+    return strcmp(((const RdEntry *)a)->key, ((const RdEntry *)b)->key);
+}
+
+int64_t rp_render_batch(int64_t ncells, const int32_t *names,
+                        const int64_t *bits, const char *text,
+                        const int64_t *text_at, int64_t codec,
+                        const int64_t *outs, const int32_t *rcs,
+                        const int64_t *hist_lens, const int64_t *hist_depths,
+                        const int64_t *hist_counts, int64_t hist_slots,
+                        char *buf, int64_t cap, int64_t *marks) {
+    int64_t room = hist_slots > 129 ? hist_slots : 129;
+    RdEntry *entries = (RdEntry *)malloc(sizeof(RdEntry) * (size_t)room);
+    if (!entries) return -1;
+    RdOut o = {buf, cap, 0};
+    for (int64_t i = 0; i < ncells; i++) {
+        if (rcs[i] != 0) {
+            marks[2 * i] = o.pos;
+            marks[2 * i + 1] = o.pos;
+            continue;
+        }
+        const int64_t *out = outs + i * RP_BATCH_OUT_SLOTS;
+        int64_t pairs = hist_lens[i];
+        int64_t n = 0;
+        if (pairs > hist_slots) {
+            free(entries);
+            return -2;
+        }
+        if (pairs > 0) {
+            const int64_t *d = hist_depths + i * hist_slots;
+            const int64_t *c = hist_counts + i * hist_slots;
+            for (int64_t k = 0; k < pairs; k++) rd_entry(&entries[n++], d[k], c[k]);
+        } else {
+            for (int64_t depth = 0; depth < 129; depth++)
+                if (out[19 + depth]) rd_entry(&entries[n++], depth, out[19 + depth]);
+        }
+        qsort(entries, (size_t)n, sizeof(RdEntry), rd_key_cmp);
+        int64_t m = 0;
+        for (int64_t k = 0; k < n; k++) {
+            if (m && strcmp(entries[m - 1].key, entries[k].key) == 0)
+                entries[m - 1].count += entries[k].count;
+            else
+                entries[m++] = entries[k];
+        }
+        RD_LIT(&o, "{\"classifier\":{\"counts\":{\"HIT_OLDER_DEMAND\":");
+        rd_int(&o, out[12]);
+        RD_LIT(&o, ",\"HIT_PREFETCHED\":");
+        rd_int(&o, out[8]);
+        RD_LIT(&o, ",\"MISS_NOT_PREFETCHED\":");
+        rd_int(&o, out[11]);
+        RD_LIT(&o, ",\"NON_TIMELY\":");
+        rd_int(&o, out[10]);
+        RD_LIT(&o, ",\"PREFETCH_NEVER_HIT\":");
+        rd_int(&o, out[13]);
+        RD_LIT(&o, ",\"SHORTER_WAIT\":");
+        rd_int(&o, out[9]);
+        RD_LIT(&o, "},\"demand_accesses\":");
+        rd_int(&o, out[14]);
+        RD_LIT(&o, "},\"codec\":");
+        rd_int(&o, codec);
+        RD_LIT(&o, ",\"cycles\":");
+        rd_int(&o, out[1]);
+        RD_LIT(&o, ",\"hit_depths\":{");
+        for (int64_t k = 0; k < m; k++) {
+            if (k) RD_LIT(&o, ",");
+            RD_LIT(&o, "\"");
+            rd_put(&o, entries[k].key, entries[k].len);
+            RD_LIT(&o, "\":");
+            rd_int(&o, entries[k].count);
+        }
+        RD_LIT(&o, "},\"instructions\":");
+        rd_int(&o, out[0]);
+        RD_LIT(&o, ",\"l1\":{\"accesses\":");
+        rd_int(&o, out[2]);
+        RD_LIT(&o, ",\"demand_fills\":0,\"hits\":");
+        rd_int(&o, out[3]);
+        RD_LIT(&o, ",\"misses\":");
+        rd_int(&o, out[4]);
+        RD_LIT(&o, ",\"name\":");
+        rd_name(&o, text, text_at, 1);
+        RD_LIT(&o, ",\"prefetch_fills\":0},\"l2\":{\"accesses\":");
+        rd_int(&o, out[5]);
+        RD_LIT(&o, ",\"demand_fills\":0,\"hits\":");
+        rd_int(&o, out[6]);
+        RD_LIT(&o, ",\"misses\":");
+        rd_int(&o, out[7]);
+        RD_LIT(&o, ",\"name\":");
+        rd_name(&o, text, text_at, 2);
+        RD_LIT(&o, ",\"prefetch_fills\":0},\"prefetcher\":");
+        rd_name(&o, text, text_at, names[i]);
+        RD_LIT(&o, ",\"prefetcher_accuracy\":");
+        marks[2 * i] = o.pos;
+        RD_LIT(&o, ",\"prefetches_issued\":");
+        rd_int(&o, out[15]);
+        RD_LIT(&o, ",\"prefetches_redundant\":");
+        rd_int(&o, out[18]);
+        RD_LIT(&o, ",\"prefetches_rejected\":");
+        rd_int(&o, out[17]);
+        RD_LIT(&o, ",\"prefetches_shadow\":");
+        rd_int(&o, out[16]);
+        RD_LIT(&o, ",\"storage_bits\":");
+        rd_int(&o, bits[i]);
+        RD_LIT(&o, ",\"workload\":");
+        rd_name(&o, text, text_at, 0);
+        RD_LIT(&o, "}");
+        marks[2 * i + 1] = o.pos;
+    }
+    free(entries);
+    return o.pos;
+}
+"""
+# drift: end native-render
+
 #: full cdef handed to ``ffi.cdef``
 CDEF = CDEF_CORE + CDEF_BATCH
 
 #: full translation unit handed to cffi's ``set_source``
 SOURCE = (
     SOURCE_RUNTIME + SOURCE_MEMORY + SOURCE_CTX + SOURCE_PF + SOURCE_RUN
-    + SOURCE_BATCH
+    + SOURCE_BATCH + SOURCE_RENDER
 )

@@ -24,8 +24,13 @@ run elsewhere.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
+from array import array
+from dataclasses import dataclass, field
+from operator import attrgetter, is_
+from json.encoder import encode_basestring_ascii
 from weakref import WeakKeyDictionary
 
 from repro.core.attributes import ALL_ATTRIBUTES, AttributeSet
@@ -42,7 +47,7 @@ from repro.prefetchers.markov import MarkovPrefetcher
 from repro.prefetchers.nopf import NoPrefetcher
 from repro.prefetchers.sms import SMSPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
-from repro.sim.codec import render_text
+from repro.sim.codec import CODEC_VERSION, _json_number
 from repro.sim.metrics import HitDepthCDF, SimulationResult
 from repro.sim.native import decode
 from repro.sim.native._csrc import (
@@ -397,6 +402,131 @@ def context_row(cfg):
         alpha=cfg.accuracy_ema_alpha,
         shadow_p=cfg.shadow_probability,
     )
+
+
+@dataclass(eq=False)
+class KernelRows:
+    """Kernel rows and seed keys, in the flat buffers ``rp_run_batch`` reads.
+
+    Row ``r`` is prefetcher kind ``kinds[r]`` with the config row at
+    ``cfgs[cfg_at[r]:]`` and ``dcfgs[dcfg_at[r]:]`` and storage bits
+    ``bits[r]``; seed key ``k`` is ``keys[key_at[k]:key_at[k + 1]]``.
+    A batch cell names one row and one key, so cells that share a config
+    share its row.  A table of context slots (:func:`context_rows`) also
+    maps slot ``s`` to its row, ``slot_row[s]`` (-1 when it has none,
+    with the reason in ``refused[s]``), and to seed key ``s``.
+    """
+
+    kinds: array = field(default_factory=lambda: array("i"))
+    cfg_at: array = field(default_factory=lambda: array("q"))
+    cfgs: array = field(default_factory=lambda: array("q"))
+    dcfg_at: array = field(default_factory=lambda: array("q"))
+    dcfgs: array = field(default_factory=lambda: array("d"))
+    bits: array = field(default_factory=lambda: array("q"))
+    key_at: array = field(default_factory=lambda: array("q", [0]))
+    keys: array = field(default_factory=lambda: array("I"))
+    slot_row: array = field(default_factory=lambda: array("i"))
+    refused: dict = field(default_factory=dict)
+
+    def add_row(self, kind: int, icfg, dcfg, bits: int) -> int:
+        """Append one row; its index back."""
+        self.kinds.append(kind)
+        self.cfg_at.append(len(self.cfgs))
+        self.cfgs.extend(icfg)
+        self.dcfg_at.append(len(self.dcfgs))
+        self.dcfgs.extend(dcfg)
+        self.bits.append(bits)
+        return len(self.kinds) - 1
+
+    def add_key(self, words) -> int:
+        """Append one seed key; its index back."""
+        self.keys.extend(words)
+        self.key_at.append(len(self.keys))
+        return len(self.key_at) - 2
+
+    def copy(self) -> "KernelRows":
+        return KernelRows(
+            *(array(a.typecode, a) for a in (
+                self.kinds, self.cfg_at, self.cfgs, self.dcfg_at, self.dcfgs,
+                self.bits, self.key_at, self.keys, self.slot_row,
+            )),
+            dict(self.refused),
+        )
+
+
+def _slot_row(table: KernelRows, shared: dict, cfg) -> tuple[int, str | None]:
+    """``(row index, None)`` for one context config, adding its row to
+    ``table`` unless an equal one is there; ``(-1, reason)`` when it has
+    none."""
+    try:
+        row, reason = context_row(cfg)
+        if row is None:
+            return -1, reason
+        icfg, dcfg, _key = row
+        signature = (
+            array("q", icfg).tobytes(),
+            array("d", dcfg).tobytes(),
+            cfg.storage_bits(),
+        )
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        # what the config's components reject is raised again per cell
+        reason = f"{type(exc).__name__}: {exc}"
+        log.debug("a context config has no kernel row: %s", reason)
+        return -1, reason
+    index = shared.get(signature)
+    if index is None:
+        index = shared[signature] = table.add_row(
+            _PF_CONTEXT, icfg, dcfg, signature[2]
+        )
+    return index, None
+
+
+def context_rows(configs) -> KernelRows:
+    """The kernel rows of a slice of context-config slots.
+
+    Slot ``s`` (``None`` is the paper default) gets :func:`context_row`
+    of its config plus the config's storage bits; slots with equal rows
+    share one, compared bit for bit (a ``-0.0`` knob is not ``0.0``).
+    A slot the kernel refuses, or whose config its prefetcher's
+    components reject, gets no row: its cell leaves the kernel, and the
+    per-cell path reports the refusal or raises the rejection there.
+
+    A seed sweep's slot is the slot before it with another seed, and
+    ``dataclasses.replace`` shares every other field as the very same
+    object.  Nothing but the seed key reads the seed, so a slot whose
+    other fields are the previous slot's objects takes that slot's row
+    (or refusal) without building it again.  Config values are
+    immutable and ``last_values`` keeps them alive, so an identity match
+    is never a reused address.
+    """
+    table = KernelRows()
+    shared: dict = {}
+    fields: dict = {}
+    default = None
+    last_type = None
+    last_values: tuple = ()
+    index, reason = -1, None
+    for slot, cfg in enumerate(configs):
+        if cfg is None:
+            if default is None:
+                default = ContextPrefetcherConfig()
+            cfg = default
+        get = fields.get(type(cfg))
+        if get is None:
+            get = fields[type(cfg)] = attrgetter(
+                *(f.name for f in dataclasses.fields(cfg) if f.name != "seed")
+            )
+        values = get(cfg)
+        if type(cfg) is not last_type or not all(map(is_, values, last_values)):
+            index, reason = _slot_row(table, shared, cfg)
+        last_type, last_values = type(cfg), values
+        table.slot_row.append(index)
+        if index < 0:
+            table.refused[slot] = reason
+            table.add_key(())
+        else:
+            table.add_key(_seed_key(cfg.seed))
+    return table
 
 
 def _hier_config_values(hier) -> list[int]:
@@ -788,17 +918,18 @@ _BATCH_RC_REASONS = {
 
 
 def phase_batch_kernel(
-    kernel, rows, sim_cfg, cols, start_index: int, warmup: int, threads: int
+    kernel, rows, sim_cfg, cols, start_index: int, warmup: int, threads: int,
+    *, table: KernelRows, keys,
 ):
     """One ``rp_run_batch`` call over every cell.
 
-    ``rows[j]`` is cell ``j``'s ``(kind, icfg, dcfg, seed_key)`` — the
-    values :func:`_pf_config_values` / :func:`_ctx_config_values`
-    produce, with empty ``dcfg``/``seed_key`` for the table families —
-    and ``sim_cfg`` the shard-wide ``(hierarchy, core)`` config arrays.
-    The kernel owns the cell state: each of its threads renews one
-    simulator and one prefetcher in place between cells, so cell ``j``
-    starts from a state equal to a fresh one built from its row.
+    Cell ``j`` runs row ``rows[j]`` of ``table`` (a :class:`KernelRows`)
+    with its seed key ``keys[j]``; ``rows`` and ``keys`` are int32
+    arrays, one entry per cell, and ``sim_cfg`` the shard-wide
+    ``(hierarchy, core)`` config arrays.  The kernel owns the cell
+    state: each of its threads renews one simulator and one prefetcher
+    in place between cells, so cell ``j`` starts from a state equal to a
+    fresh one built from its row.
 
     Returns ``(outs, rcs, accuracies, hist_lens, depths, counts)``:
     cell ``j``'s :data:`OUT_SLOTS` block at ``outs + j * OUT_SLOTS``,
@@ -817,21 +948,6 @@ def phase_batch_kernel(
         raise ValueError("warmup consumes the whole trace")
     ncells = len(rows)
     slots = BATCH_HIST_SLOTS
-    kinds: list[int] = []
-    cfgs: list[int] = []
-    dcfgs: list[float] = []
-    keys: list[int] = []
-    cfg_at = [0]
-    dcfg_at = [0]
-    key_at = [0]
-    for kind, icfg, dcfg, key in rows:
-        kinds.append(kind)
-        cfgs += icfg
-        cfg_at.append(len(cfgs))
-        dcfgs += dcfg
-        dcfg_at.append(len(dcfgs))
-        keys += key
-        key_at.append(len(keys))
     hier_values, core_values = sim_cfg
     outs = ffi.new("int64_t[]", ncells * OUT_SLOTS)
     rcs = ffi.new("int32_t[]", ncells)
@@ -858,13 +974,15 @@ def phase_batch_kernel(
         ctx_cols = [ffi.NULL] * 7
     lib.rp_run_batch(
         ncells,
-        ffi.new("int32_t[]", kinds),
-        ffi.new("int64_t[]", cfg_at),
-        ffi.new("int64_t[]", cfgs),
-        ffi.new("int64_t[]", dcfg_at),
-        ffi.new("double[]", dcfgs),
-        ffi.new("int64_t[]", key_at),
-        ffi.new("uint32_t[]", keys),
+        ffi.from_buffer("int32_t[]", rows),
+        ffi.from_buffer("int32_t[]", keys),
+        ffi.from_buffer("int32_t[]", table.kinds),
+        ffi.from_buffer("int64_t[]", table.cfg_at),
+        ffi.from_buffer("int64_t[]", table.cfgs),
+        ffi.from_buffer("int64_t[]", table.dcfg_at),
+        ffi.from_buffer("double[]", table.dcfgs),
+        ffi.from_buffer("int64_t[]", table.key_at),
+        ffi.from_buffer("uint32_t[]", table.keys),
         ffi.new("int64_t[]", hier_values),
         ffi.new("int64_t[]", core_values),
         n, start_index, warmup,
@@ -873,6 +991,11 @@ def phase_batch_kernel(
         max(0, int(threads)),
     )
     return outs, rcs, accuracies, hist_lens, depths, counts
+
+
+#: first guess at a payload's rendered bytes, less its accuracy (a
+#: typical payload is ~770); a shard whose texts need more renders twice
+_RENDER_CELL_BYTES = 1536
 
 
 def phase_render(kernel, block, cells, *, workload_name: str) -> list:
@@ -888,57 +1011,69 @@ def phase_render(kernel, block, cells, *, workload_name: str) -> list:
     :func:`~repro.sim.codec.encode_text` of the result
     :func:`phase_finalize` would build, without building it.
 
-    The per-cell status, accuracy and pair count unpack once per shard;
-    a cell's counters and pairs unpack on their own, because the block
-    reserves :data:`BATCH_HIST_SLOTS` pair slots and 148 counter slots
-    per cell of which a cell reads a few dozen.
+    The kernel's renderer (``rp_render_batch``) writes every cell's text
+    into one ASCII buffer, with names escaped here once per shard; this
+    function decodes the buffer once and slices it per cell, splicing in
+    the one float, the accuracy, as :func:`repr` writes it (C has no
+    exact match for Python's shortest repr).  A table family's accuracy
+    and empty pairs are written into ``block`` first.
     """
-    unpack = kernel.ffi.unpack
+    ffi, lib = kernel.ffi, kernel.lib
     n = len(cells)
     outs, rcs, accuracies, hist_lens, depths, counts = block
-    rcs = unpack(rcs, n)
-    accuracies = unpack(accuracies, n)
-    hist_lens = unpack(hist_lens, n)
-    texts: list = []
+    names = [workload_name, *_LEVELS]
+    name_ids: dict = {}
+    cell_names = array("i")
+    cell_bits = array("q")
     for j, (name, storage_bits, accuracy) in enumerate(cells):
-        if rcs[j]:
-            texts.append(None)
-            continue
-        out = outs + j * OUT_SLOTS
-        (
-            instructions, cycles, l1_accesses, l1_hits, l1_misses,
-            l2_accesses, l2_hits, l2_misses, hit_prefetched, shorter_wait,
-            non_timely, miss_not_prefetched, hit_older_demand, wasted,
-            demand_accesses, issued, shadow, rejected, redundant,
-        ) = unpack(out, 19)
-        pairs = 0
-        if accuracy is None:
-            accuracy = accuracies[j]
-            pairs = hist_lens[j]
-        if pairs:
-            at = j * BATCH_HIST_SLOTS
-            hist = zip(unpack(depths + at, pairs), unpack(counts + at, pairs))
-        else:
-            hist = [(d, c) for d, c in enumerate(unpack(out + 19, 129)) if c]
-        texts.append(
-            render_text(
-                workload_name,
-                name,
-                (
-                    instructions, cycles,
-                    l1_accesses, l1_hits, l1_misses, 0, 0,
-                    l2_accesses, l2_hits, l2_misses, 0, 0,
-                    demand_accesses,
-                    hit_prefetched, shorter_wait, non_timely,
-                    miss_not_prefetched, hit_older_demand, wasted,
-                    issued, shadow, rejected, redundant,
-                ),
-                hist,
-                accuracy,
-                storage_bits,
-                _LEVELS,
-            )
+        k = name_ids.get(name)
+        if k is None:
+            k = name_ids[name] = len(names)
+            names.append(name)
+        cell_names.append(k)
+        cell_bits.append(storage_bits)
+        if accuracy is not None:
+            accuracies[j] = accuracy
+            hist_lens[j] = 0
+    escaped = [encode_basestring_ascii(name) for name in names]
+    text_at = array("q", [0])
+    for name in escaped:
+        text_at.append(text_at[-1] + len(name))
+    name_text = "".join(escaped).encode("ascii")
+    marks = ffi.new("int64_t[]", 2 * n)
+    cap = 0
+    need = n * _RENDER_CELL_BYTES
+    while need > cap:
+        cap = need
+        buf = ffi.new("char[]", cap)
+        need = lib.rp_render_batch(
+            n,
+            ffi.from_buffer("int32_t[]", cell_names),
+            ffi.from_buffer("int64_t[]", cell_bits),
+            name_text,
+            ffi.from_buffer("int64_t[]", text_at),
+            CODEC_VERSION,
+            outs, rcs, hist_lens, depths, counts, BATCH_HIST_SLOTS,
+            buf, cap, marks,
         )
+        if need < 0:
+            raise MemoryError("the native payload renderer failed")
+    text = str(ffi.buffer(buf, need), "ascii")
+    statuses = ffi.unpack(rcs, n)
+    accuracies = ffi.unpack(accuracies, n)
+    marks = ffi.unpack(marks, 2 * n)
+    texts: list = []
+    start = 0
+    for j in range(n):
+        split = marks[2 * j]
+        end = marks[2 * j + 1]
+        if statuses[j]:
+            texts.append(None)
+        else:
+            texts.append(
+                text[start:split] + _json_number(accuracies[j]) + text[split:end]
+            )
+        start = end
     return texts
 
 
@@ -954,11 +1089,14 @@ def run_native_batch(
     warmup: int = 0,
     start_index: int = 0,
     threads: int = 0,
+    rows: KernelRows | None = None,
 ):
     """Execute N independent cells over one trace in one kernel call.
 
-    ``cells[i]`` is a context cell's :class:`ContextPrefetcherConfig`
-    (its row comes from :func:`context_row`) or a table family's fresh
+    ``cells[i]`` is a context cell's slot in ``rows`` (a table
+    :func:`context_rows` built, usually in the sweep's parent process),
+    a context cell's :class:`ContextPrefetcherConfig` (its row comes
+    from :func:`context_row` here), or a table family's fresh
     prefetcher.  Every cell runs on a state equal to a *fresh*
     simulator/prefetcher built from the shared configs plus its own —
     the exact state a ``Simulator(pf, ...)`` construction would hand
@@ -969,12 +1107,12 @@ def run_native_batch(
     Returns ``(texts, reasons, trace, limit)``: ``texts[i]`` is the
     cell's payload text (:func:`phase_render`) or ``None`` when it must
     run on the per-cell path, in which case ``reasons[i]`` names why.
-    Per-cell conditions (no native port, unrepresentable config, kernel
-    OOM, a histogram over :data:`BATCH_HIST_SLOTS`) degrade that one
-    cell.  The call raises for whole-shard programming errors (warmup
-    consuming the trace) and for a context config its prefetcher's
-    components reject (see :func:`context_row`), so such a cell never
-    reaches the kernel.
+    Per-cell conditions (no native port, unrepresentable config, a slot
+    with no row, kernel OOM, a histogram over :data:`BATCH_HIST_SLOTS`)
+    degrade that one cell.  The call raises for whole-shard programming
+    errors (warmup consuming the trace) and for a context config cell
+    its prefetcher's components reject (see :func:`context_row`), so
+    such a cell never reaches the kernel.
     """
     n_cells = len(cells)
     texts: list = [None] * n_cells
@@ -985,21 +1123,49 @@ def run_native_batch(
         _count_batch(n_cells, 0, threads, 0)
         return texts, [reason] * n_cells, trace, limit
     lib = kernel.lib
-    rows: list = [None] * n_cells
-    meta: list = [None] * n_cells
+    table = rows if rows is not None else KernelRows()
+    # the rows this call adds (config cells, table families) go into a
+    # copy, so a table shared by several shards never grows
+    own: KernelRows | None = None
+    family_rows: dict = {}
+    cell_rows = array("i")
+    cell_keys = array("i")
+    meta: list = []
+    eligible: list = []
+    with_context = False
     for i, cell in enumerate(cells):
+        if type(cell) is int:
+            row = table.slot_row[cell]
+            if row < 0:
+                reasons[i] = table.refused[cell]
+                continue
+            cell_rows.append(row)
+            cell_keys.append(cell)
+            meta.append((ContextPrefetcher.name, table.bits[row], None))
+            eligible.append(i)
+            with_context = True
+            continue
+        if own is None:
+            own = table.copy()
+            empty_key = own.add_key(())
         if isinstance(cell, ContextPrefetcherConfig):
-            row, reason = context_row(cell)
-            if row is None:
+            ctx_row, reason = context_row(cell)
+            if ctx_row is None:
                 reasons[i] = reason
                 continue
-            rows[i] = (_PF_CONTEXT, *row)
-            meta[i] = (ContextPrefetcher.name, cell.storage_bits(), None)
+            icfg, dcfg, key = ctx_row
+            bits = cell.storage_bits()
+            cell_rows.append(own.add_row(_PF_CONTEXT, icfg, dcfg, bits))
+            cell_keys.append(own.add_key(key))
+            meta.append((ContextPrefetcher.name, bits, None))
+            eligible.append(i)
+            with_context = True
             continue
         kind = _pf_kind(cell)
         if kind == _PF_CONTEXT:
             raise TypeError(
                 "a context cell enters the batch as its ContextPrefetcherConfig"
+                " or its slot in the batch's rows"
             )
         if kind is None:
             reasons[i] = f"the {cell.name} prefetcher has no native port"
@@ -1013,12 +1179,17 @@ def run_native_batch(
                 f"the {cell.name} config exceeds the kernel's fixed buffers"
             )
             continue
-        rows[i] = (kind, cfg, (), ())
-        meta[i] = (cell.name, cell.storage_bits(), cell.accuracy())
-    eligible = [i for i in range(n_cells) if reasons[i] is None]
+        bits = cell.storage_bits()
+        signature = (kind, tuple(cfg), bits)
+        row = family_rows.get(signature)
+        if row is None:
+            row = family_rows[signature] = own.add_row(kind, cfg, (), bits)
+        cell_rows.append(row)
+        cell_keys.append(empty_key)
+        meta.append((cell.name, bits, cell.accuracy()))
+        eligible.append(i)
     hier_cfg = hierarchy_config if hierarchy_config is not None else HierarchyConfig()
     if eligible:
-        with_context = any(rows[i][0] == _PF_CONTEXT for i in eligible)
         cols, trace, limit = phase_decode(
             trace, limit, hier_cfg.line_bytes, with_context=with_context
         )
@@ -1040,12 +1211,10 @@ def run_native_batch(
         ],
     )
     block = phase_batch_kernel(
-        kernel, [rows[i] for i in eligible], sim_cfg, cols, start_index,
-        warmup, threads,
+        kernel, cell_rows, sim_cfg, cols, start_index, warmup, threads,
+        table=own if own is not None else table, keys=cell_keys,
     )
-    rendered = phase_render(
-        kernel, block, [meta[i] for i in eligible], workload_name=workload_name
-    )
+    rendered = phase_render(kernel, block, meta, workload_name=workload_name)
     rcs = block[1]
     native_cells = 0
     for j, i in enumerate(eligible):

@@ -16,7 +16,10 @@ Batch protocol (PERF004 pins the layout):
   batch carrying the workload, trace supply, limit, configs and the
   context-config *table*, plus per-cell tuples of exactly
   :data:`CELL_FIELDS` — ``(index, prefetcher, context_id)``.  Configs
-  cross the boundary once per batch, never once per cell;
+  cross the boundary once per batch, never once per cell.  The table
+  (:class:`ContextTable`) carries its slots' kernel rows, built once in
+  the parent, beside its configs as one opaque blob the worker opens
+  only for a cell that leaves the kernel;
 * results return as ``("done", batch_id, [(index, payload text,
   native_info), ...], store_degrades)``: each payload is the canonical
   JSON text of the versioned codec's encoding — the very string the
@@ -38,11 +41,15 @@ resumes instead of recomputing.
 from __future__ import annotations
 
 import atexit
+import os
+import pickle
+import zlib
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context
 from queue import Empty
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.core.prefetcher import ContextPrefetcher
@@ -54,9 +61,13 @@ from repro.sim.sched.supply import drain_store_degrades, resolve_worker_trace
 from repro.sim.simulator import Simulator
 from repro.workloads.trace import MemoryAccess
 
+if TYPE_CHECKING:
+    from repro.sim.native.adapter import KernelRows
+
 __all__ = [
     "BatchShared",
     "CELL_FIELDS",
+    "ContextTable",
     "InlineWorker",
     "WorkerPool",
     "WorkerPoolError",
@@ -73,9 +84,85 @@ CELL_FIELDS = ("index", "prefetcher", "context_id")
 #: polling interval for detecting killed workers, never a deadline
 _DRAIN_POLL_S = 2.0
 
+#: the worker environment's OpenBLAS pool size, unless the caller set
+#: one: a worker never calls BLAS (the kernel and the column decode do
+#: not), so the server thread numpy's import would start only burns CPU
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+@contextmanager
+def _worker_environment() -> Iterator[None]:
+    """:data:`_WORKER_ENV` in ``os.environ`` while workers spawn (a spawn
+    child inherits the environment), without overriding a variable the
+    caller set; the parent's environment is restored afterwards."""
+    added = [name for name in _WORKER_ENV if name not in os.environ]
+    for name in added:
+        os.environ[name] = _WORKER_ENV[name]
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
 
 class WorkerPoolError(Exception):
     """A worker died or answered with a failure."""
+
+
+class ContextTable:
+    """A batch's slice of its plan's context-config table.
+
+    ``rows`` holds the slots' kernel rows
+    (:func:`~repro.sim.native.adapter.context_rows`): a sweep builds them
+    once in the parent for a kernel batch, and every batch that covers
+    the same slice, whatever its workload, shares the table.  ``None``
+    when no cell of the batch runs in the kernel, or when the executing
+    side should build them.
+
+    The configs cross the spawn boundary as one opaque blob, the
+    compressed pickle of the slice: made the first time the table is
+    pickled, and reused by every later message that carries it.  The
+    executing side opens it only for a cell that leaves the kernel
+    (:meth:`config`).  In the calling process (``jobs=1``) the table is
+    never pickled, so the blob is never made.
+    """
+
+    __slots__ = ("_configs", "_blob", "rows")
+
+    def __init__(
+        self,
+        configs: Sequence[ContextPrefetcherConfig | None] | None,
+        rows: "KernelRows | None" = None,
+        blob: bytes | None = None,
+    ):
+        self._configs = None if configs is None else tuple(configs)
+        self._blob = blob
+        self.rows = rows
+
+    def __reduce__(self):
+        if self._blob is None:
+            self._blob = zlib.compress(
+                pickle.dumps(self._configs, pickle.HIGHEST_PROTOCOL), 1
+            )
+        return ContextTable, (None, self.rows, self._blob)
+
+    @property
+    def configs(self) -> tuple[ContextPrefetcherConfig | None, ...]:
+        """The slice's configs (``None`` is the paper default); opens the
+        blob on first use."""
+        if self._configs is None:
+            assert self._blob is not None
+            self._configs = pickle.loads(zlib.decompress(self._blob))
+        return self._configs
+
+    @property
+    def opened(self) -> bool:
+        """Whether the configs are at hand (never pickled, or unpickled)."""
+        return self._configs is not None
+
+    def config(self, slot: int) -> ContextPrefetcherConfig:
+        config = self.configs[slot]
+        return ContextPrefetcherConfig() if config is None else config
 
 
 @dataclass(frozen=True)
@@ -87,8 +174,11 @@ class BatchShared:
     native: bool
     hierarchy_config: HierarchyConfig | None = None
     core_config: CoreConfig | None = None
-    #: context-config table; per-cell tuples index into it
-    context_table: tuple[ContextPrefetcherConfig | None, ...] = (None,)
+    #: context-config table; per-cell tuples index into it.  A plain
+    #: tuple of configs is a table whose rows the executing side builds
+    context_table: ContextTable | tuple[ContextPrefetcherConfig | None, ...] = (
+        None,
+    )
     #: compiled store file + content fingerprint (registry workloads)
     store_path: str | None = None
     store_fingerprint: str = ""
@@ -105,14 +195,6 @@ class BatchShared:
     kernel_threads: int = 0
 
 
-def _cell(shared: BatchShared, prefetcher: str, context_id: int):
-    """A context cell's config, or a table family's fresh prefetcher."""
-    if prefetcher == "context":
-        config = shared.context_table[context_id]
-        return ContextPrefetcherConfig() if config is None else config
-    return PREFETCHER_FACTORIES[prefetcher]()
-
-
 def run_batch(
     shared: BatchShared, cells: Sequence[tuple[int, str, int]]
 ) -> tuple[list[tuple[int, str, tuple[bool, str | None]]], int]:
@@ -122,13 +204,14 @@ def run_batch(
     resolves through the per-process memo (decode once, reuse across
     batches).  When the batch is native and the kernel's batch driver is
     enabled, the whole cell list crosses into C in one GIL-released
-    ``rp_run_batch`` call and each cell's payload text is rendered from
-    the kernel's output block: no prefetcher, result or payload dict is
-    built for a cell the kernel runs.  A cell the kernel refuses (each
-    degrades alone, with its own reason) builds its prefetcher and runs
-    the per-cell ``Simulator`` path below, which is also the whole path
-    when ``kernel_batch`` or ``native`` is off; the payloads are byte
-    for byte the same either way.
+    ``rp_run_batch`` call: a context cell enters as its slot in the
+    table's kernel rows, and each cell's payload text is rendered by the
+    kernel.  No config is unpickled and no prefetcher, result or payload
+    dict is built for a cell the kernel runs.  A cell the kernel refuses
+    (each degrades alone, with its own reason) builds its prefetcher and
+    runs the per-cell ``Simulator`` path below, which is also the whole
+    path when ``kernel_batch`` or ``native`` is off; the payloads are
+    byte for byte the same either way.
     """
     trace = resolve_worker_trace(
         shared.workload,
@@ -139,31 +222,40 @@ def run_batch(
         shared.trace,
     )
     limit = shared.limit
-    batch_cells = [
-        _cell(shared, prefetcher, context_id)
-        for _index, prefetcher, context_id in cells
-    ]
+    table = shared.context_table
+    if not isinstance(table, ContextTable):
+        table = ContextTable(table)
     texts = None
     if shared.native and shared.kernel_batch:
-        from repro.sim.native.adapter import run_native_batch
+        from repro.sim.native.adapter import context_rows, run_native_batch
 
+        rows = table.rows
+        if rows is None and any(p == "context" for _i, p, _c in cells):
+            rows = context_rows(table.configs)
         texts, _reasons, trace, limit = run_native_batch(
-            batch_cells,
+            [
+                context_id
+                if prefetcher == "context"
+                else PREFETCHER_FACTORIES[prefetcher]()
+                for _index, prefetcher, context_id in cells
+            ],
             trace,
             workload_name=shared.workload,
             limit=limit,
             hierarchy_config=shared.hierarchy_config,
             core_config=shared.core_config,
             threads=shared.kernel_threads,
+            rows=rows,
         )
     out = []
-    for pos, (index, _prefetcher, _context_id) in enumerate(cells):
+    for pos, (index, prefetcher, context_id) in enumerate(cells):
         if texts is not None and texts[pos] is not None:
             out.append((index, texts[pos], (True, None)))
             continue
-        cell = batch_cells[pos]
-        if isinstance(cell, ContextPrefetcherConfig):
-            cell = ContextPrefetcher(cell)
+        if prefetcher == "context":
+            cell = ContextPrefetcher(table.config(context_id))
+        else:
+            cell = PREFETCHER_FACTORIES[prefetcher]()
         sim = Simulator(
             cell,
             hierarchy_config=shared.hierarchy_config,
@@ -217,9 +309,12 @@ class WorkerPool:
             )
             for i in range(self.jobs)
         ]
-        for proc in self._procs:
-            proc.start()
+        with _worker_environment():
+            for proc in self._procs:
+                proc.start()
         self._closed = False
+        #: batches submitted and not yet drained
+        self._outstanding = 0
 
     def alive(self) -> bool:
         return not self._closed and all(p.is_alive() for p in self._procs)
@@ -231,6 +326,7 @@ class WorkerPool:
     def submit(self, batch_id: int, shared: BatchShared, cells) -> None:
         """Enqueue one batch; returns immediately."""
         self._task_q.put((batch_id, shared, cells))
+        self._outstanding += 1
 
     def drain_one(self) -> tuple[int, list, int]:
         """Block for one finished batch: ``(batch_id, results, degrades)``.
@@ -250,20 +346,31 @@ class WorkerPool:
                         "— resubmit the sweep to resume"
                     ) from None
                 continue
+            self._outstanding -= 1
             if message[0] == "error":
                 raise WorkerPoolError(f"batch {message[1]} failed: {message[2]}")
             return message[1], message[2], message[3]
 
     def close(self) -> None:
-        """Shut the workers down; idempotent, never raises."""
+        """Shut the workers down; idempotent, never raises.
+
+        An idle pool stops through the sentinel.  A pool with batches
+        still outstanding (a dispatch that failed, or Ctrl-C) terminates
+        its workers at once: nobody will drain those results, and
+        queueing the sentinel behind them would wait out every batch.
+        """
         if self._closed:
             return
         self._closed = True
-        for _ in self._procs:
-            try:
-                self._task_q.put(None)
-            except (OSError, ValueError):
-                break
+        if self._outstanding:
+            for proc in self._procs:
+                proc.terminate()
+        else:
+            for _ in self._procs:
+                try:
+                    self._task_q.put(None)
+                except (OSError, ValueError):
+                    break
         for proc in self._procs:
             proc.join(timeout=5.0)
             if proc.is_alive():

@@ -48,7 +48,13 @@ from repro.sim.sched.plan import (
     PlanCell,
     shard_by_workload,
 )
-from repro.sim.sched.pool import BatchShared, InlineWorker, WorkerPool, shared_pool
+from repro.sim.sched.pool import (
+    BatchShared,
+    ContextTable,
+    InlineWorker,
+    WorkerPool,
+    shared_pool,
+)
 from repro.sim.sched.supply import (
     TraceSupply,
     drain_store_degrades,
@@ -207,22 +213,34 @@ class SweepScheduler:
         plan: GridPlan,
         header: tuple[str | None, str, Sequence | None],
         batch: tuple[PlanCell, ...],
+        tables: dict[tuple[int, int], ContextTable],
     ) -> tuple[BatchShared, tuple[tuple[int, str, int], ...]]:
         store_path, store_fingerprint, trace = header
         # ship only the context-table slice this shard references (shards
         # are contiguous in grid order, so the referenced ids form a tight
         # range); cell tuples are rebased onto the slice.  On a config
         # sweep the full table is the bulk of every batch message, and
-        # each shard touches ~1/jobs of it.
+        # each shard touches ~1/jobs of it.  Shards of every workload
+        # that cover one slice share its table: its kernel rows are
+        # built, and its configs pickled, once
         lo = min(cell.context_id for cell in batch)
         hi = max(cell.context_id for cell in batch)
+        table = tables.get((lo, hi))
+        if table is None:
+            configs = plan.context_configs[lo : hi + 1]
+            rows = None
+            if self.native and self.kernel_batch and "context" in plan.prefetchers:
+                from repro.sim.native.adapter import context_rows
+
+                rows = context_rows(configs)
+            table = tables[(lo, hi)] = ContextTable(configs, rows)
         shared = BatchShared(
             workload=batch[0].workload,
             limit=plan.limit,
             native=self.native,
             hierarchy_config=plan.hierarchy_config,
             core_config=plan.core_config,
-            context_table=plan.context_configs[lo : hi + 1],
+            context_table=table,
             store_path=store_path,
             store_fingerprint=store_fingerprint,
             trace=trace,
@@ -323,6 +341,7 @@ class SweepScheduler:
             else DEFAULT_BATCH_CELLS
         )
         headers: dict[str, tuple[str | None, str, Sequence | None]] = {}
+        tables: dict[tuple[int, int], ContextTable] = {}
         batches = []
         for batch in shard_by_workload(
             pending, lambda cell: cell.workload, self.jobs, max_batch=max_batch
@@ -332,7 +351,9 @@ class SweepScheduler:
                 headers[workload] = self._trace_header(
                     supplies[workload], plan.limit
                 )
-            batches.append(self._batch_message(plan, headers[workload], batch))
+            batches.append(
+                self._batch_message(plan, headers[workload], batch, tables)
+            )
         by_index = {cell.index: cell for cell in pending}
         finished = 0
 

@@ -108,7 +108,7 @@ def resolve_supply(
     A registry workload comes from ``store``, compiled on a miss; the
     store header carries its fingerprint.  An ad-hoc program memoizes
     its own fingerprint.  A store that cannot be written counts one
-    degrade, and the trace ships by value.
+    degrade, and the trace its compile built ships by value.
     """
     if isinstance(workload, TraceProgram):
         trace = workload.trace()
@@ -118,15 +118,18 @@ def resolve_supply(
             workload._fingerprint_cache = fp  # type: ignore[attr-defined]
         return TraceSupply(workload.name, fp, trace=trace)
     spec = get_workload(workload) if isinstance(workload, str) else workload
+    trace = None
     if _is_registered(spec):
         try:
             ref, _built = store.ensure(spec.name, build=spec)
         except TraceStoreError as exc:
             count_store_degrade()
             log.warning("%s; %s ships by value", exc, spec.name)
+            trace = exc.trace
         else:
             return TraceSupply(spec.name, ref.fingerprint, store_path=ref.path)
-    trace = spec.build().trace()
+    if trace is None:
+        trace = spec.build().trace()
     return TraceSupply(spec.name, trace_fingerprint(trace), trace=trace)
 
 

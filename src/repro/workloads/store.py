@@ -131,6 +131,10 @@ DEFAULT_TRACE_DIR = Path("results") / ".cache" / "traces"
 class TraceStoreError(Exception):
     """A store file cannot be written, read, or trusted."""
 
+    #: the records a compile had built when its write failed, so a caller
+    #: that ships them by value need not build them again
+    trace: "list[MemoryAccess] | None" = None
+
 
 def record_layout_hash(fields: Sequence[Sequence[str]] = RECORD_FIELDS) -> str:
     """Stable hash of the record layout (what PERF002 pins per version)."""
@@ -346,30 +350,36 @@ def write_trace(
     trace produces identical cell keys to an in-memory one.
     """
     path = Path(path)
-    meta = TraceMeta(
-        path=path,
-        workload=workload,
-        fingerprint=fingerprint or trace_fingerprint(trace),
-        source=source if source is not None else workloads_fingerprint(),
-        records=len(trace),
-    )
-    meta_json = meta._meta_json()
-    header = _HEADER_STRUCT.pack(MAGIC, STORE_VERSION, len(meta_json), len(trace))
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     try:
+        # the directory and the file open before the trace is hashed: a
+        # store that cannot be written fails without paying for the hash
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fp:
+            meta = TraceMeta(
+                path=path,
+                workload=workload,
+                fingerprint=fingerprint or trace_fingerprint(trace),
+                source=source if source is not None else workloads_fingerprint(),
+                records=len(trace),
+            )
+            meta_json = meta._meta_json()
+            header = _HEADER_STRUCT.pack(
+                MAGIC, STORE_VERSION, len(meta_json), len(trace)
+            )
             fp.write(header)
             fp.write(meta_json)
             for access in trace:
                 fp.write(_encode_record(access))
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         try:
             tmp.unlink(missing_ok=True)
         except OSError as cleanup_exc:
             log.debug("trace store: temp file %s not removed: %s", tmp, cleanup_exc)
-        raise TraceStoreError(f"cannot write trace store {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise TraceStoreError(f"cannot write trace store {path}: {exc}") from exc
+        raise
     return meta
 
 
@@ -610,7 +620,11 @@ class TraceStore:
 
             build = get_workload(workload)
         trace = build.build().trace()
-        meta = write_trace(path, trace, workload=workload)
+        try:
+            meta = write_trace(path, trace, workload=workload)
+        except TraceStoreError as exc:
+            exc.trace = trace
+            raise
         if unreadable:
             self.heals += 1
         return meta, trace

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.serve.service import SweepService, plan_from_axes
+from repro.sim import native
 from repro.sim.codec import encode_result
 from repro.workloads.store import TraceStore
 from tests.oracle import serial_compare
@@ -117,3 +118,36 @@ class TestServeCLI:
         rows = json.loads(capsys.readouterr().out)
         assert [r["workload"] for r in rows] == WORKLOADS
         assert all(r["result"]["prefetcher"] == "context" for r in rows)
+
+    def test_in_memory_db_leaves_no_file(self, tmp_path, store, monkeypatch, capsys):
+        # an in-memory DB has no file for a progress sidecar to sit next
+        # to; a submit must leave the working directory as it found it
+        native.is_available()  # any kernel build lands before the chdir
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            [
+                "serve", "submit",
+                "--workloads", "list",
+                "--prefetchers", ",".join(PREFETCHERS),
+                "--limit", str(LIMIT),
+                "--jobs", "1",
+                "--db", ":memory:",
+                "--store-dir", str(store.root),
+            ]
+        ) == 0
+        assert "2 cells, 2 executed, 0 resumed" in capsys.readouterr().out
+        assert sorted(tmp_path.iterdir()) == []
+
+
+class TestInMemoryProgress:
+    def test_status_reads_samples_kept_in_memory(self, store):
+        plan = plan_from_axes(workloads=["list"], prefetchers=PREFETCHERS, limit=LIMIT)
+        with SweepService(db=":memory:", store=store) as service:
+            assert service.tracker.path is None
+            ticks = iter(range(100))
+            service.tracker._clock = lambda: float(next(ticks))
+            stats = service.submit(plan)
+            [status] = service.status()
+        assert (status.sweep, status.done, status.total) == (stats.sweep, 2, 2)
+        # the resume diff and the one batch: 2 cells over one tick
+        assert status.cells_per_sec == 2.0

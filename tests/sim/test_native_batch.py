@@ -41,20 +41,26 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.core.prefetcher import ContextPrefetcher
+from repro.prefetchers.ghb import GHBPrefetcher
+from repro.prefetchers.markov import MarkovPrefetcher
+from repro.prefetchers.nopf import NoPrefetcher
+from repro.prefetchers.sms import SMSPrefetcher
 from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 from repro.sim import native as native_pkg
 from repro.sim.codec import encode_text
 from repro.sim.native import adapter
-from repro.sim.sched.pool import BatchShared, run_batch
+from repro.sim.sched.pool import BatchShared, ContextTable, run_batch
 from repro.sim.simulator import Simulator
 from repro.workloads.suites import get_workload
 from repro.workloads.trace import MemoryAccess
@@ -329,6 +335,322 @@ class TestRender:
                 hist=pairs if context else (),
             )
             assert texts[j] == encode_text(want), f"case {j}"
+
+
+class _Named:
+    """What :func:`phase_finalize` reads off a prefetcher, as plain data."""
+
+    def __init__(self, name, bits, accuracy=0.0):
+        self.name = name
+        self._bits = bits
+        self._accuracy = accuracy
+
+    def storage_bits(self):
+        return self._bits
+
+    def accuracy(self):
+        return self._accuracy
+
+
+class TestKernelRender:
+    """The kernel's renderer (``rp_render_batch``, plus the accuracy the
+    adapter splices in) writes exactly ``encode_text`` of the result
+    :func:`phase_finalize` builds, hence of the per-cell run."""
+
+    WORKLOAD = 'ad "hoc" \\ é \u2603\n'
+
+    def _block(self, kernel, cases):
+        """A hand-built batch block: ``cases[j]`` is ``(pairs, depth
+        block, status, accuracy)`` plus the 19 counters' base value."""
+        ffi = kernel.ffi
+        slots = adapter.BATCH_HIST_SLOTS
+        out_slots = adapter.OUT_SLOTS
+        n = len(cases)
+        outs = ffi.new("int64_t[]", n * out_slots)
+        rcs = ffi.new("int32_t[]", n)
+        accuracies = ffi.new("double[]", n)
+        hist_lens = ffi.new("int64_t[]", n)
+        depths = ffi.new("int64_t[]", n * slots)
+        counts = ffi.new("int64_t[]", n * slots)
+        for j, (pairs, block, rc, accuracy, base) in enumerate(cases):
+            for k in range(19):
+                outs[j * out_slots + k] = base + 37 * k
+            for depth, count in block.items():
+                outs[j * out_slots + 19 + depth] = count
+            rcs[j] = rc
+            accuracies[j] = accuracy
+            hist_lens[j] = len(pairs)
+            for k, (depth, count) in enumerate(pairs):
+                depths[j * slots + k] = depth
+                counts[j * slots + k] = count
+        return outs, rcs, accuracies, hist_lens, depths, counts
+
+    @pytest.mark.parametrize("cell_bytes", [adapter._RENDER_CELL_BYTES, 8])
+    def test_edge_blocks_match_finalize(self, monkeypatch, cell_bytes):
+        # cell_bytes=8 makes every shard outgrow its first buffer
+        from repro.sim.native.build import kernel_or_none
+
+        monkeypatch.setattr(adapter, "_RENDER_CELL_BYTES", cell_bytes)
+        kernel = kernel_or_none()
+        big = (1 << 63) - 1
+        many = [(d * 7919 % 100_003, d % 5) for d in range(adapter.BATCH_HIST_SLOTS)]
+        context = [
+            # depths 9, 10 and 100 sort as strings; duplicates sum and
+            # zero counts stay
+            ([(100, 1), (10, 2), (9, 3), (4, 0), (9, 1)], {}, 0, 0.1, 1),
+            ([], {9: 4, 10: 1, 100: 6, 0: 2, 128: 3}, 0, float("nan"), 5),
+            ([(1, big)], {}, 0, float("inf"), big - 18 * 37),
+            ([(3, 1), (30, 2), (300, 0)], {}, 0, float("-inf"), -(1 << 62)),
+            (many, {}, 0, -0.0, 7),
+            ([(1, 1)], {}, -4, 0.5, 9),
+            ([], {}, 0, 1e-300, 0),
+        ]
+        tables = [
+            ([], {9: 1, 10: 2, 100: 3}, 0, 0.25, 11),
+            ([], {}, 0, 0.0, 12),
+        ]
+        cases = context + tables
+        meta = [("context", 1234 + j, None) for j in range(len(context))]
+        stand_ins = [
+            _Named('stride "x" é', 99, float("nan")),
+            _Named("none", 0, 0.0),
+        ]
+        meta += [(pf.name, pf.storage_bits(), pf.accuracy()) for pf in stand_ins]
+        block = self._block(kernel, cases)
+        texts = adapter.phase_render(kernel, block, meta, workload_name=self.WORKLOAD)
+        out_slots = adapter.OUT_SLOTS
+        for j, (pairs, _block, rc, accuracy, _base) in enumerate(cases):
+            if rc:
+                assert texts[j] is None
+                continue
+            if j < len(context):
+                pf, acc, hist = _Named("context", 1234 + j), accuracy, pairs
+            else:
+                pf, acc, hist = stand_ins[j - len(context)], None, ()
+            want = adapter.phase_finalize(
+                block[0] + j * out_slots,
+                workload_name=self.WORKLOAD,
+                pf=pf,
+                accuracy=acc,
+                hist=hist,
+            )
+            assert texts[j] == encode_text(want), f"case {j}"
+
+    def test_text_equals_the_per_cell_run_over_the_fuzz_space(self):
+        # every family, the fuzz suite's context space and its edge
+        # configs (refusals included) through the production path: a
+        # table the parent builds, a pickle round trip, one kernel call
+        import copy
+
+        from test_native_fuzz import (
+            _edge_configs,
+            _fuzz_context,
+            _fuzz_prefetcher,
+            _seed_for,
+        )
+
+        trace = _trace("list")
+        configs = _edge_configs()
+        families = []
+        for case in range(40):
+            rng = random.Random(_seed_for(f"native-render/{case}"))
+            degree = 100 if rng.random() < 0.05 else rng.randrange(1, 9)
+            configs.append(_fuzz_context(rng, degree).config)
+            pf = _fuzz_prefetcher(rng, 64)
+            if not isinstance(pf, ContextPrefetcher):
+                families.append(pf)
+        assert {type(pf) for pf in families} >= {
+            type(pf) for pf in (NoPrefetcher(), StridePrefetcher())
+        } | {GHBPrefetcher, SMSPrefetcher, MarkovPrefetcher}
+        rows = pickle.loads(pickle.dumps(adapter.context_rows(configs)))
+        cells = list(range(len(configs))) + [copy.deepcopy(pf) for pf in families]
+        texts, reasons, _t, _l = adapter.run_native_batch(
+            cells, trace, workload_name=self.WORKLOAD, limit=None,
+            threads=2, rows=rows,
+        )
+        wants = [ContextPrefetcher(cfg) for cfg in configs] + families
+        for pos, pf in enumerate(wants):
+            # a cell leaves the batch only for the refusal its own
+            # single-cell native run would meet
+            if pos < len(configs):
+                refusal = adapter._ctx_config_values(pf)[1]
+            elif adapter._pf_config_values(pf, adapter._pf_kind(pf)) is None:
+                refusal = f"the {pf.name} config exceeds the kernel's fixed buffers"
+            else:
+                refusal = None
+            assert reasons[pos] == refusal, pos
+            if texts[pos] is None:
+                continue
+            sim = Simulator(pf, native=True)
+            single = sim.run(trace, workload_name=self.WORKLOAD)
+            assert sim.last_run_native
+            assert texts[pos] == encode_text(single), f"cell {pos} ({pf.name})"
+        assert sum(text is not None for text in texts) > len(wants) // 2
+
+
+def _seed_table(n: int) -> tuple:
+    rng = random.Random(3)
+    base = ContextPrefetcherConfig()
+    return tuple(dataclasses.replace(base, seed=rng.getrandbits(32)) for _ in range(n))
+
+
+def _round_trip(message):
+    """What a worker queue does to a batch message."""
+    return pickle.loads(pickle.dumps(message))
+
+
+class TestRowsIn:
+    """A kernel batch carries its slots' rows, built once by the sweep's
+    parent, and its configs as one blob the worker opens only for a cell
+    that leaves the kernel."""
+
+    def _shared(self, table, **kwargs):
+        return BatchShared(
+            workload="rows-in",
+            limit=None,
+            native=kwargs.pop("native", True),
+            context_table=table,
+            trace=tuple(_trace("list")),
+            **kwargs,
+        )
+
+    def test_a_kernel_shard_needs_no_config(self, monkeypatch):
+        configs = _seed_table(24)
+        cells = tuple((i, "context", i) for i in range(len(configs)))
+        want, _ = run_batch(self._shared(configs, kernel_batch=False), cells)
+        table = ContextTable(configs, adapter.context_rows(configs))
+        shared, cells = _round_trip((self._shared(table), cells))
+
+        def no_row(cfg):
+            raise AssertionError("context_row ran on the executing side")
+
+        monkeypatch.setattr(adapter, "context_row", no_row)
+        got, _ = run_batch(shared, cells)
+        assert not shared.context_table.opened
+        assert [info for _i, _p, info in got] == [(True, None)] * len(cells)
+        assert [(i, p) for i, p, _ in got] == [(i, p) for i, p, _ in want]
+
+    def test_every_slot_gets_the_row_context_row_builds(self):
+        # seed variants reuse the previous slot's row; a signed zero or
+        # an equal value in a new object must not share a row it differs
+        # from bit for bit
+        from test_native_fuzz import _edge_configs, _fuzz_context, _seed_for
+
+        base = ContextPrefetcherConfig()
+        configs = [None, base]
+        for seed in (1, 2, -(1 << 70)):
+            configs.append(dataclasses.replace(configs[-1], seed=seed))
+        configs += [
+            dataclasses.replace(base, shadow_probability=0.0),
+            dataclasses.replace(base, shadow_probability=-0.0),
+            dataclasses.replace(base, shadow_probability=-0.0, seed=9),
+            dataclasses.replace(base, cst_entries=int("1024")),
+            dataclasses.replace(base, reward_peak=0),  # rejected
+            dataclasses.replace(base, reward_peak=0, seed=4),
+        ]
+        configs += _edge_configs()
+        for case in range(20):
+            rng = random.Random(_seed_for(f"native-rows/{case}"))
+            cfg = _fuzz_context(rng, rng.randrange(1, 9)).config
+            configs += [cfg, dataclasses.replace(cfg, seed=case)]
+        rows = pickle.loads(pickle.dumps(adapter.context_rows(configs)))
+        assert len(rows.slot_row) == len(configs)
+        for slot, cfg in enumerate(configs):
+            cfg = ContextPrefetcherConfig() if cfg is None else cfg
+            try:
+                want, reason = adapter.context_row(cfg)
+            except ValueError as exc:
+                want, reason = None, f"ValueError: {exc}"
+            r = rows.slot_row[slot]
+            if want is None:
+                assert r == -1 and rows.refused[slot] == reason, slot
+                continue
+            icfg, dcfg, key = want
+            at, dat = rows.cfg_at[r], rows.dcfg_at[r]
+            assert rows.kinds[r] == adapter._PF_CONTEXT
+            assert list(rows.cfgs[at : at + len(icfg)]) == icfg, slot
+            got = rows.dcfgs[dat : dat + len(dcfg)].tobytes()
+            assert got == array("d", dcfg).tobytes(), slot
+            assert rows.bits[r] == cfg.storage_bits()
+            assert list(rows.keys[rows.key_at[slot] : rows.key_at[slot + 1]]) == key
+        # the default slot, the paper default and its seed variants share
+        # one row; the signed zero has a row of its own
+        assert len({rows.slot_row[s] for s in range(5)}) == 1
+        assert rows.slot_row[5] != rows.slot_row[6] == rows.slot_row[7]
+
+    def test_the_message_does_not_outgrow_pickled_configs(self):
+        # an 834-slot seed slice, the seed-sweep shard shape
+        configs = _seed_table(834)
+        table = ContextTable(configs, adapter.context_rows(configs))
+        assert len(table.rows.kinds) == 1  # one row, 834 seed keys
+        cells = tuple((i, "context", i) for i in range(len(configs)))
+        rows_in = pickle.dumps((self._shared(table), cells))
+        configs_in = pickle.dumps((self._shared(configs), cells))
+        assert len(rows_in) < len(configs_in)
+        # the blob is made once, however many messages carry the table
+        blob = table._blob
+        pickle.dumps(self._shared(table))
+        assert table._blob is blob
+
+    @pytest.mark.parametrize(
+        "native, kernel_batch",
+        [(True, True), (True, False), (False, True)],
+        ids=["kernel", "per-cell", "interpreted"],
+    )
+    def test_cells_leaving_the_kernel_match_the_oracle(
+        self, monkeypatch, native, kernel_batch
+    ):
+        from repro.sim.native.adapter import _ctx_config_values
+
+        base = ContextPrefetcherConfig()
+        configs = (
+            None,
+            dataclasses.replace(base, max_degree=100),  # refused row
+            dataclasses.replace(base, seed=5),
+        )
+        cells = ((0, "context", 0), (1, "context", 1), (2, "stride", 0),
+                 (3, "context", 2))
+        trace = _trace("list")
+        oracle = [
+            encode_text(Simulator(pf, native=False).run(trace, workload_name="rows-in"))
+            for pf in (
+                ContextPrefetcher(base),
+                ContextPrefetcher(configs[1]),
+                StridePrefetcher(),
+                ContextPrefetcher(configs[2]),
+            )
+        ]
+        # every context cell's histogram overflows: a nonzero status
+        monkeypatch.setattr(adapter, "BATCH_HIST_SLOTS", 1)
+        table = ContextTable(configs, adapter.context_rows(configs))
+        assert table.rows.slot_row[1] == -1
+        shared, cells = _round_trip(
+            (self._shared(table, native=native, kernel_batch=kernel_batch), cells)
+        )
+        got, _ = run_batch(shared, cells)
+        assert [text for _i, text, _info in got] == oracle
+        assert shared.context_table.opened
+        if native:
+            # the refused row still reports its reason
+            refusal = _ctx_config_values(ContextPrefetcher(configs[1]))[1]
+            assert got[1][2] == (False, refusal)
+        else:
+            assert [info for _i, _t, info in got] == [
+                (False, "native mode disabled")
+            ] * len(cells)
+
+    def test_a_rejected_config_fails_at_execution_not_planning(self):
+        bad = ContextPrefetcherConfig(reward_peak=0)
+        with pytest.raises(ValueError) as want:
+            ContextPrefetcher(bad)
+        table = ContextTable((None, bad), adapter.context_rows((None, bad)))
+        assert list(table.rows.slot_row) == [0, -1]
+        shared, cells = _round_trip(
+            (self._shared(table), ((0, "context", 0), (1, "context", 1)))
+        )
+        with pytest.raises(ValueError) as got:
+            run_batch(shared, cells)
+        assert str(got.value) == str(want.value)
 
 
 class TestHistogramOverflow:

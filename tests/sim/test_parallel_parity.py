@@ -203,6 +203,43 @@ class TestTraceStoreParity:
         assert store.heals == 0
         assert_sweeps_identical(serial_sweep, got)
 
+    def test_unwritable_store_builds_and_hashes_each_trace_once(
+        self, tmp_path, monkeypatch
+    ):
+        # the store fails on its directory before hashing, and the trace
+        # its compile built is the one that ships by value: one build and
+        # one fingerprint per workload
+        from repro.sim.sched import supply
+        from repro.workloads import store as store_module
+        from repro.workloads.suites import WorkloadSpec
+
+        serial = serial_compare(WORKLOADS, ("none", "stride"), limit=LIMIT)
+        builds: list[str] = []
+        hashes: list[int] = []
+        build = WorkloadSpec.build
+        fingerprint = store_module.trace_fingerprint
+
+        def counted_build(spec, *args, **kwargs):
+            builds.append(spec.name)
+            return build(spec, *args, **kwargs)
+
+        def counted_fingerprint(trace):
+            hashes.append(len(trace))
+            return fingerprint(trace)
+
+        monkeypatch.setattr(WorkloadSpec, "build", counted_build)
+        for module in (store_module, supply):
+            monkeypatch.setattr(module, "trace_fingerprint", counted_fingerprint)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        got = compare(
+            WORKLOADS, ("none", "stride"), limit=LIMIT, jobs=1,
+            store=TraceStore(blocker),
+        )
+        assert sorted(builds) == sorted(WORKLOADS)
+        assert len(hashes) == len(WORKLOADS)
+        assert_sweeps_identical(serial, got)
+
     def test_adhoc_programs_bypass_the_store(self, tmp_path):
         # ad-hoc programs aren't registry-addressable; with a store set
         # they still ship by value and stay bit-identical

@@ -20,6 +20,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from repro.sim.sched.plan import GridPlan, PlanCell, shard_by_workload
 from repro.sim.sched.pool import CELL_FIELDS, shared_pool
 from repro.sim.sched.scheduler import SweepScheduler
 from repro.workloads.store import TraceStore
+from repro.workloads.suites import get_workload
 from tests.oracle import serial_compare, serial_storage_sweep
 
 WORKLOADS = ("list", "array")
@@ -356,6 +358,62 @@ class TestWarmPool:
         want = ResultDB(tmp_path / "c.db")
         run_plan(seeds(100), want, store, jobs=1)
         assert got.canonical_dump() == want.canonical_dump()
+
+    def test_closing_a_busy_pool_does_not_wait_out_its_batches(self):
+        # two interpreted batches of several seconds each, one per
+        # worker: close() must not queue its sentinels behind them
+        trace = tuple(get_workload("list").build().trace()[:20000])
+        shared = pool.BatchShared(
+            workload="list", limit=None, native=False, trace=trace
+        )
+        cells = tuple((i, "context", 0) for i in range(12))
+        workers = pool.WorkerPool(2)
+        try:
+            workers.submit(0, shared, cells)
+            workers.submit(1, shared, cells)
+            time.sleep(1.0)  # both workers are inside their batch
+            start = time.monotonic()
+            workers.close()
+            elapsed = time.monotonic() - start
+        finally:
+            workers.close()
+        assert elapsed < 1.5, f"close() took {elapsed:.1f} s"
+        assert not any(proc.is_alive() for proc in workers._procs)
+
+    def test_an_idle_pool_stops_through_the_sentinel(self):
+        shared = pool.BatchShared(
+            workload="list", limit=20, native=False,
+            trace=tuple(get_workload("list").build().trace()[:20]),
+        )
+        workers = pool.WorkerPool(2)
+        workers.submit(0, shared, ((0, "none", 0),))
+        assert workers.drain_one()[0] == 0
+        workers.close()
+        # a worker that took the sentinel returns: exit code 0, not the
+        # negative signal number of a terminated one
+        assert [proc.exitcode for proc in workers._procs] == [0, 0]
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/environ").exists(), reason="needs /proc"
+    )
+    def test_workers_spawn_without_an_openblas_pool(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        workers = pool.WorkerPool(1)
+        try:
+            environ = Path(f"/proc/{workers.worker_pids()[0]}/environ").read_bytes()
+        finally:
+            workers.close()
+        assert b"OPENBLAS_NUM_THREADS=1" in environ.split(b"\0")
+        # the parent's environment is left as it was
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        workers = pool.WorkerPool(1)
+        try:
+            environ = Path(f"/proc/{workers.worker_pids()[0]}/environ").read_bytes()
+        finally:
+            workers.close()
+        assert b"OPENBLAS_NUM_THREADS=3" in environ.split(b"\0")
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
 class TestSchedulerDeterminism:
