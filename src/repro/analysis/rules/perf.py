@@ -566,6 +566,8 @@ PINNED_BATCH_LAYOUTS = {
     2: "6d156aceb371b4a1d955f45d9554a29b5729ffbb759f271fbeda3e86f6f9851a",
     # 3: cells index a shared row table and seed keys; the payload renderer
     3: "df010a276cb70a43f91c5432533e05afaef709619b9c7c2362c474963d576606",
+    # 4: exports rp_batch_cell, the one cell runner single runs call too
+    4: "55a14c4c5a55d8310d7c9dabb54fc28197708db386d804b98e74c597df216fd8",
 }
 
 #: storage-class tokens banned from the batch source: anything with

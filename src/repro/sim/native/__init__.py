@@ -46,7 +46,7 @@ VECTOR_PHASES = (
     ("kernel-batch", "repro.sim.native.adapter:phase_batch_kernel", "repro.sim.sched.pool:run_batch"),
     ("finalize", "repro.sim.native.adapter:phase_finalize", "repro.sim.simulator:Simulator.run"),
     ("render", "repro.sim.native.adapter:phase_render", "repro.sim.codec:encode_result"),
-    ("context", "repro.sim.native.adapter:_ctx_config_values", "repro.core.prefetcher:ContextPrefetcher.on_access"),
+    ("context", "repro.sim.native.adapter:context_row", "repro.core.prefetcher:ContextPrefetcher.on_access"),
 )
 
 

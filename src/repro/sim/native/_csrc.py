@@ -48,7 +48,7 @@ UNIT_SLOTS = 2 * len(UNIT_NAMES) + 4
 #: ``SOURCE_BATCH``); analysis rule PERF005 pins the pair's content hash
 #: per version, so editing the batch driver without bumping this (and
 #: re-pinning) fails ``repro lint``
-BATCH_VERSION = 3
+BATCH_VERSION = 4
 
 CDEF_CORE = """
 typedef struct RpSim RpSim;
@@ -2638,8 +2638,9 @@ SOURCE_RUN = r"""
 /* ------------------------------------------------------------------ */
 /* simulator API: one RpSim = one Simulator (hierarchy + core + the
  * per-run prediction-depth bookkeeping), one RpPf = one prefetcher.
- * rp_run is Simulator.run without warmup; the adapter composes warmup
- * as run(prefix) + rp_reset_stats + run(remainder), like the Python. */
+ * rp_run is Simulator.run without warmup; rp_batch_cell (the batch
+ * driver's source) composes warmup as run(prefix) + rp_reset_stats +
+ * run(remainder), like the Python. */
 
 typedef struct RpSim {
     Hier hier;
@@ -3171,6 +3172,15 @@ CDEF_BATCH = """
 int rp_batch_openmp(void);
 int rp_batch_max_threads(void);
 int rp_batch_out_slots(void);
+int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
+                  int64_t warmup,
+                  const uint64_t *addrs, const uint64_t *pcs,
+                  const uint64_t *lines, const uint32_t *inst_gaps,
+                  const uint8_t *flags,
+                  const int64_t *values, const int64_t *reg_values,
+                  const uint64_t *branch_bits, const uint16_t *branch_counts,
+                  const uint32_t *type_ids, const uint32_t *link_offsets,
+                  const uint8_t *ref_forms, int64_t *out);
 int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
                  const int32_t *kinds,
                  const int64_t *cfg_at, const int64_t *cfgs,
@@ -3248,9 +3258,11 @@ int rp_batch_out_slots(void) {
     return RP_BATCH_OUT_SLOTS;
 }
 
-/* one cell: rp_run with warmup composed exactly like the adapter's
- * single-cell path — run(prefix) + rp_reset_stats + run(remainder) with
- * every non-NULL column advanced by `warmup` elements. */
+/* one cell: rp_run with warmup composed as the interpreted Simulator.run
+ * composes it — run(prefix) + rp_reset_stats + run(remainder) with every
+ * non-NULL column advanced by `warmup` elements.  The one cell runner:
+ * rp_run_batch runs every batch cell with it, and the adapter's
+ * single-cell phase_kernel calls it directly. */
 int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
                   int64_t warmup,
                   const uint64_t *addrs, const uint64_t *pcs,

@@ -10,16 +10,24 @@ A sweep shard runs as :func:`phase_batch_kernel` instead, and
 without building that result.  The phases are module-level functions
 on purpose: ``repro profile`` attributes time to them by name.
 
+Every prefetcher enters the kernel the same way: as a flat config row,
+built by one row builder per family (:func:`context_row` for the
+context prefetcher, :func:`_pf_config_values` for the table families),
+and every cell runs through one C cell function, ``rp_batch_cell``.
+A sweep builds its rows in the parent (:func:`context_rows`,
+:meth:`KernelRows.add_family`); a single run takes its row from its
+live prefetcher (:func:`_live_row`).
+
 State ownership: once a simulator or prefetcher has run natively, its
 native handle — not the untouched Python object — is the authoritative
 state.  The registries below remember that.  A run that cannot stay
 native (unsupported config, a decode failure) *before* any handle exists
 falls back to the interpreted path; the same failure on an object that
 already carries native state raises, because silently resuming from the
-stale Python state would diverge.  Batch cells never get handles: the
-batch kernel owns their state (:func:`run_native_batch`), so a cell that
-degrades leaves its config, or its untouched Python prefetcher, free to
-run elsewhere.
+stale Python state would diverge.  Batch cells never get handles, nor
+Python objects: the batch kernel owns their state
+(:func:`run_native_batch`), so a cell that degrades leaves nothing
+behind, and the per-cell path builds its prefetcher afresh.
 """
 
 from __future__ import annotations
@@ -110,11 +118,7 @@ def reset_state_registries() -> None:
 
 
 # ----------------------------------------------------------------------
-# eligibility
-
-
-def _pf_kind(pf) -> int | None:
-    return _PF_KINDS.get(type(pf))
+# rows: what a prefetcher is to the kernel
 
 
 def _pf_config_values(pf, kind: int) -> list[int] | None:
@@ -168,11 +172,20 @@ def _pf_config_values(pf, kind: int) -> list[int] | None:
     ]
 
 
-def _seed_key(seed: int) -> list[int]:
-    """CPython ``random.Random(seed)`` key: |seed| as little-endian u32
-    words (``random_seed`` feeds exactly this array to ``init_by_array``;
-    zero seeds as the one-word key ``[0]``)."""
-    v = abs(int(seed))
+#: why a context config whose bandit seed is not an int has no row
+_SEED_REFUSAL = "the bandit seed is not an int"
+
+
+def _seed_key(seed) -> list[int] | None:
+    """CPython ``random.Random(seed)`` key for an int seed: |seed| as
+    little-endian u32 words (``random_seed`` feeds exactly this array to
+    ``init_by_array``; zero seeds as the one-word key ``[0]``).  ``None``
+    for any other seed: ``random.Random`` seeds a float by its hash, a
+    string by its SHA-512 and ``None`` from the OS, none of which the
+    kernel reproduces."""
+    if not isinstance(seed, int):
+        return None
+    v = int.__abs__(seed)  # as random_seed takes it, whatever a subclass overrides
     words = []
     while v:
         words.append(v & 0xFFFFFFFF)
@@ -201,143 +214,6 @@ def _recenter_geometry_ok(cfg) -> bool:
     return True
 
 
-def _ctx_row(
-    cfg,
-    *,
-    flat: bool,
-    softmax: bool,
-    score_threshold,
-    max_degree,
-    alloc_bits: int,
-    initial_count: int,
-    adapt,
-    shadow_on,
-    adaptive_eps,
-    adaptive_window,
-    window_update_period,
-    addr_history_depth,
-    sample_depths,
-    degree_thresholds,
-    eps_min,
-    eps_range,
-    fixed_eps,
-    alpha,
-    shadow_p,
-):
-    """The context kernel's row, or ``(None, reason)``: the one place
-    the layout ``rp_run_batch`` and ``rp_pf_ctx_new`` unpack is written.
-
-    The keyword arguments are the knobs the interpreted hot path reads
-    off its components; :func:`_ctx_config_values` passes the live
-    components' values and :func:`context_row` the config's.
-    """
-    if not flat and cfg.reward_peak == 1:
-        return None, "degenerate bell reward (peak == 1) raises at call time"
-    if max_degree + 2 > MAX_REQUESTS:
-        return None, "max_degree exceeds the kernel's request buffer"
-    if cfg.cst_links > (1 << 31):
-        return None, "cst_links exceeds the single-word getrandbits range"
-    if cfg.adaptive_window and not _recenter_geometry_ok(cfg):
-        return None, "a reachable recentered reward window is invalid"
-    sample_depths = [int(d) for d in sample_depths]
-    thresholds = [float(t) for t in degree_thresholds]
-    lo_bound, hi_bound = cfg.window_center_bounds
-    icfg = [
-        cfg.cst_entries,
-        cfg.cst_links,
-        cfg.cst_tag_bits,
-        cfg.reducer_entries,
-        cfg.reducer_tag_bits,
-        cfg.full_hash_bits,
-        cfg.reduced_hash_bits,
-        cfg.history_entries,
-        cfg.prefetch_queue_entries,
-        cfg.block_bytes,
-        cfg.delta_granularity,
-        cfg.delta_min,
-        cfg.delta_max,
-        cfg.window_lo,
-        cfg.window_hi,
-        cfg.window_center,
-        cfg.reward_peak,
-        cfg.late_penalty,
-        cfg.early_penalty,
-        cfg.score_min,
-        cfg.score_max,
-        cfg.initial_score,
-        cfg.replace_threshold,
-        score_threshold,
-        max_degree,
-        alloc_bits,
-        initial_count,
-        cfg.overload_refs,
-        cfg.overload_check_period,
-        cfg.underload_lookups,
-        1 if adapt else 0,
-        1 if shadow_on else 0,
-        1 if adaptive_eps else 0,
-        1 if flat else 0,
-        1 if softmax else 0,
-        1 if adaptive_window else 0,
-        window_update_period,
-        lo_bound,
-        hi_bound,
-        addr_history_depth,
-        len(sample_depths),
-        len(thresholds),
-        *sample_depths,
-    ]
-    dcfg = [
-        eps_min,
-        float(eps_range),
-        fixed_eps,
-        alpha,
-        shadow_p,
-        cfg.softmax_temperature,
-        *thresholds,
-    ]
-    return (icfg, dcfg, _seed_key(cfg.seed)), None
-
-
-def _ctx_config_values(pf):
-    """``((icfg, dcfg, seed_key), None)`` for the context kernel, or
-    ``(None, reason)`` when the config cannot be represented exactly.
-
-    The knobs are marshalled from the *live* component objects (policy,
-    reducer, tracker) — the same flattened attributes the interpreted
-    hot path reads — so a hand-mutated component disagrees loudly in the
-    parity suites instead of silently reading stale config fields.
-    """
-    policy = pf.policy
-    reward = pf.reward
-    if type(policy) not in (EpsilonGreedyPolicy, SoftmaxPolicy):
-        return None, "the policy subclass has no native port"
-    if type(reward) not in (RewardFunction, FlatRewardFunction):
-        return None, "the reward subclass has no native port"
-    return _ctx_row(
-        pf.config,
-        flat=type(reward) is FlatRewardFunction,
-        softmax=type(policy) is SoftmaxPolicy,
-        score_threshold=policy._score_threshold,
-        max_degree=policy._max_degree,
-        alloc_bits=pf._r_alloc_active.bits,
-        initial_count=len(pf.reducer._initial),
-        adapt=pf._adapt_enabled,
-        shadow_on=policy._shadow_on,
-        adaptive_eps=policy._adaptive_eps,
-        adaptive_window=pf._adaptive_window,
-        window_update_period=pf._window_update_period,
-        addr_history_depth=pf._addr_history_depth,
-        sample_depths=pf._sample_depths,
-        degree_thresholds=policy._degree_thresholds,
-        eps_min=policy._eps_min,
-        eps_range=policy._eps_range,
-        fixed_eps=policy._fixed_eps,
-        alpha=policy._alpha,
-        shadow_p=policy._shadow_p,
-    )
-
-
 #: the reducer's allocation set when adaptive reduction is off
 _ALL_ATTRIBUTE_BITS = AttributeSet(ALL_ATTRIBUTES).bits
 
@@ -347,13 +223,17 @@ _ADDR_HISTORY_DEPTH = ContextTracker.__init__.__kwdefaults__["addr_history_depth
 
 
 def context_row(cfg):
-    """``_ctx_config_values(ContextPrefetcher(cfg))``, from ``cfg`` alone.
+    """The context kernel's row for ``cfg``, ``((icfg, dcfg, seed_key),
+    None)``, or ``(None, reason)`` when the kernel cannot run it exactly.
 
-    A config yields the exact base policy and reward types, so only the
-    config-level refusals apply.  What ``ContextPrefetcher(cfg)``'s
-    components reject raises here too: the same exception, the same
-    message, in the order they construct (reducer and CST masks, the
-    history queue, the prefetch queue, the reward window).
+    The one place the layout ``rp_pf_ctx_new`` and ``rp_run_batch``
+    unpack is written.  Every knob is read off the config, as the
+    components ``ContextPrefetcher(cfg)`` builds flatten it for the
+    interpreted hot path; those components are never reassigned.  What
+    they reject raises here too: the same exception, the same message,
+    in the order they construct (reducer and CST masks, the history
+    queue, the prefetch queue, the reward window).  The seed is checked
+    last, after every refusal that does not read it.
     """
     # Reducer and ContextStatesTable build their masks as 1 << width
     # (the CST's delta bounds too), so a negative width raises there
@@ -380,28 +260,119 @@ def context_row(cfg):
         raise ValueError("peak must be positive")
     if cfg.late_penalty >= 0 or cfg.early_penalty >= 0:
         raise ValueError("edge penalties must be negative")
-    return _ctx_row(
-        cfg,
-        flat=cfg.reward_shape == "flat",
-        softmax=cfg.policy == "softmax",
-        score_threshold=cfg.prefetch_score_threshold,
-        max_degree=cfg.max_degree,
-        alloc_bits=initial.bits if cfg.adaptive_reduction else _ALL_ATTRIBUTE_BITS,
-        initial_count=len(initial),
-        adapt=cfg.adaptive_reduction,
-        shadow_on=cfg.shadow_prefetches,
-        adaptive_eps=cfg.adaptive_epsilon,
-        adaptive_window=cfg.adaptive_window,
-        window_update_period=cfg.window_update_period,
-        addr_history_depth=_ADDR_HISTORY_DEPTH,
-        sample_depths=sorted(set(cfg.sample_depths)),
-        degree_thresholds=cfg.degree_thresholds,
-        eps_min=cfg.epsilon_min,
-        eps_range=cfg.epsilon_max - cfg.epsilon_min,
-        fixed_eps=cfg.fixed_epsilon,
-        alpha=cfg.accuracy_ema_alpha,
-        shadow_p=cfg.shadow_probability,
-    )
+    flat = cfg.reward_shape == "flat"
+    if not flat and cfg.reward_peak == 1:
+        return None, "degenerate bell reward (peak == 1) raises at call time"
+    if cfg.max_degree + 2 > MAX_REQUESTS:
+        return None, "max_degree exceeds the kernel's request buffer"
+    if cfg.cst_links > (1 << 31):
+        return None, "cst_links exceeds the single-word getrandbits range"
+    if cfg.adaptive_window and not _recenter_geometry_ok(cfg):
+        return None, "a reachable recentered reward window is invalid"
+    key = _seed_key(cfg.seed)
+    if key is None:
+        return None, _SEED_REFUSAL
+    # HistoryQueue samples each distinct depth once, shallowest first
+    sample_depths = [int(d) for d in sorted(set(cfg.sample_depths))]
+    thresholds = [float(t) for t in cfg.degree_thresholds]
+    lo_bound, hi_bound = cfg.window_center_bounds
+    icfg = [
+        cfg.cst_entries,
+        cfg.cst_links,
+        cfg.cst_tag_bits,
+        cfg.reducer_entries,
+        cfg.reducer_tag_bits,
+        cfg.full_hash_bits,
+        cfg.reduced_hash_bits,
+        cfg.history_entries,
+        cfg.prefetch_queue_entries,
+        cfg.block_bytes,
+        cfg.delta_granularity,
+        cfg.delta_min,
+        cfg.delta_max,
+        cfg.window_lo,
+        cfg.window_hi,
+        cfg.window_center,
+        cfg.reward_peak,
+        cfg.late_penalty,
+        cfg.early_penalty,
+        cfg.score_min,
+        cfg.score_max,
+        cfg.initial_score,
+        cfg.replace_threshold,
+        cfg.prefetch_score_threshold,
+        cfg.max_degree,
+        initial.bits if cfg.adaptive_reduction else _ALL_ATTRIBUTE_BITS,
+        len(initial),
+        cfg.overload_refs,
+        cfg.overload_check_period,
+        cfg.underload_lookups,
+        1 if cfg.adaptive_reduction else 0,
+        1 if cfg.shadow_prefetches else 0,
+        1 if cfg.adaptive_epsilon else 0,
+        1 if flat else 0,
+        1 if cfg.policy == "softmax" else 0,
+        1 if cfg.adaptive_window else 0,
+        cfg.window_update_period,
+        lo_bound,
+        hi_bound,
+        _ADDR_HISTORY_DEPTH,
+        len(sample_depths),
+        len(thresholds),
+        *sample_depths,
+    ]
+    dcfg = [
+        cfg.epsilon_min,
+        float(cfg.epsilon_max - cfg.epsilon_min),
+        cfg.fixed_epsilon,
+        cfg.accuracy_ema_alpha,
+        cfg.shadow_probability,
+        cfg.softmax_temperature,
+        *thresholds,
+    ]
+    return (icfg, dcfg, key), None
+
+
+def _checked_row(cfg):
+    """:func:`context_row` in the kernel's buffer types (``icfg`` an
+    int64 and ``dcfg`` a double ``array``), never raising: what the
+    config's components reject, or a knob those buffers cannot hold, is
+    its refusal reason instead."""
+    try:
+        row, reason = context_row(cfg)
+        if row is None:
+            return None, reason
+        icfg, dcfg, key = row
+        return (array("q", icfg), array("d", dcfg), key), None
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        log.debug("a context config has no kernel row: %s", reason)
+        return None, reason
+
+
+def _live_row(pf):
+    """``(kind, row, None)`` for a live prefetcher the kernel can run,
+    or ``(kind, None, reason)``: the single-cell path's row.
+
+    The kind is keyed by *exact* type, and a context prefetcher's policy
+    and reward must be exactly the base types too: a subclass may
+    override behaviour the port does not model.  That is the one check
+    of the live objects; the row itself comes from the config.
+    """
+    kind = _PF_KINDS.get(type(pf))
+    if kind is None:
+        return None, None, f"the {pf.name} prefetcher has no native port"
+    if kind == _PF_CONTEXT:
+        if type(pf.policy) not in (EpsilonGreedyPolicy, SoftmaxPolicy):
+            return kind, None, "the policy subclass has no native port"
+        if type(pf.reward) not in (RewardFunction, FlatRewardFunction):
+            return kind, None, "the reward subclass has no native port"
+        row, reason = _checked_row(pf.config)
+        return kind, row, reason
+    cfg = _pf_config_values(pf, kind)
+    if cfg is None:
+        return kind, None, f"the {pf.name} config exceeds the kernel's fixed buffers"
+    return kind, (array("q", cfg), array("d"), ()), None
 
 
 @dataclass(eq=False)
@@ -409,12 +380,16 @@ class KernelRows:
     """Kernel rows and seed keys, in the flat buffers ``rp_run_batch`` reads.
 
     Row ``r`` is prefetcher kind ``kinds[r]`` with the config row at
-    ``cfgs[cfg_at[r]:]`` and ``dcfgs[dcfg_at[r]:]`` and storage bits
-    ``bits[r]``; seed key ``k`` is ``keys[key_at[k]:key_at[k + 1]]``.
-    A batch cell names one row and one key, so cells that share a config
-    share its row.  A table of context slots (:func:`context_rows`) also
-    maps slot ``s`` to its row, ``slot_row[s]`` (-1 when it has none,
-    with the reason in ``refused[s]``), and to seed key ``s``.
+    ``cfgs[cfg_at[r]:]`` and ``dcfgs[dcfg_at[r]:]``; ``meta[r]`` is the
+    ``(name, storage bits, accuracy)`` its payload reports, with
+    accuracy ``None`` for a context row (its accuracy is the kernel's).
+    Seed key ``k`` is ``keys[key_at[k]:key_at[k + 1]]``.  A batch cell
+    names one row and one key, so cells that share a config share its
+    row.  A sweep's table maps context slot ``s`` to its row,
+    ``slot_row[s]`` (-1 when it has none, with the reason in
+    ``refused[s]``), and to seed key ``s`` (:func:`context_rows`); and
+    a table family's registry name to its ``(row, key)`` in ``family``
+    (:meth:`add_family`).
     """
 
     kinds: array = field(default_factory=lambda: array("i"))
@@ -422,20 +397,21 @@ class KernelRows:
     cfgs: array = field(default_factory=lambda: array("q"))
     dcfg_at: array = field(default_factory=lambda: array("q"))
     dcfgs: array = field(default_factory=lambda: array("d"))
-    bits: array = field(default_factory=lambda: array("q"))
+    meta: list = field(default_factory=list)
     key_at: array = field(default_factory=lambda: array("q", [0]))
     keys: array = field(default_factory=lambda: array("I"))
     slot_row: array = field(default_factory=lambda: array("i"))
     refused: dict = field(default_factory=dict)
+    family: dict = field(default_factory=dict)
 
-    def add_row(self, kind: int, icfg, dcfg, bits: int) -> int:
+    def add_row(self, kind: int, icfg, dcfg, meta: tuple) -> int:
         """Append one row; its index back."""
         self.kinds.append(kind)
         self.cfg_at.append(len(self.cfgs))
         self.cfgs.extend(icfg)
         self.dcfg_at.append(len(self.dcfgs))
         self.dcfgs.extend(dcfg)
-        self.bits.append(bits)
+        self.meta.append(meta)
         return len(self.kinds) - 1
 
     def add_key(self, words) -> int:
@@ -444,40 +420,31 @@ class KernelRows:
         self.key_at.append(len(self.keys))
         return len(self.key_at) - 2
 
-    def copy(self) -> "KernelRows":
-        return KernelRows(
-            *(array(a.typecode, a) for a in (
-                self.kinds, self.cfg_at, self.cfgs, self.dcfg_at, self.dcfgs,
-                self.bits, self.key_at, self.keys, self.slot_row,
-            )),
-            dict(self.refused),
-        )
+    def add_family(self, name: str, pf) -> None:
+        """Give the cells of registry name ``name`` the row of ``pf``, a
+        fresh table-family prefetcher, unless the kernel refuses it: its
+        name, storage bits and accuracy are read here, once."""
+        kind, row, _reason = _live_row(pf)
+        if row is None or kind == _PF_CONTEXT:
+            return
+        icfg, dcfg, key = row
+        meta = (pf.name, pf.storage_bits(), pf.accuracy())
+        self.family[name] = (self.add_row(kind, icfg, dcfg, meta), self.add_key(key))
 
 
 def _slot_row(table: KernelRows, shared: dict, cfg) -> tuple[int, str | None]:
     """``(row index, None)`` for one context config, adding its row to
     ``table`` unless an equal one is there; ``(-1, reason)`` when it has
     none."""
-    try:
-        row, reason = context_row(cfg)
-        if row is None:
-            return -1, reason
-        icfg, dcfg, _key = row
-        signature = (
-            array("q", icfg).tobytes(),
-            array("d", dcfg).tobytes(),
-            cfg.storage_bits(),
-        )
-    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
-        # what the config's components reject is raised again per cell
-        reason = f"{type(exc).__name__}: {exc}"
-        log.debug("a context config has no kernel row: %s", reason)
+    row, reason = _checked_row(cfg)
+    if row is None:
         return -1, reason
+    icfg, dcfg, _key = row
+    signature = (icfg.tobytes(), dcfg.tobytes(), cfg.storage_bits())
     index = shared.get(signature)
     if index is None:
-        index = shared[signature] = table.add_row(
-            _PF_CONTEXT, icfg, dcfg, signature[2]
-        )
+        meta = (ContextPrefetcher.name, signature[2], None)
+        index = shared[signature] = table.add_row(_PF_CONTEXT, icfg, dcfg, meta)
     return index, None
 
 
@@ -490,14 +457,16 @@ def context_rows(configs) -> KernelRows:
     A slot the kernel refuses, or whose config its prefetcher's
     components reject, gets no row: its cell leaves the kernel, and the
     per-cell path reports the refusal or raises the rejection there.
+    Building the table never raises for a config.
 
     A seed sweep's slot is the slot before it with another seed, and
     ``dataclasses.replace`` shares every other field as the very same
-    object.  Nothing but the seed key reads the seed, so a slot whose
-    other fields are the previous slot's objects takes that slot's row
-    (or refusal) without building it again.  Config values are
-    immutable and ``last_values`` keeps them alive, so an identity match
-    is never a reused address.
+    object.  Only the seed key reads the seed, so a slot whose other
+    fields are the previous slot's objects takes that slot's row (or
+    refusal) without building it again, unless it was refused for its
+    seed; its own seed still needs a key.  Config values are immutable
+    and ``last_values`` keeps them alive, so an identity match is never
+    a reused address.
     """
     table = KernelRows()
     shared: dict = {}
@@ -517,40 +486,48 @@ def context_rows(configs) -> KernelRows:
                 *(f.name for f in dataclasses.fields(cfg) if f.name != "seed")
             )
         values = get(cfg)
-        if type(cfg) is not last_type or not all(map(is_, values, last_values)):
+        if (
+            reason == _SEED_REFUSAL
+            or type(cfg) is not last_type
+            or not all(map(is_, values, last_values))
+        ):
             index, reason = _slot_row(table, shared, cfg)
         last_type, last_values = type(cfg), values
-        table.slot_row.append(index)
-        if index < 0:
-            table.refused[slot] = reason
+        key = _seed_key(cfg.seed) if index >= 0 else None
+        if key is None:
+            table.slot_row.append(-1)
+            table.refused[slot] = reason if index < 0 else _SEED_REFUSAL
             table.add_key(())
         else:
-            table.add_key(_seed_key(cfg.seed))
+            table.slot_row.append(index)
+            table.add_key(key)
     return table
 
 
-def _hier_config_values(hier) -> list[int]:
-    return _hier_values(hier.config)
-
-
-def _hier_values(c) -> list[int]:
-    return [
-        c.l1_size,
-        c.l1_ways,
-        c.l1_latency,
-        c.l1_mshrs,
-        c.l2_size,
-        c.l2_ways,
-        c.l2_latency,
-        c.l2_mshrs,
-        c.dram_latency,
-        c.dram_service_interval,
-        c.line_bytes,
-        c.prefetch_buffers,
-        c.prefetch_mshr_reserve,
-        c.prefetch_backlog_depth,
-        1 if c.prefetch_fill_l1 else 0,
-    ]
+def _sim_values(hier, core, bhr_mask: int) -> tuple[list[int], list[int]]:
+    """The simulator's row: the hierarchy and core config arrays
+    ``rp_sim_new`` and ``rp_run_batch`` read, for ``HierarchyConfig``
+    ``hier``, ``CoreConfig`` ``core`` and the branch-history mask."""
+    return (
+        [
+            hier.l1_size,
+            hier.l1_ways,
+            hier.l1_latency,
+            hier.l1_mshrs,
+            hier.l2_size,
+            hier.l2_ways,
+            hier.l2_latency,
+            hier.l2_mshrs,
+            hier.dram_latency,
+            hier.dram_service_interval,
+            hier.line_bytes,
+            hier.prefetch_buffers,
+            hier.prefetch_mshr_reserve,
+            hier.prefetch_backlog_depth,
+            1 if hier.prefetch_fill_l1 else 0,
+        ],
+        [core.issue_width, core.rob_size, core.lq_size, bhr_mask],
+    )
 
 
 def _sim_pristine(sim) -> bool:
@@ -562,8 +539,9 @@ def _sim_pristine(sim) -> bool:
     )
 
 
-def _handles(sim, pf, kind: int, kernel, ctx_cfg=None):
-    """The (RpSim, RpPf) handle pair for this run, creating as needed.
+def _handles(sim, pf, kind: int, row, kernel):
+    """The (RpSim, RpPf) handle pair for this run, creating as needed;
+    a new prefetcher handle is built from ``row`` (:func:`_live_row`).
 
     Returns ``(None, None)`` when the pair cannot be assembled without
     mixing native and interpreted state *and* no native state exists yet
@@ -589,31 +567,28 @@ def _handles(sim, pf, kind: int, kernel, ctx_cfg=None):
             )
         return None, None
     if sim_h is None:
-        hier_cfg = ffi.new("int64_t[]", _hier_config_values(sim.hierarchy))
-        core_cfg = ffi.new(
-            "int64_t[]",
-            [
-                sim.core.config.issue_width,
-                sim.core.config.rob_size,
-                sim.core.config.lq_size,
-                sim.bhr._mask,
-            ],
+        hier_values, core_values = _sim_values(
+            sim.hierarchy.config, sim.core.config, sim.bhr._mask
         )
-        ptr = lib.rp_sim_new(hier_cfg, core_cfg)
+        ptr = lib.rp_sim_new(
+            ffi.new("int64_t[]", hier_values), ffi.new("int64_t[]", core_values)
+        )
         if ptr == ffi.NULL:
             raise MemoryError("native simulator state allocation failed")
         sim_h = ffi.gc(ptr, lib.rp_sim_free)
         _SIM_STATES[sim] = sim_h
     if pf_h is None:
+        icfg, dcfg, key = row
+        p_icfg = ffi.from_buffer("int64_t[]", icfg)
         if kind == _PF_CONTEXT:
-            icfg, dcfg, key = ctx_cfg
-            p_icfg = ffi.new("int64_t[]", icfg)
-            p_dcfg = ffi.new("double[]", dcfg)
-            p_key = ffi.new("uint32_t[]", key)
-            ptr = lib.rp_pf_ctx_new(p_icfg, p_dcfg, p_key, len(key))
+            ptr = lib.rp_pf_ctx_new(
+                p_icfg,
+                ffi.from_buffer("double[]", dcfg),
+                ffi.new("uint32_t[]", key),
+                len(key),
+            )
         else:
-            pf_cfg = ffi.new("int64_t[]", _pf_config_values(pf, kind))
-            ptr = lib.rp_pf_new(kind, pf_cfg)
+            ptr = lib.rp_pf_new(kind, p_icfg)
         if ptr == ffi.NULL:
             raise MemoryError("native prefetcher state allocation failed")
         pf_h = ffi.gc(ptr, lib.rp_pf_free)
@@ -661,75 +636,52 @@ def phase_decode(trace, limit, line_bytes, *, with_context: bool = False):
     return cols, accesses, None
 
 
-def _checked_run(lib, rc: int) -> None:
-    if rc != 0:
-        raise MemoryError("native kernel ran out of memory mid-run")
+def _column_pointers(ffi, cols) -> list:
+    """The twelve column pointers every kernel entry takes, in order.
+
+    The seven context columns are NULL when ``cols`` has none: every
+    kernel read of them is gated on the context family.
+    """
+    pointers = [
+        ffi.from_buffer("uint64_t[]", cols.addrs),
+        ffi.from_buffer("uint64_t[]", cols.pcs),
+        ffi.from_buffer("uint64_t[]", cols.lines),
+        ffi.from_buffer("uint32_t[]", cols.inst_gaps),
+        ffi.from_buffer("uint8_t[]", cols.flags),
+    ]
+    if cols.values is None:
+        return pointers + [ffi.NULL] * 7
+    return pointers + [
+        ffi.from_buffer("int64_t[]", cols.values),
+        ffi.from_buffer("int64_t[]", cols.reg_values),
+        ffi.from_buffer("uint64_t[]", cols.branch_bits),
+        ffi.from_buffer("uint16_t[]", cols.branch_counts),
+        ffi.from_buffer("uint32_t[]", cols.type_ids),
+        ffi.from_buffer("uint32_t[]", cols.link_offsets),
+        ffi.from_buffer("uint8_t[]", cols.ref_forms),
+    ]
 
 
 def phase_kernel(kernel, sim_h, pf_h, cols, start_index: int, warmup: int):
     """Drive the compiled per-access loop; returns the raw output block.
 
-    Warmup replays the leading ``warmup`` accesses (their output block is
-    discarded), resets the statistics counters without disturbing warm
-    state, and replays the remainder — the native mirror of the
-    interpreted :meth:`Simulator.run` warmup recursion, including its
-    ``ValueError`` on a warmup that consumes the whole trace.
+    One ``rp_batch_cell`` call, the cell runner the batch driver runs
+    every cell with.  Warmup replays the leading ``warmup`` accesses
+    (their output block is discarded), resets the statistics counters
+    without disturbing warm state, and replays the remainder — the
+    native mirror of the interpreted :meth:`Simulator.run` warmup
+    recursion, including its ``ValueError`` on a warmup that consumes
+    the whole trace.
     """
     ffi, lib = kernel.ffi, kernel.lib
-    n = cols.n
-    if warmup and warmup >= n:
+    if warmup and warmup >= cols.n:
         raise ValueError("warmup consumes the whole trace")
     out = ffi.new("int64_t[]", OUT_SLOTS)
-    p_addr = ffi.from_buffer("uint64_t[]", cols.addrs)
-    p_pc = ffi.from_buffer("uint64_t[]", cols.pcs)
-    p_line = ffi.from_buffer("uint64_t[]", cols.lines)
-    p_gap = ffi.from_buffer("uint32_t[]", cols.inst_gaps)
-    p_flag = ffi.from_buffer("uint8_t[]", cols.flags)
-    if cols.values is not None:
-        # context columns; every kernel read of these is gated on the
-        # context family, so other families pass the NULLs below
-        ctx_cols = [
-            ffi.from_buffer("int64_t[]", cols.values),
-            ffi.from_buffer("int64_t[]", cols.reg_values),
-            ffi.from_buffer("uint64_t[]", cols.branch_bits),
-            ffi.from_buffer("uint16_t[]", cols.branch_counts),
-            ffi.from_buffer("uint32_t[]", cols.type_ids),
-            ffi.from_buffer("uint32_t[]", cols.link_offsets),
-            ffi.from_buffer("uint8_t[]", cols.ref_forms),
-        ]
-    else:
-        ctx_cols = [ffi.NULL] * 7
-
-    def _ctx_at(offset):
-        if offset == 0 or cols.values is None:
-            return ctx_cols
-        return [p + offset for p in ctx_cols]
-
-    if warmup:
-        _checked_run(
-            lib,
-            lib.rp_run(
-                sim_h, pf_h, warmup, start_index, p_addr, p_pc, p_line, p_gap,
-                p_flag, *ctx_cols, out,
-            ),
-        )
-        lib.rp_reset_stats(sim_h)
-        _checked_run(
-            lib,
-            lib.rp_run(
-                sim_h, pf_h, n - warmup, start_index + warmup, p_addr + warmup,
-                p_pc + warmup, p_line + warmup, p_gap + warmup, p_flag + warmup,
-                *_ctx_at(warmup), out,
-            ),
-        )
-    else:
-        _checked_run(
-            lib,
-            lib.rp_run(
-                sim_h, pf_h, n, start_index, p_addr, p_pc, p_line, p_gap,
-                p_flag, *ctx_cols, out,
-            ),
-        )
+    rc = lib.rp_batch_cell(
+        sim_h, pf_h, cols.n, start_index, warmup, *_column_pointers(ffi, cols), out
+    )
+    if rc != 0:
+        raise MemoryError("native kernel ran out of memory mid-run")
     return out
 
 
@@ -812,24 +764,10 @@ def try_native_run(sim, trace, *, workload_name, limit, start_index, warmup):
     """
     pf = sim.prefetcher
     committed = sim in _SIM_STATES or pf in _PF_STATES
-    kind = _pf_kind(pf)
-    if kind is None:
-        return _fall_back(
-            committed, trace, limit, f"the {pf.name} prefetcher has no native port"
-        )
+    kind, row, reason = _live_row(pf)
+    if row is None:
+        return _fall_back(committed, trace, limit, reason)
     is_ctx = kind == _PF_CONTEXT
-    ctx_cfg = None
-    if is_ctx:
-        ctx_cfg, reason = _ctx_config_values(pf)
-        if ctx_cfg is None:
-            return _fall_back(committed, trace, limit, reason)
-    elif _pf_config_values(pf, kind) is None:
-        return _fall_back(
-            committed,
-            trace,
-            limit,
-            f"the {pf.name} config exceeds the kernel's fixed buffers",
-        )
     kernel = kernel_or_none()
     if kernel is None:
         return _fall_back(committed, trace, limit, "compiled kernel unavailable")
@@ -845,7 +783,7 @@ def try_native_run(sim, trace, *, workload_name, limit, start_index, warmup):
             limit,
             "the simulator's native runs skipped the branch-history fold",
         )
-    sim_h, pf_h = _handles(sim, pf, kind, kernel, ctx_cfg)
+    sim_h, pf_h = _handles(sim, pf, kind, row, kernel)
     if sim_h is None:
         return _fall_back(
             False, trace, limit, "simulator or prefetcher carries interpreted state"
@@ -955,23 +893,6 @@ def phase_batch_kernel(
     hist_lens = ffi.new("int64_t[]", ncells)
     depths = ffi.new("int64_t[]", ncells * slots)
     counts = ffi.new("int64_t[]", ncells * slots)
-    p_addr = ffi.from_buffer("uint64_t[]", cols.addrs)
-    p_pc = ffi.from_buffer("uint64_t[]", cols.pcs)
-    p_line = ffi.from_buffer("uint64_t[]", cols.lines)
-    p_gap = ffi.from_buffer("uint32_t[]", cols.inst_gaps)
-    p_flag = ffi.from_buffer("uint8_t[]", cols.flags)
-    if cols.values is not None:
-        ctx_cols = [
-            ffi.from_buffer("int64_t[]", cols.values),
-            ffi.from_buffer("int64_t[]", cols.reg_values),
-            ffi.from_buffer("uint64_t[]", cols.branch_bits),
-            ffi.from_buffer("uint16_t[]", cols.branch_counts),
-            ffi.from_buffer("uint32_t[]", cols.type_ids),
-            ffi.from_buffer("uint32_t[]", cols.link_offsets),
-            ffi.from_buffer("uint8_t[]", cols.ref_forms),
-        ]
-    else:
-        ctx_cols = [ffi.NULL] * 7
     lib.rp_run_batch(
         ncells,
         ffi.from_buffer("int32_t[]", rows),
@@ -986,7 +907,7 @@ def phase_batch_kernel(
         ffi.new("int64_t[]", hier_values),
         ffi.new("int64_t[]", core_values),
         n, start_index, warmup,
-        p_addr, p_pc, p_line, p_gap, p_flag, *ctx_cols,
+        *_column_pointers(ffi, cols),
         outs, rcs, accuracies, hist_lens, depths, counts, slots,
         max(0, int(threads)),
     )
@@ -1078,9 +999,11 @@ def phase_render(kernel, block, cells, *, workload_name: str) -> list:
 
 
 def run_native_batch(
-    cells,
+    rows,
+    keys,
     trace,
     *,
+    table: KernelRows,
     workload_name: str,
     limit,
     hierarchy_config=None,
@@ -1089,16 +1012,15 @@ def run_native_batch(
     warmup: int = 0,
     start_index: int = 0,
     threads: int = 0,
-    rows: KernelRows | None = None,
 ):
     """Execute N independent cells over one trace in one kernel call.
 
-    ``cells[i]`` is a context cell's slot in ``rows`` (a table
-    :func:`context_rows` built, usually in the sweep's parent process),
-    a context cell's :class:`ContextPrefetcherConfig` (its row comes
-    from :func:`context_row` here), or a table family's fresh
-    prefetcher.  Every cell runs on a state equal to a *fresh*
-    simulator/prefetcher built from the shared configs plus its own —
+    Cell ``i`` runs row ``rows[i]`` of ``table``, a :class:`KernelRows`
+    its caller built (usually the sweep's parent process), with seed
+    key ``keys[i]``; the payload's prefetcher name, storage bits and (for
+    a table family) accuracy are the row's ``meta``.  No prefetcher or
+    config is built here.  Every cell runs on a state equal to a *fresh*
+    simulator/prefetcher built from the shared configs plus its row —
     the exact state a ``Simulator(pf, ...)`` construction would hand
     :func:`try_native_run` — so cell ``i`` here is bit-identical to the
     single-cell native run of its prefetcher, regardless of thread
@@ -1106,129 +1028,57 @@ def run_native_batch(
 
     Returns ``(texts, reasons, trace, limit)``: ``texts[i]`` is the
     cell's payload text (:func:`phase_render`) or ``None`` when it must
-    run on the per-cell path, in which case ``reasons[i]`` names why.
-    Per-cell conditions (no native port, unrepresentable config, a slot
-    with no row, kernel OOM, a histogram over :data:`BATCH_HIST_SLOTS`)
-    degrade that one cell.  The call raises for whole-shard programming
-    errors (warmup consuming the trace) and for a context config cell
-    its prefetcher's components reject (see :func:`context_row`), so
-    such a cell never reaches the kernel.
+    run on the per-cell path, in which case ``reasons[i]`` names why: no
+    compiled kernel or no decoded columns (every cell), a kernel OOM or
+    a histogram over :data:`BATCH_HIST_SLOTS` (that cell alone).  The
+    call raises for whole-shard programming errors (warmup consuming
+    the trace).
     """
-    n_cells = len(cells)
-    texts: list = [None] * n_cells
-    reasons: list = [None] * n_cells
+    n_cells = len(rows)
+    if not n_cells:
+        return [], [], trace, limit
     kernel = kernel_or_none()
     if kernel is None:
-        reason = "compiled kernel unavailable"
         _count_batch(n_cells, 0, threads, 0)
-        return texts, [reason] * n_cells, trace, limit
-    lib = kernel.lib
-    table = rows if rows is not None else KernelRows()
-    # the rows this call adds (config cells, table families) go into a
-    # copy, so a table shared by several shards never grows
-    own: KernelRows | None = None
-    family_rows: dict = {}
-    cell_rows = array("i")
-    cell_keys = array("i")
-    meta: list = []
-    eligible: list = []
-    with_context = False
-    for i, cell in enumerate(cells):
-        if type(cell) is int:
-            row = table.slot_row[cell]
-            if row < 0:
-                reasons[i] = table.refused[cell]
-                continue
-            cell_rows.append(row)
-            cell_keys.append(cell)
-            meta.append((ContextPrefetcher.name, table.bits[row], None))
-            eligible.append(i)
-            with_context = True
-            continue
-        if own is None:
-            own = table.copy()
-            empty_key = own.add_key(())
-        if isinstance(cell, ContextPrefetcherConfig):
-            ctx_row, reason = context_row(cell)
-            if ctx_row is None:
-                reasons[i] = reason
-                continue
-            icfg, dcfg, key = ctx_row
-            bits = cell.storage_bits()
-            cell_rows.append(own.add_row(_PF_CONTEXT, icfg, dcfg, bits))
-            cell_keys.append(own.add_key(key))
-            meta.append((ContextPrefetcher.name, bits, None))
-            eligible.append(i)
-            with_context = True
-            continue
-        kind = _pf_kind(cell)
-        if kind == _PF_CONTEXT:
-            raise TypeError(
-                "a context cell enters the batch as its ContextPrefetcherConfig"
-                " or its slot in the batch's rows"
-            )
-        if kind is None:
-            reasons[i] = f"the {cell.name} prefetcher has no native port"
-            continue
-        if cell in _PF_STATES or not cell.is_pristine():
-            reasons[i] = "prefetcher carries prior run state"
-            continue
-        cfg = _pf_config_values(cell, kind)
-        if cfg is None:
-            reasons[i] = (
-                f"the {cell.name} config exceeds the kernel's fixed buffers"
-            )
-            continue
-        bits = cell.storage_bits()
-        signature = (kind, tuple(cfg), bits)
-        row = family_rows.get(signature)
-        if row is None:
-            row = family_rows[signature] = own.add_row(kind, cfg, (), bits)
-        cell_rows.append(row)
-        cell_keys.append(empty_key)
-        meta.append((cell.name, bits, cell.accuracy()))
-        eligible.append(i)
+        return [None] * n_cells, ["compiled kernel unavailable"] * n_cells, trace, limit
+    openmp = int(kernel.lib.rp_batch_openmp())
+    rows = array("i", rows)
+    kinds = table.kinds
     hier_cfg = hierarchy_config if hierarchy_config is not None else HierarchyConfig()
-    if eligible:
-        cols, trace, limit = phase_decode(
-            trace, limit, hier_cfg.line_bytes, with_context=with_context
-        )
-        if cols is None:
-            for i in eligible:
-                reasons[i] = "column decode fell back"
-            eligible = []
-    if not eligible:
-        _count_batch(n_cells, 0, threads, int(lib.rp_batch_openmp()))
-        return texts, reasons, trace, limit
-    core_cfg = core_config if core_config is not None else CoreConfig()
-    sim_cfg = (
-        _hier_values(hier_cfg),
-        [
-            core_cfg.issue_width,
-            core_cfg.rob_size,
-            core_cfg.lq_size,
-            (1 << bhr_bits) - 1,
-        ],
+    cols, trace, limit = phase_decode(
+        trace,
+        limit,
+        hier_cfg.line_bytes,
+        with_context=_PF_CONTEXT in {kinds[r] for r in rows},
+    )
+    if cols is None:
+        _count_batch(n_cells, 0, threads, openmp)
+        return [None] * n_cells, ["column decode fell back"] * n_cells, trace, limit
+    sim_cfg = _sim_values(
+        hier_cfg,
+        core_config if core_config is not None else CoreConfig(),
+        (1 << bhr_bits) - 1,
     )
     block = phase_batch_kernel(
-        kernel, cell_rows, sim_cfg, cols, start_index, warmup, threads,
-        table=own if own is not None else table, keys=cell_keys,
+        kernel, rows, sim_cfg, cols, start_index, warmup, threads,
+        table=table, keys=array("i", keys),
     )
-    rendered = phase_render(kernel, block, meta, workload_name=workload_name)
+    meta = table.meta
+    texts = phase_render(
+        kernel, block, [meta[r] for r in rows], workload_name=workload_name
+    )
     rcs = block[1]
-    native_cells = 0
-    for j, i in enumerate(eligible):
-        if rendered[j] is None:
-            reasons[i] = _BATCH_RC_REASONS[rcs[j]]
-            continue
-        texts[i] = rendered[j]
-        native_cells += 1
+    reasons = [
+        None if text is not None else _BATCH_RC_REASONS[rcs[j]]
+        for j, text in enumerate(texts)
+    ]
+    native_cells = reasons.count(None)
     if native_cells != n_cells:
         log.debug(
             "batch kernel handled %d/%d cells; %d fell back",
             native_cells, n_cells, n_cells - native_cells,
         )
-    _count_batch(n_cells, native_cells, threads, int(lib.rp_batch_openmp()))
+    _count_batch(n_cells, native_cells, threads, openmp)
     return texts, reasons, trace, limit
 
 
@@ -1271,7 +1121,7 @@ def context_unit_counters(pf) -> dict | None:
     """The kernel-side bandit/CST/reward counters for a context
     prefetcher that ran natively, or ``None`` when no native handle
     exists (``repro profile --native`` reports this block)."""
-    if _pf_kind(pf) != _PF_CONTEXT:
+    if type(pf) is not ContextPrefetcher:
         return None
     kernel = kernel_or_none()
     if kernel is None:

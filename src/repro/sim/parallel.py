@@ -32,7 +32,7 @@ timing inject a clock via ``progress`` closures (see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.config import ContextPrefetcherConfig
@@ -137,6 +137,16 @@ def _by_name(
     return out
 
 
+def _slot_key(config: ContextPrefetcherConfig | None):
+    """What ``==`` compares of a context config, as a dict key: its type
+    and its compared field values (``None`` is a key of its own)."""
+    if config is None:
+        return None
+    return (type(config),) + tuple(
+        getattr(config, f.name) for f in fields(config) if f.compare
+    )
+
+
 def run_grid(
     workloads: Iterable["WorkloadSpec | TraceProgram | str"],
     prefetchers: Iterable[str],
@@ -176,11 +186,21 @@ def run_grid(
     sources = _by_name(workloads)
     prefetcher_names = tuple(prefetchers)
     distinct: list[ContextPrefetcherConfig | None] = []
+    slot_of: dict = {}
+    slots = []
     for config in context_configs:
-        if config not in distinct:
+        try:
+            slot = slot_of.setdefault(_slot_key(config), len(distinct))
+        except TypeError:  # an unhashable field value: compare one by one
+            slot = next(
+                (i for i, seen in enumerate(distinct) if seen == config),
+                len(distinct),
+            )
+        if slot == len(distinct):
             distinct.append(config)
+        slots.append(slot)
     parts = [ComparisonResult() for _ in distinct]
-    slices = [parts[distinct.index(config)] for config in context_configs]
+    slices = [parts[slot] for slot in slots]
     if not sources or not prefetcher_names:
         return slices
     plan = GridPlan(

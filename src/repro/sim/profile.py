@@ -62,10 +62,6 @@ class ProfileReport:
     #: populated for native runs profiled with cProfile; call structure
     #: is deterministic, the timings are machine-dependent
     native_phases: dict[str, float] = field(default_factory=dict)
-    #: in-kernel batch driver counters (batches dispatched, cells per
-    #: path, thread setting) accumulated in this process — all zero for
-    #: single-cell runs; see ``repro.sim.native.adapter.batch_counters``
-    batch_counters: dict[str, int] = field(default_factory=dict)
     #: kernel unit -> ns per access, from the unit-timing build (native
     #: runs only; machine-dependent); see ``adapter.unit_times``
     kernel_units: dict[str, float] = field(default_factory=dict)
@@ -223,9 +219,10 @@ def profile_run(
 ) -> ProfileReport:
     """Simulate one (workload, prefetcher) pair and profile the run.
 
-    With ``native=True`` the run goes through the compiled batch kernel
-    (falling back per the usual rules) and the report attributes time to
-    the decode/kernel/finalize phases instead of per-access functions.
+    With ``native=True`` the run is one single-cell run of the compiled
+    kernel's unit-timing build (falling back per the usual rules), and
+    the report attributes time to the decode/kernel/finalize phases
+    instead of per-access functions.
     """
     # imported here so ``repro.sim`` stays import-light for the workers
     from repro.sim.config import PREFETCHER_FACTORIES
@@ -261,13 +258,6 @@ def profile_run(
 
             timed = unit_times(sim)
 
-    if native:
-        from repro.sim.native.adapter import batch_counters
-
-        batch = dict(batch_counters())
-    else:
-        batch = {}
-
     return ProfileReport(
         workload=workload_name,
         prefetcher=prefetcher_name,
@@ -278,7 +268,6 @@ def profile_run(
         top=top,
         native=sim.last_run_native,
         native_phases=native_phases,
-        batch_counters=batch,
         kernel_units=timed["units"] if timed else {},
         kernel_ns_per_access=timed["kernel_ns_per_access"] if timed else 0.0,
     )
@@ -335,10 +324,6 @@ def render(report: ProfileReport) -> str:
             f"    {'units, summed':28s} {total:>10.1f} ns/access  "
             f"({covered:5.1%} of the kernel's {kernel:.1f} ns/access)"
         )
-    if any(report.batch_counters.values()):
-        lines += ["", "batch kernel counters (this process, deterministic):"]
-        for name, value in report.batch_counters.items():
-            lines.append(f"    {name:28s} {value:>10d}")
     if report.timing_table:
         lines += [
             "",

@@ -17,9 +17,10 @@ Batch protocol (PERF004 pins the layout):
   context-config *table*, plus per-cell tuples of exactly
   :data:`CELL_FIELDS` — ``(index, prefetcher, context_id)``.  Configs
   cross the boundary once per batch, never once per cell.  The table
-  (:class:`ContextTable`) carries its slots' kernel rows, built once in
-  the parent, beside its configs as one opaque blob the worker opens
-  only for a cell that leaves the kernel;
+  (:class:`ContextTable`) carries the kernel rows of its slots and of
+  the plan's table families, built once in the parent, beside its
+  configs as one opaque blob the worker opens only for a cell that
+  leaves the kernel;
 * results return as ``("done", batch_id, [(index, payload text,
   native_info), ...], store_degrades)``: each payload is the canonical
   JSON text of the versioned codec's encoding — the very string the
@@ -44,9 +45,10 @@ import atexit
 import os
 import pickle
 import zlib
+from array import array
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
@@ -112,12 +114,12 @@ class WorkerPoolError(Exception):
 class ContextTable:
     """A batch's slice of its plan's context-config table.
 
-    ``rows`` holds the slots' kernel rows
-    (:func:`~repro.sim.native.adapter.context_rows`): a sweep builds them
-    once in the parent for a kernel batch, and every batch that covers
-    the same slice, whatever its workload, shares the table.  ``None``
-    when no cell of the batch runs in the kernel, or when the executing
-    side should build them.
+    ``rows`` holds the kernel rows of the slots and of the plan's table
+    families (:func:`~repro.sim.native.adapter.context_rows`,
+    :meth:`~repro.sim.native.adapter.KernelRows.add_family`): a sweep
+    builds them once in the parent for a kernel batch, and every batch
+    that covers the same slice, whatever its workload, shares the table.
+    ``None`` when no cell of the batch runs in the kernel.
 
     The configs cross the spawn boundary as one opaque blob, the
     compressed pickle of the slice: made the first time the table is
@@ -138,6 +140,26 @@ class ContextTable:
         self._configs = None if configs is None else tuple(configs)
         self._blob = blob
         self.rows = rows
+
+    @classmethod
+    def with_rows(
+        cls,
+        configs: Sequence[ContextPrefetcherConfig | None],
+        prefetchers: Sequence[str],
+    ) -> "ContextTable":
+        """The table of a kernel batch: ``configs`` plus the kernel rows
+        :func:`run_batch` maps cells to, those of the slots when
+        ``prefetchers`` names ``context``, and one per other prefetcher
+        it names, from a fresh prefetcher of the registry.  An unknown
+        name gets no row: its cell fails where every per-cell run does."""
+        from repro.sim.native.adapter import context_rows
+
+        rows = context_rows(configs if "context" in prefetchers else ())
+        for name in prefetchers:
+            factory = PREFETCHER_FACTORIES.get(name)
+            if name != "context" and factory is not None:
+                rows.add_family(name, factory())
+        return cls(configs, rows)
 
     def __reduce__(self):
         if self._blob is None:
@@ -174,10 +196,10 @@ class BatchShared:
     native: bool
     hierarchy_config: HierarchyConfig | None = None
     core_config: CoreConfig | None = None
-    #: context-config table; per-cell tuples index into it.  A plain
-    #: tuple of configs is a table whose rows the executing side builds
-    context_table: ContextTable | tuple[ContextPrefetcherConfig | None, ...] = (
-        None,
+    #: context-config table; per-cell tuples index into it.  The
+    #: default is one default slot and no rows: every cell runs per-cell
+    context_table: ContextTable = field(
+        default_factory=lambda: ContextTable((None,))
     )
     #: compiled store file + content fingerprint (registry workloads)
     store_path: str | None = None
@@ -203,15 +225,17 @@ def run_batch(
     Each result is ``(index, payload text, native_info)``.  The trace
     resolves through the per-process memo (decode once, reuse across
     batches).  When the batch is native and the kernel's batch driver is
-    enabled, the whole cell list crosses into C in one GIL-released
-    ``rp_run_batch`` call: a context cell enters as its slot in the
-    table's kernel rows, and each cell's payload text is rendered by the
-    kernel.  No config is unpickled and no prefetcher, result or payload
-    dict is built for a cell the kernel runs.  A cell the kernel refuses
-    (each degrades alone, with its own reason) builds its prefetcher and
-    runs the per-cell ``Simulator`` path below, which is also the whole
-    path when ``kernel_batch`` or ``native`` is off; the payloads are
-    byte for byte the same either way.
+    enabled, every cell maps to a row and a seed key of the table's
+    kernel rows (a context cell through its slot, a table family through
+    its name), and those cells cross into C in one GIL-released
+    ``rp_run_batch`` call that also renders each payload text.  No
+    config is unpickled and no prefetcher, config, row, result or
+    payload dict is built for a cell the kernel runs.  A cell with no
+    row (a refused slot, a family without one, a table without rows) or
+    one the kernel degrades builds its prefetcher and runs the per-cell
+    ``Simulator`` path below, which is also the whole path when
+    ``kernel_batch`` or ``native`` is off; the payloads are byte for
+    byte the same either way.
     """
     trace = resolve_worker_trace(
         shared.workload,
@@ -223,33 +247,43 @@ def run_batch(
     )
     limit = shared.limit
     table = shared.context_table
-    if not isinstance(table, ContextTable):
-        table = ContextTable(table)
-    texts = None
-    if shared.native and shared.kernel_batch:
-        from repro.sim.native.adapter import context_rows, run_native_batch
+    rows = table.rows
+    texts: list = [None] * len(cells)
+    if shared.native and shared.kernel_batch and rows is not None:
+        slot_row = rows.slot_row
+        family = rows.family
+        no_row = (-1, -1)
+        at: list = []
+        cell_rows = array("i")
+        cell_keys = array("i")
+        for pos, (_index, prefetcher, slot) in enumerate(cells):
+            if prefetcher == "context":
+                row, key = slot_row[slot], slot
+            else:
+                row, key = family.get(prefetcher, no_row)
+            if row >= 0:
+                at.append(pos)
+                cell_rows.append(row)
+                cell_keys.append(key)
+        if at:
+            from repro.sim.native.adapter import run_native_batch
 
-        rows = table.rows
-        if rows is None and any(p == "context" for _i, p, _c in cells):
-            rows = context_rows(table.configs)
-        texts, _reasons, trace, limit = run_native_batch(
-            [
-                context_id
-                if prefetcher == "context"
-                else PREFETCHER_FACTORIES[prefetcher]()
-                for _index, prefetcher, context_id in cells
-            ],
-            trace,
-            workload_name=shared.workload,
-            limit=limit,
-            hierarchy_config=shared.hierarchy_config,
-            core_config=shared.core_config,
-            threads=shared.kernel_threads,
-            rows=rows,
-        )
+            batch_texts, _reasons, trace, limit = run_native_batch(
+                cell_rows,
+                cell_keys,
+                trace,
+                table=rows,
+                workload_name=shared.workload,
+                limit=limit,
+                hierarchy_config=shared.hierarchy_config,
+                core_config=shared.core_config,
+                threads=shared.kernel_threads,
+            )
+            for pos, text in zip(at, batch_texts):
+                texts[pos] = text
     out = []
     for pos, (index, prefetcher, context_id) in enumerate(cells):
-        if texts is not None and texts[pos] is not None:
+        if texts[pos] is not None:
             out.append((index, texts[pos], (True, None)))
             continue
         if prefetcher == "context":

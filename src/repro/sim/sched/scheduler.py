@@ -221,19 +221,19 @@ class SweepScheduler:
         # range); cell tuples are rebased onto the slice.  On a config
         # sweep the full table is the bulk of every batch message, and
         # each shard touches ~1/jobs of it.  Shards of every workload
-        # that cover one slice share its table: its kernel rows are
-        # built, and its configs pickled, once
+        # that cover one slice share its table: its kernel rows (the
+        # slots', and one per table family of the plan) are built, and
+        # its configs pickled, once
         lo = min(cell.context_id for cell in batch)
         hi = max(cell.context_id for cell in batch)
         table = tables.get((lo, hi))
         if table is None:
             configs = plan.context_configs[lo : hi + 1]
-            rows = None
-            if self.native and self.kernel_batch and "context" in plan.prefetchers:
-                from repro.sim.native.adapter import context_rows
-
-                rows = context_rows(configs)
-            table = tables[(lo, hi)] = ContextTable(configs, rows)
+            if self.native and self.kernel_batch:
+                table = ContextTable.with_rows(configs, plan.prefetchers)
+            else:
+                table = ContextTable(configs)
+            tables[(lo, hi)] = table
         shared = BatchShared(
             workload=batch[0].workload,
             limit=plan.limit,

@@ -41,9 +41,10 @@ class Simulator:
         self.bhr = BranchHistoryRegister(bits=bhr_bits)
         self._line_bytes = self.hierarchy.config.line_bytes
         self._cycle_base = 0
-        #: run through the compiled batch kernel where possible; runs the
-        #: kernel cannot represent exactly (the RL context prefetcher,
-        #: out-of-range traces) drop back to the interpreted loop below
+        #: run through the compiled kernel where possible; runs it cannot
+        #: represent exactly (a refused config, a subclassed prefetcher or
+        #: component, out-of-range traces) drop back to the interpreted
+        #: loop below
         self.native = bool(native)
         #: did the most recent :meth:`run` go through the compiled kernel?
         #: (profiling reads this to know where the counters live)

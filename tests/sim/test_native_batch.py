@@ -17,10 +17,11 @@ Coverage here:
   reallocates after a change of table sizes;
 * thread-count invariance (1, 2, 4 and the OpenMP default);
 * warmup and ``start_index`` riding the shared columns correctly;
-* per-cell fallback isolation — one unrepresentable cell, or one whose
-  hit-depth histogram overflows the kernel's slots, degrades alone,
-  with its reason, while its neighbours stay native; a context config
-  its prefetcher's components reject fails the whole batch instead;
+* per-cell fallback isolation — one unrepresentable cell (no row), or
+  one whose hit-depth histogram overflows the kernel's slots, degrades
+  alone, with its reason, while its neighbours stay native; a context
+  config its prefetcher's components reject fails the whole batch
+  instead;
 * payload text rendered from the kernel's block against the codec's
   encoding of the result :func:`phase_finalize` builds from it;
 * the deterministic batch telemetry counters;
@@ -110,10 +111,36 @@ def _prefetcher(cell):
     return cell
 
 
+def _cell_table(cells):
+    """``(rows, keys, table)``: the kernel rows a sweep's parent builds
+    for ``cells``.  A context config is a slot of the table, a table
+    family's prefetcher a family row under a name of its own; a cell the
+    kernel refuses maps to row -1."""
+    configs = [cell for cell in cells if isinstance(cell, ContextPrefetcherConfig)]
+    table = adapter.context_rows(configs)
+    rows, keys = [], []
+    slot = 0
+    for pos, cell in enumerate(cells):
+        if isinstance(cell, ContextPrefetcherConfig):
+            rows.append(table.slot_row[slot])
+            keys.append(slot)
+            slot += 1
+        else:
+            table.add_family(f"cell-{pos}", cell)
+            row, key = table.family.get(f"cell-{pos}", (-1, -1))
+            rows.append(row)
+            keys.append(key)
+    return rows, keys, table
+
+
 def _batch_encoded(cells, trace, *, threads: int, **kwargs) -> list:
+    rows, keys, table = _cell_table(cells)
+    assert -1 not in rows
     texts, reasons, _trace, _limit = adapter.run_native_batch(
-        cells,
+        rows,
+        keys,
         trace,
+        table=table,
         workload_name="batch-test",
         limit=None,
         threads=threads,
@@ -184,42 +211,43 @@ class TestBatchParity:
 
 class TestFallbackIsolation:
     def test_unrepresentable_cell_degrades_alone(self):
-        # degree > the kernel's 64-request cap cannot run natively; its
-        # neighbours must stay in the kernel and keep their exact results
+        # max_degree > the kernel's request buffer cannot run natively:
+        # its slot gets no row, its cell runs per-cell with the reason,
+        # and its neighbours stay in the kernel with their exact results
         trace = _trace("list")
-        bad = StridePrefetcher(StrideConfig(degree=100))
-        cells = [
-            ContextPrefetcherConfig(),
-            bad,
-            StridePrefetcher(StrideConfig(degree=4)),
-        ]
-        results, reasons, _t, _l = adapter.run_native_batch(
-            cells, trace, workload_name="batch-test", limit=None, threads=2
+        base = ContextPrefetcherConfig()
+        configs = (None, dataclasses.replace(base, max_degree=100))
+        table = ContextTable.with_rows(configs, ("context", "stride"))
+        assert list(table.rows.slot_row) == [0, -1]
+        cells = ((0, "context", 0), (1, "context", 1), (2, "stride", 0))
+        got, _ = run_batch(
+            BatchShared(
+                workload="batch-test", limit=None, native=True,
+                context_table=table, trace=tuple(trace), kernel_threads=2,
+            ),
+            cells,
         )
-        assert results[1] is None
-        assert reasons[1], "fallback must carry a reason"
-        assert results[0] is not None and results[2] is not None
-        for pos in (0, 2):
-            pf = (
-                ContextPrefetcher(ContextPrefetcherConfig())
-                if pos == 0
-                else StridePrefetcher(StrideConfig(degree=4))
-            )
+        reason = table.rows.refused[1]
+        assert reason == adapter.context_row(configs[1])[1]
+        assert [info for _i, _t, info in got] == [
+            (True, None), (False, reason), (True, None)
+        ]
+        for pos, pf in ((0, ContextPrefetcher(base)), (2, StridePrefetcher())):
             sim = Simulator(pf, native=True)
             single = sim.run(trace, workload_name="batch-test")
-            assert results[pos] == encode_text(single)
+            assert got[pos][1] == encode_text(single)
 
     def test_fallback_prefetcher_left_pristine(self):
-        # a degraded cell's Python prefetcher must be untouched, so the
-        # caller can still run it interpreted
+        # a table family the kernel refuses gets no row, and reading its
+        # row, name, bits and accuracy leaves the prefetcher untouched,
+        # so the caller can still run it interpreted
         trace = _trace("list")
         bad = StridePrefetcher(StrideConfig(degree=100))
-        results, reasons, out_trace, out_limit = adapter.run_native_batch(
-            [bad], trace, workload_name="batch-test", limit=None, threads=1
-        )
-        assert results[0] is None
+        rows, _keys, _table = _cell_table([bad])
+        assert rows == [-1]
         assert bad.is_pristine()
-        interp = Simulator(bad).run(out_trace, workload_name="batch-test")
+        assert bad not in adapter._PF_STATES
+        interp = Simulator(bad).run(trace, workload_name="batch-test")
         oracle = Simulator(
             StridePrefetcher(StrideConfig(degree=100))
         ).run(trace, workload_name="batch-test")
@@ -232,44 +260,42 @@ class TestRejectedConfig:
     reaches the kernel."""
 
     def test_batch_raises_what_the_prefetcher_raises(self):
-        trace = _trace("list")
         bad = ContextPrefetcherConfig(sample_depths=(0, 18))
         with pytest.raises(ValueError) as want:
             ContextPrefetcher(bad)
+        table = ContextTable.with_rows((None, bad), ("context",))
+        assert list(table.rows.slot_row) == [0, -1]
+        shared = BatchShared(
+            workload="batch-test", limit=None, native=True,
+            context_table=table, trace=tuple(_trace("list")),
+        )
         with pytest.raises(ValueError) as got:
-            adapter.run_native_batch(
-                [ContextPrefetcherConfig(), bad],
-                trace,
-                workload_name="batch-test",
-                limit=None,
-                threads=1,
-            )
+            run_batch(shared, ((0, "context", 0), (1, "context", 1)))
         assert str(got.value) == str(want.value)
 
     def test_pool_batch_fails_alike_on_and_off(self):
+        configs = (ContextPrefetcherConfig(reward_peak=0),)
         shared = dict(
             workload="rejected-config",
             limit=None,
             native=True,
-            context_table=(ContextPrefetcherConfig(reward_peak=0),),
             trace=tuple(_trace("list")),
         )
         cells = ((0, "none", 0), (1, "context", 0))
         messages = []
-        for kernel_batch in (True, False):
+        for kernel_batch, table in (
+            (True, ContextTable.with_rows(configs, ("none", "context"))),
+            (False, ContextTable(configs)),
+        ):
             with pytest.raises(ValueError) as err:
-                run_batch(BatchShared(**shared, kernel_batch=kernel_batch), cells)
+                run_batch(
+                    BatchShared(
+                        **shared, context_table=table, kernel_batch=kernel_batch
+                    ),
+                    cells,
+                )
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "peak must be positive"
-
-    def test_context_cells_enter_as_configs(self):
-        with pytest.raises(TypeError):
-            adapter.run_native_batch(
-                [ContextPrefetcher(ContextPrefetcherConfig())],
-                _trace("list"),
-                workload_name="batch-test",
-                limit=None,
-            )
 
 
 class TestRender:
@@ -462,30 +488,35 @@ class TestKernelRender:
         assert {type(pf) for pf in families} >= {
             type(pf) for pf in (NoPrefetcher(), StridePrefetcher())
         } | {GHBPrefetcher, SMSPrefetcher, MarkovPrefetcher}
-        rows = pickle.loads(pickle.dumps(adapter.context_rows(configs)))
-        cells = list(range(len(configs))) + [copy.deepcopy(pf) for pf in families]
+        table = adapter.context_rows(configs)
+        for j, pf in enumerate(families):
+            table.add_family(f"family-{j}", copy.deepcopy(pf))
+        table = pickle.loads(pickle.dumps(table))
+        cells = [(table.slot_row[s], s) for s in range(len(configs))] + [
+            table.family.get(f"family-{j}", (-1, -1)) for j in range(len(families))
+        ]
+        at = [pos for pos, (row, _key) in enumerate(cells) if row >= 0]
         texts, reasons, _t, _l = adapter.run_native_batch(
-            cells, trace, workload_name=self.WORKLOAD, limit=None,
-            threads=2, rows=rows,
+            [cells[pos][0] for pos in at], [cells[pos][1] for pos in at], trace,
+            table=table, workload_name=self.WORKLOAD, limit=None, threads=2,
         )
+        assert reasons == [None] * len(at)
+        batch = dict(zip(at, texts))
         wants = [ContextPrefetcher(cfg) for cfg in configs] + families
         for pos, pf in enumerate(wants):
             # a cell leaves the batch only for the refusal its own
-            # single-cell native run would meet
-            if pos < len(configs):
-                refusal = adapter._ctx_config_values(pf)[1]
-            elif adapter._pf_config_values(pf, adapter._pf_kind(pf)) is None:
-                refusal = f"the {pf.name} config exceeds the kernel's fixed buffers"
-            else:
-                refusal = None
-            assert reasons[pos] == refusal, pos
-            if texts[pos] is None:
+            # single-cell native run meets
+            if pos not in batch:
+                _kind, row, reason = adapter._live_row(pf)
+                assert row is None, pos
+                if pos < len(configs):
+                    assert table.refused[pos] == reason, pos
                 continue
             sim = Simulator(pf, native=True)
             single = sim.run(trace, workload_name=self.WORKLOAD)
-            assert sim.last_run_native
-            assert texts[pos] == encode_text(single), f"cell {pos} ({pf.name})"
-        assert sum(text is not None for text in texts) > len(wants) // 2
+            assert sim.last_run_native, pos
+            assert batch[pos] == encode_text(single), f"cell {pos} ({pf.name})"
+        assert len(batch) > len(wants) // 2
 
 
 def _seed_table(n: int) -> tuple:
@@ -517,7 +548,9 @@ class TestRowsIn:
     def test_a_kernel_shard_needs_no_config(self, monkeypatch):
         configs = _seed_table(24)
         cells = tuple((i, "context", i) for i in range(len(configs)))
-        want, _ = run_batch(self._shared(configs, kernel_batch=False), cells)
+        want, _ = run_batch(
+            self._shared(ContextTable(configs), kernel_batch=False), cells
+        )
         table = ContextTable(configs, adapter.context_rows(configs))
         shared, cells = _round_trip((self._shared(table), cells))
 
@@ -571,7 +604,7 @@ class TestRowsIn:
             assert list(rows.cfgs[at : at + len(icfg)]) == icfg, slot
             got = rows.dcfgs[dat : dat + len(dcfg)].tobytes()
             assert got == array("d", dcfg).tobytes(), slot
-            assert rows.bits[r] == cfg.storage_bits()
+            assert rows.meta[r] == ("context", cfg.storage_bits(), None)
             assert list(rows.keys[rows.key_at[slot] : rows.key_at[slot + 1]]) == key
         # the default slot, the paper default and its seed variants share
         # one row; the signed zero has a row of its own
@@ -585,8 +618,9 @@ class TestRowsIn:
         assert len(table.rows.kinds) == 1  # one row, 834 seed keys
         cells = tuple((i, "context", i) for i in range(len(configs)))
         rows_in = pickle.dumps((self._shared(table), cells))
-        configs_in = pickle.dumps((self._shared(configs), cells))
-        assert len(rows_in) < len(configs_in)
+        # the same message with the configs pickled plainly instead
+        bare = pickle.dumps((self._shared(ContextTable((None,))), cells))
+        assert len(rows_in) < len(bare) + len(pickle.dumps(configs))
         # the blob is made once, however many messages carry the table
         blob = table._blob
         pickle.dumps(self._shared(table))
@@ -600,8 +634,6 @@ class TestRowsIn:
     def test_cells_leaving_the_kernel_match_the_oracle(
         self, monkeypatch, native, kernel_batch
     ):
-        from repro.sim.native.adapter import _ctx_config_values
-
         base = ContextPrefetcherConfig()
         configs = (
             None,
@@ -622,7 +654,7 @@ class TestRowsIn:
         ]
         # every context cell's histogram overflows: a nonzero status
         monkeypatch.setattr(adapter, "BATCH_HIST_SLOTS", 1)
-        table = ContextTable(configs, adapter.context_rows(configs))
+        table = ContextTable.with_rows(configs, ("context", "stride"))
         assert table.rows.slot_row[1] == -1
         shared, cells = _round_trip(
             (self._shared(table, native=native, kernel_batch=kernel_batch), cells)
@@ -632,7 +664,7 @@ class TestRowsIn:
         assert shared.context_table.opened
         if native:
             # the refused row still reports its reason
-            refusal = _ctx_config_values(ContextPrefetcher(configs[1]))[1]
+            refusal = adapter.context_row(configs[1])[1]
             assert got[1][2] == (False, refusal)
         else:
             assert [info for _i, _t, info in got] == [
@@ -670,8 +702,10 @@ class TestHistogramOverflow:
                 StridePrefetcher(StrideConfig(degree=2, table_entries=16)),
             ]
 
+        rows, keys, table = _cell_table(cells())
         results, reasons, _t, _l = adapter.run_native_batch(
-            cells(), trace, workload_name="batch-test", limit=None, threads=1
+            rows, keys, trace, table=table, workload_name="batch-test",
+            limit=None, threads=1,
         )
         assert results[1] is None
         assert "histogram" in reasons[1]
@@ -691,7 +725,10 @@ class TestHistogramOverflow:
             trace=tuple(_trace("list")),
         )
         cells = ((0, "stride", 0), (1, "context", 0), (2, "none", 0))
-        on, _ = run_batch(BatchShared(**shared, kernel_batch=True), cells)
+        table = ContextTable.with_rows((None,), ("stride", "context", "none"))
+        on, _ = run_batch(
+            BatchShared(**shared, context_table=table, kernel_batch=True), cells
+        )
         off, _ = run_batch(BatchShared(**shared, kernel_batch=False), cells)
         assert [(i, p) for i, p, _info in on] == [(i, p) for i, p, _info in off]
         # the overflowed cell reran through the single-cell native path
@@ -699,16 +736,21 @@ class TestHistogramOverflow:
 
 
 class TestBatchCounters:
-    def test_counters_accumulate(self):
+    def test_counters_accumulate(self, monkeypatch):
         adapter.reset_batch_counters()
         trace = _trace("list")
-        cells = [
-            ContextPrefetcherConfig(),
-            StridePrefetcher(StrideConfig(degree=100)),  # falls back
-            StridePrefetcher(StrideConfig(degree=4)),
-        ]
+        rows, keys, table = _cell_table(
+            [
+                StridePrefetcher(StrideConfig(degree=2)),
+                ContextPrefetcherConfig(),
+                StridePrefetcher(StrideConfig(degree=4)),
+            ]
+        )
+        # the context cell's histogram overflows: it falls back
+        monkeypatch.setattr(adapter, "BATCH_HIST_SLOTS", 1)
         adapter.run_native_batch(
-            cells, trace, workload_name="batch-test", limit=None, threads=2
+            rows, keys, trace, table=table, workload_name="batch-test",
+            limit=None, threads=2,
         )
         counters = adapter.batch_counters()
         assert counters["batches"] == 1
@@ -725,15 +767,16 @@ class TestPoolBatchDriver:
 
     def _shared(self, trace, *, kernel_batch: bool, threads: int = 2):
         base = ContextPrefetcherConfig()
+        configs = (
+            None,
+            dataclasses.replace(base, seed=11),
+            dataclasses.replace(base, max_degree=100),  # falls back
+        )
         return BatchShared(
             workload="pool-batch-test",
             limit=None,
             native=True,
-            context_table=(
-                None,
-                dataclasses.replace(base, seed=11),
-                dataclasses.replace(base, max_degree=100),  # falls back
-            ),
+            context_table=ContextTable.with_rows(configs, ("context", "stride", "none")),
             trace=tuple(trace),
             kernel_batch=kernel_batch,
             kernel_threads=threads,
@@ -771,11 +814,12 @@ class TestPoolBatchDriver:
 _RSS_SCRIPT = """
 import resource
 from repro.core.config import ContextPrefetcherConfig
-from repro.sim.sched.pool import BatchShared, run_batch
+from repro.sim.sched.pool import BatchShared, ContextTable, run_batch
 from repro.workloads.suites import get_workload
 
-table = tuple(ContextPrefetcherConfig(seed=seed) for seed in range(8))
-cells = tuple((i, "context", i % len(table)) for i in range(1024))
+configs = tuple(ContextPrefetcherConfig(seed=seed) for seed in range(8))
+table = ContextTable.with_rows(configs, ("context",))
+cells = tuple((i, "context", i % len(configs)) for i in range(1024))
 trace = tuple(get_workload("list").build().trace()[:50])
 shared = BatchShared(
     workload="list", limit=50, native=True, context_table=table, trace=trace
@@ -869,13 +913,21 @@ def test_batch_shard_fuzz(case: int) -> None:
         workload=f"batch-fuzz-{case}",
         limit=None,
         native=True,
-        context_table=table,
         trace=trace,
     )
     on, _ = run_batch(
-        BatchShared(**shared, kernel_batch=True, kernel_threads=threads), cells
+        BatchShared(
+            **shared,
+            context_table=ContextTable.with_rows(table, names),
+            kernel_batch=True,
+            kernel_threads=threads,
+        ),
+        cells,
     )
-    off, _ = run_batch(BatchShared(**shared, kernel_batch=False), cells)
+    off, _ = run_batch(
+        BatchShared(**shared, context_table=ContextTable(table), kernel_batch=False),
+        cells,
+    )
     assert [(i, p) for i, p, _info in on] == [(i, p) for i, p, _info in off], (
         f"case {case}: batch driver diverged (threads={threads}, "
         f"{len(cells)} cells)"

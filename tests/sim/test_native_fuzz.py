@@ -320,8 +320,8 @@ def test_native_differential_fuzz_extended(case: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# context rows from configs: the batch path reads a context cell's kernel
-# row off its config, the single-cell path off the live components
+# context rows: every native run takes its row from the config, through
+# ``context_row``; a sweep's parent records a slot's refusal up front
 
 
 def _edge_configs():
@@ -345,24 +345,72 @@ def _edge_configs():
     ]
 
 
-def test_context_row_equals_live_row() -> None:
-    """``context_row(cfg)`` is ``_ctx_config_values(ContextPrefetcher(cfg))``
-    over the fuzz suite's context space, refusal reasons included."""
+def _single_cell(cfg, trace, *, native: bool):
+    """``(payload text or the exception raised, ran natively, fallback
+    reason)`` of one ``Simulator(ContextPrefetcher(cfg))`` run."""
     from repro.core.prefetcher import ContextPrefetcher
-    from repro.sim.native.adapter import _ctx_config_values, context_row
+    from repro.sim.codec import encode_text
+
+    sim = Simulator(ContextPrefetcher(cfg), native=native)
+    try:
+        text = encode_text(sim.run(trace, workload_name="context-row"))
+    except Exception as exc:  # the oracle's own mid-run raise, met alike
+        text = f"{type(exc).__name__}: {exc}"
+    return text, sim.last_run_native, sim.last_native_fallback
+
+
+def test_refusal_parity_through_the_entry_points() -> None:
+    """A single-cell native run refuses exactly what ``context_rows``
+    records for the config's slot, and runs natively when it records
+    nothing; either way its text is the oracle's.  Over the fuzz suite's
+    context space and every config-level refusal."""
+    from repro.sim.native.adapter import context_rows
 
     configs = _edge_configs()
     for case in range(NUM_FAST_CASES):
         rng = random.Random(_seed_for(f"native-fuzz/context-row/{case}"))
         degree = 100 if rng.random() < 0.05 else rng.randrange(1, 9)
         configs.append(_fuzz_context(rng, degree).config)
+    trace = _fuzz_trace(random.Random(_seed_for("native-fuzz/refusals")), 200, 64)
     reasons = set()
     for cfg in configs:
-        want = _ctx_config_values(ContextPrefetcher(cfg))
-        assert context_row(cfg) == want, cfg
-        reasons.add(want[1])
+        refusal = context_rows((cfg,)).refused.get(0)
+        text, ran_native, reason = _single_cell(cfg, trace, native=True)
+        assert (ran_native, reason) == (refusal is None, refusal), cfg
+        assert text == _single_cell(cfg, trace, native=False)[0], cfg
+        reasons.add(refusal)
     # every config-level refusal is exercised
     assert len(reasons - {None}) == 4, reasons
+
+
+@pytest.mark.parametrize("seed", [1.5, "abc"])
+def test_a_seed_that_is_not_an_int_runs_on_the_oracle(seed) -> None:
+    """``random.Random`` seeds a float by its hash and a string by its
+    SHA-512, not by |seed| as the kernel's key does: such a config has
+    no row, and its run is the oracle's."""
+    from repro.core.config import ContextPrefetcherConfig
+    from repro.sim.native.adapter import context_rows
+    from repro.workloads.suites import get_workload
+
+    cfg = ContextPrefetcherConfig(seed=seed)
+    trace = get_workload("list").build().trace()[:3000]
+    text, ran_native, reason = _single_cell(cfg, trace, native=True)
+    assert not ran_native
+    assert reason == "the bandit seed is not an int"
+    assert text == _single_cell(cfg, trace, native=False)[0]
+    assert context_rows((cfg,)).refused == {0: reason}
+
+
+def test_a_seed_of_none_only_falls_back() -> None:
+    from repro.core.config import ContextPrefetcherConfig
+    from repro.sim.native.adapter import context_rows
+
+    cfg = ContextPrefetcherConfig(seed=None)
+    trace = _fuzz_trace(random.Random(_seed_for("native-fuzz/seed-none")), 200, 64)
+    text, ran_native, reason = _single_cell(cfg, trace, native=True)
+    assert text.startswith("{")
+    assert (ran_native, reason) == (False, "the bandit seed is not an int")
+    assert context_rows((cfg,)).refused == {0: reason}
 
 
 def test_context_row_raises_what_the_components_raise() -> None:

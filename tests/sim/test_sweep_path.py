@@ -16,8 +16,12 @@ import sqlite3
 import pytest
 
 from repro.core.config import ContextPrefetcherConfig
+from repro.core.prefetcher import ContextPrefetcher
 from repro.experiments import fig14_layout_agnostic as fig14
 from repro.experiments.sweep import SCALES
+from repro.sim import native as native_pkg
+from repro.sim.config import PREFETCHER_FACTORIES, PREFETCHER_ORDER
+from repro.sim.native import adapter
 from repro.sim.parallel import (
     ExecutionDefaults,
     default_execution,
@@ -195,6 +199,90 @@ class TestEqualConfigsShareOneSlot:
         oracle = serial_context_grid(["list"], (base, seeded), limit=LIMIT)
         for part, expected in zip(slices, oracle):
             assert part.get("list", "none") == none
+            assert part.get("list", "context") == expected["list"]
+
+
+    def test_finding_equal_configs_compares_no_pair(self, monkeypatch):
+        # equal configs are found by a dict keyed on what `==` compares,
+        # not by comparing every config with every slot before it
+        calls = []
+        original = ContextPrefetcherConfig.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(ContextPrefetcherConfig, "__eq__", counting_eq)
+        base = ContextPrefetcherConfig()
+        configs = [dataclasses.replace(base, seed=seed) for seed in range(300)]
+        slices = run_grid(
+            ["list"], ("none",), context_configs=configs, limit=50, jobs=1
+        )
+        assert len({id(part) for part in slices}) == len(configs)
+        assert len(calls) < len(configs)
+
+
+class TestOneWayIntoTheKernel:
+    """Every native cell enters the kernel as a row its sweep's parent
+    built; the worker builds no prefetcher for a cell the kernel runs."""
+
+    pytestmark = pytest.mark.skipif(
+        not native_pkg.is_available(), reason="compiled kernel unavailable"
+    )
+
+    def test_compare_runs_every_cell_in_the_batch_kernel(self, monkeypatch):
+        inside = []
+        built = []
+        original = pool.run_batch
+
+        def watched_run_batch(shared, cells):
+            inside.append(True)
+            try:
+                return original(shared, cells)
+            finally:
+                inside.pop()
+
+        def counting(name, factory):
+            def build(*args, **kwargs):
+                if inside:
+                    built.append(name)
+                return factory(*args, **kwargs)
+
+            return build
+
+        for name, factory in list(PREFETCHER_FACTORIES.items()):
+            monkeypatch.setitem(PREFETCHER_FACTORIES, name, counting(name, factory))
+        monkeypatch.setattr(
+            pool, "ContextPrefetcher", counting("context", ContextPrefetcher)
+        )
+        monkeypatch.setattr(pool, "run_batch", watched_run_batch)
+        before = adapter.batch_counters()
+        result = compare(WORKLOADS, PREFETCHER_ORDER, limit=LIMIT, jobs=1, native=True)
+        after = adapter.batch_counters()
+        assert built == []
+        cells = len(WORKLOADS) * len(PREFETCHER_ORDER)
+        assert after["cells"] - before["cells"] == cells
+        assert after["native_cells"] - before["native_cells"] == cells
+        oracle = serial_compare(WORKLOADS, PREFETCHER_ORDER, limit=LIMIT)
+        for wl in WORKLOADS:
+            for pf in PREFETCHER_ORDER:
+                assert result.get(wl, pf) == oracle.get(wl, pf), f"{wl}/{pf}"
+
+    @pytest.mark.parametrize("odd", [1.5, "abc"])
+    def test_a_seed_that_is_not_an_int_plans_and_runs_on_the_oracle(self, odd):
+        # a seed variant reuses its neighbour's row, but not its seed key
+        base = ContextPrefetcherConfig()
+        configs = tuple(dataclasses.replace(base, seed=seed) for seed in (1, odd, 2))
+        slices = run_grid(
+            ["list"],
+            ("context",),
+            context_configs=configs,
+            limit=LIMIT,
+            jobs=1,
+            native=True,
+        )
+        oracle = serial_context_grid(["list"], configs, limit=LIMIT)
+        for part, expected in zip(slices, oracle):
             assert part.get("list", "context") == expected["list"]
 
 
