@@ -410,20 +410,10 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             comparison = compare(workloads, prefetchers, limit=args.limit)
         else:
             comparison = standard_sweep(args.scale, prefetchers=prefetchers)
-    result = fig12_speedup.run(comparison=comparison)
-    rendered = fig12_speedup.render(result)
-    # kernel coverage of the executed grid: how many cells the compiled
-    # path took, and the top reasons the rest fell back to interpreted
-    native_line = comparison.native_summary()
-    if native_line is not None:
-        rendered = f"{rendered}\n\n{native_line}"
-    # corrupt-file recoveries (store degrades) are bit-neutral but
-    # worth surfacing next to the kernel-coverage line
-    resilience_line = comparison.resilience_summary()
-    if resilience_line is not None:
-        sep = "\n" if native_line is not None else "\n\n"
-        rendered = f"{rendered}{sep}{resilience_line}"
-    return rendered
+    rendered = fig12_speedup.render(fig12_speedup.run(comparison=comparison))
+    if comparison.stats is None:
+        return rendered
+    return f"{rendered}\n\n{comparison.stats.summary()}"
 
 
 def _cmd_figure(args: argparse.Namespace) -> str:

@@ -12,8 +12,12 @@ from dataclasses import dataclass, field
 from repro.core.attributes import DEFAULT_ACTIVE, Attribute
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ContextPrefetcherConfig:
+    """A value: a prefetcher's components copy their knobs when built,
+    while its kernel row is read off the config, so no field may change
+    afterwards; derive variants with :func:`dataclasses.replace`."""
+
     # ------------------------------------------------------------------
     # table geometry (Table 2 / Figure 7)
     cst_entries: int = 2048

@@ -36,9 +36,13 @@ class CoreConfig:
 
     def __post_init__(self) -> None:
         # the issue cursor divides by the width and the load queue is a
-        # ring of lq_size slots: neither means anything below one
+        # ring of lq_size slots: neither means anything below one.  Nor
+        # does a ROB below one entry, and the kernel sizes its reorder
+        # ring from rob_size, which a negative size makes wrap
         if self.issue_width < 1:
             raise ValueError("issue_width must be at least 1")
+        if self.rob_size < 1:
+            raise ValueError("rob_size must be at least 1")
         if self.lq_size < 1:
             raise ValueError("lq_size must be at least 1")
 

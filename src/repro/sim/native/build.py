@@ -193,7 +193,16 @@ def _load_variant(directory: Path, variant: str):
     artifact = _existing_artifact(directory, name)
     if artifact is None:
         artifact = _compile_extension(directory, name, variant=variant)
-    return _load_extension(artifact, name)
+    module = _load_extension(artifact, name)
+    # the artifact name hashes the C text, not OUT_SLOTS: a kernel with
+    # another output block would write past the adapter's or be misread
+    slots = module.lib.rp_batch_out_slots()
+    if slots != _csrc.OUT_SLOTS:
+        raise ImportError(
+            f"native kernel {artifact.name} writes {slots} output slots "
+            f"per cell; the adapter reads {_csrc.OUT_SLOTS}"
+        )
+    return module
 
 
 @contextmanager

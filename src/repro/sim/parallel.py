@@ -22,7 +22,9 @@ one-job run (``tests/sim/test_parallel_parity.py``).
 
 Observability: ``progress`` receives one line per cell
 (``[done/total] workload/prefetcher: …``) — executed cells as their
-batch commits, then resumed ones, flagged ``[resumed]``.  Wall-clock
+batch commits, then resumed ones, flagged ``[resumed]`` — and then the
+run's :meth:`SweepStats.summary
+<repro.sim.sched.scheduler.SweepStats.summary>` line.  Wall-clock
 timing is deliberately absent here — the simulator package is
 wall-clock-free by lint rule DET003 — so callers that want per-cell
 timing inject a clock via ``progress`` closures (see
@@ -32,7 +34,7 @@ timing inject a clock via ``progress`` closures (see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.config import ContextPrefetcherConfig
@@ -137,16 +139,6 @@ def _by_name(
     return out
 
 
-def _slot_key(config: ContextPrefetcherConfig | None):
-    """What ``==`` compares of a context config, as a dict key: its type
-    and its compared field values (``None`` is a key of its own)."""
-    if config is None:
-        return None
-    return (type(config),) + tuple(
-        getattr(config, f.name) for f in fields(config) if f.compare
-    )
-
-
 def run_grid(
     workloads: Iterable["WorkloadSpec | TraceProgram | str"],
     prefetchers: Iterable[str],
@@ -171,8 +163,8 @@ def run_grid(
     private in-memory DB.  ``store`` is the compiled trace store every
     registry trace comes from; neither changes a result.  Execution
     arguments left at ``None`` take the process-wide defaults (for
-    ``store``, :func:`default_store`).  The store-degrade count is the
-    whole run's, so every slice carries the same total.
+    ``store``, :func:`default_store`).  Every slice carries the whole
+    run's :class:`~repro.sim.sched.scheduler.SweepStats` as ``stats``.
     """
     from repro.sim.codec import decode_result
     from repro.sim.runner import ComparisonResult
@@ -186,11 +178,11 @@ def run_grid(
     sources = _by_name(workloads)
     prefetcher_names = tuple(prefetchers)
     distinct: list[ContextPrefetcherConfig | None] = []
-    slot_of: dict = {}
+    slot_of: dict[ContextPrefetcherConfig | None, int] = {}
     slots = []
     for config in context_configs:
         try:
-            slot = slot_of.setdefault(_slot_key(config), len(distinct))
+            slot = slot_of.setdefault(config, len(distinct))
         except TypeError:  # an unhashable field value: compare one by one
             slot = next(
                 (i for i, seen in enumerate(distinct) if seen == config),
@@ -223,16 +215,14 @@ def run_grid(
         kernel_threads=defaults.kernel_threads,
     )
     results: dict[int, SimulationResult] = {}
-    native_info: dict[int, tuple[bool, str | None]] = {}
 
     def report(result: SimulationResult, suffix: str = "") -> None:
         if progress is not None:
             progress(f"[{len(results)}/{plan.n_cells}] {result.summary()}{suffix}")
 
     def on_batch(batch: list) -> None:
-        for index, payload, info in batch:
+        for index, payload, _info in batch:
             results[index] = decode_result(json.loads(payload))
-            native_info[index] = info
             report(results[index])
 
     def read_resumed(keys: list[str]) -> list[str]:
@@ -252,14 +242,14 @@ def run_grid(
 
     try:
         stats = scheduler.run_plan(plan, on_batch=on_batch, sources=sources)
-        store_degrades = stats.store_degrades
         unreadable = read_resumed(stats.keys)
         if unreadable:
             # rows that exist but will not decode (junk, codec skew) are
             # misses: drop them and run those cells again
             run_db.discard(unreadable)
-            stats = scheduler.run_plan(plan, on_batch=on_batch, sources=sources)
-            store_degrades += stats.store_degrades
+            stats.add_rerun(
+                scheduler.run_plan(plan, on_batch=on_batch, sources=sources)
+            )
             unreadable = read_resumed(stats.keys)
         if unreadable:
             raise ResultDBError(
@@ -274,17 +264,10 @@ def run_grid(
         part = parts[cell.context_id]
         result = results[cell.index]
         part.results.setdefault(cell.workload, {})[cell.prefetcher] = result
-        if native and cell.index in native_info:
-            name = f"{cell.workload}/{cell.prefetcher}"
-            part.native_cells[name] = native_info[cell.index]
     for part in parts:
-        part.store_degrades = store_degrades
+        part.stats = stats
     if progress is not None:
-        lines = [part.native_summary() for part in parts]
-        lines.append(parts[0].resilience_summary())
-        for line in lines:
-            if line is not None:
-                progress(line)
+        progress(stats.summary())
     return slices
 
 

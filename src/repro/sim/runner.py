@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 if TYPE_CHECKING:
+    from repro.sim.sched.scheduler import SweepStats
     from repro.workloads.store import TraceStore
 
 from repro.cpu.core_model import CoreConfig
@@ -68,16 +69,10 @@ class ComparisonResult:
 
     #: workload name -> prefetcher name -> result
     results: dict[str, dict[str, SimulationResult]] = field(default_factory=dict)
-    #: ``"workload/prefetcher" -> (kernel handled?, fallback reason)``,
-    #: recorded only for cells a native-mode sweep actually executed —
-    #: resumed cells (read back from the result DB) ran no kernel and
-    #: are absent.  The values never affect the results (the kernel is
-    #: bit-neutral); they exist so sweeps can report how much of the
-    #: grid the compiled path took and why the rest fell back.
-    native_cells: dict[str, tuple[bool, str | None]] = field(default_factory=dict)
-    #: store files that degraded (corrupt read → rebuild, or corrupt
-    #: file → recompile) during this sweep, worker-side events included
-    store_degrades: int = 0
+    #: the record of the sweep that produced these results: its cell
+    #: counts, kernel coverage and store degrades.  Every slice of one
+    #: ``run_grid`` call shares it; ``None`` when no sweep ran
+    stats: SweepStats | None = None
 
     def workloads(self) -> list[str]:
         return list(self.results)
@@ -114,43 +109,6 @@ class ComparisonResult:
             wl: {pf: getattr(res, attr) for pf, res in by_pf.items()}
             for wl, by_pf in self.results.items()
         }
-
-    def native_fallbacks(self) -> dict[str, int]:
-        """Fallback reason -> count of cells that fell back for it."""
-        counts: dict[str, int] = {}
-        for handled, reason in self.native_cells.values():
-            if not handled:
-                key = reason or "unknown"
-                counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-
-    def native_summary(self) -> str | None:
-        """One line of native-kernel coverage, or ``None`` when no cell
-        of this sweep recorded kernel info (interpreted mode, or every
-        cell resumed)."""
-        if not self.native_cells:
-            return None
-        total = len(self.native_cells)
-        handled = sum(1 for ok, _ in self.native_cells.values() if ok)
-        line = f"native kernel: {handled}/{total} executed cells"
-        if handled == total:
-            return line
-        top = ", ".join(
-            f"{reason} (x{count})"
-            for reason, count in list(self.native_fallbacks().items())[:3]
-        )
-        return f"{line}; fallbacks: {top}"
-
-    def resilience_summary(self) -> str | None:
-        """One line of store degrades, or ``None`` for a clean run.
-
-        Rendered next to :meth:`native_summary` in sweep output so
-        corrupt-file recoveries are visible in the summary, not only in
-        the log stream.
-        """
-        if not self.store_degrades:
-            return None
-        return f"resilience: {self.store_degrades} store degrade(s)"
 
 
 def compare(

@@ -85,6 +85,8 @@ class GridPlan:
     def __post_init__(self) -> None:
         if not self.workloads or not self.prefetchers or not self.context_configs:
             raise ValueError("GridPlan axes must be non-empty")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"limit must be non-negative, not {self.limit}")
 
     @property
     def n_cells(self) -> int:

@@ -36,6 +36,7 @@ package): throughput is measured by the sweep benchmark,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -87,7 +88,12 @@ class SchedulerError(Exception):
 
 @dataclass
 class SweepStats:
-    """What one ``run_plan`` call did (no wall-clock; see bench)."""
+    """What one ``run_plan`` call did (no wall-clock; see bench).
+
+    Each executed cell is counted once, from the ``(handled, reason)``
+    its batch returned, so ``kernel_cells + sum(fallbacks.values()) ==
+    executed`` at any ``jobs``.
+    """
 
     sweep: str
     total: int
@@ -95,15 +101,33 @@ class SweepStats:
     #: cells read back by key instead of run: held by the DB already,
     #: or sharing their key with a cell this call executed
     resumed: int
+    #: executed cells the compiled kernel ran
+    kernel_cells: int = 0
+    #: fallback reason -> executed cells that ran on the oracle for it
+    fallbacks: Counter[str] = field(default_factory=Counter)
     store_degrades: int = 0
     #: content-addressed key per plan cell, in enumeration order
     keys: list[str] = field(default_factory=list, repr=False)
+
+    def add_rerun(self, rerun: SweepStats) -> None:
+        """Fold in ``rerun``: the same plan run again to execute cells
+        this call read back but could not decode."""
+        self.executed += rerun.executed
+        self.resumed -= rerun.executed
+        self.kernel_cells += rerun.kernel_cells
+        self.fallbacks.update(rerun.fallbacks)
+        self.store_degrades += rerun.store_degrades
 
     def summary(self) -> str:
         line = (
             f"sweep {self.sweep[:12]}: {self.total} cells, "
             f"{self.executed} executed, {self.resumed} resumed"
         )
+        if self.executed:
+            line += f"; kernel {self.kernel_cells}/{self.executed}"
+        if self.fallbacks:
+            reasons = ", ".join(f"{r} ×{n}" for r, n in self.fallbacks.most_common())
+            line += f", oracle {self.fallbacks.total()} ({reasons})"
         if self.store_degrades:
             line += f", {self.store_degrades} store degrades"
         return line
@@ -361,11 +385,15 @@ class SweepScheduler:
             nonlocal finished
             stats.store_degrades += degrades
             rows = []
-            for index, payload, _native_info in results:
+            for index, payload, (handled, reason) in results:
                 cell = by_index[index]
                 rows.append(
                     (keys[index], index, cell.workload, cell.prefetcher, payload)
                 )
+                if handled:
+                    stats.kernel_cells += 1
+                else:
+                    stats.fallbacks[reason or "unknown"] += 1
             self.db.store_cells(sweep, rows)
             finished += len(results)
             if on_batch is not None:

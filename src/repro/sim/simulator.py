@@ -96,8 +96,13 @@ class Simulator:
         ``warmup`` runs that many leading accesses through the caches and
         the prefetcher *before* statistics start counting — the standard
         simulator practice for measuring steady state (the paper simulates
-        pre-characterised steady-state phases, Section 6).
+        pre-characterised steady-state phases, Section 6).  A negative
+        ``limit`` or ``warmup`` raises :class:`ValueError` on either path.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, not {limit}")
+        if warmup < 0:
+            raise ValueError(f"warmup must be non-negative, not {warmup}")
         if self.native:
             # the native adapter handles warmup itself; when it cannot
             # take the run it returns the (possibly materialised) trace

@@ -1,5 +1,7 @@
 """End-to-end tests for the context-based prefetcher."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import ContextPrefetcherConfig
@@ -156,6 +158,21 @@ class TestConfiguration:
         # kernel; a zero granule divides by zero on the first access
         with pytest.raises(ValueError, match=field):
             ContextPrefetcherConfig(**{field: 0})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cst_entries", 16), ("reward_peak", 2), ("shadow_probability", 0.9)],
+    )
+    def test_a_config_is_a_value(self, field, value):
+        # the components copy their knobs when built, while a kernel row
+        # is read off the config: a field set afterwards would reach one
+        # path and not the other, so no field can be set at all
+        cfg = ContextPrefetcherConfig()
+        ContextPrefetcher(cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == ContextPrefetcherConfig()
+        assert hash(cfg) == hash(ContextPrefetcherConfig())
 
 
 class TestDeterminismAndReset:

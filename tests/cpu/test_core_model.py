@@ -90,8 +90,8 @@ class TestAccounting:
 
 class TestConfigValidation:
     """A zero-sized core is refused at construction, on every path: the
-    compiled kernel reads the load-queue ring and divides by the issue
-    width without checking either."""
+    compiled kernel reads the load-queue ring, divides by the issue width
+    and sizes its reorder ring from the ROB size without checking any."""
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -100,6 +100,8 @@ class TestConfigValidation:
             ({"issue_width": -4}, "issue_width"),
             ({"lq_size": 0}, "lq_size"),
             ({"lq_size": -1}, "lq_size"),
+            ({"rob_size": 0}, "rob_size"),
+            ({"rob_size": -3}, "rob_size"),
         ],
     )
     def test_rejects_sizes_below_one(self, fields, message):
@@ -111,11 +113,15 @@ class TestConfigValidation:
         stats = run_accesses(model, [(0, 5, False)] * 10)
         assert stats.instructions == 10
 
-    @pytest.mark.parametrize("fields", [{"issue_width": 0}, {"lq_size": 0}])
+    @pytest.mark.parametrize(
+        "fields", [{"issue_width": 0}, {"lq_size": 0}, {"rob_size": -3}]
+    )
     def test_native_simulator_refuses_before_running(self, fields):
-        # at the parent, lq_size=0 killed the process (SIGFPE in the
-        # kernel's load-queue ring) and issue_width=0 returned a result
-        # where the interpreted oracle raises ZeroDivisionError
+        # lq_size=0 once killed the process (SIGFPE in the kernel's
+        # load-queue ring), issue_width=0 returned a result where the
+        # interpreted oracle raises ZeroDivisionError, and rob_size=-3
+        # wraps the kernel's reorder-ring sizing loop, which never ends
+        # (so that run is never attempted here)
         from repro.prefetchers.nopf import NoPrefetcher
         from repro.sim.simulator import Simulator
 

@@ -79,6 +79,34 @@ class TestSweepService:
             # resubmitting is a no-op on the grid
             assert service.submit(plan).executed == 0
 
+    def test_submit_counts_where_each_executed_cell_ran(self, tmp_path, store):
+        # spawned workers run the cells; the counts ride back with the
+        # results, so the parent's record holds them at any jobs
+        plan = plan_from_axes(
+            workloads=WORKLOADS, prefetchers=PREFETCHERS, limit=LIMIT
+        )
+        with SweepService(
+            db=tmp_path / "sweep.db", store=store, jobs=2, native=True
+        ) as service:
+            first = service.submit(plan, max_cells=3)
+            rest = service.submit(plan)
+            last = service.submit(plan)
+        for stats, executed in ((first, 3), (rest, 1)):
+            assert stats.executed == executed
+            if native.is_available():
+                assert (stats.kernel_cells, stats.fallbacks) == (executed, {})
+                clause = f"; kernel {executed}/{executed}"
+            else:
+                reason = "compiled kernel unavailable"
+                assert stats.kernel_cells == 0
+                assert stats.fallbacks == {reason: executed}
+                clause = f"; kernel 0/{executed}, oracle {executed} ({reason} ×{executed})"
+            assert stats.summary().endswith(clause)
+        assert (rest.resumed, last.executed, last.resumed) == (3, 0, 4)
+        assert (last.kernel_cells, last.fallbacks) == (0, {})
+        # nothing executed: no coverage clause
+        assert last.summary().endswith("4 cells, 0 executed, 4 resumed")
+
 
 class TestServeCLI:
     def test_submit_status_query(self, tmp_path, store, capsys):
@@ -94,11 +122,17 @@ class TestServeCLI:
         ]
         assert main(base) == 0
         out = capsys.readouterr().out
-        assert "4 cells, 4 executed, 0 resumed" in out
+        # the CLI runs natively by default: every cell, across two
+        # workers, in the kernel when it is built
+        if native.is_available():
+            coverage = "kernel 4/4"
+        else:
+            coverage = "kernel 0/4, oracle 4 (compiled kernel unavailable ×4)"
+        assert f"4 cells, 4 executed, 0 resumed; {coverage}\n" in out
 
-        # a second submit resumes everything
+        # a second submit resumes everything, and ran no cell anywhere
         assert main(base) == 0
-        assert "0 executed, 4 resumed" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("0 executed, 4 resumed\n")
 
         assert main(["serve", "status", "--db", db]) == 0
         assert "4     4" in capsys.readouterr().out

@@ -14,7 +14,7 @@ import pytest
 
 from repro.sim import native as native_pkg
 from repro.sim.native import build
-from repro.sim.native._csrc import UNIT_NAMES, UNIT_SLOTS
+from repro.sim.native._csrc import OUT_SLOTS, UNIT_NAMES, UNIT_SLOTS
 
 
 class TestArtifactNames:
@@ -44,6 +44,49 @@ class TestArtifactNames:
         kept, removed = build.gc_build_cache(tmp_path)
         assert kept == 3
         assert [p.name for p in removed] == [stale]
+
+
+class TestOutputBlock:
+    """A kernel whose per-cell output block is not ``OUT_SLOTS`` int64s
+    is refused at load: the artifact name hashes the C text, not the
+    Python constant the adapter sizes and reads the block by."""
+
+    @pytest.mark.skipif(
+        not native_pkg.is_available(),
+        reason="compiled kernel unavailable (numpy/cffi/toolchain)",
+    )
+    def test_the_real_build_passes(self):
+        kernel = build.kernel_or_none()
+        assert kernel.lib.rp_batch_out_slots() == OUT_SLOTS
+
+    def test_a_mismatched_block_is_refused_and_logged(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        loaded = []
+
+        class Lib:
+            @staticmethod
+            def rp_batch_out_slots():
+                return OUT_SLOTS + 1
+
+        def load(path, name):
+            loaded.append(name)
+            return type("Kernel", (), {"lib": Lib})
+
+        # any artifact "exists", so nothing compiles
+        monkeypatch.setattr(build, "_existing_artifact", lambda d, n: tmp_path / n)
+        monkeypatch.setattr(build, "_load_extension", load)
+        with pytest.raises(ImportError, match=f"{OUT_SLOTS + 1} output slots"):
+            build._load_variant(tmp_path, "")
+        # and the loader falls back as for any failed build
+        pytest.importorskip("cffi")
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(build, "_kernel", None)
+        monkeypatch.setattr(build, "_failed", False)
+        with caplog.at_level("WARNING", logger=build.log.name):
+            assert build.kernel_or_none(tmp_path) is None
+        assert "output slots" in caplog.text
+        assert build.module_name("") in loaded
 
 
 @pytest.mark.skipif(

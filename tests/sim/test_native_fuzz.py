@@ -429,7 +429,8 @@ def test_context_row_raises_what_the_components_raise() -> None:
         dataclasses.replace(base, reducer_tag_bits=-1, sample_depths=(0,)),
         dataclasses.replace(base, delta_bits=0, reward_peak=0),
     ]
-    # the config checks its own invariants at construction only
+    # the config checks its own invariants at construction only, so
+    # these (frozen) configs are made by going round that check
     for field, value in (
         ("history_entries", 0),
         ("prefetch_queue_entries", 0),
@@ -437,7 +438,7 @@ def test_context_row_raises_what_the_components_raise() -> None:
         ("window_lo", 60),
     ):
         cfg = dataclasses.replace(base)
-        setattr(cfg, field, value)
+        object.__setattr__(cfg, field, value)
         rejected.append(cfg)
     for cfg in rejected:
         with pytest.raises(Exception) as want:

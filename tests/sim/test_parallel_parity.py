@@ -103,9 +103,11 @@ class TestParallelParity:
             jobs=2,
             progress=lines.append,
         )
-        assert len(lines) == len(WORKLOADS) * len(PREFETCHERS)
+        # one line per cell, then the sweep's summary line
+        assert len(lines) == len(WORKLOADS) * len(PREFETCHERS) + 1
         assert lines[0].startswith("[1/6] ")
-        assert lines[-1].startswith("[6/6] ")
+        assert lines[-2].startswith("[6/6] ")
+        assert "6 cells, 6 executed, 0 resumed" in lines[-1]
 
 
 class TestCacheParity:
@@ -177,17 +179,22 @@ class TestTraceStoreParity:
         clean = compare(
             WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, store=store
         )
-        assert clean.resilience_summary() is None
+        assert clean.stats.store_degrades == 0
+        assert "store degrade" not in clean.stats.summary()
         for path in store.root.glob("*.rpt"):
             path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+        lines = []
         healed = compare(
-            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=2, store=store
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=2, store=store,
+            progress=lines.append,
         )
         assert_sweeps_identical(serial_sweep, healed)
-        # the recoveries surface in the sweep summary, not only the log
-        assert healed.store_degrades > 0
-        summary = healed.resilience_summary()
-        assert summary is not None and "store degrade" in summary
+        # the recoveries surface in the sweep's record and its summary
+        # line, not only the log
+        degrades = healed.stats.store_degrades
+        assert degrades > 0
+        assert lines[-1] == healed.stats.summary()
+        assert lines[-1].endswith(f", {degrades} store degrades")
 
     def test_unwritable_store_ships_records_by_value(
         self, serial_sweep, tmp_path
@@ -199,7 +206,7 @@ class TestTraceStoreParity:
         blocker.write_text("")
         store = TraceStore(blocker)
         got = compare(WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, store=store)
-        assert got.store_degrades == len(WORKLOADS)
+        assert got.stats.store_degrades == len(WORKLOADS)
         assert store.heals == 0
         assert_sweeps_identical(serial_sweep, got)
 

@@ -80,8 +80,9 @@ class TestCompare:
     def test_progress_callback(self):
         lines = []
         compare([SMALL_ARRAY()], prefetchers=("none",), progress=lines.append)
-        assert len(lines) == 1
+        assert len(lines) == 2
         assert "array/none" in lines[0]
+        assert "1 cells, 1 executed, 0 resumed" in lines[1]
 
     def test_same_trace_replayed_per_prefetcher(self):
         comp = compare([SMALL_LIST()], prefetchers=("none", "stride"))

@@ -61,8 +61,11 @@ class TestResultDBRecordsEveryRun:
         again = compare(
             WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=jobs, progress=lines.append
         )
-        assert len(lines) == CELLS
-        assert all(line.endswith(" [resumed]") for line in lines)
+        *cells, summary = lines
+        assert len(cells) == CELLS
+        assert all(line.endswith(" [resumed]") for line in cells)
+        # nothing executed, so the summary has no coverage clause
+        assert summary.endswith(f"{CELLS} cells, 0 executed, {CELLS} resumed")
         for wl in WORKLOADS:
             for pf in PREFETCHERS:
                 assert again.get(wl, pf) == first.get(wl, pf)
@@ -108,6 +111,11 @@ class TestUnreadableRows:
         assert len(cells) == CELLS
         assert len(executed) == 1
         assert len(default_execution().db.query()) == CELLS
+        # the rerun that executed it is part of the run's one record
+        stats = again.stats
+        assert (stats.executed, stats.resumed) == (1, CELLS - 1)
+        assert stats.kernel_cells + sum(stats.fallbacks.values()) == 1
+        assert lines[-1] == stats.summary()
 
 
 class TestOneJobRunsInProcess:
@@ -284,6 +292,58 @@ class TestOneWayIntoTheKernel:
         oracle = serial_context_grid(["list"], configs, limit=LIMIT)
         for part, expected in zip(slices, oracle):
             assert part.get("list", "context") == expected["list"]
+
+
+class TestTheSweepRecord:
+    """Each sweep counts its executed cells once, as they commit: in the
+    kernel, or on the oracle under the reason they left it."""
+
+    pytestmark = pytest.mark.skipif(
+        not native_pkg.is_available(), reason="compiled kernel unavailable"
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kernel_and_oracle_cells_are_counted_once(self, jobs):
+        base = ContextPrefetcherConfig()
+        configs = tuple(
+            dataclasses.replace(base, seed=seed) for seed in (1, 2, "abc", 3)
+        )
+        lines = []
+        slices = run_grid(
+            WORKLOADS,
+            PREFETCHERS,
+            context_configs=configs,
+            limit=LIMIT,
+            jobs=jobs,
+            native=True,
+            progress=lines.append,
+        )
+        stats = slices[0].stats
+        assert all(part.stats is stats for part in slices)
+        # a `none` cell's key ignores the config: one per workload runs,
+        # beside every context cell; only the "abc" slot's leave the kernel
+        assert (stats.total, stats.executed, stats.kernel_cells) == (16, 10, 8)
+        assert stats.fallbacks == {"the bandit seed is not an int": 2}
+        assert stats.kernel_cells + sum(stats.fallbacks.values()) == stats.executed
+        assert lines[-1] == stats.summary()
+        assert lines[-1].endswith(
+            "; kernel 8/10, oracle 2 (the bandit seed is not an int ×2)"
+        )
+        none = serial_compare(WORKLOADS, ("none",), limit=LIMIT)
+        oracle = serial_context_grid(WORKLOADS, configs, limit=LIMIT)
+        for part, expected in zip(slices, oracle):
+            for wl in WORKLOADS:
+                assert part.get(wl, "none") == none.get(wl, "none")
+                assert part.get(wl, "context") == expected[wl]
+
+
+class TestNegativeLimit:
+    def test_run_grid_refuses_it_and_commits_nothing(self, tmp_path):
+        db = ResultDB(tmp_path / "sweep.db")
+        with pytest.raises(ValueError, match="limit must be non-negative"):
+            run_grid(["array"], ("stride",), limit=-1, jobs=1, db=db)
+        assert db.query() == []
+        assert db.sweeps() == []
 
 
 class TestKeysNameContent:

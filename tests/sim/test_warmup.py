@@ -64,3 +64,27 @@ class TestWarmup:
         b = Simulator(NoPrefetcher()).run(trace, warmup=0)
         assert a.cycles == b.cycles
         assert a.l1.misses == b.l1.misses
+
+
+class TestNegativeCounts:
+    """A negative ``limit`` or ``warmup`` means nothing: both paths refuse
+    it before running, with the same error (the kernel once ran all but
+    |limit| accesses of a list, and counted every access for a negative
+    warmup, where the oracle raised or counted |warmup| accesses)."""
+
+    @pytest.mark.parametrize("native", [False, True])
+    @pytest.mark.parametrize(
+        "count, value", [("limit", -100), ("limit", -1), ("warmup", -100)]
+    )
+    def test_both_paths_raise_the_same_error(self, native, count, value):
+        trace = hot_loop_trace(iterations=60)
+        sim = Simulator(make_prefetcher("stride"), native=native)
+        with pytest.raises(ValueError) as raised:
+            sim.run(trace, **{count: value})
+        assert str(raised.value) == f"{count} must be non-negative, not {value}"
+
+    def test_zero_limit_still_runs_nothing(self):
+        trace = hot_loop_trace(iterations=5)
+        for native in (False, True):
+            result = Simulator(NoPrefetcher(), native=native).run(trace, limit=0)
+            assert result.instructions == 0

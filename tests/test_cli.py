@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.sim import native
 
 
 class TestList:
@@ -62,8 +63,13 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "GEOMEAN" in out
         assert "array" in out and "random" in out
-        # printed for executed cells only: a fresh DB executes all four
-        assert "/4 executed cells" in out
+        # the sweep's record: a fresh DB executes all four cells, and
+        # the coverage clause says where they ran
+        if native.is_available():
+            coverage = "kernel 4/4"
+        else:
+            coverage = "kernel 0/4, oracle 4 (compiled kernel unavailable ×4)"
+        assert f"4 cells, 4 executed, 0 resumed; {coverage}" in out
 
 
 class TestFigure:
