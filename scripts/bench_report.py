@@ -765,7 +765,7 @@ def check_report(path: Path, tolerance: float) -> int:
             print(
                 "native check [FAIL]: committed report pins a "
                 "native_vs_reference section but the compiled kernel is "
-                "unavailable here (numpy/cffi/toolchain missing)"
+                "unavailable here (cffi/toolchain missing)"
             )
             return 1
         remeasured = measure_native_vs_reference(quick=True)
@@ -949,7 +949,7 @@ def main(argv=None) -> int:
                 "interpreted RL loop (parity bit-identical)"
             )
     else:
-        print("native kernel: unavailable (numpy/cffi/toolchain)")
+        print("native kernel: unavailable (cffi/toolchain)")
     sweep = report["sweep_throughput"]
     print(
         f"sweep throughput: warm scheduler {sweep['warm_cells_per_sec']:.0f} "
@@ -968,7 +968,7 @@ def main(argv=None) -> int:
             f"parity {batch['parity']})"
         )
     else:
-        print("batch kernel: unavailable (numpy/cffi/toolchain)")
+        print("batch kernel: unavailable (cffi/toolchain)")
     return 0
 
 

@@ -22,7 +22,7 @@ PR would quietly give back the 2x.  These rules pin the shape:
   ``is`` on hoisted members instead.
 * **FLW004** — a silent degrade path: an ``except`` handler in
   ``sim/sched/db.py``, ``workloads/store.py`` or the native kernel's
-  build/decode/adapter layers that neither re-raises nor logs.
+  build and adapter layers that neither re-raises nor logs.
   Degrade-to-rebuild is a *feature* of those modules, but an
   unobservable degrade hides corrupt stores and cold-cache storms.
   Handlers catching only ``FileNotFoundError`` are exempt: a cold miss
@@ -66,15 +66,13 @@ DEFAULT_HOT_TARGETS: tuple[tuple[str, str], ...] = (
 
 #: default FLW004 scope: the degrade-to-rebuild modules (the result DB
 #: recomputes rows that will not decode, the trace store rebuilds
-#: corrupt files, and the native kernel's build/decode/adapter layers
-#: all degrade to the interpreted path): none may swallow a failure
-#: silently
+#: corrupt files, and the native kernel's build and adapter layers
+#: degrade to the interpreted path): none may swallow a failure silently
 DEFAULT_DEGRADE_SCOPE: tuple[str, ...] = (
     "sim/sched/db.py",
     "workloads/store.py",
     "sim/native/build.py",
     "sim/native/adapter.py",
-    "sim/native/decode.py",
 )
 
 

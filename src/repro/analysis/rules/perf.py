@@ -284,7 +284,7 @@ def _module_rel(module: str) -> str:
 def _resolve_qualname(tree: ast.Module, qualname: str) -> bool:
     """True when ``qualname`` names a function/method in ``tree``.
 
-    Handles top-level functions (``lines_of_array``) and one class level
+    Handles top-level functions (``phase_kernel``) and one class level
     (``Simulator.run``) — the only shapes the phase table uses.
     """
     parts = qualname.split(".")
@@ -568,6 +568,9 @@ PINNED_BATCH_LAYOUTS = {
     3: "df010a276cb70a43f91c5432533e05afaef709619b9c7c2362c474963d576606",
     # 4: exports rp_batch_cell, the one cell runner single runs call too
     4: "55a14c4c5a55d8310d7c9dabb54fc28197708db386d804b98e74c597df216fd8",
+    # 5: one trace-store record pointer instead of twelve columns; the
+    # team never outnumbers the shard's cells
+    5: "f9f99b96e67a79ae8429d877dee2c4925b878983c32767de03bcebc4121c8fde",
 }
 
 #: storage-class tokens banned from the batch source: anything with

@@ -333,7 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "query", help="fetch decoded result cells from the result DB"
     )
     _db_flag(query_p)
-    query_p.add_argument("--sweep", default=None, help="full sweep id")
+    query_p.add_argument(
+        "--sweep", default=None, help="sweep id, or a prefix of exactly one"
+    )
     query_p.add_argument("--workload", default=None)
     query_p.add_argument("--prefetcher", default=None)
     query_p.add_argument(
@@ -607,9 +609,22 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         )
         return table
 
-    # query
+    # query: a sweep id may be abbreviated, as ``submit`` prints it
+    sweep = args.sweep
+    if sweep is not None:
+        registered = [row[0] for row in service.db.sweeps()]
+        if sweep not in registered:
+            matches = [full for full in registered if full.startswith(sweep)]
+            where = service.db.path
+            if not matches:
+                raise ValueError(f"no sweep id in {where} starts with {sweep!r}")
+            if len(matches) > 1:
+                raise ValueError(
+                    f"{len(matches)} sweep ids in {where} start with {sweep!r}"
+                )
+            sweep = matches[0]
     cells = service.query(
-        sweep=args.sweep,
+        sweep=sweep,
         workload=args.workload,
         prefetcher=args.prefetcher,
     )

@@ -48,27 +48,3 @@ def is_power_of_two(value: int) -> bool:
     """True when ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
 
-
-def lines_of_array(addrs, line_bytes: int = LINE_BYTES):
-    """Cache-line numbers for a whole address column, array-at-a-time.
-
-    ``addrs`` is a numpy array of unsigned byte addresses; the result is a
-    fresh contiguous array of the same shape.  Line sizes are validated as
-    powers of two by :class:`~repro.memory.cache.CacheConfig`, so the
-    division compiles to a vectorized shift.  This is the batch counterpart
-    of :func:`line_of` used by the native kernel's decode phase.
-    """
-    return addrs // line_bytes
-
-
-def max_address(addrs) -> int:
-    """Largest address in a column (0 for an empty column).
-
-    The native kernel does its delta arithmetic in 64-bit integers, which
-    is exact only while addresses stay inside the modelled
-    :data:`ADDRESS_BITS` space — callers compare this against
-    ``ADDRESS_MASK`` to decide batch eligibility.
-    """
-    if len(addrs) == 0:
-        return 0
-    return int(addrs.max())

@@ -4,16 +4,15 @@ The interpreted per-access loop in :mod:`repro.sim.simulator` is the
 reference oracle; this package is its compiled counterpart.  A run is
 restructured into phases:
 
-* **decode** — the ``.rpt`` record block reinterprets as a numpy struct
-  array (zero-copy from the mmap), and the per-access columns the kernel
-  consumes (addresses, PCs, instruction gaps, flags) are extracted
-  array-at-a-time.
-* **classify** — address classification and cache-index math that is
-  pure arithmetic over the columns (line numbers, the 48-bit address
-  eligibility scan) runs vectorized in numpy before the kernel starts.
+* **decode** — the kernel's input is the trace store's own record block:
+  a store-backed trace hands over its mapped ``.rpt`` records untouched
+  (zero-copy from the mmap), and an access list is packed by the store's
+  encoder.  One C scan refuses an address beyond the modelled 48-bit
+  space before any native state exists.
 * **kernel** — the inherently sequential state machine (core timing,
-  hierarchy, the table-based prefetchers) runs in a cffi-compiled C
-  kernel over the decoded columns, chunk-free and allocation-free.
+  hierarchy, the prefetchers) runs in a cffi-compiled C kernel that
+  reads each record's fields where they lie, chunk-free and
+  allocation-free.
 * **finalize** — kernel counters are folded back into the same
   :class:`~repro.sim.metrics.SimulationResult` the interpreted path
   builds; on the batch path, **render** writes each cell's payload text
@@ -26,10 +25,11 @@ same kernel: CPython's ``random.Random`` is reproduced bit-for-bit
 semantics), so the CST/bandit/reward feedback loop is compiled too.
 Whenever any phase cannot represent a run exactly — unsupported configs
 (degenerate reward bells, subclassed policies), addresses outside the
-modelled 48-bit space, branch tuples beyond the u64 bitmap, or a missing
-numpy/cffi/toolchain — the run drops to the interpreted scalar path, and
-the fallback is logged with a reason the sweep summary aggregates.  The
-PERF003 analysis rule pins :data:`VECTOR_PHASES` below: every vectorized
+modelled 48-bit space, an access the store's record format cannot hold
+(more than 64 branch outcomes, a field out of range), or a missing
+cffi/toolchain — the run drops to the interpreted scalar path, and the
+fallback is logged with a reason the sweep summary aggregates.  The
+PERF003 analysis rule pins :data:`VECTOR_PHASES` below: every native
 phase must keep its scalar-fallback counterpart, so a one-sided edit
 fails ``repro lint``.
 """
@@ -40,8 +40,7 @@ from __future__ import annotations
 #: pins.  Both sides of every row must exist as importable functions or
 #: methods; editing one side without the other fails ``repro lint``.
 VECTOR_PHASES = (
-    ("decode", "repro.workloads.store:TraceReader.as_array", "repro.workloads.store:TraceReader.materialize"),
-    ("classify", "repro.memory.address:lines_of_array", "repro.memory.address:line_of"),
+    ("decode", "repro.workloads.store:TraceReader.record_block", "repro.workloads.store:TraceReader.materialize"),
     ("kernel", "repro.sim.native.adapter:phase_kernel", "repro.sim.simulator:Simulator.run"),
     ("kernel-batch", "repro.sim.native.adapter:phase_batch_kernel", "repro.sim.sched.pool:run_batch"),
     ("finalize", "repro.sim.native.adapter:phase_finalize", "repro.sim.simulator:Simulator.run"),

@@ -13,9 +13,19 @@ hash pipeline behind the context keys, and float ``round`` half-to-even,
 so every RNG draw and hash matches the interpreted oracle bit-for-bit.
 ``docs/native_kernel.md`` carries the per-phase exactness arguments; the
 golden/parity/fuzz suites prove them.
+
+The kernel's input is the trace store's own record block: every entry
+reads each field of a record where it lies, through loaders generated
+from :data:`~repro.workloads.store.RECORD_FIELDS` (:data:`SOURCE_RECORD`),
+so the layout is part of the C text the build hashes.
 """
 
 from __future__ import annotations
+
+import struct
+
+from repro.memory.address import ADDRESS_MASK
+from repro.workloads.store import RECORD_FIELDS
 
 #: number of int64 slots rp_run writes into its output block
 OUT_SLOTS = 19 + 129
@@ -48,7 +58,51 @@ UNIT_SLOTS = 2 * len(UNIT_NAMES) + 4
 #: ``SOURCE_BATCH``); analysis rule PERF005 pins the pair's content hash
 #: per version, so editing the batch driver without bumping this (and
 #: re-pinning) fails ``repro lint``
-BATCH_VERSION = 4
+BATCH_VERSION = 5
+
+#: the C type of each struct format character a record field uses
+_C_TYPES = {
+    "Q": "uint64_t",
+    "q": "int64_t",
+    "I": "uint32_t",
+    "H": "uint16_t",
+    "B": "uint8_t",
+}
+
+
+def _record_source() -> str:
+    """The C text that reads trace-store records in place: one loader
+    ``rec_<field>`` per :data:`RECORD_FIELDS` entry at its packed offset,
+    ``REC_SIZE``, and the modelled address space's ``ADDRESS_MASK``.
+
+    Records follow a header and a variable-length meta block, so they are
+    not aligned: each loader copies its bytes out with ``memcpy``.  The
+    store is little-endian, so a big-endian compile stops at ``#error``
+    and the build fails like any other.
+    """
+    lines = [
+        "/* trace-store records, read in place (generated from",
+        " * store.RECORD_FIELDS: one packed little-endian record per access) */",
+        "#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__",
+        '#error "trace-store records are little-endian, and the kernel reads '
+        'them in place"',
+        "#endif",
+    ]
+    offset = 0
+    for name, fmt in RECORD_FIELDS:
+        ctype = _C_TYPES[fmt]
+        lines.append(
+            f"static inline {ctype} rec_{name}(const uint8_t *r) "
+            f"{{ {ctype} v; memcpy(&v, r + {offset}, sizeof v); return v; }}"
+        )
+        offset += struct.calcsize("<" + fmt)
+    lines.append(f"#define REC_SIZE {offset}")
+    lines.append(f"#define ADDRESS_MASK {ADDRESS_MASK:#x}ULL")
+    return "\n".join(lines) + "\n"
+
+
+#: the record loaders (:func:`_record_source`), generated at import
+SOURCE_RECORD = _record_source()
 
 CDEF_CORE = """
 typedef struct RpSim RpSim;
@@ -57,7 +111,6 @@ typedef struct RpRng RpRng;
 
 RpSim *rp_sim_new(const int64_t *hier_cfg, const int64_t *core_cfg);
 void rp_sim_free(RpSim *sim);
-void rp_reset_stats(RpSim *sim);
 RpPf *rp_pf_new(int kind, const int64_t *cfg);
 RpPf *rp_pf_ctx_new(const int64_t *icfg, const double *dcfg,
                     const uint32_t *seed_key, int seed_len);
@@ -66,14 +119,7 @@ double rp_pf_ctx_accuracy(const RpPf *pf);
 void rp_pf_ctx_counters(const RpPf *pf, int64_t *out);
 int64_t rp_pf_ctx_hist_len(const RpPf *pf);
 void rp_pf_ctx_hist(const RpPf *pf, int64_t *depths, int64_t *counts);
-int rp_run(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
-           const uint64_t *addrs, const uint64_t *pcs,
-           const uint64_t *lines, const uint32_t *inst_gaps,
-           const uint8_t *flags,
-           const int64_t *values, const int64_t *reg_values,
-           const uint64_t *branch_bits, const uint16_t *branch_counts,
-           const uint32_t *type_ids, const uint32_t *link_offsets,
-           const uint8_t *ref_forms, int64_t *out);
+int64_t rp_scan_records(const uint8_t *recs, int64_t n);
 
 RpRng *rp_rng_new(const uint32_t *key, int key_len);
 void rp_rng_free(RpRng *rng);
@@ -749,6 +795,7 @@ static int64_t cache_resident_unused(NCache *c) {
 
 typedef struct {
     int64_t line_bytes;
+    int line_shift;         /* log2(line_bytes): a demand's line is addr >> it */
     int64_t l1_latency, l2_hit_latency, dram_fill_latency, service_interval;
     int64_t pf_reserve, backlog_depth;
     uint8_t prefetch_fill_l1;
@@ -2638,9 +2685,9 @@ SOURCE_RUN = r"""
 /* ------------------------------------------------------------------ */
 /* simulator API: one RpSim = one Simulator (hierarchy + core + the
  * per-run prediction-depth bookkeeping), one RpPf = one prefetcher.
- * rp_run is Simulator.run without warmup; rp_batch_cell (the batch
- * driver's source) composes warmup as run(prefix) + rp_reset_stats +
- * run(remainder), like the Python. */
+ * rp_run is Simulator.run without warmup, over trace-store records;
+ * rp_batch_cell (the batch driver's source) composes warmup as
+ * run(prefix) + rp_reset_stats + run(remainder), like the Python. */
 
 typedef struct RpSim {
     Hier hier;
@@ -2698,6 +2745,10 @@ RpSim *rp_sim_new(const int64_t *hc, const int64_t *cc) {
     Hier *h = &s->hier;
     int64_t line_bytes = hc[10];
     h->line_bytes = line_bytes;
+    /* CacheConfig refuses a line size that is not a power of two, so a
+     * simulator built from one is refused here too */
+    h->line_shift = shift_of(line_bytes);
+    if (h->line_shift < 0) { free(s); return 0; }
     h->l1_latency = hc[2];
     h->l2_hit_latency = hc[2] + hc[6];
     h->dram_fill_latency = hc[2] + hc[6] + hc[8];
@@ -2742,7 +2793,7 @@ void rp_sim_free(RpSim *s) {
 }
 
 /* Simulator._reset_stats: zero the counters, keep the warm state */
-void rp_reset_stats(RpSim *s) {
+static void rp_reset_stats(RpSim *s) {
     Core *c = &s->core;
     double m = c->cursor > c->max_completion ? c->cursor : c->max_completion;
     s->cycle_base = (int64_t)m;   /* finalize().cycles */
@@ -2933,14 +2984,21 @@ void rp_pf_ctx_hist(const RpPf *p, int64_t *depths, int64_t *counts) {
 
 #define DEPTH_CAP 128
 
-int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
-           const uint64_t *addrs, const uint64_t *pcs,
-           const uint64_t *lines, const uint32_t *inst_gaps,
-           const uint8_t *flags,
-           const int64_t *values, const int64_t *reg_values,
-           const uint64_t *branch_bits, const uint16_t *branch_counts,
-           const uint32_t *type_ids, const uint32_t *link_offsets,
-           const uint8_t *ref_forms, int64_t *out) {
+/* the index of the first of n records whose address lies outside the
+ * modelled ADDRESS_MASK space, or -1: the kernel's delta arithmetic is
+ * exact only inside it.  Callers scan before any native state exists,
+ * so a trace that fails runs on the oracle from the start. */
+int64_t rp_scan_records(const uint8_t *recs, int64_t n) {
+    for (int64_t k = 0; k < n; k++)
+        if (rec_addr(recs + k * REC_SIZE) > ADDRESS_MASK) return k;
+    return -1;
+}
+
+/* n accesses: the n trace-store records at recs, each field read where it
+ * lies.  An unhinted record's hint fields read as zero, as the store
+ * decodes it to NO_HINTS. */
+static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
+                  const uint8_t *recs, int64_t *out) {
     Hier *h = &s->hier;
     Core *c = &s->core;
     Map *predicted_at = &s->predicted_at;
@@ -2959,6 +3017,7 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
     memset(class_counts, 0, sizeof(class_counts));
     int64_t issued_real = 0, issued_shadow = 0;
     int64_t line_bytes = h->line_bytes;
+    int line_shift = h->line_shift;
     int64_t reqs[MAX_REQS];
     uint8_t req_shadow[MAX_REQS];
     int is_ctx = pf->kind == PF_CONTEXT;
@@ -2977,15 +3036,19 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
 
     for (int64_t k = 0; k < n; k++) {
         UT_BEGIN(clk);
+        const uint8_t *rec = recs + k * REC_SIZE;
         int64_t index = start_index + k;
-        int64_t gap = (int64_t)inst_gaps[k];
-        uint64_t uaddr = addrs[k];
-        int depends = (flags[k] >> 1) & 1;
+        int64_t gap = (int64_t)rec_inst_gap(rec);
+        uint64_t uaddr = rec_addr(rec);
+        int64_t line = (int64_t)(uaddr >> line_shift);
+        uint8_t flags = rec_flags(rec);
+        int depends = (flags >> 1) & 1;
 
-        /* BranchHistoryRegister.update_many, oldest outcome first */
-        if (is_ctx && branch_counts[k]) {
-            uint64_t bb = branch_bits[k];
-            int cnt = (int)branch_counts[k];
+        /* BranchHistoryRegister.update_many, oldest outcome first: for
+         * every family, as Simulator.run folds them */
+        int cnt = (int)rec_branch_count(rec);
+        if (cnt) {
+            uint64_t bb = rec_branch_bits(rec);
             for (int b = 0; b < cnt; b++)
                 s->bhr_value = ((s->bhr_value << 1) | ((bb >> b) & 1)) & s->bhr_mask;
         }
@@ -3011,7 +3074,7 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         /* --- Hierarchy.demand_access --- */
         int64_t latency;
         int l1_hit, served, ac;
-        hier_demand_access(h, (int64_t)lines[k], issue, &latency, &l1_hit, &served, &ac);
+        hier_demand_access(h, line, issue, &latency, &l1_hit, &served, &ac);
         class_counts[ac]++;
         UT_MARK(clk, UT_DEMAND);
 
@@ -3040,20 +3103,22 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         int primary_miss = !l1_hit && served != SERVED_MSHR;
         int nreq;
         if (is_ctx) {
-            nreq = ctx_on_access(&pf->ctx, index, uaddr, pcs[k],
-                                 (int64_t)type_ids[k], (int64_t)link_offsets[k],
-                                 (int64_t)ref_forms[k], last_value,
-                                 s->bhr_value, reg_values[k],
+            int hinted = (flags >> 2) & 1;
+            nreq = ctx_on_access(&pf->ctx, index, uaddr, rec_pc(rec),
+                                 hinted ? (int64_t)rec_type_id(rec) : 0,
+                                 hinted ? (int64_t)rec_link_offset(rec) : 0,
+                                 hinted ? (int64_t)rec_ref_form(rec) : 0,
+                                 last_value, s->bhr_value, rec_reg_value(rec),
                                  reqs, req_shadow);
         } else {
-            nreq = pf_on_access(pf, index, uaddr, pcs[k], primary_miss, reqs);
+            nreq = pf_on_access(pf, index, uaddr, rec_pc(rec), primary_miss, reqs);
             UT_MARK(clk, UT_TABLE);
         }
 
         /* hit-depth bookkeeping: the demand line's prediction is popped
          * before this access's requests record theirs (no prefetcher
          * reads predicted_at, so the pop may follow on_access) */
-        int64_t prev = map_pop(predicted_at, (int64_t)lines[k], -1);
+        int64_t prev = map_pop(predicted_at, line, -1);
         if (prev >= 0) {
             int64_t depth = index - prev;
             if (depth <= DEPTH_CAP) depth_counts[depth]++;
@@ -3087,7 +3152,7 @@ int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
             log_pop(plog, &i, &ln);
             map_del_if(predicted_at, ln, i);
         }
-        if (is_ctx && (flags[k] & 1)) last_value = values[k];
+        if (flags & 1) last_value = rec_value(rec);
         UT_MARK(clk, UT_PREFETCH);
     }
     if (is_ctx && pf->ctx.oom) return -1;
@@ -3170,17 +3235,9 @@ SOURCE_CTX = (
 
 CDEF_BATCH = """
 int rp_batch_openmp(void);
-int rp_batch_max_threads(void);
 int rp_batch_out_slots(void);
 int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
-                  int64_t warmup,
-                  const uint64_t *addrs, const uint64_t *pcs,
-                  const uint64_t *lines, const uint32_t *inst_gaps,
-                  const uint8_t *flags,
-                  const int64_t *values, const int64_t *reg_values,
-                  const uint64_t *branch_bits, const uint16_t *branch_counts,
-                  const uint32_t *type_ids, const uint32_t *link_offsets,
-                  const uint8_t *ref_forms, int64_t *out);
+                  int64_t warmup, const uint8_t *recs, int64_t *out);
 int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
                  const int32_t *kinds,
                  const int64_t *cfg_at, const int64_t *cfgs,
@@ -3188,13 +3245,7 @@ int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
                  const int64_t *key_at, const uint32_t *keys,
                  const int64_t *hier_cfg, const int64_t *core_cfg,
                  int64_t n, int64_t start_index, int64_t warmup,
-                 const uint64_t *addrs, const uint64_t *pcs,
-                 const uint64_t *lines, const uint32_t *inst_gaps,
-                 const uint8_t *flags,
-                 const int64_t *values, const int64_t *reg_values,
-                 const uint64_t *branch_bits, const uint16_t *branch_counts,
-                 const uint32_t *type_ids, const uint32_t *link_offsets,
-                 const uint8_t *ref_forms,
+                 const uint8_t *recs,
                  int64_t *outs, int32_t *rcs, double *accuracies,
                  int64_t *hist_lens, int64_t *hist_depths,
                  int64_t *hist_counts, int64_t hist_slots, int nthreads);
@@ -3210,7 +3261,7 @@ int64_t rp_render_batch(int64_t ncells, const int32_t *names,
 SOURCE_BATCH = r"""
 /* ------------------------------------------------------------------ */
 /* batch driver: execute N independent cells over one shared read-only
- * column set in a single GIL-released call.  The driver owns the cell
+ * record block in a single GIL-released call.  The driver owns the cell
  * state: each thread holds one RpSim and one RpPf for the whole call and
  * renews them before every cell it runs (sim_reset / pf_renew, beside
  * the constructors), so a cell starts from a state equal to a fresh one
@@ -3228,8 +3279,8 @@ SOURCE_BATCH = r"""
 #endif
 
 #define RP_BATCH_OUT_SLOTS 148  /* must equal _csrc.OUT_SLOTS; the
-                                   adapter asserts rp_batch_out_slots()
-                                   against the Python constant */
+                                   build refuses a kernel whose
+                                   rp_batch_out_slots() differs */
 
 /* per-cell status codes (rcs[i]) besides rp_run's own -1 (out of
  * memory); the adapter maps each to the reason its cell degrades, and
@@ -3246,66 +3297,40 @@ int rp_batch_openmp(void) {
 #endif
 }
 
-int rp_batch_max_threads(void) {
-#ifdef _OPENMP
-    return omp_get_max_threads();
-#else
-    return 1;
-#endif
-}
-
 int rp_batch_out_slots(void) {
     return RP_BATCH_OUT_SLOTS;
 }
 
 /* one cell: rp_run with warmup composed as the interpreted Simulator.run
- * composes it — run(prefix) + rp_reset_stats + run(remainder) with every
- * non-NULL column advanced by `warmup` elements.  The one cell runner:
+ * composes it — run(prefix) + rp_reset_stats + run(remainder), the
+ * remainder `warmup` records further on.  The one cell runner:
  * rp_run_batch runs every batch cell with it, and the adapter's
  * single-cell phase_kernel calls it directly. */
 int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
-                  int64_t warmup,
-                  const uint64_t *addrs, const uint64_t *pcs,
-                  const uint64_t *lines, const uint32_t *inst_gaps,
-                  const uint8_t *flags,
-                  const int64_t *values, const int64_t *reg_values,
-                  const uint64_t *branch_bits, const uint16_t *branch_counts,
-                  const uint32_t *type_ids, const uint32_t *link_offsets,
-                  const uint8_t *ref_forms, int64_t *out) {
+                  int64_t warmup, const uint8_t *recs, int64_t *out) {
     if (warmup > 0) {
         if (warmup >= n) return RP_BATCH_WARMUP_TOO_LONG;
-        int rc = rp_run(sim, pf, warmup, start_index, addrs, pcs, lines,
-                        inst_gaps, flags, values, reg_values, branch_bits,
-                        branch_counts, type_ids, link_offsets, ref_forms,
-                        out);
+        int rc = rp_run(sim, pf, warmup, start_index, recs, out);
         if (rc != 0) return rc;
         rp_reset_stats(sim);
         return rp_run(sim, pf, n - warmup, start_index + warmup,
-                      addrs + warmup, pcs + warmup, lines + warmup,
-                      inst_gaps + warmup, flags + warmup,
-                      values ? values + warmup : 0,
-                      reg_values ? reg_values + warmup : 0,
-                      branch_bits ? branch_bits + warmup : 0,
-                      branch_counts ? branch_counts + warmup : 0,
-                      type_ids ? type_ids + warmup : 0,
-                      link_offsets ? link_offsets + warmup : 0,
-                      ref_forms ? ref_forms + warmup : 0,
-                      out);
+                      recs + warmup * REC_SIZE, out);
     }
-    return rp_run(sim, pf, n, start_index, addrs, pcs, lines, inst_gaps,
-                  flags, values, reg_values, branch_bits, branch_counts,
-                  type_ids, link_offsets, ref_forms, out);
+    return rp_run(sim, pf, n, start_index, recs, out);
 }
 
 /* whole shard in one call.  Cell i runs row r = rows[i] of the row
  * table: prefetcher kind kinds[r] with config row cfgs + cfg_at[r] (plus,
  * for the context kind, dcfgs + dcfg_at[r] and seed key k = seeds[i],
  * keys[key_at[k]:key_at[k+1]]) on a simulator built from the shard-wide
- * hier_cfg/core_cfg.  Cells that share a config share its row.  A context
- * cell also reports its accuracy EMA and its hit-depth histogram: up to
- * hist_slots (depth, count) pairs at hist_depths/hist_counts +
- * i * hist_slots, in first-insertion order, hist_lens[i] of them.
- * nthreads > 0 pins the team size; 0 takes the OpenMP default.  Status
+ * hier_cfg/core_cfg, over the n trace-store records at recs.  Cells that
+ * share a config share its row.  A context cell also reports its accuracy
+ * EMA and its hit-depth histogram: up to hist_slots (depth, count) pairs
+ * at hist_depths/hist_counts + i * hist_slots, in first-insertion order,
+ * hist_lens[i] of them.  nthreads > 0 asks for that team size, 0 for the
+ * OpenMP default, and the team never outnumbers the cells: libgomp keeps
+ * a team's threads for reuse, so a thread without a cell would only
+ * idle for the life of the process.  Status
  * lands in rcs[i] (0 ok), so one failing cell degrades alone and never
  * poisons its shard-mates' blocks; the thread drops a failed cell's
  * state instead of renewing it.  Returns 0 always: cell failures are
@@ -3317,18 +3342,13 @@ int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
                  const int64_t *key_at, const uint32_t *keys,
                  const int64_t *hier_cfg, const int64_t *core_cfg,
                  int64_t n, int64_t start_index, int64_t warmup,
-                 const uint64_t *addrs, const uint64_t *pcs,
-                 const uint64_t *lines, const uint32_t *inst_gaps,
-                 const uint8_t *flags,
-                 const int64_t *values, const int64_t *reg_values,
-                 const uint64_t *branch_bits, const uint16_t *branch_counts,
-                 const uint32_t *type_ids, const uint32_t *link_offsets,
-                 const uint8_t *ref_forms,
+                 const uint8_t *recs,
                  int64_t *outs, int32_t *rcs, double *accuracies,
                  int64_t *hist_lens, int64_t *hist_depths,
                  int64_t *hist_counts, int64_t hist_slots, int nthreads) {
 #ifdef _OPENMP
     int team = nthreads > 0 ? nthreads : omp_get_max_threads();
+    if (team > ncells) team = ncells > 0 ? (int)ncells : 1;
     #pragma omp parallel num_threads(team)
 #else
     (void)nthreads;
@@ -3349,10 +3369,7 @@ int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
                           keys + key_at[k], (int)(key_at[k + 1] - key_at[k]));
             int rc = RP_BATCH_ALLOC_FAILED;
             if (sim && pf)
-                rc = rp_batch_cell(sim, pf, n, start_index, warmup, addrs, pcs,
-                                   lines, inst_gaps, flags, values, reg_values,
-                                   branch_bits, branch_counts, type_ids,
-                                   link_offsets, ref_forms,
+                rc = rp_batch_cell(sim, pf, n, start_index, warmup, recs,
                                    outs + i * RP_BATCH_OUT_SLOTS);
             accuracies[i] = 0.0;
             hist_lens[i] = 0;
@@ -3575,6 +3592,6 @@ CDEF = CDEF_CORE + CDEF_BATCH
 
 #: full translation unit handed to cffi's ``set_source``
 SOURCE = (
-    SOURCE_RUNTIME + SOURCE_MEMORY + SOURCE_CTX + SOURCE_PF + SOURCE_RUN
-    + SOURCE_BATCH + SOURCE_RENDER
+    SOURCE_RUNTIME + SOURCE_RECORD + SOURCE_MEMORY + SOURCE_CTX + SOURCE_PF
+    + SOURCE_RUN + SOURCE_BATCH + SOURCE_RENDER
 )

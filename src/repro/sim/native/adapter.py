@@ -1,8 +1,9 @@
 """Bridge between :class:`~repro.sim.simulator.Simulator` and the C kernel.
 
 One native run is the phase pipeline the package docstring describes:
-:func:`phase_decode` extracts the columns, :func:`phase_kernel` drives the
-compiled state machine (including warmup orchestration), and
+:func:`phase_decode` hands the kernel the trace's store records,
+:func:`phase_kernel` drives the compiled state machine (including warmup
+orchestration), and
 :func:`phase_finalize` folds the kernel's output block into the exact
 :class:`~repro.sim.metrics.SimulationResult` the interpreted path builds.
 A sweep shard runs as :func:`phase_batch_kernel` instead, and
@@ -21,8 +22,9 @@ live prefetcher (:func:`_live_row`).
 State ownership: once a simulator or prefetcher has run natively, its
 native handle — not the untouched Python object — is the authoritative
 state.  The registries below remember that.  A run that cannot stay
-native (unsupported config, a decode failure) *before* any handle exists
-falls back to the interpreted path; the same failure on an object that
+native (unsupported config, a trace the kernel cannot read) *before* any
+handle exists falls back to the interpreted path; the same failure on an
+object that
 already carries native state raises, because silently resuming from the
 stale Python state would diverge.  Batch cells never get handles, nor
 Python objects: the batch kernel owns their state
@@ -39,6 +41,7 @@ from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter, is_
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from repro.core.attributes import ALL_ATTRIBUTES, AttributeSet
@@ -57,7 +60,6 @@ from repro.prefetchers.sms import SMSPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
 from repro.sim.codec import CODEC_VERSION, _json_number
 from repro.sim.metrics import HitDepthCDF, SimulationResult
-from repro.sim.native import decode
 from repro.sim.native._csrc import (
     CTX_COUNTER_SLOTS,
     OUT_SLOTS,
@@ -65,6 +67,12 @@ from repro.sim.native._csrc import (
     UNIT_SLOTS,
 )
 from repro.sim.native.build import kernel_or_none
+from repro.workloads.store import (
+    RECORD_SIZE,
+    TraceReader,
+    TraceStoreError,
+    pack_records,
+)
 
 log = logging.getLogger(__name__)
 
@@ -94,27 +102,11 @@ _PF_KINDS = {
 _SIM_STATES: "WeakKeyDictionary" = WeakKeyDictionary()
 _PF_STATES: "WeakKeyDictionary" = WeakKeyDictionary()
 
-#: simulators whose native runs skipped the branch-history fold: the
-#: kernel only replays branch outcomes for the context family (the one
-#: consumer), so a simulator that ran native with any other family has a
-#: stale BHR a later context run must not silently adopt
-_SIM_BRANCH_BLIND: "WeakKeyDictionary" = WeakKeyDictionary()
-
-#: TraceReader -> {(limit, line_bytes, with_context): Columns}.  Every
-#: kernel input column is ``const`` in the C source, so decoded columns
-#: are immutable and safe to replay across runs.  Warm sweep workers
-#: keep their readers resident batch over batch, which makes this memo
-#: the piece that amortises decode to once per (trace, shape) instead of
-#: once per cell; weak keys free the arrays with the reader.
-_READER_COLUMNS: "WeakKeyDictionary" = WeakKeyDictionary()
-
 
 def reset_state_registries() -> None:
     """Drop every native handle (test isolation helper)."""
     _SIM_STATES.clear()
     _PF_STATES.clear()
-    _SIM_BRANCH_BLIND.clear()
-    _READER_COLUMNS.clear()
 
 
 # ----------------------------------------------------------------------
@@ -600,86 +592,75 @@ def _handles(sim, pf, kind: int, row, kernel):
 # phases
 
 
-def phase_decode(trace, limit, line_bytes, *, with_context: bool = False):
-    """Columns for ``trace``, plus the (trace, limit) a fallback should use.
+#: why a trace runs on the oracle, whatever its family: an access the
+#: store's record format cannot hold, or an address the kernel's delta
+#: arithmetic cannot take exactly
+_UNPACKABLE = "an access does not fit the trace store's record format"
+_WIDE_ADDRESS = "an address exceeds the modelled 48-bit space"
 
-    A one-shot iterator is materialised (with the limit applied) so a
-    decode failure hands the interpreted path a re-iterable list instead
-    of a half-consumed generator.  ``with_context`` additionally decodes
-    the value/branch/hint columns the context RL kernel consumes.
+
+class Records(NamedTuple):
+    """A trace as the kernel reads it: ``n`` trace-store records
+    (``store.RECORD_FIELDS``, ``RECORD_SIZE`` bytes each) in ``block``.
+    Release ``block`` after the kernel call (``with records.block:``): a
+    reader's mapped file cannot close under a live view."""
+
+    n: int
+    block: memoryview
+
+
+def phase_decode(kernel, trace, limit):
+    """The kernel's records for ``trace``: ``(records, reason, trace,
+    limit)``.
+
+    A :class:`~repro.workloads.store.TraceReader` hands over its mapped
+    record block untouched; an access list is packed by the store's own
+    encoder.  ``records`` is ``None``, with the ``reason``, when the trace
+    cannot run in the kernel: the encoder refuses an access, or the
+    kernel's scan finds an address beyond the modelled space.  A one-shot
+    iterator is materialised (with the limit applied), so the ``trace``
+    and ``limit`` returned are the ones a fallback should use.
     """
-    from repro.workloads.store import TraceReader
-
     if isinstance(trace, TraceReader):
-        memo = _READER_COLUMNS.setdefault(trace, {})
-        key = (limit, line_bytes, with_context)
-        cols = memo.get(key)
-        if cols is None:
-            cols = decode.columns_from_reader(
-                trace, limit, line_bytes, with_context=with_context
-            )
-            if cols is not None:  # decode failures are not memoized
-                memo[key] = cols
-        return cols, trace, limit
-    if isinstance(trace, (list, tuple)):
-        accesses = trace if limit is None else trace[:limit]
-        cols = decode.columns_from_accesses(
-            accesses, line_bytes, with_context=with_context
-        )
-        return cols, trace, limit
-    accesses = (
-        list(itertools.islice(trace, limit)) if limit is not None else list(trace)
-    )
-    cols = decode.columns_from_accesses(
-        accesses, line_bytes, with_context=with_context
-    )
-    return cols, accesses, None
+        block = trace.record_block(limit)
+    else:
+        if isinstance(trace, (list, tuple)):
+            accesses = trace if limit is None else trace[:limit]
+        else:
+            accesses = list(itertools.islice(trace, limit))
+            trace, limit = accesses, None
+        try:
+            block = memoryview(pack_records(accesses))
+        except TraceStoreError as exc:
+            log.debug("%s (%s); using the interpreted kernel", _UNPACKABLE, exc)
+            return None, _UNPACKABLE, trace, limit
+    records = Records(len(block) // RECORD_SIZE, block)
+    with kernel.ffi.from_buffer("uint8_t[]", block) as recs:
+        wide = kernel.lib.rp_scan_records(recs, records.n)
+    if wide >= 0:
+        log.debug("%s (record %d); using the interpreted kernel", _WIDE_ADDRESS, wide)
+        block.release()
+        return None, _WIDE_ADDRESS, trace, limit
+    return records, None, trace, limit
 
 
-def _column_pointers(ffi, cols) -> list:
-    """The twelve column pointers every kernel entry takes, in order.
-
-    The seven context columns are NULL when ``cols`` has none: every
-    kernel read of them is gated on the context family.
-    """
-    pointers = [
-        ffi.from_buffer("uint64_t[]", cols.addrs),
-        ffi.from_buffer("uint64_t[]", cols.pcs),
-        ffi.from_buffer("uint64_t[]", cols.lines),
-        ffi.from_buffer("uint32_t[]", cols.inst_gaps),
-        ffi.from_buffer("uint8_t[]", cols.flags),
-    ]
-    if cols.values is None:
-        return pointers + [ffi.NULL] * 7
-    return pointers + [
-        ffi.from_buffer("int64_t[]", cols.values),
-        ffi.from_buffer("int64_t[]", cols.reg_values),
-        ffi.from_buffer("uint64_t[]", cols.branch_bits),
-        ffi.from_buffer("uint16_t[]", cols.branch_counts),
-        ffi.from_buffer("uint32_t[]", cols.type_ids),
-        ffi.from_buffer("uint32_t[]", cols.link_offsets),
-        ffi.from_buffer("uint8_t[]", cols.ref_forms),
-    ]
-
-
-def phase_kernel(kernel, sim_h, pf_h, cols, start_index: int, warmup: int):
+def phase_kernel(kernel, sim_h, pf_h, records, start_index: int, warmup: int):
     """Drive the compiled per-access loop; returns the raw output block.
 
-    One ``rp_batch_cell`` call, the cell runner the batch driver runs
-    every cell with.  Warmup replays the leading ``warmup`` accesses
-    (their output block is discarded), resets the statistics counters
-    without disturbing warm state, and replays the remainder — the
-    native mirror of the interpreted :meth:`Simulator.run` warmup
-    recursion, including its ``ValueError`` on a warmup that consumes
-    the whole trace.
+    One ``rp_batch_cell`` call over ``records`` (:class:`Records`), the
+    cell runner the batch driver runs every cell with.  Warmup replays
+    the leading ``warmup`` accesses (their output block is discarded),
+    resets the statistics counters without disturbing warm state, and
+    replays the remainder — the native mirror of the interpreted
+    :meth:`Simulator.run` warmup recursion, including its ``ValueError``
+    on a warmup that consumes the whole trace.
     """
     ffi, lib = kernel.ffi, kernel.lib
-    if warmup and warmup >= cols.n:
+    if warmup and warmup >= records.n:
         raise ValueError("warmup consumes the whole trace")
     out = ffi.new("int64_t[]", OUT_SLOTS)
-    rc = lib.rp_batch_cell(
-        sim_h, pf_h, cols.n, start_index, warmup, *_column_pointers(ffi, cols), out
-    )
+    with ffi.from_buffer("uint8_t[]", records.block) as recs:
+        rc = lib.rp_batch_cell(sim_h, pf_h, records.n, start_index, warmup, recs, out)
     if rc != 0:
         raise MemoryError("native kernel ran out of memory mid-run")
     return out
@@ -767,32 +748,22 @@ def try_native_run(sim, trace, *, workload_name, limit, start_index, warmup):
     kind, row, reason = _live_row(pf)
     if row is None:
         return _fall_back(committed, trace, limit, reason)
-    is_ctx = kind == _PF_CONTEXT
     kernel = kernel_or_none()
     if kernel is None:
         return _fall_back(committed, trace, limit, "compiled kernel unavailable")
-    cols, trace, limit = phase_decode(
-        trace, limit, sim.hierarchy.config.line_bytes, with_context=is_ctx
-    )
-    if cols is None:
-        return _fall_back(committed, trace, limit, "column decode fell back")
-    if is_ctx and _SIM_BRANCH_BLIND.get(sim):
-        return _fall_back(
-            sim in _SIM_STATES,
-            trace,
-            limit,
-            "the simulator's native runs skipped the branch-history fold",
-        )
-    sim_h, pf_h = _handles(sim, pf, kind, row, kernel)
-    if sim_h is None:
-        return _fall_back(
-            False, trace, limit, "simulator or prefetcher carries interpreted state"
-        )
-    out = phase_kernel(kernel, sim_h, pf_h, cols, start_index, warmup)
-    if is_ctx:
+    records, reason, trace, limit = phase_decode(kernel, trace, limit)
+    if records is None:
+        return _fall_back(committed, trace, limit, reason)
+    with records.block:
+        sim_h, pf_h = _handles(sim, pf, kind, row, kernel)
+        if sim_h is None:
+            return _fall_back(
+                False, trace, limit, "simulator or prefetcher carries interpreted state"
+            )
+        out = phase_kernel(kernel, sim_h, pf_h, records, start_index, warmup)
+    if kind == _PF_CONTEXT:
         accuracy, hist = _ctx_readout(kernel, pf_h)
     else:
-        _SIM_BRANCH_BLIND[sim] = True
         accuracy, hist = None, ()
     result = phase_finalize(
         out, workload_name=workload_name, pf=pf, accuracy=accuracy, hist=hist
@@ -856,18 +827,18 @@ _BATCH_RC_REASONS = {
 
 
 def phase_batch_kernel(
-    kernel, rows, sim_cfg, cols, start_index: int, warmup: int, threads: int,
+    kernel, rows, sim_cfg, records, start_index: int, warmup: int, threads: int,
     *, table: KernelRows, keys,
 ):
     """One ``rp_run_batch`` call over every cell.
 
     Cell ``j`` runs row ``rows[j]`` of ``table`` (a :class:`KernelRows`)
-    with its seed key ``keys[j]``; ``rows`` and ``keys`` are int32
-    arrays, one entry per cell, and ``sim_cfg`` the shard-wide
-    ``(hierarchy, core)`` config arrays.  The kernel owns the cell
-    state: each of its threads renews one simulator and one prefetcher
-    in place between cells, so cell ``j`` starts from a state equal to a
-    fresh one built from its row.
+    with its seed key ``keys[j]`` over ``records`` (:class:`Records`);
+    ``rows`` and ``keys`` are int32 arrays, one entry per cell, and
+    ``sim_cfg`` the shard-wide ``(hierarchy, core)`` config arrays.  The
+    kernel owns the cell state: each of its threads renews one simulator
+    and one prefetcher in place between cells, so cell ``j`` starts from
+    a state equal to a fresh one built from its row.
 
     Returns ``(outs, rcs, accuracies, hist_lens, depths, counts)``:
     cell ``j``'s :data:`OUT_SLOTS` block at ``outs + j * OUT_SLOTS``,
@@ -881,7 +852,7 @@ def phase_batch_kernel(
     ``repro profile`` attributes the whole in-kernel span to one name.
     """
     ffi, lib = kernel.ffi, kernel.lib
-    n = cols.n
+    n = records.n
     if warmup and warmup >= n:
         raise ValueError("warmup consumes the whole trace")
     ncells = len(rows)
@@ -893,24 +864,24 @@ def phase_batch_kernel(
     hist_lens = ffi.new("int64_t[]", ncells)
     depths = ffi.new("int64_t[]", ncells * slots)
     counts = ffi.new("int64_t[]", ncells * slots)
-    lib.rp_run_batch(
-        ncells,
-        ffi.from_buffer("int32_t[]", rows),
-        ffi.from_buffer("int32_t[]", keys),
-        ffi.from_buffer("int32_t[]", table.kinds),
-        ffi.from_buffer("int64_t[]", table.cfg_at),
-        ffi.from_buffer("int64_t[]", table.cfgs),
-        ffi.from_buffer("int64_t[]", table.dcfg_at),
-        ffi.from_buffer("double[]", table.dcfgs),
-        ffi.from_buffer("int64_t[]", table.key_at),
-        ffi.from_buffer("uint32_t[]", table.keys),
-        ffi.new("int64_t[]", hier_values),
-        ffi.new("int64_t[]", core_values),
-        n, start_index, warmup,
-        *_column_pointers(ffi, cols),
-        outs, rcs, accuracies, hist_lens, depths, counts, slots,
-        max(0, int(threads)),
-    )
+    with ffi.from_buffer("uint8_t[]", records.block) as recs:
+        lib.rp_run_batch(
+            ncells,
+            ffi.from_buffer("int32_t[]", rows),
+            ffi.from_buffer("int32_t[]", keys),
+            ffi.from_buffer("int32_t[]", table.kinds),
+            ffi.from_buffer("int64_t[]", table.cfg_at),
+            ffi.from_buffer("int64_t[]", table.cfgs),
+            ffi.from_buffer("int64_t[]", table.dcfg_at),
+            ffi.from_buffer("double[]", table.dcfgs),
+            ffi.from_buffer("int64_t[]", table.key_at),
+            ffi.from_buffer("uint32_t[]", table.keys),
+            ffi.new("int64_t[]", hier_values),
+            ffi.new("int64_t[]", core_values),
+            n, start_index, warmup, recs,
+            outs, rcs, accuracies, hist_lens, depths, counts, slots,
+            max(0, int(threads)),
+        )
     return outs, rcs, accuracies, hist_lens, depths, counts
 
 
@@ -1029,10 +1000,10 @@ def run_native_batch(
     Returns ``(texts, reasons, trace, limit)``: ``texts[i]`` is the
     cell's payload text (:func:`phase_render`) or ``None`` when it must
     run on the per-cell path, in which case ``reasons[i]`` names why: no
-    compiled kernel or no decoded columns (every cell), a kernel OOM or
-    a histogram over :data:`BATCH_HIST_SLOTS` (that cell alone).  The
-    call raises for whole-shard programming errors (warmup consuming
-    the trace).
+    compiled kernel or a trace the kernel cannot read (every cell), a
+    kernel OOM or a histogram over :data:`BATCH_HIST_SLOTS` (that cell
+    alone).  The call raises for whole-shard programming errors (warmup
+    consuming the trace).
     """
     n_cells = len(rows)
     if not n_cells:
@@ -1043,26 +1014,20 @@ def run_native_batch(
         return [None] * n_cells, ["compiled kernel unavailable"] * n_cells, trace, limit
     openmp = int(kernel.lib.rp_batch_openmp())
     rows = array("i", rows)
-    kinds = table.kinds
-    hier_cfg = hierarchy_config if hierarchy_config is not None else HierarchyConfig()
-    cols, trace, limit = phase_decode(
-        trace,
-        limit,
-        hier_cfg.line_bytes,
-        with_context=_PF_CONTEXT in {kinds[r] for r in rows},
-    )
-    if cols is None:
+    records, reason, trace, limit = phase_decode(kernel, trace, limit)
+    if records is None:
         _count_batch(n_cells, 0, threads, openmp)
-        return [None] * n_cells, ["column decode fell back"] * n_cells, trace, limit
+        return [None] * n_cells, [reason] * n_cells, trace, limit
     sim_cfg = _sim_values(
-        hier_cfg,
+        hierarchy_config if hierarchy_config is not None else HierarchyConfig(),
         core_config if core_config is not None else CoreConfig(),
         (1 << bhr_bits) - 1,
     )
-    block = phase_batch_kernel(
-        kernel, rows, sim_cfg, cols, start_index, warmup, threads,
-        table=table, keys=array("i", keys),
-    )
+    with records.block:
+        block = phase_batch_kernel(
+            kernel, rows, sim_cfg, records, start_index, warmup, threads,
+            table=table, keys=array("i", keys),
+        )
     meta = table.meta
     texts = phase_render(
         kernel, block, [meta[r] for r in rows], workload_name=workload_name

@@ -22,9 +22,9 @@ A third artifact, ``_timing``, compiles the same source with
 (see ``docs/native_kernel.md``).  Only :func:`unit_timing` loads it, for
 ``repro profile --native``; every other caller gets the untimed builds.
 
-Every failure mode (no cffi, no numpy, no C toolchain, a compile error)
-logs once and degrades to ``None``; callers fall back to the interpreted
-path, which is the reference oracle anyway.
+Every failure mode (no cffi, no C toolchain, a compile error, a
+big-endian target) logs once and degrades to ``None``; callers fall back
+to the interpreted path, which is the reference oracle anyway.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ def kernel_or_none(build_dir: Path | None = None):
         return None
     try:
         import cffi  # noqa: F401  (compile-time dependency)
-        import numpy  # noqa: F401  (decode-phase dependency; gate together)
     except ImportError as exc:
         _failed = True
         log.warning("native kernel unavailable (%s); using the interpreted path", exc)
@@ -217,7 +216,7 @@ def unit_timing(build_dir: Path | None = None):
     """
     global _timing_kernel, _timing_failed, _timing_active
     if _timing_kernel is None and not _timing_failed:
-        if kernel_or_none(build_dir) is not None:  # gates cffi/numpy once
+        if kernel_or_none(build_dir) is not None:  # gates cffi once
             directory = (
                 Path(build_dir) if build_dir is not None else DEFAULT_BUILD_DIR
             )

@@ -12,10 +12,9 @@ testable on its own:
   batch (a compiled store file, or the records by value) and the
   per-process trace memo that materialises it;
 * :mod:`repro.sim.sched.pool` — the batch executors: the persistent
-  spawn-based worker pool, whose workers keep mmap'd trace readers,
-  decoded column arrays and the compiled native kernel handle resident
-  across batches and sweeps, and the in-process executor ``jobs=1``
-  uses;
+  spawn-based worker pool, whose workers keep mmap'd trace readers
+  and the compiled native kernel handle resident across batches and
+  sweeps, and the in-process executor ``jobs=1`` uses;
 * :mod:`repro.sim.sched.db` — the SQLite result store under
   ``results/`` (or in memory): one row per content-addressed cell over
   the versioned codec, committed per batch, with a canonical logical

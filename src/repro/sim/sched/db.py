@@ -139,8 +139,10 @@ class ResultDB:
             self._conn = sqlite3.connect(str(self.path))
             # WAL keeps `serve status/query` readable while a submit is
             # committing batches; both modes are logically equivalent
-            # and invisible to canonical_dump
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            # and invisible to canonical_dump.  Two processes switching
+            # a fresh file at once can deadlock, which SQLite answers
+            # with BUSY at once, so the switch retries like a write
+            self._write(lambda: self._conn.execute("PRAGMA journal_mode=WAL"))
             self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
             for stmt in _SCHEMA:
                 self._conn.execute(stmt)

@@ -1,9 +1,9 @@
 """The batch executors: persistent warm workers, or this process.
 
 A pool spawned per sweep pays startup (spawn + package import), trace
-decode and native-kernel warm-up on every call.  :class:`WorkerPool`
+mapping and native-kernel warm-up on every call.  :class:`WorkerPool`
 keeps spawn-started workers alive for the whole process instead: each
-worker's trace memo, decoded column arrays and compiled kernel handle
+worker's trace memo (mapped store files) and compiled kernel handle
 stay resident across every batch — and every sweep — it serves, so the
 per-cell cost converges on the simulation itself.
 :class:`InlineWorker` is the ``jobs=1`` executor: the same
@@ -42,16 +42,14 @@ resumes instead of recomputing.
 from __future__ import annotations
 
 import atexit
-import os
 import pickle
 import zlib
 from array import array
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from queue import Empty
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.core.prefetcher import ContextPrefetcher
@@ -85,26 +83,6 @@ CELL_FIELDS = ("index", "prefetcher", "context_id")
 #: seconds between liveness checks while waiting on results; purely a
 #: polling interval for detecting killed workers, never a deadline
 _DRAIN_POLL_S = 2.0
-
-#: the worker environment's OpenBLAS pool size, unless the caller set
-#: one: a worker never calls BLAS (the kernel and the column decode do
-#: not), so the server thread numpy's import would start only burns CPU
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1"}
-
-
-@contextmanager
-def _worker_environment() -> Iterator[None]:
-    """:data:`_WORKER_ENV` in ``os.environ`` while workers spawn (a spawn
-    child inherits the environment), without overriding a variable the
-    caller set; the parent's environment is restored afterwards."""
-    added = [name for name in _WORKER_ENV if name not in os.environ]
-    for name in added:
-        os.environ[name] = _WORKER_ENV[name]
-    try:
-        yield
-    finally:
-        for name in added:
-            os.environ.pop(name, None)
 
 
 class WorkerPoolError(Exception):
@@ -223,7 +201,7 @@ def run_batch(
     """Execute one batch in this process; ``(results, store degrades)``.
 
     Each result is ``(index, payload text, native_info)``.  The trace
-    resolves through the per-process memo (decode once, reuse across
+    resolves through the per-process memo (map once, reuse across
     batches).  When the batch is native and the kernel's batch driver is
     enabled, every cell maps to a row and a seed key of the table's
     kernel rows (a context cell through its slot, a table family through
@@ -343,9 +321,8 @@ class WorkerPool:
             )
             for i in range(self.jobs)
         ]
-        with _worker_environment():
-            for proc in self._procs:
-                proc.start()
+        for proc in self._procs:
+            proc.start()
         self._closed = False
         #: batches submitted and not yet drained
         self._outstanding = 0

@@ -291,7 +291,9 @@ class SweepScheduler:
 
         ``max_cells`` caps how many *pending* cells this call executes
         (the deterministic stand-in for a mid-sweep kill: the DB is left
-        exactly as a real interruption after that many cells would).
+        exactly as a real interruption after that many cells would); a
+        negative cap raises :class:`ValueError` before anything runs or
+        registers.
         Every executed cell commits with its batch, so interrupting the
         loop anywhere loses at most the in-flight batches.
 
@@ -307,6 +309,8 @@ class SweepScheduler:
         they stand for — ad-hoc programs and custom specs, whose traces
         ship by value; a name it does not map is a registry workload.
         """
+        if max_cells is not None and max_cells < 0:
+            raise ValueError(f"max_cells must be non-negative, not {max_cells}")
         drain_store_degrades()  # events before this run are not its own
         heals_before = self.store.heals
         supplies = self._resolve(plan, sources)

@@ -148,7 +148,7 @@ def _load_trace(
     try:
         if native:
             # hand the mmap-backed reader straight to the simulator:
-            # the native kernel decodes it zero-copy via as_array, and
+            # the native kernel reads its record block in place, and
             # any interpreted fallback iterates it lazily.  A
             # fingerprint mismatch falls through to read_trace, which
             # raises the descriptive store error

@@ -88,31 +88,6 @@ RECORD_FORMAT = "<" + "".join(fmt for _, fmt in RECORD_FIELDS)
 _RECORD_STRUCT = struct.Struct(RECORD_FORMAT)
 RECORD_SIZE = _RECORD_STRUCT.size
 
-#: struct format -> numpy dtype string for :func:`record_dtype`; keyed on
-#: the same RECORD_FIELDS tuple PERF002 pins, so a layout edit that adds a
-#: new format character fails loudly here rather than decoding garbage
-_NUMPY_FORMATS = {"Q": "<u8", "q": "<i8", "I": "<u4", "H": "<u2", "B": "u1"}
-
-
-def record_dtype():
-    """Numpy structured dtype mirroring :data:`RECORD_FORMAT` byte-for-byte.
-
-    Built from :data:`RECORD_FIELDS` (the PERF002-pinned layout), packed —
-    no alignment padding — so ``itemsize == RECORD_SIZE`` and a store
-    file's record block reinterprets as a struct array with zero copies.
-    Imports numpy lazily: the base environment runs without it, and every
-    caller degrades to the scalar decoder when it is absent.
-    """
-    import numpy
-
-    dtype = numpy.dtype([(name, _NUMPY_FORMATS[fmt]) for name, fmt in RECORD_FIELDS])
-    if dtype.itemsize != RECORD_SIZE:
-        raise TraceStoreError(
-            f"record dtype itemsize {dtype.itemsize} != RECORD_SIZE "
-            f"{RECORD_SIZE}; layout and dtype have diverged"
-        )
-    return dtype
-
 _HEADER_STRUCT = struct.Struct("<8sIIQ")
 HEADER_SIZE = _HEADER_STRUCT.size
 
@@ -222,6 +197,14 @@ def _encode_record(access: MemoryAccess) -> bytes:
         flags,
         int(hints.ref_form),
     )
+
+
+def pack_records(accesses: Iterable[MemoryAccess]) -> bytes:
+    """``accesses`` as a store file's record block: :data:`RECORD_SIZE`
+    bytes each, what :func:`write_trace` writes after the header (the
+    native kernel reads an access list in this form).  Raises
+    :class:`TraceStoreError` for an access the format cannot hold."""
+    return b"".join(map(_encode_record, accesses))
 
 
 #: the branch tuples and hint records of a trace repeat heavily; interning
@@ -369,8 +352,7 @@ def write_trace(
             )
             fp.write(header)
             fp.write(meta_json)
-            for access in trace:
-                fp.write(_encode_record(access))
+            fp.write(pack_records(trace))
         os.replace(tmp, path)
     except BaseException as exc:
         try:
@@ -508,25 +490,15 @@ class TraceReader(Sequence[MemoryAccess]):
         count = self.meta.records if limit is None else min(limit, self.meta.records)
         return list(_decode_records(self._map, self._offset, count, self._interner))
 
-    def as_array(self, limit: int | None = None):
-        """Records as a read-only numpy struct array (zero-copy from the mmap).
-
-        The array is a view over the mapped file using :func:`record_dtype`
-        — no bytes are decoded or copied; keep the reader open while the
-        array is alive.  The native simulation kernel feeds from this view.
-        Raises :class:`TraceStoreError` when numpy is unavailable (callers
-        degrade to the scalar decoder and must log the fallback).
+    def record_block(self, limit: int | None = None) -> memoryview:
+        """The first ``limit`` records (all when ``None``) as a read-only
+        view of the mapped file: :data:`RECORD_SIZE` bytes each, laid out
+        as :data:`RECORD_FIELDS`, nothing decoded or copied.  The native
+        kernel reads them in place.  Release the view before
+        :meth:`close`: a mapped file cannot close under a live view.
         """
-        try:
-            dtype = record_dtype()
-        except ImportError as exc:
-            raise TraceStoreError(f"numpy unavailable for array decode: {exc}") from exc
-        import numpy
-
         count = self.meta.records if limit is None else min(limit, self.meta.records)
-        if count <= 0:
-            return numpy.empty(0, dtype=dtype)
-        return numpy.frombuffer(self._map, dtype=dtype, count=count, offset=self._offset)
+        return memoryview(self._map)[self._offset : self._offset + count * RECORD_SIZE]
 
     def close(self) -> None:
         if isinstance(self._map, mmap.mmap):
@@ -719,9 +691,9 @@ __all__ = [
     "TraceReader",
     "TraceStore",
     "TraceStoreError",
+    "pack_records",
     "read_meta",
     "read_trace",
-    "record_dtype",
     "record_layout_hash",
     "workloads_fingerprint",
     "write_trace",

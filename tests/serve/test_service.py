@@ -107,6 +107,21 @@ class TestSweepService:
         # nothing executed: no coverage clause
         assert last.summary().endswith("4 cells, 0 executed, 4 resumed")
 
+    def test_a_negative_cap_registers_and_runs_nothing(self, tmp_path, store):
+        plan = plan_from_axes(
+            workloads=WORKLOADS, prefetchers=PREFETCHERS, limit=LIMIT
+        )
+        with SweepService(db=tmp_path / "sweep.db", store=store) as service:
+            with pytest.raises(ValueError, match="max_cells"):
+                service.submit(plan, max_cells=-1)
+            assert service.db.sweeps() == []
+            assert service.query() == []
+            # a cap of zero registers the sweep and executes nothing
+            stats = service.submit(plan, max_cells=0)
+            assert (stats.executed, stats.resumed) == (0, 0)
+            assert service.db.sweeps() == [(stats.sweep, 0, 4)]
+            assert service.query() == []
+
 
 class TestServeCLI:
     def test_submit_status_query(self, tmp_path, store, capsys):
@@ -152,6 +167,28 @@ class TestServeCLI:
         rows = json.loads(capsys.readouterr().out)
         assert [r["workload"] for r in rows] == WORKLOADS
         assert all(r["result"]["prefetcher"] == "context" for r in rows)
+
+    def test_the_printed_sweep_id_finds_its_cells(self, tmp_path, store, capsys):
+        db = str(tmp_path / "sweep.db")
+        assert main(
+            [
+                "serve", "submit",
+                "--workloads", ",".join(WORKLOADS),
+                "--prefetchers", ",".join(PREFETCHERS),
+                "--limit", str(LIMIT),
+                "--jobs", "1",
+                "--db", db,
+                "--store-dir", str(store.root),
+            ]
+        ) == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        printed = summary.split()[1].rstrip(":")
+        assert summary.startswith(f"sweep {printed}: 4 cells")
+        assert main(["serve", "query", "--db", db, "--sweep", printed]) == 0
+        assert "4 cell(s)" in capsys.readouterr().out
+        # an id that prefixes no registered sweep is an error
+        assert main(["serve", "query", "--db", db, "--sweep", "not-a-sweep"]) == 1
+        assert "no sweep" in capsys.readouterr().err
 
     def test_in_memory_db_leaves_no_file(self, tmp_path, store, monkeypatch, capsys):
         # an in-memory DB has no file for a progress sidecar to sit next

@@ -166,7 +166,7 @@ def test_phased_run_parity(prefetcher: str) -> None:
 
 def _require_native() -> None:
     if not native_pkg.is_available():
-        pytest.skip("compiled kernel unavailable (numpy/cffi/toolchain)")
+        pytest.skip("compiled kernel unavailable (cffi/toolchain)")
 
 
 @pytest.mark.parametrize("workload", sorted(set(SPEC["workloads"])))

@@ -28,8 +28,15 @@ Coverage here:
 * the pool's ``run_batch`` with the kernel driver on vs off (the PR 9
   per-cell dispatch), which is exactly the parity the sweep benchmark
   gates on;
+* the record boundary: the kernel reads the trace store's records, so
+  a stored trace and the same records by value give identical text; a
+  trace the kernel cannot read (an address past 48 bits, an access the
+  record format refuses) runs every family on the oracle with one
+  reason; every family folds branch history, so a simulator can take a
+  context prefetcher after a table family; and a reader closes after a
+  native run;
 * worker memory: a 1,024-cell shard peaks with the thread count's
-  state, not the cell count's;
+  state, not the cell count's, and a one-cell shard starts no thread;
 * ``--runslow``: a randomized differential fuzz over shard composition
   (sizes, eligible/fallback mixes, table sizes, thread counts), and a
   subprocess leg that forces the serial (no-OpenMP) build and requires
@@ -60,15 +67,18 @@ from repro.prefetchers.sms import SMSPrefetcher
 from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 from repro.sim import native as native_pkg
 from repro.sim.codec import encode_text
+from repro.sim.config import PREFETCHER_FACTORIES, PREFETCHER_ORDER
 from repro.sim.native import adapter
+from repro.sim.native.build import kernel_openmp
 from repro.sim.sched.pool import BatchShared, ContextTable, run_batch
 from repro.sim.simulator import Simulator
+from repro.workloads.store import TraceReader, write_trace
 from repro.workloads.suites import get_workload
 from repro.workloads.trace import MemoryAccess
 
 pytestmark = pytest.mark.skipif(
     not native_pkg.is_available(),
-    reason="compiled kernel unavailable (numpy/cffi/toolchain)",
+    reason="compiled kernel unavailable (cffi/toolchain)",
 )
 
 LIMIT = 300
@@ -807,6 +817,157 @@ class TestPoolBatchDriver:
         assert on_info[3] == (True, None)
         # the over-cap context cell degraded alone, with a reason
         assert on_info[2][0] is False and on_info[2][1]
+
+
+def _family_batch(trace) -> tuple:
+    """``(texts, reasons)`` of one ``run_native_batch`` call that runs
+    every family of the registry once over ``trace``."""
+    table = ContextTable.with_rows((None,), PREFETCHER_ORDER).rows
+    cells = [
+        (table.slot_row[0], 0) if name == "context" else table.family[name]
+        for name in PREFETCHER_ORDER
+    ]
+    texts, reasons, _trace, _limit = adapter.run_native_batch(
+        [row for row, _key in cells],
+        [key for _row, key in cells],
+        trace,
+        table=table,
+        workload_name="records",
+        limit=None,
+    )
+    return texts, reasons
+
+
+def _oracle_text(name: str, trace) -> str:
+    sim = Simulator(PREFETCHER_FACTORIES[name](), native=False)
+    return encode_text(sim.run(trace, workload_name="records"))
+
+
+class TestRecordBoundary:
+    """The kernel's one input is the trace store's packed record."""
+
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        """``list``'s records (about half carry a branch outcome and
+        half are hinted), by value and as a store file's reader."""
+        built = get_workload("list").build().trace()[:LIMIT]
+        meta = write_trace(tmp_path / "t.rpt", built, workload="list")
+        reader = TraceReader(meta.path)
+        yield tuple(built), reader
+        reader.close()
+
+    def test_a_store_file_and_its_records_by_value_give_one_text(self, stored):
+        by_value, reader = stored
+        texts, reasons = _family_batch(by_value)
+        assert reasons == [None] * len(PREFETCHER_ORDER)
+        assert _family_batch(reader) == (texts, reasons)
+        for name, text in zip(PREFETCHER_ORDER, texts):
+            assert text == _oracle_text(name, by_value), name
+
+    @pytest.mark.parametrize(
+        "access, reason",
+        [
+            pytest.param(
+                MemoryAccess(addr=1 << 48, pc=0x400000),
+                "an address exceeds the modelled 48-bit space",
+                id="address-beyond-48-bits",
+            ),
+            pytest.param(
+                MemoryAccess(addr=0x9000, pc=0x400000, branches=(True,) * 65),
+                "an access does not fit the trace store's record format",
+                id="65-branch-outcomes",
+            ),
+        ],
+    )
+    def test_a_trace_the_kernel_cannot_read_runs_on_the_oracle(
+        self, tmp_path, access, reason
+    ):
+        trace = [*_trace("list")[:200], access, *_trace("list")[200:]]
+        sources = [trace, tuple(trace)]
+        if access.addr >> 48:  # the store holds any u64 address
+            path = write_trace(tmp_path / "t.rpt", trace, workload="wide").path
+            sources.append(TraceReader(path))
+        for source in sources:
+            texts, reasons = _family_batch(source)
+            assert texts == [None] * len(PREFETCHER_ORDER)
+            assert reasons == [reason] * len(PREFETCHER_ORDER)
+            for name in PREFETCHER_ORDER:
+                sim = Simulator(PREFETCHER_FACTORIES[name](), native=True)
+                text = encode_text(sim.run(source, workload_name="records"))
+                assert not sim.last_run_native, name
+                assert sim.last_native_fallback == reason, name
+                assert text == _oracle_text(name, trace), name
+            if isinstance(source, TraceReader):
+                source.close()
+
+    def test_a_simulator_takes_a_context_prefetcher_after_a_table_family(self):
+        # the kernel folds branch outcomes into the history register for
+        # every family, as the oracle does, so a simulator that ran
+        # stride natively hands a context prefetcher the same history
+        first, second = _trace("list")[:150], _trace("list")[150:]
+        texts = []
+        for native in (True, False):
+            sim = Simulator(PREFETCHER_FACTORIES["stride"](), native=native)
+            sim.run(first, workload_name="records")
+            sim.prefetcher = PREFETCHER_FACTORIES["context"]()
+            result = sim.run(second, workload_name="records", start_index=150)
+            assert sim.last_run_native is native
+            texts.append(encode_text(result))
+        assert texts[0] == texts[1]
+
+    def test_a_reader_closes_after_a_native_run(self, stored):
+        _by_value, reader = stored
+        sim = Simulator(PREFETCHER_FACTORIES["context"](), native=True)
+        sim.run(reader, workload_name="records")
+        assert sim.last_run_native, sim.last_native_fallback
+        _family_batch(reader)
+        reader.close()
+
+
+#: subprocess body for the team-size test: one one-cell batch asking for
+#: four kernel threads, then the process's OS threads before and after
+_TEAM_SCRIPT = """
+import os
+from repro.core.config import ContextPrefetcherConfig
+from repro.sim.native.adapter import run_native_batch
+from repro.sim.sched.pool import ContextTable
+from repro.workloads.suites import get_workload
+
+table = ContextTable.with_rows((ContextPrefetcherConfig(),), ("context",)).rows
+trace = tuple(get_workload("list").build().trace()[:200])
+before = len(os.listdir("/proc/self/task"))
+texts, reasons, _trace, _limit = run_native_batch(
+    [table.slot_row[0]], [0], trace, table=table, workload_name="list",
+    limit=None, threads=4,
+)
+assert reasons == [None], reasons
+print(before, len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").exists() or not kernel_openmp(),
+    reason="needs /proc and the OpenMP build",
+)
+def test_a_kernel_team_never_outnumbers_its_cells() -> None:
+    """libgomp keeps a team's threads for reuse, so a team larger than
+    its shard would leave idle threads behind for the process's life."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[2] / "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TEAM_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    assert after == before
 
 
 #: subprocess body for the worker-memory test: one 1,024-cell context

@@ -41,7 +41,7 @@ NUM_SLOW_CASES = 600
 
 pytestmark = pytest.mark.skipif(
     not native_pkg.is_available(),
-    reason="compiled kernel unavailable (numpy/cffi/toolchain)",
+    reason="compiled kernel unavailable (cffi/toolchain)",
 )
 
 

@@ -22,7 +22,7 @@ from repro.sim import native as native_pkg
 
 pytestmark = pytest.mark.skipif(
     not native_pkg.is_available(),
-    reason="compiled kernel unavailable (numpy/cffi/toolchain)",
+    reason="compiled kernel unavailable (cffi/toolchain)",
 )
 
 M61 = (1 << 61) - 1

@@ -21,7 +21,7 @@ from repro.sim import native as native_pkg
 
 pytestmark = pytest.mark.skipif(
     not native_pkg.is_available(),
-    reason="compiled kernel unavailable (numpy/cffi/toolchain)",
+    reason="compiled kernel unavailable (cffi/toolchain)",
 )
 
 #: 32 seeds spanning the shapes ``random_seed`` key-folds differently:

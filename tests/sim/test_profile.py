@@ -18,7 +18,7 @@ from repro.sim.profile import ProfileReport, profile_run, render
 
 def _require_native() -> None:
     if not native_pkg.is_available():
-        pytest.skip("compiled kernel unavailable (numpy/cffi/toolchain)")
+        pytest.skip("compiled kernel unavailable (cffi/toolchain)")
 
 
 class TestInterpretedMode:

@@ -16,6 +16,7 @@ Two invariants carry the whole subsystem:
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import sqlite3
 import subprocess
@@ -79,7 +80,7 @@ def stored_text(db, key):
 
 needs_kernel = pytest.mark.skipif(
     not native_pkg.is_available(),
-    reason="compiled kernel unavailable (numpy/cffi/toolchain)",
+    reason="compiled kernel unavailable (cffi/toolchain)",
 )
 
 
@@ -278,7 +279,35 @@ class TestResultDB:
         assert calls["n"] == 1
 
 
+def _open_fresh_dbs(root: str, count: int, barrier) -> None:
+    """One of two processes opening the same ``count`` fresh result DBs,
+    each at the same instant as the other; exits 1 if any open failed."""
+    failed = 0
+    for i in range(count):
+        barrier.wait(timeout=60)
+        try:
+            ResultDB(Path(root) / f"{i}.sqlite").close()
+        except ResultDBError:
+            failed += 1
+    raise SystemExit(1 if failed else 0)
+
+
 class TestConcurrentWriters:
+    def test_two_processes_open_one_fresh_db_at_once(self, tmp_path):
+        # switching a fresh file to WAL from two processes at once can
+        # deadlock, which SQLite answers with BUSY without waiting
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(target=_open_fresh_dbs, args=(str(tmp_path), 40, barrier))
+            for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=300)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+
     def test_two_submitters_disjoint_shards(self, tmp_path, store):
         """Two processes filling one WAL DB match the serial dump."""
         script = Path(__file__).with_name("_concurrent_writer.py")
@@ -393,27 +422,66 @@ class TestWarmPool:
         # negative signal number of a terminated one
         assert [proc.exitcode for proc in workers._procs] == [0, 0]
 
-    @pytest.mark.skipif(
-        not Path("/proc/self/environ").exists(), reason="needs /proc"
-    )
-    def test_workers_spawn_without_an_openblas_pool(self, monkeypatch):
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+#: subprocess body: a ``jobs=1`` native sweep over every family, then the
+#: numpy modules the process loaded (argv[1] is a fresh store directory)
+_NUMPY_FREE_SWEEP = """
+import sys
+from repro.sim.config import PREFETCHER_ORDER
+from repro.sim.runner import compare
+from repro.workloads.store import TraceStore
+
+result = compare(
+    ["list", "array"], PREFETCHER_ORDER, limit=800, jobs=1, native=True,
+    store=TraceStore(sys.argv[1]),
+)
+assert result.stats.kernel_cells == result.stats.executed > 0, result.stats.summary()
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+@needs_kernel
+class TestNumpyFree:
+    """The kernel reads the trace store's records in place: neither a
+    worker nor a one-job sweep loads numpy."""
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
+    def test_a_native_worker_maps_no_numpy(self, store):
+        ref, _built = store.ensure("list")
+        shared = pool.BatchShared(
+            workload="list",
+            limit=LIMIT,
+            native=True,
+            context_table=pool.ContextTable.with_rows((None,), PREFETCHERS),
+            store_path=str(ref.path),
+            store_fingerprint=ref.fingerprint,
+        )
         workers = pool.WorkerPool(1)
         try:
-            environ = Path(f"/proc/{workers.worker_pids()[0]}/environ").read_bytes()
+            workers.submit(0, shared, ((0, "none", 0), (1, "context", 0)))
+            _batch, results, _degrades = workers.drain_one()
+            maps = Path(f"/proc/{workers.worker_pids()[0]}/maps").read_text()
         finally:
             workers.close()
-        assert b"OPENBLAS_NUM_THREADS=1" in environ.split(b"\0")
-        # the parent's environment is left as it was
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        workers = pool.WorkerPool(1)
-        try:
-            environ = Path(f"/proc/{workers.worker_pids()[0]}/environ").read_bytes()
-        finally:
-            workers.close()
-        assert b"OPENBLAS_NUM_THREADS=3" in environ.split(b"\0")
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert [info for _i, _p, info in results] == [(True, None)] * 2
+        assert "numpy" not in maps
+
+    def test_a_one_job_native_sweep_imports_no_numpy(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(Path(__file__).resolve().parents[2] / "src")
+            + os.pathsep
+            + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_SWEEP, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "[]"
 
 
 class TestSchedulerDeterminism:

@@ -21,11 +21,13 @@ from repro.workloads.serialize import trace_fingerprint
 from repro.workloads.store import (
     HEADER_SIZE,
     MAGIC,
+    RECORD_FIELDS,
     RECORD_SIZE,
     STORE_VERSION,
     TraceReader,
     TraceStore,
     TraceStoreError,
+    pack_records,
     read_meta,
     read_trace,
     record_layout_hash,
@@ -107,6 +109,25 @@ class TestRoundTrip:
             assert reader.materialize(50) == built[:50]
         finally:
             reader.close()
+
+    def test_record_block_limit_and_empty(self, tmp_path):
+        # the block a kernel reads is the encoder's bytes: a list packs
+        # to what the store file holds
+        built = get_workload("array").build().trace()[:300]
+        write_trace(tmp_path / "t.rpt", built, workload="array")
+        reader = TraceReader(tmp_path / "t.rpt")
+        with reader.record_block(40) as block:
+            assert block.readonly
+            assert bytes(block) == pack_records(built[:40])
+        for limit, records in ((10_000, 300), (None, 300), (0, 0)):
+            with reader.record_block(limit) as block:
+                assert len(block) == records * RECORD_SIZE
+        reader.close()  # no view outlives its with-block
+        write_trace(tmp_path / "e.rpt", [], workload="empty")
+        empty = TraceReader(tmp_path / "e.rpt")
+        with empty.record_block() as block:
+            assert len(block) == 0
+        empty.close()
 
     def test_read_trace_limit(self, tmp_path):
         built = get_workload("array").build().trace()[:300]
@@ -247,24 +268,32 @@ class TestStoreDirectory:
 
 
 class TestNumpyDecode:
-    """The struct-array view (``as_array``) against the scalar decoder.
+    """The record block the native kernel reads, through numpy.
 
-    The native kernel feeds from the numpy view, so any divergence
-    between the two decoders would silently change simulation inputs.
-    Every registry workload round-trips field-for-field; the degrade
-    tests prove the decode layer *logs and falls back* (rule FLW) rather
-    than raising when a stream cannot be represented.
+    ``TraceReader.record_block`` hands the kernel the mapped records
+    untouched, and the kernel reads each field at an offset generated
+    from :data:`RECORD_FIELDS`.  numpy's structured dtype is a second
+    reader of that layout, independent of the store's ``struct`` codec:
+    for every registry workload the block must decode through it to the
+    built trace, field for field, and be a view of the map, not a copy.
     """
+
+    @staticmethod
+    def _view(np, block):
+        formats = {"Q": "<u8", "q": "<i8", "I": "<u4", "H": "<u2", "B": "u1"}
+        dtype = np.dtype([(name, formats[fmt]) for name, fmt in RECORD_FIELDS])
+        assert dtype.itemsize == RECORD_SIZE
+        return np.frombuffer(block, dtype=dtype)
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_registry_workload_array_matches_records(self, name, tmp_path):
         np = pytest.importorskip("numpy")
         built = get_workload(name).build().trace()
         write_trace(tmp_path / "t.rpt", built, workload=name)
-        # no close(): the struct array is a live view over the mmap, so
-        # closing under it raises BufferError; the reader is GC-owned here
+        # no close(): the array is a live view over the mmap, so closing
+        # under it raises BufferError; the reader is GC-owned here
         reader = TraceReader(tmp_path / "t.rpt")
-        arr = reader.as_array()
+        arr = self._view(np, reader.record_block())
         assert arr.shape[0] == len(built)
         assert arr["addr"].tolist() == [a.addr for a in built]
         assert arr["pc"].tolist() == [a.pc for a in built]
@@ -284,7 +313,7 @@ class TestNumpyDecode:
             for a in built
         ]
         assert arr["flags"].tolist() == expected_flags
-        # SemanticHints payload columns (NO_HINTS encodes as zeros)
+        # SemanticHints payload fields (NO_HINTS encodes as zeros)
         assert arr["type_id"].tolist() == [a.hints.type_id for a in built]
         assert arr["link_offset"].tolist() == [
             a.hints.link_offset for a in built
@@ -292,97 +321,25 @@ class TestNumpyDecode:
         assert arr["ref_form"].tolist() == [
             int(a.hints.ref_form) for a in built
         ]
-        # the view really is zero-copy over the mapped record block
+        # the block really is zero-copy over the mapped records
         assert not arr.flags.owndata
         assert np.shares_memory(arr, np.frombuffer(reader._map, dtype="u1"))
 
     def test_hinted_workload_has_hint_payloads(self, tmp_path):
-        # a workload with semantic hints must carry them into the array
-        # view — all-zero hint columns would mean a silently lossy codec
-        pytest.importorskip("numpy")
+        # a workload with semantic hints must carry them into the block
+        # the kernel reads — all-zero hint fields would mean a silently
+        # lossy codec
+        np = pytest.importorskip("numpy")
         built = get_workload("list").build().trace()
         write_trace(tmp_path / "t.rpt", built, workload="list")
         # GC-owned reader: closing under a live array view raises
         reader = TraceReader(tmp_path / "t.rpt")
-        arr = reader.as_array()
+        arr = self._view(np, reader.record_block())
         hinted = (arr["flags"] & 4) != 0
         assert bool(hinted.any()), "list workload is expected to be hinted"
         assert int(arr["type_id"][hinted].max()) > 0 or int(
             arr["link_offset"][hinted].max()
         ) > 0
-
-    def test_as_array_limit_and_empty(self, tmp_path):
-        pytest.importorskip("numpy")
-        built = get_workload("array").build().trace()[:300]
-        write_trace(tmp_path / "t.rpt", built, workload="array")
-        reader = TraceReader(tmp_path / "t.rpt")
-        try:
-            assert reader.as_array(40).shape[0] == 40
-            assert reader.as_array(10_000).shape[0] == 300
-            assert reader.as_array(0).shape[0] == 0
-        finally:
-            reader.close()
-        write_trace(tmp_path / "e.rpt", [], workload="empty")
-        empty = TraceReader(tmp_path / "e.rpt")
-        try:
-            assert empty.as_array().shape[0] == 0
-        finally:
-            empty.close()
-
-    def test_columns_from_reader_matches_scalar_decode(self, tmp_path):
-        pytest.importorskip("numpy")
-        from repro.sim.native.decode import columns_from_reader
-
-        built = get_workload("list").build().trace()[:500]
-        write_trace(tmp_path / "t.rpt", built, workload="list")
-        # GC-owned reader: closing under the columns' views raises
-        reader = TraceReader(tmp_path / "t.rpt")
-        cols = columns_from_reader(reader, 400, 64)
-        assert cols is not None and cols.n == 400
-        assert cols.addrs.tolist() == [a.addr for a in built[:400]]
-        assert cols.lines.tolist() == [a.addr // 64 for a in built[:400]]
-        expected_flags = [
-            (1 if a.is_load else 0)
-            | (2 if a.depends_on_prev else 0)
-            | (4 if a.hints != NO_HINTS else 0)
-            for a in built[:400]
-        ]
-        assert cols.flags.tolist() == expected_flags
-
-    def test_corrupt_array_view_degrades_with_log(self, caplog):
-        # a reader whose record block cannot be viewed (truncation found
-        # at array-decode time) must LOG and return None — never raise —
-        # so the simulator falls back to the interpreted path (rule FLW)
-        pytest.importorskip("numpy")
-        from repro.sim.native.decode import columns_from_reader
-
-        class _BadReader:
-            def as_array(self, limit=None):
-                raise TraceStoreError("record block truncated or corrupt")
-
-        with caplog.at_level("WARNING", logger="repro.sim.native.decode"):
-            assert columns_from_reader(_BadReader(), None, 64) is None
-        assert any(
-            "array view failed" in rec.message for rec in caplog.records
-        )
-
-    def test_out_of_range_stream_degrades_with_log(self, caplog):
-        pytest.importorskip("numpy")
-        from repro.sim.native.decode import columns_from_accesses
-        from repro.workloads.trace import MemoryAccess
-
-        beyond_modelled = [MemoryAccess(addr=1 << 50, pc=0x400000)]
-        with caplog.at_level("WARNING", logger="repro.sim.native.decode"):
-            assert columns_from_accesses(beyond_modelled, 64) is None
-        assert any("48-bit" in rec.message for rec in caplog.records)
-
-        caplog.clear()
-        beyond_u64 = [MemoryAccess(addr=0, pc=0x400000, inst_gap=1 << 40)]
-        with caplog.at_level("WARNING", logger="repro.sim.native.decode"):
-            assert columns_from_accesses(beyond_u64, 64) is None
-        assert any(
-            "value ranges" in rec.message for rec in caplog.records
-        )
 
     def test_native_sweep_cell_survives_corrupt_store_file(self, tmp_path):
         # end-to-end degrade: a native batch pointed at a truncated store
