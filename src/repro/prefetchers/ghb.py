@@ -38,6 +38,8 @@ class GHBConfig:
             raise ValueError(f"unknown localization {self.localization!r}")
         if self.match_length < 1:
             raise ValueError("match_length must be >= 1")
+        if self.ghb_entries < 1:
+            raise ValueError("ghb_entries must be >= 1")
 
 
 @dataclass(slots=True)

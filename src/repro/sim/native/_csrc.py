@@ -2267,7 +2267,10 @@ SOURCE_PF = r"""
 /* ------------------------------------------------------------------ */
 /* prefetchers.  Request buffer: every family emits at most 64 requests
  * per access (degree <= 64, SMS lines_per_region <= 64 — enforced on
- * the Python side before a config is handed to the kernel). */
+ * the Python side before a config is handed to the kernel).  A table or
+ * line size that is a power of two masks and shifts where the Python
+ * divides (ctx_div's idiom: any other size divides).  Every request
+ * address is non-negative. */
 
 #define MAX_REQS 64
 
@@ -2289,6 +2292,7 @@ typedef struct {
 
 typedef struct {
     int64_t table_entries, degree, line_bytes;
+    int table_shift, line_shift;   /* shift_of(): -1 divides */
     uint8_t train_on_miss_only;
     SEntry *table;
 } Stride;
@@ -2335,10 +2339,11 @@ static int om_node_of(OrderedMap *o, int64_t key) {
     return (int)map_get(&o->slots, key, -1);
 }
 
-/* dict assignment: update in place when present, else append */
-static void om_set(OrderedMap *o, int64_t key, int64_t val) {
+/* dict assignment: update in place when present, else append; returns
+ * the key's node */
+static int om_set(OrderedMap *o, int64_t key, int64_t val) {
     int n = om_node_of(o, key);
-    if (n >= 0) { o->nodes[n].val = val; return; }
+    if (n >= 0) { o->nodes[n].val = val; return n; }
     n = o->free_head;
     o->free_head = o->nodes[n].next;
     OmNode *node = &o->nodes[n];
@@ -2348,6 +2353,7 @@ static void om_set(OrderedMap *o, int64_t key, int64_t val) {
     o->tail = n;
     o->count++;
     map_set(&o->slots, key, n);
+    return n;
 }
 
 static void om_unlink(OrderedMap *o, int n) {
@@ -2365,99 +2371,8 @@ static void om_evict_oldest(OrderedMap *o) {
     if (o->head >= 0) om_unlink(o, o->head);
 }
 
-typedef struct {
-    int64_t ghb_entries, index_entries, match_length, degree, max_walk, line_bytes;
-    uint8_t localization_pc;
-    uint8_t train_on_miss_only;
-    int64_t *buf_addr;
-    int64_t *buf_link;
-    uint8_t *buf_used;
-    int64_t next_seq;
-    OrderedMap index;
-    int64_t *stream;   /* scratch, max_walk */
-    int64_t *deltas;   /* scratch, max_walk */
-} Ghb;
-
-/* ---- SMS: insertion-ordered filter/AGT arrays + PHT ---- */
-
-typedef struct {
-    int64_t region;
-    uint64_t trigger_pc;
-    int64_t trigger_offset;
-    uint64_t pattern;
-    int64_t last_touch;
-} Gen;
-
-typedef struct {
-    int64_t region_bytes, line_bytes, filter_entries, agt_entries, pht_entries;
-    int64_t timeout, lines_per_region;
-    Gen *filt;
-    int filt_len;
-    Gen *agt;
-    int agt_len;
-    uint64_t *pht;     /* 0 == absent: committed patterns have >= 2 bits */
-    int64_t *stale;    /* scratch */
-} Sms;
-
-static int64_t sms_pht_index(Sms *s, uint64_t pc, int64_t offset) {
-    unsigned __int128 x =
-        (unsigned __int128)pc * 0x9E3779B1ULL + (unsigned __int128)(uint64_t)offset;
-    return (int64_t)(uint64_t)(x % (unsigned __int128)(uint64_t)s->pht_entries);
-}
-
-static void sms_end_generation(Sms *s, Gen *g) {
-    if (__builtin_popcountll(g->pattern) >= 2)
-        s->pht[sms_pht_index(s, g->trigger_pc, g->trigger_offset)] = g->pattern;
-}
-
-static int sms_find(Gen *arr, int len, int64_t region) {
-    for (int i = 0; i < len; i++) {
-        if (arr[i].region == region) return i;
-    }
-    return -1;
-}
-
-static Gen sms_remove(Gen *arr, int *len, int i) {
-    Gen g = arr[i];
-    memmove(arr + i, arr + i + 1, (size_t)(*len - 1 - i) * sizeof(Gen));
-    (*len)--;
-    return g;
-}
-
-static void sms_expire_stale(Sms *s, int64_t now_index) {
-    int nstale = 0;
-    for (int i = 0; i < s->agt_len; i++) {
-        if (now_index - s->agt[i].last_touch > s->timeout) s->stale[nstale++] = s->agt[i].region;
-    }
-    for (int k = 0; k < nstale; k++) {
-        int i = sms_find(s->agt, s->agt_len, s->stale[k]);
-        Gen g = sms_remove(s->agt, &s->agt_len, i);
-        sms_end_generation(s, &g);
-    }
-    nstale = 0;
-    for (int i = 0; i < s->filt_len; i++) {
-        if (now_index - s->filt[i].last_touch > s->timeout) s->stale[nstale++] = s->filt[i].region;
-    }
-    for (int k = 0; k < nstale; k++) {
-        int i = sms_find(s->filt, s->filt_len, s->stale[k]);
-        sms_remove(s->filt, &s->filt_len, i);
-    }
-}
-
-/* ---- Markov: LRU-ordered state table with per-state successor lists ---- */
-
-typedef struct {
-    int64_t table_entries, max_succ, degree, line_bytes;
-    uint8_t train_on_miss_only;
-    OrderedMap table;    /* line -> slot in succ arrays (node index) */
-    int64_t *succ_line;  /* cap * max_succ */
-    int64_t *succ_count;
-    int *nsucc;          /* per node */
-    int64_t last_line;
-    uint8_t has_last;
-} Markov;
-
-static void markov_move_to_end(OrderedMap *o, int n) {
+/* OrderedDict.move_to_end */
+static void om_move_to_end(OrderedMap *o, int n) {
     if (o->tail == n) return;
     OmNode *node = &o->nodes[n];
     if (node->prev >= 0) o->nodes[node->prev].next = node->next; else o->head = node->next;
@@ -2467,6 +2382,105 @@ static void markov_move_to_end(OrderedMap *o, int n) {
     o->nodes[o->tail].next = n;
     o->tail = n;
 }
+
+/* one history entry.  Its link's slot sits beside the link's sequence
+ * number, so the walk steps from slot to slot and never divides; the
+ * slot is read only while the link is resident, when it names the
+ * link's entry. */
+typedef struct {
+    int64_t addr;
+    int64_t link;        /* sequence number of the previous same-key entry, or -1 */
+    int64_t link_slot;   /* link % ghb_entries */
+    uint8_t used;
+} GhbEntry;
+
+typedef struct {
+    int64_t ghb_entries, index_entries, match_length, degree, max_walk, line_bytes;
+    int line_shift;
+    uint8_t localization_pc;
+    uint8_t train_on_miss_only;
+    GhbEntry *buf;
+    int64_t next_seq;
+    int64_t next_slot;   /* next_seq % ghb_entries, a counter that wraps */
+    OrderedMap index;
+    int64_t *stream;   /* scratch, max_walk */
+    int64_t *deltas;   /* scratch, max_walk */
+} Ghb;
+
+/* ---- SMS: the filter and the AGT are ordered maps keyed by region,
+ * so the OrderedDicts' lookup, move_to_end, popitem(last=False) and del
+ * are each O(1); a generation lives in its table's pool at its node ---- */
+
+typedef struct {
+    uint64_t trigger_pc;
+    int64_t trigger_offset;
+    uint64_t pattern;
+    int64_t last_touch;
+} Gen;
+
+typedef struct {
+    int64_t region_bytes, line_bytes, filter_entries, agt_entries, pht_entries;
+    int64_t timeout, lines_per_region;
+    int region_shift, line_shift, pht_shift;   /* shift_of(): -1 divides */
+    OrderedMap filt, agt;
+    Gen *filt_gen, *agt_gen;   /* by node */
+    /* at most every last_touch in the table: each access lowers it to
+     * its index, and a scan sets it to the oldest touch it leaves */
+    int64_t filt_bound, agt_bound;
+    uint64_t *pht;     /* 0 == absent: committed patterns have >= 2 bits */
+} Sms;
+
+static int64_t sms_pht_index(const Sms *s, uint64_t pc, int64_t offset) {
+    /* 2^k divides 2^64, so the wrapped 64-bit sum keeps the low k bits
+     * of the exact one */
+    if (s->pht_shift >= 0)
+        return (int64_t)((pc * 0x9E3779B1ULL + (uint64_t)offset)
+                         & (uint64_t)(s->pht_entries - 1));
+    unsigned __int128 x =
+        (unsigned __int128)pc * 0x9E3779B1ULL + (unsigned __int128)(uint64_t)offset;
+    return (int64_t)(uint64_t)(x % (unsigned __int128)(uint64_t)s->pht_entries);
+}
+
+static void sms_end_generation(Sms *s, const Gen *g) {
+    if (__builtin_popcountll(g->pattern) >= 2)
+        s->pht[sms_pht_index(s, g->trigger_pc, g->trigger_offset)] = g->pattern;
+}
+
+/* _expire_stale on one table: drop every generation untouched for more
+ * than timeout accesses, in table order (ending each one when end is
+ * set), and leave the bound at the oldest touch kept.  A table whose
+ * bound is within the timeout holds nothing stale and is not scanned. */
+static void sms_expire(Sms *s, OrderedMap *o, Gen *gens, int64_t *bound, int end,
+                       int64_t now_index) {
+    if (!o->count || now_index - *bound <= s->timeout) return;
+    int64_t oldest = INT64_MAX;
+    for (int n = o->head; n >= 0;) {
+        int next = o->nodes[n].next;
+        int64_t touch = gens[n].last_touch;
+        if (now_index - touch > s->timeout) {
+            if (end) sms_end_generation(s, &gens[n]);
+            om_unlink(o, n);
+        } else if (touch < oldest) {
+            oldest = touch;
+        }
+        n = next;
+    }
+    *bound = oldest;
+}
+
+/* ---- Markov: LRU-ordered state table with per-state successor lists ---- */
+
+typedef struct {
+    int64_t table_entries, max_succ, degree, line_bytes;
+    int line_shift;
+    uint8_t train_on_miss_only;
+    OrderedMap table;    /* line -> slot in succ arrays (node index) */
+    int64_t *succ_line;  /* cap * max_succ */
+    int64_t *succ_count;
+    int *nsucc;          /* per node */
+    int64_t last_line;
+    uint8_t has_last;
+} Markov;
 
 /* ---- dispatch ---- */
 
@@ -2488,9 +2502,15 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     case PF_STRIDE: {
         Stride *st = &pf->stride;
         if (st->train_on_miss_only && !primary_miss) break;
-        int64_t addr = (int64_t)(uaddr / (uint64_t)st->line_bytes) * st->line_bytes;
-        int64_t idx = (int64_t)(pc % (uint64_t)st->table_entries);
-        uint64_t tag = pc / (uint64_t)st->table_entries;
+        int64_t addr = ctx_div(uaddr, st->line_shift, st->line_bytes) * st->line_bytes;
+        uint64_t idx, tag;
+        if (st->table_shift >= 0) {
+            idx = pc & (uint64_t)(st->table_entries - 1);
+            tag = pc >> st->table_shift;
+        } else {
+            idx = pc % (uint64_t)st->table_entries;
+            tag = pc / (uint64_t)st->table_entries;
+        }
         SEntry *e = &st->table[idx];
         if (!e->used || e->tag != tag) {
             e->tag = tag; e->last_addr = addr; e->stride = 0; e->state = 0; e->used = 1;
@@ -2516,31 +2536,42 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     case PF_GHB: {
         Ghb *g = &pf->ghb;
         if (g->train_on_miss_only && !primary_miss) break;
-        int64_t addr = (int64_t)(uaddr / (uint64_t)g->line_bytes) * g->line_bytes;
+        int64_t addr = ctx_div(uaddr, g->line_shift, g->line_bytes) * g->line_bytes;
         int64_t key = g->localization_pc ? (int64_t)pc : 0;
         int node = om_node_of(&g->index, key);
         int64_t prev_seq = node >= 0 ? g->index.nodes[node].val : -1;
-        if (prev_seq < 0 || prev_seq < g->next_seq - g->ghb_entries
-            || !g->buf_used[prev_seq % g->ghb_entries])
+        int64_t prev_slot = 0;
+        if (prev_seq < 0 || prev_seq < g->next_seq - g->ghb_entries) {
             prev_seq = -1;
+        } else {
+            /* one of the last ghb_entries pushes: its slot is the write
+             * slot less its age, wrapped once */
+            prev_slot = g->next_slot - (g->next_seq - prev_seq);
+            if (prev_slot < 0) prev_slot += g->ghb_entries;
+            if (!g->buf[prev_slot].used) prev_seq = -1;
+        }
         int64_t seq = g->next_seq;
-        int64_t slot = seq % g->ghb_entries;
-        g->buf_addr[slot] = addr;
-        g->buf_link[slot] = prev_seq;
-        g->buf_used[slot] = 1;
+        int64_t slot = g->next_slot;
+        GhbEntry *w = &g->buf[slot];
+        w->addr = addr;
+        w->link = prev_seq;
+        w->link_slot = prev_slot;
+        w->used = 1;
         om_set(&g->index, key, seq);
         if (g->index.count > g->index_entries) om_evict_oldest(&g->index);
         g->next_seq++;
+        if (++g->next_slot == g->ghb_entries) g->next_slot = 0;
 
         int slen = 0;
         int64_t s = seq;
         int64_t oldest_valid = g->next_seq - g->ghb_entries;
         if (oldest_valid < 0) oldest_valid = 0;
         while (s >= oldest_valid && slen < g->max_walk) {
-            int64_t bs = s % g->ghb_entries;
-            if (!g->buf_used[bs]) break;
-            g->stream[slen++] = g->buf_addr[bs];
-            s = g->buf_link[bs];
+            const GhbEntry *e = &g->buf[slot];
+            if (!e->used) break;
+            g->stream[slen++] = e->addr;
+            s = e->link;
+            slot = e->link_slot;
         }
         int64_t m = g->match_length;
         if (slen < m + 2) break;
@@ -2568,41 +2599,52 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     }
     case PF_SMS: {
         Sms *s = &pf->sms;
-        int64_t region = (int64_t)(uaddr / (uint64_t)s->region_bytes);
-        int64_t offset = (int64_t)((uaddr % (uint64_t)s->region_bytes) / (uint64_t)s->line_bytes);
-        sms_expire_stale(s, index);
+        int64_t region;
+        uint64_t within;
+        if (s->region_shift >= 0) {
+            region = (int64_t)(uaddr >> s->region_shift);
+            within = uaddr & (uint64_t)(s->region_bytes - 1);
+        } else {
+            region = (int64_t)(uaddr / (uint64_t)s->region_bytes);
+            within = uaddr % (uint64_t)s->region_bytes;
+        }
+        int64_t offset = ctx_div(within, s->line_shift, s->line_bytes);
+        uint64_t bit = 1ULL << offset;
+        sms_expire(s, &s->agt, s->agt_gen, &s->agt_bound, 1, index);
+        sms_expire(s, &s->filt, s->filt_gen, &s->filt_bound, 0, index);
+        if (index < s->agt_bound) s->agt_bound = index;
+        if (index < s->filt_bound) s->filt_bound = index;
 
-        int i = sms_find(s->agt, s->agt_len, region);
+        int i = om_node_of(&s->agt, region);
         if (i >= 0) {
-            Gen g = s->agt[i];
-            g.pattern |= 1ULL << offset;
-            g.last_touch = index;
-            sms_remove(s->agt, &s->agt_len, i);  /* move_to_end */
-            s->agt[s->agt_len++] = g;
+            s->agt_gen[i].pattern |= bit;
+            s->agt_gen[i].last_touch = index;
+            om_move_to_end(&s->agt, i);
             break;
         }
-        i = sms_find(s->filt, s->filt_len, region);
+        i = om_node_of(&s->filt, region);
         if (i >= 0) {
-            s->filt[i].last_touch = index;
-            if (!(s->filt[i].pattern & (1ULL << offset))) {
-                Gen g = sms_remove(s->filt, &s->filt_len, i);
-                g.pattern |= 1ULL << offset;
-                s->agt[s->agt_len++] = g;
-                if (s->agt_len > s->agt_entries) {
-                    Gen ev = sms_remove(s->agt, &s->agt_len, 0);
-                    sms_end_generation(s, &ev);
+            Gen *g = &s->filt_gen[i];
+            g->last_touch = index;
+            if (!(g->pattern & bit)) {
+                /* a second distinct line promotes the region to the AGT */
+                Gen promoted = *g;
+                promoted.pattern |= bit;
+                om_unlink(&s->filt, i);
+                s->agt_gen[om_set(&s->agt, region, 0)] = promoted;
+                if (s->agt.count > s->agt_entries) {
+                    sms_end_generation(s, &s->agt_gen[s->agt.head]);
+                    om_evict_oldest(&s->agt);
                 }
             }
             break;
         }
-        Gen ng;
-        ng.region = region;
-        ng.trigger_pc = pc;
-        ng.trigger_offset = offset;
-        ng.pattern = 1ULL << offset;
-        ng.last_touch = index;
-        s->filt[s->filt_len++] = ng;
-        if (s->filt_len > s->filter_entries) sms_remove(s->filt, &s->filt_len, 0);
+        Gen *g = &s->filt_gen[om_set(&s->filt, region, 0)];
+        g->trigger_pc = pc;
+        g->trigger_offset = offset;
+        g->pattern = bit;
+        g->last_touch = index;
+        if (s->filt.count > s->filter_entries) om_evict_oldest(&s->filt);
 
         uint64_t pattern = s->pht[sms_pht_index(s, pc, offset)];
         if (pattern == 0) break;
@@ -2616,16 +2658,15 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     case PF_MARKOV: {
         Markov *mk = &pf->markov;
         if (mk->train_on_miss_only && !primary_miss) break;
-        int64_t line = (int64_t)(uaddr / (uint64_t)mk->line_bytes);
+        int64_t line = ctx_div(uaddr, mk->line_shift, mk->line_bytes);
         if (mk->has_last && mk->last_line != line) {
             int node = om_node_of(&mk->table, mk->last_line);
             if (node < 0) {
-                om_set(&mk->table, mk->last_line, 0);
-                node = om_node_of(&mk->table, mk->last_line);
+                node = om_set(&mk->table, mk->last_line, 0);
                 mk->nsucc[node] = 0;
                 if (mk->table.count > mk->table_entries) om_evict_oldest(&mk->table);
             } else {
-                markov_move_to_end(&mk->table, node);
+                om_move_to_end(&mk->table, node);
             }
             /* observe(line): count bump, or evict the first-minimal successor */
             int64_t *sl = mk->succ_line + (int64_t)node * mk->max_succ;
@@ -2658,7 +2699,7 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
 
         int node = om_node_of(&mk->table, line);
         if (node < 0) break;
-        markov_move_to_end(&mk->table, node);
+        om_move_to_end(&mk->table, node);
         int64_t *sl = mk->succ_line + (int64_t)node * mk->max_succ;
         int64_t *sc = mk->succ_count + (int64_t)node * mk->max_succ;
         int ns = mk->nsucc[node];
@@ -2822,6 +2863,8 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         st->degree = cfg[1];
         st->line_bytes = cfg[2];
         st->train_on_miss_only = (uint8_t)cfg[3];
+        st->table_shift = shift_of(st->table_entries);
+        st->line_shift = shift_of(st->line_bytes);
         st->table = (SEntry *)calloc((size_t)st->table_entries, sizeof(SEntry));
         ok &= st->table != 0;
         break;
@@ -2836,12 +2879,12 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         g->localization_pc = (uint8_t)cfg[5];
         g->line_bytes = cfg[6];
         g->train_on_miss_only = (uint8_t)cfg[7];
-        g->buf_addr = (int64_t *)calloc((size_t)g->ghb_entries, sizeof(int64_t));
-        g->buf_link = (int64_t *)calloc((size_t)g->ghb_entries, sizeof(int64_t));
-        g->buf_used = (uint8_t *)calloc((size_t)g->ghb_entries, 1);
+        g->line_shift = shift_of(g->line_bytes);
+        g->buf = (GhbEntry *)calloc((size_t)g->ghb_entries, sizeof(GhbEntry));
         g->stream = (int64_t *)malloc((size_t)g->max_walk * sizeof(int64_t));
         g->deltas = (int64_t *)malloc((size_t)g->max_walk * sizeof(int64_t));
-        ok &= g->buf_addr && g->buf_link && g->buf_used && g->stream && g->deltas;
+        /* the write slot wraps at ghb_entries: an empty buffer has none */
+        ok &= g->ghb_entries > 0 && g->buf && g->stream && g->deltas;
         ok &= om_init(&g->index, (int)g->index_entries + 1);
         break;
     }
@@ -2854,13 +2897,16 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         m->pht_entries = cfg[4];
         m->timeout = cfg[5];
         m->lines_per_region = m->region_bytes / m->line_bytes;
-        m->filt = (Gen *)calloc((size_t)m->filter_entries + 1, sizeof(Gen));
-        m->agt = (Gen *)calloc((size_t)m->agt_entries + 1, sizeof(Gen));
+        m->region_shift = shift_of(m->region_bytes);
+        m->line_shift = shift_of(m->line_bytes);
+        m->pht_shift = shift_of(m->pht_entries);
+        m->filt_bound = m->agt_bound = INT64_MAX;
+        ok &= om_init(&m->filt, (int)m->filter_entries + 1);
+        ok &= om_init(&m->agt, (int)m->agt_entries + 1);
+        m->filt_gen = (Gen *)calloc((size_t)m->filter_entries + 1, sizeof(Gen));
+        m->agt_gen = (Gen *)calloc((size_t)m->agt_entries + 1, sizeof(Gen));
         m->pht = (uint64_t *)calloc((size_t)m->pht_entries, sizeof(uint64_t));
-        int64_t scratch = (m->filter_entries > m->agt_entries
-                           ? m->filter_entries : m->agt_entries) + 1;
-        m->stale = (int64_t *)malloc((size_t)scratch * sizeof(int64_t));
-        ok &= m->filt && m->agt && m->pht && m->stale;
+        ok &= m->filt_gen && m->agt_gen && m->pht;
         break;
     }
     case PF_MARKOV: {
@@ -2870,6 +2916,7 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         mk->degree = cfg[2];
         mk->line_bytes = cfg[3];
         mk->train_on_miss_only = (uint8_t)cfg[4];
+        mk->line_shift = shift_of(mk->line_bytes);
         ok &= om_init(&mk->table, (int)mk->table_entries + 1);
         size_t slots = (size_t)(mk->table_entries + 1) * (size_t)mk->max_succ;
         mk->succ_line = (int64_t *)calloc(slots, sizeof(int64_t));
@@ -2892,12 +2939,12 @@ void rp_pf_free(RpPf *p) {
         free(p->stride.table);
         break;
     case PF_GHB:
-        free(p->ghb.buf_addr); free(p->ghb.buf_link); free(p->ghb.buf_used);
-        free(p->ghb.stream); free(p->ghb.deltas);
+        free(p->ghb.buf); free(p->ghb.stream); free(p->ghb.deltas);
         om_free(&p->ghb.index);
         break;
     case PF_SMS:
-        free(p->sms.filt); free(p->sms.agt); free(p->sms.pht); free(p->sms.stale);
+        om_free(&p->sms.filt); om_free(&p->sms.agt);
+        free(p->sms.filt_gen); free(p->sms.agt_gen); free(p->sms.pht);
         break;
     case PF_MARKOV:
         om_free(&p->markov.table);
@@ -3016,7 +3063,6 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
     int64_t class_counts[6];
     memset(class_counts, 0, sizeof(class_counts));
     int64_t issued_real = 0, issued_shadow = 0;
-    int64_t line_bytes = h->line_bytes;
     int line_shift = h->line_shift;
     int64_t reqs[MAX_REQS];
     uint8_t req_shadow[MAX_REQS];
@@ -3125,7 +3171,7 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         }
         for (int r = 0; r < nreq; r++) {
             int64_t req_addr = reqs[r];
-            int64_t pf_line = req_addr / line_bytes;
+            int64_t pf_line = req_addr >> line_shift;   /* req_addr >= 0 */
             if (is_ctx && req_shadow[r]) {
                 hier_note_unissued(h, pf_line);
                 issued_shadow++;

@@ -8,6 +8,7 @@ prefetcher and dispatching the prefetches it returns.  Produces the
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 from collections import deque
@@ -387,8 +388,10 @@ class Simulator:
             prefetcher=pf.name,
             instructions=stats.instructions,
             cycles=max(1, stats.cycles - self._cycle_base),
-            l1=hier.l1_stats,
-            l2=hier.l2_stats,
+            # copies: the hierarchy keeps counting into its own on a
+            # later run, and a result must not change after it is made
+            l1=dataclasses.replace(hier.l1_stats),
+            l2=dataclasses.replace(hier.l2_stats),
             classifier=classifier,
             hit_depths=hit_depths,
             prefetches_issued=issued_real,

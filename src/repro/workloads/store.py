@@ -440,7 +440,7 @@ class TraceReader(Sequence[MemoryAccess]):
         try:
             with open(path, "rb") as fp:
                 if self.meta.records:
-                    self._map: mmap.mmap | bytes = mmap.mmap(
+                    self._map: mmap.mmap | bytes | None = mmap.mmap(
                         fp.fileno(), 0, access=mmap.ACCESS_READ
                     )
                 else:
@@ -449,6 +449,12 @@ class TraceReader(Sequence[MemoryAccess]):
             raise TraceStoreError(f"{path}: cannot map: {exc}") from exc
         self._interner = _Interner()
 
+    def _records(self) -> mmap.mmap | bytes:
+        """The mapped file; a closed reader has nothing to read."""
+        if self._map is None:
+            raise ValueError(f"{self.meta.path}: the trace reader is closed")
+        return self._map
+
     # -- Sequence protocol --------------------------------------------
 
     def __len__(self) -> int:
@@ -456,17 +462,18 @@ class TraceReader(Sequence[MemoryAccess]):
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         return _decode_records(
-            self._map, self._offset, self.meta.records, self._interner
+            self._records(), self._offset, self.meta.records, self._interner
         )
 
     def __getitem__(self, index):  # type: ignore[override]
+        records = self._records()
         if isinstance(index, slice):
             start, stop, step = index.indices(self.meta.records)
             if step == 1:
                 count = max(0, stop - start)
                 return list(
                     _decode_records(
-                        self._map,
+                        records,
                         self._offset + start * RECORD_SIZE,
                         count,
                         self._interner,
@@ -479,7 +486,7 @@ class TraceReader(Sequence[MemoryAccess]):
             raise IndexError(index)
         return next(
             _decode_records(
-                self._map, self._offset + index * RECORD_SIZE, 1, self._interner
+                records, self._offset + index * RECORD_SIZE, 1, self._interner
             )
         )
 
@@ -488,7 +495,9 @@ class TraceReader(Sequence[MemoryAccess]):
     def materialize(self, limit: int | None = None) -> list[MemoryAccess]:
         """Decode the first ``limit`` records (all when ``None``) eagerly."""
         count = self.meta.records if limit is None else min(limit, self.meta.records)
-        return list(_decode_records(self._map, self._offset, count, self._interner))
+        return list(
+            _decode_records(self._records(), self._offset, count, self._interner)
+        )
 
     def record_block(self, limit: int | None = None) -> memoryview:
         """The first ``limit`` records (all when ``None``) as a read-only
@@ -498,12 +507,15 @@ class TraceReader(Sequence[MemoryAccess]):
         :meth:`close`: a mapped file cannot close under a live view.
         """
         count = self.meta.records if limit is None else min(limit, self.meta.records)
-        return memoryview(self._map)[self._offset : self._offset + count * RECORD_SIZE]
+        end = self._offset + count * RECORD_SIZE
+        return memoryview(self._records())[self._offset : end]
 
     def close(self) -> None:
+        """Unmap the file.  Every later read raises :class:`ValueError`
+        (``len`` still counts the records); closing again does nothing."""
         if isinstance(self._map, mmap.mmap):
             self._map.close()
-            self._map = b""
+        self._map = None
 
 
 def read_trace(

@@ -26,6 +26,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             GHBConfig(match_length=0)
 
+    def test_rejects_an_empty_buffer(self):
+        # an empty buffer has no slot to write: the oracle would divide by
+        # zero, and the kernel's wrapping write slot run off its end
+        with pytest.raises(ValueError, match="ghb_entries"):
+            GHBConfig(ghb_entries=0)
+
     def test_flavour_names(self):
         assert GHBPrefetcher(GHBConfig(localization="global")).name == "ghb-gdc"
         assert GHBPrefetcher(GHBConfig(localization="pc")).name == "ghb-pcdc"

@@ -15,6 +15,10 @@ so the documented fallback path is fuzzed alongside the kernel itself.
 The context family draws randomized CST/reducer/window/bandit geometry,
 so the C port of the RL loop (MT19937 included) is differentially fuzzed
 against the interpreted oracle, not just replayed at the default config.
+Each table family also draws, last, sizes that are not powers of two,
+which the kernel divides by where a power of two lets it shift or mask.
+A separate test runs each table family over runs whose indices restart
+below the last run's.
 """
 
 from __future__ import annotations
@@ -119,6 +123,22 @@ def _fuzz_core(rng: random.Random) -> CoreConfig:
     )
 
 
+#: prefetcher line sizes that are not powers of two
+ODD_LINES = (24, 48, 96)
+
+
+def _odd_sizes(rng: random.Random, cfg, **choices):
+    """``cfg`` with each named size, on about a quarter of draws, one of
+    its ``choices``: sizes that are not powers of two, which the kernel
+    divides by where a power of two lets it shift or mask.  Drawn after
+    every other draw of a family's branch, so no other draw moves."""
+    odd = {}
+    for name, sizes in choices.items():
+        if rng.random() < 0.25:
+            odd[name] = rng.choice(sizes)
+    return dataclasses.replace(cfg, **odd) if odd else cfg
+
+
 def _fuzz_prefetcher(rng: random.Random, line: int):
     family = rng.randrange(7)
     # an over-cap degree (> 64 requests) must fall back, not diverge
@@ -126,48 +146,53 @@ def _fuzz_prefetcher(rng: random.Random, line: int):
     if family == 0:
         return NoPrefetcher()
     if family == 1:
-        return StridePrefetcher(
-            StrideConfig(
-                table_entries=rng.choice((16, 64, 512)),
-                degree=degree,
-                line_bytes=line,
-                train_on_miss_only=rng.random() < 0.8,
-            )
+        stride = StrideConfig(
+            table_entries=rng.choice((16, 64, 512)),
+            degree=degree,
+            line_bytes=line,
+            train_on_miss_only=rng.random() < 0.8,
         )
+        stride = _odd_sizes(
+            rng, stride, table_entries=(12, 100, 500), line_bytes=ODD_LINES
+        )
+        return StridePrefetcher(stride)
     if family in (2, 3):
-        return GHBPrefetcher(
-            GHBConfig(
-                ghb_entries=rng.choice((64, 256, 2048)),
-                index_entries=rng.choice((16, 256)),
-                match_length=rng.choice((2, 3, 4)),
-                degree=degree,
-                max_walk=rng.choice((8, 64)),
-                localization="global" if family == 2 else "pc",
-                line_bytes=line,
-                train_on_miss_only=rng.random() < 0.8,
-            )
+        ghb = GHBConfig(
+            ghb_entries=rng.choice((64, 256, 2048)),
+            index_entries=rng.choice((16, 256)),
+            match_length=rng.choice((2, 3, 4)),
+            degree=degree,
+            max_walk=rng.choice((8, 64)),
+            localization="global" if family == 2 else "pc",
+            line_bytes=line,
+            train_on_miss_only=rng.random() < 0.8,
         )
+        ghb = _odd_sizes(rng, ghb, ghb_entries=(20, 100, 1000), line_bytes=ODD_LINES)
+        return GHBPrefetcher(ghb)
     if family == 4:
-        return SMSPrefetcher(
-            SMSConfig(
-                region_bytes=rng.choice((4, 16, 32)) * line,
-                line_bytes=line,
-                filter_entries=rng.choice((4, 32)),
-                agt_entries=rng.choice((4, 32)),
-                pht_entries=rng.choice((64, 2048)),
-                generation_timeout=rng.choice((32, 512)),
-            )
+        sms = SMSConfig(
+            region_bytes=rng.choice((4, 16, 32)) * line,
+            line_bytes=line,
+            filter_entries=rng.choice((4, 32)),
+            agt_entries=rng.choice((4, 32)),
+            pht_entries=rng.choice((64, 2048)),
+            generation_timeout=rng.choice((32, 512)),
         )
+        sms = _odd_sizes(rng, sms, line_bytes=ODD_LINES, pht_entries=(100, 1000, 2047))
+        # a region of whole lines, at most 64 of them
+        sms = _odd_sizes(
+            rng, sms, region_bytes=tuple(k * sms.line_bytes for k in (3, 12, 24, 40))
+        )
+        return SMSPrefetcher(sms)
     if family == 5:
-        return MarkovPrefetcher(
-            MarkovConfig(
-                table_entries=rng.choice((64, 2048)),
-                successors_per_entry=rng.choice((1, 2, 4)),
-                degree=degree,
-                line_bytes=line,
-                train_on_miss_only=rng.random() < 0.8,
-            )
+        markov = MarkovConfig(
+            table_entries=rng.choice((64, 2048)),
+            successors_per_entry=rng.choice((1, 2, 4)),
+            degree=degree,
+            line_bytes=line,
+            train_on_miss_only=rng.random() < 0.8,
         )
+        return MarkovPrefetcher(_odd_sizes(rng, markov, line_bytes=ODD_LINES))
     return _fuzz_context(rng, degree)
 
 
@@ -317,6 +342,68 @@ def test_native_differential_fuzz(case: int) -> None:
 @pytest.mark.parametrize("case", range(NUM_SLOW_CASES))
 def test_native_differential_fuzz_extended(case: int) -> None:
     _run_case(f"native-fuzz/slow/{case}", (800, 4000), saturation_check=True)
+
+
+# ----------------------------------------------------------------------
+# rewound indices: a run may start its indices below the last run's, so
+# a table kept in touch order is in index order only while indices rise
+
+#: each table family, at its default geometry and at one whose sizes are
+#: not powers of two (the odd SMS's short timeout ends generations while
+#: a rewound run touches others: a stale generation behind a fresh one)
+REWOUND_CASES = {
+    "stride": (
+        StridePrefetcher,
+        StrideConfig(),
+        StrideConfig(table_entries=100, line_bytes=48),
+    ),
+    "ghb-gdc": (GHBPrefetcher, GHBConfig(), GHBConfig(ghb_entries=100, line_bytes=48)),
+    "ghb-pcdc": (
+        GHBPrefetcher,
+        GHBConfig(localization="pc"),
+        GHBConfig(ghb_entries=1000, line_bytes=48, localization="pc"),
+    ),
+    "sms": (
+        SMSPrefetcher,
+        SMSConfig(),
+        SMSConfig(
+            region_bytes=24 * 48,
+            line_bytes=48,
+            pht_entries=1000,
+            generation_timeout=128,
+        ),
+    ),
+    "markov": (MarkovPrefetcher, MarkovConfig(), MarkovConfig(line_bytes=48)),
+}
+
+
+@pytest.fixture(scope="module")
+def mcf_6000():
+    from repro.workloads.suites import get_workload
+
+    return get_workload("mcf").build().trace()[:6000]
+
+
+@pytest.mark.parametrize("geometry", ["default", "odd"])
+@pytest.mark.parametrize("family", sorted(REWOUND_CASES))
+def test_rewound_indices_match_the_oracle(family, geometry, mcf_6000) -> None:
+    """One simulator runs ``[0, 3000)``, then ``[3000, 6000)`` from index
+    0 again, then ``[0, 2000)`` from index 5000; after every run the
+    kernel's text is the oracle's."""
+    from repro.sim.codec import encode_text
+
+    make, default, odd = REWOUND_CASES[family]
+    cfg = odd if geometry == "odd" else default
+    sims = [Simulator(make(cfg), native=native) for native in (False, True)]
+    for lo, hi, start_index in ((0, 3000, 0), (3000, 6000, 0), (0, 2000, 5000)):
+        oracle, native = (
+            encode_text(
+                sim.run(mcf_6000[lo:hi], workload_name=family, start_index=start_index)
+            )
+            for sim in sims
+        )
+        assert sims[1].last_run_native, sims[1].last_native_fallback
+        assert native == oracle, (family, geometry, lo, hi, start_index)
 
 
 # ----------------------------------------------------------------------

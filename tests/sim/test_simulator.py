@@ -1,10 +1,15 @@
 """Tests for the trace-driven simulator."""
 
+import pytest
+
 from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.stats import ACCESS_CLASS_ORDER, AccessClass
 from repro.prefetchers.base import Prefetcher, PrefetchRequest
 from repro.prefetchers.nopf import NoPrefetcher
+from repro.sim.codec import encode_text
+from repro.sim.config import PREFETCHER_FACTORIES
 from repro.sim.simulator import Simulator
+from repro.workloads.suites import get_workload
 from repro.workloads.trace import TraceBuilder
 
 
@@ -127,3 +132,31 @@ class TestTimingSanity:
         tb.load(0x1000, "x", gap=0)
         result = Simulator(NoPrefetcher()).run(tb.accesses)
         assert result.instructions == 2
+
+
+class TestConsecutiveRuns:
+    @pytest.fixture(scope="class")
+    def mcf(self):
+        return get_workload("mcf").build().trace()[:6000]
+
+    @pytest.mark.parametrize("name", sorted(PREFETCHER_FACTORIES))
+    def test_a_result_is_unchanged_by_later_runs(self, name, mcf):
+        """Each run's result keeps its own counts when the simulator runs
+        again (the oracle's hierarchy keeps counting into its own cache
+        stats), and the oracle and the kernel agree run by run."""
+        sims = [
+            Simulator(PREFETCHER_FACTORIES[name](), native=native)
+            for native in (False, True)
+        ]
+        results = {sim: [] for sim in sims}
+        texts = {sim: [] for sim in sims}
+        for part in (mcf[:3000], mcf[3000:]):
+            for sim in sims:
+                result = sim.run(part, workload_name="mcf")
+                results[sim].append(result)
+                texts[sim].append(encode_text(result))
+        oracle, native = sims
+        assert results[oracle][0].l1.accesses == 3000
+        for sim in sims:
+            assert [encode_text(r) for r in results[sim]] == texts[sim]
+        assert texts[native] == texts[oracle]

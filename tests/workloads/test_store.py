@@ -129,6 +129,34 @@ class TestRoundTrip:
             assert len(block) == 0
         empty.close()
 
+    @pytest.mark.parametrize("native", [False, True], ids=["oracle", "native"])
+    def test_a_closed_reader_refuses_every_read(self, tmp_path, native):
+        # a closed reader has no records to give: reading none would pass
+        # for an empty trace, and a run over it for a run
+        from repro.prefetchers.stride import StridePrefetcher
+        from repro.sim.simulator import Simulator
+
+        built = get_workload("array").build().trace()[:500]
+        write_trace(tmp_path / "t.rpt", built, workload="array")
+        reader = TraceReader(tmp_path / "t.rpt")
+        reader.close()
+        reader.close()  # idempotent
+        assert len(reader) == 500
+        reads = (
+            lambda: list(reader),
+            lambda: reader[3],
+            lambda: reader[-1],
+            lambda: reader[10:20],
+            lambda: reader[::100],
+            lambda: reader[5:5],
+            reader.materialize,
+            reader.record_block,
+            lambda: Simulator(StridePrefetcher(), native=native).run(reader),
+        )
+        for read in reads:
+            with pytest.raises(ValueError, match="closed"):
+                read()
+
     def test_read_trace_limit(self, tmp_path):
         built = get_workload("array").build().trace()[:300]
         write_trace(tmp_path / "t.rpt", built, workload="array")
