@@ -2267,10 +2267,8 @@ SOURCE_PF = r"""
 /* ------------------------------------------------------------------ */
 /* prefetchers.  Request buffer: every family emits at most 64 requests
  * per access (degree <= 64, SMS lines_per_region <= 64 — enforced on
- * the Python side before a config is handed to the kernel).  A table or
- * line size that is a power of two masks and shifts where the Python
- * divides (ctx_div's idiom: any other size divides).  Every request
- * address is non-negative. */
+ * the Python side before a config is handed to the kernel).  Every
+ * request address is non-negative. */
 
 #define MAX_REQS 64
 
@@ -2292,7 +2290,6 @@ typedef struct {
 
 typedef struct {
     int64_t table_entries, degree, line_bytes;
-    int table_shift, line_shift;   /* shift_of(): -1 divides */
     uint8_t train_on_miss_only;
     SEntry *table;
 } Stride;
@@ -2383,29 +2380,26 @@ static void om_move_to_end(OrderedMap *o, int n) {
     o->tail = n;
 }
 
-/* one history entry.  Its link's slot sits beside the link's sequence
- * number, so the walk steps from slot to slot and never divides; the
- * slot is read only while the link is resident, when it names the
- * link's entry. */
-typedef struct {
-    int64_t addr;
-    int64_t link;        /* sequence number of the previous same-key entry, or -1 */
-    int64_t link_slot;   /* link % ghb_entries */
-    uint8_t used;
-} GhbEntry;
-
 typedef struct {
     int64_t ghb_entries, index_entries, match_length, degree, max_walk, line_bytes;
-    int line_shift;
     uint8_t localization_pc;
     uint8_t train_on_miss_only;
-    GhbEntry *buf;
+    int64_t *buf_addr;
+    int64_t *buf_link;
+    uint8_t *buf_used;
     int64_t next_seq;
     int64_t next_slot;   /* next_seq % ghb_entries, a counter that wraps */
     OrderedMap index;
     int64_t *stream;   /* scratch, max_walk */
     int64_t *deltas;   /* scratch, max_walk */
 } Ghb;
+
+/* the slot of s, one of the last ghb_entries pushes: the write slot
+ * less its age, wrapped once, where the Python takes s % ghb_entries */
+static int64_t ghb_slot(const Ghb *g, int64_t s) {
+    int64_t bs = g->next_slot - (g->next_seq - s);
+    return bs < 0 ? bs + g->ghb_entries : bs;
+}
 
 /* ---- SMS: the filter and the AGT are ordered maps keyed by region,
  * so the OrderedDicts' lookup, move_to_end, popitem(last=False) and del
@@ -2421,7 +2415,7 @@ typedef struct {
 typedef struct {
     int64_t region_bytes, line_bytes, filter_entries, agt_entries, pht_entries;
     int64_t timeout, lines_per_region;
-    int region_shift, line_shift, pht_shift;   /* shift_of(): -1 divides */
+    int pht_shift;     /* shift_of(pht_entries): -1 takes the 128-bit path */
     OrderedMap filt, agt;
     Gen *filt_gen, *agt_gen;   /* by node */
     /* at most every last_touch in the table: each access lowers it to
@@ -2472,7 +2466,6 @@ static void sms_expire(Sms *s, OrderedMap *o, Gen *gens, int64_t *bound, int end
 
 typedef struct {
     int64_t table_entries, max_succ, degree, line_bytes;
-    int line_shift;
     uint8_t train_on_miss_only;
     OrderedMap table;    /* line -> slot in succ arrays (node index) */
     int64_t *succ_line;  /* cap * max_succ */
@@ -2502,15 +2495,9 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     case PF_STRIDE: {
         Stride *st = &pf->stride;
         if (st->train_on_miss_only && !primary_miss) break;
-        int64_t addr = ctx_div(uaddr, st->line_shift, st->line_bytes) * st->line_bytes;
-        uint64_t idx, tag;
-        if (st->table_shift >= 0) {
-            idx = pc & (uint64_t)(st->table_entries - 1);
-            tag = pc >> st->table_shift;
-        } else {
-            idx = pc % (uint64_t)st->table_entries;
-            tag = pc / (uint64_t)st->table_entries;
-        }
+        int64_t addr = (int64_t)(uaddr / (uint64_t)st->line_bytes) * st->line_bytes;
+        int64_t idx = (int64_t)(pc % (uint64_t)st->table_entries);
+        uint64_t tag = pc / (uint64_t)st->table_entries;
         SEntry *e = &st->table[idx];
         if (!e->used || e->tag != tag) {
             e->tag = tag; e->last_addr = addr; e->stride = 0; e->state = 0; e->used = 1;
@@ -2536,27 +2523,18 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     case PF_GHB: {
         Ghb *g = &pf->ghb;
         if (g->train_on_miss_only && !primary_miss) break;
-        int64_t addr = ctx_div(uaddr, g->line_shift, g->line_bytes) * g->line_bytes;
+        int64_t addr = (int64_t)(uaddr / (uint64_t)g->line_bytes) * g->line_bytes;
         int64_t key = g->localization_pc ? (int64_t)pc : 0;
         int node = om_node_of(&g->index, key);
         int64_t prev_seq = node >= 0 ? g->index.nodes[node].val : -1;
-        int64_t prev_slot = 0;
-        if (prev_seq < 0 || prev_seq < g->next_seq - g->ghb_entries) {
+        if (prev_seq < 0 || prev_seq < g->next_seq - g->ghb_entries
+            || !g->buf_used[ghb_slot(g, prev_seq)])
             prev_seq = -1;
-        } else {
-            /* one of the last ghb_entries pushes: its slot is the write
-             * slot less its age, wrapped once */
-            prev_slot = g->next_slot - (g->next_seq - prev_seq);
-            if (prev_slot < 0) prev_slot += g->ghb_entries;
-            if (!g->buf[prev_slot].used) prev_seq = -1;
-        }
         int64_t seq = g->next_seq;
         int64_t slot = g->next_slot;
-        GhbEntry *w = &g->buf[slot];
-        w->addr = addr;
-        w->link = prev_seq;
-        w->link_slot = prev_slot;
-        w->used = 1;
+        g->buf_addr[slot] = addr;
+        g->buf_link[slot] = prev_seq;
+        g->buf_used[slot] = 1;
         om_set(&g->index, key, seq);
         if (g->index.count > g->index_entries) om_evict_oldest(&g->index);
         g->next_seq++;
@@ -2567,11 +2545,10 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
         int64_t oldest_valid = g->next_seq - g->ghb_entries;
         if (oldest_valid < 0) oldest_valid = 0;
         while (s >= oldest_valid && slen < g->max_walk) {
-            const GhbEntry *e = &g->buf[slot];
-            if (!e->used) break;
-            g->stream[slen++] = e->addr;
-            s = e->link;
-            slot = e->link_slot;
+            int64_t bs = ghb_slot(g, s);
+            if (!g->buf_used[bs]) break;
+            g->stream[slen++] = g->buf_addr[bs];
+            s = g->buf_link[bs];
         }
         int64_t m = g->match_length;
         if (slen < m + 2) break;
@@ -2599,16 +2576,8 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     }
     case PF_SMS: {
         Sms *s = &pf->sms;
-        int64_t region;
-        uint64_t within;
-        if (s->region_shift >= 0) {
-            region = (int64_t)(uaddr >> s->region_shift);
-            within = uaddr & (uint64_t)(s->region_bytes - 1);
-        } else {
-            region = (int64_t)(uaddr / (uint64_t)s->region_bytes);
-            within = uaddr % (uint64_t)s->region_bytes;
-        }
-        int64_t offset = ctx_div(within, s->line_shift, s->line_bytes);
+        int64_t region = (int64_t)(uaddr / (uint64_t)s->region_bytes);
+        int64_t offset = (int64_t)((uaddr % (uint64_t)s->region_bytes) / (uint64_t)s->line_bytes);
         uint64_t bit = 1ULL << offset;
         sms_expire(s, &s->agt, s->agt_gen, &s->agt_bound, 1, index);
         sms_expire(s, &s->filt, s->filt_gen, &s->filt_bound, 0, index);
@@ -2658,7 +2627,7 @@ static int pf_on_access(RpPf *pf, int64_t index, uint64_t uaddr, uint64_t pc,
     case PF_MARKOV: {
         Markov *mk = &pf->markov;
         if (mk->train_on_miss_only && !primary_miss) break;
-        int64_t line = ctx_div(uaddr, mk->line_shift, mk->line_bytes);
+        int64_t line = (int64_t)(uaddr / (uint64_t)mk->line_bytes);
         if (mk->has_last && mk->last_line != line) {
             int node = om_node_of(&mk->table, mk->last_line);
             if (node < 0) {
@@ -2863,8 +2832,6 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         st->degree = cfg[1];
         st->line_bytes = cfg[2];
         st->train_on_miss_only = (uint8_t)cfg[3];
-        st->table_shift = shift_of(st->table_entries);
-        st->line_shift = shift_of(st->line_bytes);
         st->table = (SEntry *)calloc((size_t)st->table_entries, sizeof(SEntry));
         ok &= st->table != 0;
         break;
@@ -2879,12 +2846,14 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         g->localization_pc = (uint8_t)cfg[5];
         g->line_bytes = cfg[6];
         g->train_on_miss_only = (uint8_t)cfg[7];
-        g->line_shift = shift_of(g->line_bytes);
-        g->buf = (GhbEntry *)calloc((size_t)g->ghb_entries, sizeof(GhbEntry));
+        g->buf_addr = (int64_t *)calloc((size_t)g->ghb_entries, sizeof(int64_t));
+        g->buf_link = (int64_t *)calloc((size_t)g->ghb_entries, sizeof(int64_t));
+        g->buf_used = (uint8_t *)calloc((size_t)g->ghb_entries, 1);
         g->stream = (int64_t *)malloc((size_t)g->max_walk * sizeof(int64_t));
         g->deltas = (int64_t *)malloc((size_t)g->max_walk * sizeof(int64_t));
         /* the write slot wraps at ghb_entries: an empty buffer has none */
-        ok &= g->ghb_entries > 0 && g->buf && g->stream && g->deltas;
+        ok &= g->ghb_entries > 0 && g->buf_addr && g->buf_link && g->buf_used
+              && g->stream && g->deltas;
         ok &= om_init(&g->index, (int)g->index_entries + 1);
         break;
     }
@@ -2897,8 +2866,6 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         m->pht_entries = cfg[4];
         m->timeout = cfg[5];
         m->lines_per_region = m->region_bytes / m->line_bytes;
-        m->region_shift = shift_of(m->region_bytes);
-        m->line_shift = shift_of(m->line_bytes);
         m->pht_shift = shift_of(m->pht_entries);
         m->filt_bound = m->agt_bound = INT64_MAX;
         ok &= om_init(&m->filt, (int)m->filter_entries + 1);
@@ -2916,7 +2883,6 @@ RpPf *rp_pf_new(int kind, const int64_t *cfg) {
         mk->degree = cfg[2];
         mk->line_bytes = cfg[3];
         mk->train_on_miss_only = (uint8_t)cfg[4];
-        mk->line_shift = shift_of(mk->line_bytes);
         ok &= om_init(&mk->table, (int)mk->table_entries + 1);
         size_t slots = (size_t)(mk->table_entries + 1) * (size_t)mk->max_succ;
         mk->succ_line = (int64_t *)calloc(slots, sizeof(int64_t));
@@ -2939,7 +2905,8 @@ void rp_pf_free(RpPf *p) {
         free(p->stride.table);
         break;
     case PF_GHB:
-        free(p->ghb.buf); free(p->ghb.stream); free(p->ghb.deltas);
+        free(p->ghb.buf_addr); free(p->ghb.buf_link); free(p->ghb.buf_used);
+        free(p->ghb.stream); free(p->ghb.deltas);
         om_free(&p->ghb.index);
         break;
     case PF_SMS:

@@ -15,10 +15,10 @@ so the documented fallback path is fuzzed alongside the kernel itself.
 The context family draws randomized CST/reducer/window/bandit geometry,
 so the C port of the RL loop (MT19937 included) is differentially fuzzed
 against the interpreted oracle, not just replayed at the default config.
-Each table family also draws, last, sizes that are not powers of two,
-which the kernel divides by where a power of two lets it shift or mask.
-A separate test runs each table family over runs whose indices restart
-below the last run's.
+Separate cases draw only table families, each with at least one size
+that is not a power of two, which the kernel divides by where a power of
+two lets it shift or mask; another test runs each table family over runs
+whose indices restart below the last run's.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from repro.workloads.trace import MemoryAccess
 
 NUM_FAST_CASES = 200
 NUM_SLOW_CASES = 600
+#: table-family cases with sizes that are not powers of two, per tier
+NUM_FAST_ODD_CASES = 60
+NUM_SLOW_ODD_CASES = 180
 
 pytestmark = pytest.mark.skipif(
     not native_pkg.is_available(),
@@ -123,22 +126,6 @@ def _fuzz_core(rng: random.Random) -> CoreConfig:
     )
 
 
-#: prefetcher line sizes that are not powers of two
-ODD_LINES = (24, 48, 96)
-
-
-def _odd_sizes(rng: random.Random, cfg, **choices):
-    """``cfg`` with each named size, on about a quarter of draws, one of
-    its ``choices``: sizes that are not powers of two, which the kernel
-    divides by where a power of two lets it shift or mask.  Drawn after
-    every other draw of a family's branch, so no other draw moves."""
-    odd = {}
-    for name, sizes in choices.items():
-        if rng.random() < 0.25:
-            odd[name] = rng.choice(sizes)
-    return dataclasses.replace(cfg, **odd) if odd else cfg
-
-
 def _fuzz_prefetcher(rng: random.Random, line: int):
     family = rng.randrange(7)
     # an over-cap degree (> 64 requests) must fall back, not diverge
@@ -146,54 +133,84 @@ def _fuzz_prefetcher(rng: random.Random, line: int):
     if family == 0:
         return NoPrefetcher()
     if family == 1:
-        stride = StrideConfig(
-            table_entries=rng.choice((16, 64, 512)),
-            degree=degree,
-            line_bytes=line,
-            train_on_miss_only=rng.random() < 0.8,
+        return StridePrefetcher(
+            StrideConfig(
+                table_entries=rng.choice((16, 64, 512)),
+                degree=degree,
+                line_bytes=line,
+                train_on_miss_only=rng.random() < 0.8,
+            )
         )
-        stride = _odd_sizes(
-            rng, stride, table_entries=(12, 100, 500), line_bytes=ODD_LINES
-        )
-        return StridePrefetcher(stride)
     if family in (2, 3):
-        ghb = GHBConfig(
-            ghb_entries=rng.choice((64, 256, 2048)),
-            index_entries=rng.choice((16, 256)),
-            match_length=rng.choice((2, 3, 4)),
-            degree=degree,
-            max_walk=rng.choice((8, 64)),
-            localization="global" if family == 2 else "pc",
-            line_bytes=line,
-            train_on_miss_only=rng.random() < 0.8,
+        return GHBPrefetcher(
+            GHBConfig(
+                ghb_entries=rng.choice((64, 256, 2048)),
+                index_entries=rng.choice((16, 256)),
+                match_length=rng.choice((2, 3, 4)),
+                degree=degree,
+                max_walk=rng.choice((8, 64)),
+                localization="global" if family == 2 else "pc",
+                line_bytes=line,
+                train_on_miss_only=rng.random() < 0.8,
+            )
         )
-        ghb = _odd_sizes(rng, ghb, ghb_entries=(20, 100, 1000), line_bytes=ODD_LINES)
-        return GHBPrefetcher(ghb)
     if family == 4:
-        sms = SMSConfig(
-            region_bytes=rng.choice((4, 16, 32)) * line,
-            line_bytes=line,
-            filter_entries=rng.choice((4, 32)),
-            agt_entries=rng.choice((4, 32)),
-            pht_entries=rng.choice((64, 2048)),
-            generation_timeout=rng.choice((32, 512)),
+        return SMSPrefetcher(
+            SMSConfig(
+                region_bytes=rng.choice((4, 16, 32)) * line,
+                line_bytes=line,
+                filter_entries=rng.choice((4, 32)),
+                agt_entries=rng.choice((4, 32)),
+                pht_entries=rng.choice((64, 2048)),
+                generation_timeout=rng.choice((32, 512)),
+            )
         )
-        sms = _odd_sizes(rng, sms, line_bytes=ODD_LINES, pht_entries=(100, 1000, 2047))
-        # a region of whole lines, at most 64 of them
-        sms = _odd_sizes(
-            rng, sms, region_bytes=tuple(k * sms.line_bytes for k in (3, 12, 24, 40))
-        )
-        return SMSPrefetcher(sms)
     if family == 5:
-        markov = MarkovConfig(
-            table_entries=rng.choice((64, 2048)),
-            successors_per_entry=rng.choice((1, 2, 4)),
-            degree=degree,
-            line_bytes=line,
-            train_on_miss_only=rng.random() < 0.8,
+        return MarkovPrefetcher(
+            MarkovConfig(
+                table_entries=rng.choice((64, 2048)),
+                successors_per_entry=rng.choice((1, 2, 4)),
+                degree=degree,
+                line_bytes=line,
+                train_on_miss_only=rng.random() < 0.8,
+            )
         )
-        return MarkovPrefetcher(_odd_sizes(rng, markov, line_bytes=ODD_LINES))
     return _fuzz_context(rng, degree)
+
+
+#: prefetcher line sizes that are not powers of two
+ODD_LINES = (24, 48, 96)
+
+#: each table family's sizes that are not powers of two; SMS's region is
+#: drawn in lines (whole lines, at most 64 of them)
+ODD_SIZES = {
+    StridePrefetcher: {"table_entries": (12, 100, 500), "line_bytes": ODD_LINES},
+    GHBPrefetcher: {"ghb_entries": (20, 100, 1000), "line_bytes": ODD_LINES},
+    SMSPrefetcher: {
+        "line_bytes": ODD_LINES,
+        "pht_entries": (100, 1000, 2047),
+        "region_lines": (3, 12, 24, 40),
+    },
+    MarkovPrefetcher: {"line_bytes": ODD_LINES},
+}
+
+
+def _fuzz_odd_table(rng: random.Random, line: int):
+    """A table family drawn as :func:`_fuzz_prefetcher` draws it, with at
+    least one of its sizes replaced by one that is not a power of two, so
+    the kernel's divisions run where its shifts and masks otherwise do."""
+    pf = _fuzz_prefetcher(rng, line)
+    while type(pf) not in ODD_SIZES:
+        pf = _fuzz_prefetcher(rng, line)
+    choices = ODD_SIZES[type(pf)]
+    names = [name for name in choices if rng.random() < 0.5]
+    names = names or [rng.choice(sorted(choices))]
+    odd = {name: rng.choice(choices[name]) for name in names}
+    cfg = pf.config
+    if isinstance(pf, SMSPrefetcher):
+        lines = odd.pop("region_lines", cfg.region_bytes // cfg.line_bytes)
+        odd["region_bytes"] = lines * odd.get("line_bytes", cfg.line_bytes)
+    return type(pf)(dataclasses.replace(cfg, **odd))
 
 
 def _fuzz_context(rng: random.Random, degree: int):
@@ -279,7 +296,11 @@ def _saturating(pf) -> bool:
 
 
 def _run_case(
-    label: str, length_range: tuple[int, int], *, saturation_check: bool = False
+    label: str,
+    length_range: tuple[int, int],
+    *,
+    saturation_check: bool = False,
+    draw_prefetcher=_fuzz_prefetcher,
 ) -> None:
     """One differential case; ``saturation_check`` also requires a native
     saturating-queue run to have hit and expired queue entries (a short
@@ -300,7 +321,7 @@ def _run_case(
     for native in (False, True):
         # fresh prefetcher per mode from the same sub-seed, so learned
         # state never crosses the differential boundary
-        pf = _fuzz_prefetcher(random.Random(_seed_for(label + "/pf")), line)
+        pf = draw_prefetcher(random.Random(_seed_for(label + "/pf")), line)
         sim = Simulator(
             pf, hierarchy_config=hier, core_config=core, native=native
         )
@@ -342,6 +363,19 @@ def test_native_differential_fuzz(case: int) -> None:
 @pytest.mark.parametrize("case", range(NUM_SLOW_CASES))
 def test_native_differential_fuzz_extended(case: int) -> None:
     _run_case(f"native-fuzz/slow/{case}", (800, 4000), saturation_check=True)
+
+
+@pytest.mark.parametrize("case", range(NUM_FAST_ODD_CASES))
+def test_native_differential_fuzz_odd_sizes(case: int) -> None:
+    _run_case(f"native-fuzz/odd/{case}", (120, 500), draw_prefetcher=_fuzz_odd_table)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", range(NUM_SLOW_ODD_CASES))
+def test_native_differential_fuzz_odd_sizes_extended(case: int) -> None:
+    _run_case(
+        f"native-fuzz/odd-slow/{case}", (800, 4000), draw_prefetcher=_fuzz_odd_table
+    )
 
 
 # ----------------------------------------------------------------------
