@@ -30,6 +30,11 @@ class MarkovConfig:
     line_bytes: int = 64
     train_on_miss_only: bool = True
 
+    def __post_init__(self) -> None:
+        # divides every training access
+        if self.line_bytes < 1:
+            raise ValueError("line_bytes must be >= 1")
+
 
 @dataclass(slots=True)
 class _State:

@@ -29,6 +29,12 @@ class SMSConfig:
     #: touch to the region (stand-in for the L1-eviction end condition)
     generation_timeout: int = 512
 
+    def __post_init__(self) -> None:
+        # each divides every access or every PHT index
+        for name in ("region_bytes", "line_bytes", "pht_entries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
     @property
     def lines_per_region(self) -> int:
         return self.region_bytes // self.line_bytes

@@ -24,6 +24,12 @@ class StrideConfig:
     #: unit-stride loops appear as clean one-line strides
     train_on_miss_only: bool = True
 
+    def __post_init__(self) -> None:
+        # both divide every training access
+        for name in ("table_entries", "line_bytes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 @dataclass(slots=True)
 class _RPTEntry:

@@ -232,36 +232,41 @@ static int shift_of(int64_t v) {
 }
 
 /* ------------------------------------------------------------------ */
-/* open-addressing hash map: int64 key -> int64 value.  Linear probing
- * with backward-shift deletion (no tombstones); iteration order is
- * never observed, matching the plain-dict uses it mirrors. */
-
-static uint64_t mix64(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
+/* open-addressing hash map: int64 key -> int64 value, each key beside
+ * its value.  A key's home slot is its Fibonacci multiply-shift, the top
+ * log2(cap) bits of key * 0x9E3779B97F4A7C15; linear probing with
+ * backward-shift deletion (no tombstones).  Iteration order is never
+ * observed, matching the plain-dict uses it mirrors. */
 
 typedef struct {
-    int64_t *keys;
-    int64_t *vals;
+    int64_t key;
+    int64_t val;
+} MapEntry;
+
+typedef struct {
+    MapEntry *ents;
     uint8_t *used;
-    size_t cap;   /* power of two */
+    size_t cap;   /* power of two, at least 16 */
+    int shift;    /* 64 - log2(cap) */
     size_t count;
 } Map;
 
+static size_t map_home(const Map *m, int64_t key) {
+    return (size_t)(((uint64_t)key * 0x9E3779B97F4A7C15ULL) >> m->shift);
+}
+
 static int map_init(Map *m, size_t cap) {
     m->cap = cap; m->count = 0;
-    m->keys = (int64_t *)malloc(cap * sizeof(int64_t));
-    m->vals = (int64_t *)malloc(cap * sizeof(int64_t));
+    m->shift = 64;
+    for (size_t c = cap; c > 1; c >>= 1) m->shift--;
+    m->ents = (MapEntry *)malloc(cap * sizeof(MapEntry));
     m->used = (uint8_t *)calloc(cap, 1);
-    return m->keys && m->vals && m->used;
+    return m->ents && m->used;
 }
 
 static void map_free(Map *m) {
-    free(m->keys); free(m->vals); free(m->used);
-    m->keys = 0; m->vals = 0; m->used = 0; m->cap = 0; m->count = 0;
+    free(m->ents); free(m->used);
+    m->ents = 0; m->used = 0; m->cap = 0; m->count = 0;
 }
 
 static void map_clear(Map *m) {
@@ -274,9 +279,9 @@ static int map_grow(Map *m);
 /* returns slot of key, or (size_t)-1 */
 static size_t map_find(const Map *m, int64_t key) {
     size_t mask = m->cap - 1;
-    size_t i = (size_t)mix64((uint64_t)key) & mask;
+    size_t i = map_home(m, key);
     while (m->used[i]) {
-        if (m->keys[i] == key) return i;
+        if (m->ents[i].key == key) return i;
         i = (i + 1) & mask;
     }
     return (size_t)-1;
@@ -287,20 +292,20 @@ static int map_set(Map *m, int64_t key, int64_t val) {
         if (!map_grow(m)) return 0;
     }
     size_t mask = m->cap - 1;
-    size_t i = (size_t)mix64((uint64_t)key) & mask;
+    size_t i = map_home(m, key);
     while (m->used[i]) {
-        if (m->keys[i] == key) { m->vals[i] = val; return 1; }
+        if (m->ents[i].key == key) { m->ents[i].val = val; return 1; }
         i = (i + 1) & mask;
     }
-    m->keys[i] = key; m->vals[i] = val; m->used[i] = 1; m->count++;
+    m->ents[i].key = key; m->ents[i].val = val; m->used[i] = 1; m->count++;
     return 1;
 }
 
 static int map_grow(Map *m) {
     Map bigger;
-    if (!map_init(&bigger, m->cap * 2)) return 0;
+    if (!map_init(&bigger, m->cap * 2)) { map_free(&bigger); return 0; }
     for (size_t i = 0; i < m->cap; i++) {
-        if (m->used[i]) map_set(&bigger, m->keys[i], m->vals[i]);
+        if (m->used[i]) map_set(&bigger, m->ents[i].key, m->ents[i].val);
     }
     map_free(m);
     *m = bigger;
@@ -315,12 +320,12 @@ static size_t map_find_or_add(Map *m, int64_t key, int64_t val, int *found) {
         if (!map_grow(m)) return (size_t)-1;
     }
     size_t mask = m->cap - 1;
-    size_t i = (size_t)mix64((uint64_t)key) & mask;
+    size_t i = map_home(m, key);
     while (m->used[i]) {
-        if (m->keys[i] == key) { *found = 1; return i; }
+        if (m->ents[i].key == key) { *found = 1; return i; }
         i = (i + 1) & mask;
     }
-    m->keys[i] = key; m->vals[i] = val; m->used[i] = 1; m->count++;
+    m->ents[i].key = key; m->ents[i].val = val; m->used[i] = 1; m->count++;
     *found = 0;
     return i;
 }
@@ -328,7 +333,7 @@ static size_t map_find_or_add(Map *m, int64_t key, int64_t val, int *found) {
 /* value of key, or `absent` when missing */
 static int64_t map_get(const Map *m, int64_t key, int64_t absent) {
     size_t i = map_find(m, key);
-    return i == (size_t)-1 ? absent : m->vals[i];
+    return i == (size_t)-1 ? absent : m->ents[i].val;
 }
 
 static void map_del_slot(Map *m, size_t i) {
@@ -339,12 +344,11 @@ static void map_del_slot(Map *m, size_t i) {
         for (;;) {
             j = (j + 1) & mask;
             if (!m->used[j]) { m->count--; return; }
-            size_t k = (size_t)mix64((uint64_t)m->keys[j]) & mask;
+            size_t k = map_home(m, m->ents[j].key);
             /* keep entries whose home slot lies cyclically in (i, j] */
             if (i <= j ? (k <= i || k > j) : (k <= i && k > j)) break;
         }
-        m->keys[i] = m->keys[j];
-        m->vals[i] = m->vals[j];
+        m->ents[i] = m->ents[j];
         m->used[i] = 1;
         i = j;
     }
@@ -355,69 +359,104 @@ static void map_del(Map *m, int64_t key) {
     if (i != (size_t)-1) map_del_slot(m, i);
 }
 
-/* del m[key] if m.get(key) == val, through the one probe */
-static void map_del_if(Map *m, int64_t key, int64_t val) {
-    size_t i = map_find(m, key);
-    if (i != (size_t)-1 && m->vals[i] == val) map_del_slot(m, i);
-}
-
-/* pop(key, default): removes and returns, like dict.pop */
-static int64_t map_pop(Map *m, int64_t key, int64_t absent) {
-    size_t i = map_find(m, key);
-    if (i == (size_t)-1) return absent;
-    int64_t v = m->vals[i];
-    map_del_slot(m, i);
-    return v;
-}
-
 /* ------------------------------------------------------------------ */
-/* growable FIFO ring of (idx, line) pairs: the prediction logs */
+/* prediction window: key -> the access index of its prediction, read
+ * only while fresh, at most `span` accesses old at the reading index.
+ * Two generations, each one window long, stand in for a dict and the
+ * log that expires its entries: a write at or past the current
+ * generation's end clears the older generation whole and makes it
+ * current, and a read tries the current generation, then the older one
+ * if it holds anything, moving a fresh entry found there forward.  Exact
+ * for reads and writes at non-decreasing indices: a cleared generation
+ * holds only entries no read can use (docs/native_kernel.md, section 3). */
 
 typedef struct {
-    int64_t *idx;
-    int64_t *line;
-    size_t cap;   /* power of two */
-    size_t head;
-    size_t len;
-} Log;
+    Map gen[2];     /* gen[cur] is current, gen[cur ^ 1] the older one */
+    int cur;
+    int64_t end;    /* a write at or past this index rolls the generations */
+    int64_t span;
+} Window;
 
-static int log_init(Log *g, size_t cap) {
-    g->cap = cap; g->head = 0; g->len = 0;
-    g->idx = (int64_t *)malloc(cap * sizeof(int64_t));
-    g->line = (int64_t *)malloc(cap * sizeof(int64_t));
-    return g->idx && g->line;
+static int win_init(Window *w, size_t cap, int64_t span) {
+    w->span = span;
+    return map_init(&w->gen[0], cap) && map_init(&w->gen[1], cap);
 }
 
-static void log_free(Log *g) {
-    free(g->idx); free(g->line);
-    g->idx = 0; g->line = 0; g->cap = 0; g->head = 0; g->len = 0;
+static void win_free(Window *w) {
+    map_free(&w->gen[0]);
+    map_free(&w->gen[1]);
 }
 
-static void log_clear(Log *g) { g->head = 0; g->len = 0; }
+static void win_clear(Window *w) {
+    map_clear(&w->gen[0]);
+    map_clear(&w->gen[1]);
+    w->cur = 0;
+    w->end = INT64_MIN;
+}
 
-static int log_push(Log *g, int64_t idx, int64_t line) {
-    if (g->len == g->cap) {
-        size_t ncap = g->cap * 2;
-        int64_t *ni = (int64_t *)malloc(ncap * sizeof(int64_t));
-        int64_t *nl = (int64_t *)malloc(ncap * sizeof(int64_t));
-        if (!ni || !nl) { free(ni); free(nl); return 0; }
-        for (size_t i = 0; i < g->len; i++) {
-            size_t s = (g->head + i) & (g->cap - 1);
-            ni[i] = g->idx[s]; nl[i] = g->line[s];
-        }
-        free(g->idx); free(g->line);
-        g->idx = ni; g->line = nl; g->cap = ncap; g->head = 0;
+/* the generation a write at index goes to */
+static Map *win_write_gen(Window *w, int64_t index) {
+    if (index >= w->end) {
+        w->cur ^= 1;
+        map_clear(&w->gen[w->cur]);
+        w->end = index + w->span;
     }
-    size_t s = (g->head + g->len) & (g->cap - 1);
-    g->idx[s] = idx; g->line[s] = line;
-    g->len++;
+    return &w->gen[w->cur];
+}
+
+/* the age at now of key's fresh entry, or -1 */
+static int64_t win_age(Window *w, int64_t key, int64_t now) {
+    Map *cur = &w->gen[w->cur];
+    size_t i = map_find(cur, key);
+    if (i != (size_t)-1) {
+        int64_t age = now - cur->ents[i].val;
+        return age <= w->span ? age : -1;
+    }
+    Map *old = &w->gen[w->cur ^ 1];
+    if (!old->count || (i = map_find(old, key)) == (size_t)-1) return -1;
+    int64_t v = old->ents[i].val;
+    if (now - v > w->span) return -1;
+    if (map_set(cur, key, v)) map_del_slot(old, i);   /* moves forward */
+    return now - v;
+}
+
+/* window[key] = index; 0 when the map cannot grow */
+static int win_set(Window *w, int64_t key, int64_t index) {
+    return map_set(win_write_gen(w, index), key, index);
+}
+
+/* window[key] = index unless key has a fresh entry, which keeps its
+ * index (moving forward); 0 when the map cannot grow */
+static int win_note_first(Window *w, int64_t key, int64_t index) {
+    Map *cur = win_write_gen(w, index);
+    int found;
+    size_t i = map_find_or_add(cur, key, index, &found);
+    if (i == (size_t)-1) return 0;
+    if (found) {
+        if (index - cur->ents[i].val > w->span) cur->ents[i].val = index;
+        return 1;
+    }
+    Map *old = &w->gen[w->cur ^ 1];
+    size_t j;
+    if (old->count && (j = map_find(old, key)) != (size_t)-1
+        && index - old->ents[j].val <= w->span) {
+        cur->ents[i].val = old->ents[j].val;
+        map_del_slot(old, j);
+    }
     return 1;
 }
 
-static void log_pop(Log *g, int64_t *idx, int64_t *line) {
-    *idx = g->idx[g->head]; *line = g->line[g->head];
-    g->head = (g->head + 1) & (g->cap - 1);
-    g->len--;
+/* pop(key): the age at now of its fresh entry, or -1; key is gone */
+static int64_t win_pop(Window *w, int64_t key, int64_t now) {
+    for (int g = 0; g < 2; g++) {
+        Map *m = &w->gen[w->cur ^ g];
+        size_t i;
+        if (!m->count || (i = map_find(m, key)) == (size_t)-1) continue;
+        int64_t age = now - m->ents[i].val;
+        map_del_slot(m, i);
+        return age <= w->span ? age : -1;
+    }
+    return -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -492,89 +531,19 @@ static Fill fheap_pop(FillHeap *h) {
     }
     return lastelt;
 }
-
-/* ------------------------------------------------------------------ */
-/* MSHR expiry heap: (completes_at, line) tuples, full lexicographic
- * order — lines are unique so successive pops are totally sorted and
- * any correct min-heap matches the interpreted retirement order. */
-
-typedef struct { int64_t t; int64_t line; } Pair;
-
-typedef struct { Pair *a; size_t len, cap; } PairHeap;
-
-static int pheap_lt(Pair x, Pair y) {
-    return x.t < y.t || (x.t == y.t && x.line < y.line);
-}
-
-static int pheap_init(PairHeap *h, size_t cap) {
-    h->len = 0; h->cap = cap;
-    h->a = (Pair *)malloc(cap * sizeof(Pair));
-    return h->a != 0;
-}
-
-static void pheap_free(PairHeap *h) { free(h->a); h->a = 0; h->len = 0; h->cap = 0; }
-
-static void pheap_siftdown(PairHeap *h, size_t startpos, size_t pos) {
-    Pair newitem = h->a[pos];
-    while (pos > startpos) {
-        size_t parentpos = (pos - 1) >> 1;
-        Pair parent = h->a[parentpos];
-        if (pheap_lt(newitem, parent)) { h->a[pos] = parent; pos = parentpos; continue; }
-        break;
-    }
-    h->a[pos] = newitem;
-}
-
-static void pheap_siftup(PairHeap *h, size_t pos) {
-    size_t startpos = pos, endpos = h->len;
-    Pair newitem = h->a[pos];
-    size_t childpos = 2 * pos + 1;
-    while (childpos < endpos) {
-        size_t rightpos = childpos + 1;
-        if (rightpos < endpos && !pheap_lt(h->a[childpos], h->a[rightpos]))
-            childpos = rightpos;
-        h->a[pos] = h->a[childpos];
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    h->a[pos] = newitem;
-    pheap_siftdown(h, startpos, pos);
-}
-
-static int pheap_push(PairHeap *h, Pair item) {
-    if (h->len == h->cap) {
-        size_t ncap = h->cap * 2;
-        Pair *na = (Pair *)realloc(h->a, ncap * sizeof(Pair));
-        if (!na) return 0;
-        h->a = na; h->cap = ncap;
-    }
-    h->a[h->len++] = item;
-    pheap_siftdown(h, 0, h->len - 1);
-    return 1;
-}
-
-static Pair pheap_pop(PairHeap *h) {
-    Pair lastelt = h->a[--h->len];
-    if (h->len) {
-        Pair returnitem = h->a[0];
-        h->a[0] = lastelt;
-        pheap_siftup(h, 0);
-        return returnitem;
-    }
-    return lastelt;
-}
 """
 
 SOURCE_MEMORY = r"""
 /* ------------------------------------------------------------------ */
 /* MSHR file: the live entries packed into [0, count) of two parallel
- * arrays + expiry heap with the _next_expiry short-circuit invariant;
- * lazy retirement exactly as the interpreted MSHRFile.  Packing is
- * exact because nothing reads a slot position: lines in one file are
- * unique (allocation merges), so a lookup's match is the same whatever
- * the order, and the retirement order comes from the heap.  A lookup
- * scans only the busy entries, allocation appends, and retirement moves
- * the last entry into the hole.  NEVER == INT64_MAX stands in for inf. */
+ * arrays, with the _next_expiry short-circuit invariant; lazy
+ * retirement exactly as the interpreted MSHRFile.  Packing is exact
+ * because nothing reads a slot position: lines in one file are unique
+ * (allocation merges), so a lookup's match is the same whatever the
+ * order, and the entries retired at one time are the same set in any
+ * order.  A lookup scans only the busy entries, allocation appends, and
+ * retirement is one compaction pass that also finds the next expiry.
+ * NEVER == INT64_MAX stands in for inf. */
 
 #define MSHR_NEVER INT64_MAX
 
@@ -583,28 +552,24 @@ typedef struct {
     int count;
     int64_t *lines;
     int64_t *completes;
-    PairHeap heap;
-    int64_t next_expiry;
+    int64_t next_expiry;   /* earliest completion in the file, or NEVER */
 } Mshr;
 
 static void mshr_reset(Mshr *m) {
     m->count = 0;
     m->next_expiry = MSHR_NEVER;
-    m->heap.len = 0;
 }
 
 static int mshr_init(Mshr *m, int num_entries) {
     m->num_entries = num_entries;
     m->lines = (int64_t *)malloc((size_t)num_entries * sizeof(int64_t));
     m->completes = (int64_t *)malloc((size_t)num_entries * sizeof(int64_t));
-    if (!m->lines || !m->completes) return 0;
-    return pheap_init(&m->heap, (size_t)num_entries + 1);
+    return m->lines && m->completes;
 }
 
 static void mshr_free(Mshr *m) {
     free(m->lines); free(m->completes);
     m->lines = 0; m->completes = 0;
-    pheap_free(&m->heap);
 }
 
 /* position of an in-flight line in [0, count), or -1 */
@@ -615,16 +580,20 @@ static int mshr_find(const Mshr *m, int64_t line) {
     return -1;
 }
 
+/* retire every entry complete by now (callers test now >= next_expiry) */
 static void mshr_expire(Mshr *m, int64_t now) {
-    if (now < m->next_expiry) return;
-    while (m->heap.len && m->heap.a[0].t <= now) {
-        Pair p = pheap_pop(&m->heap);
-        int i = mshr_find(m, p.line);
-        int last = --m->count;
-        m->lines[i] = m->lines[last];
-        m->completes[i] = m->completes[last];
+    int64_t next = MSHR_NEVER;
+    int kept = 0;
+    for (int i = 0; i < m->count; i++) {
+        int64_t t = m->completes[i];
+        if (t <= now) continue;
+        m->lines[kept] = m->lines[i];
+        m->completes[kept] = t;
+        kept++;
+        if (t < next) next = t;
     }
-    m->next_expiry = m->heap.len ? m->heap.a[0].t : MSHR_NEVER;
+    m->count = kept;
+    m->next_expiry = next;
 }
 
 static int mshr_available(Mshr *m, int64_t now) {
@@ -652,7 +621,6 @@ static int mshr_allocate(Mshr *m, int64_t line, int64_t now, int64_t completes_a
     m->lines[m->count] = line;
     m->completes[m->count] = completes_at;
     m->count++;
-    pheap_push(&m->heap, (Pair){completes_at, line});
     if (completes_at < m->next_expiry) m->next_expiry = completes_at;
     return 1;
 }
@@ -660,13 +628,16 @@ static int mshr_allocate(Mshr *m, int64_t line, int64_t now, int64_t completes_a
 /* ------------------------------------------------------------------ */
 /* set-associative cache: each set is an array ordered LRU -> MRU, the
  * exact mirror of the dict-as-LRU sets (array order == dict insertion
- * order; move-to-end == delete+reinsert; victim == first entry). */
+ * order; move-to-end == delete+reinsert; victim == first entry).  A
+ * line is one word, line << 2 | prefetched << 1 | referenced: every line
+ * is below 2^56 (records above 48 bits never reach the kernel, and a
+ * request is at most 64 deltas from one). */
 
-typedef struct {
-    int64_t line;
-    uint8_t prefetched;
-    uint8_t referenced;
-} CLine;
+typedef uint64_t CLine;
+
+#define CL_REFERENCED 1u
+#define CL_PREFETCHED 2u
+#define CL_LINE(e) ((int64_t)((e) >> 2))
 
 typedef struct {
     int64_t num_sets;   /* power of two (validated by CacheConfig) */
@@ -675,6 +646,7 @@ typedef struct {
     int *counts;
     int64_t unused_prefetch_evictions;
     int64_t used_prefetch_fills;
+    int64_t resident_unused;   /* resident lines prefetched, unreferenced */
 } NCache;
 
 /* an empty cache: only the set counts are cleared, never the lines.
@@ -688,6 +660,7 @@ static void cache_reset(NCache *c) {
     memset(c->counts, 0, (size_t)c->num_sets * sizeof(int));
     c->unused_prefetch_evictions = 0;
     c->used_prefetch_fills = 0;
+    c->resident_unused = 0;
 }
 
 static int cache_init(NCache *c, int64_t num_sets, int ways) {
@@ -707,7 +680,7 @@ static int cache_contains(NCache *c, int64_t line) {
     CLine *set = c->data + (line & (c->num_sets - 1)) * c->ways;
     int n = c->counts[line & (c->num_sets - 1)];
     for (int i = 0; i < n; i++) {
-        if (set[i].line == line) return 1;
+        if (CL_LINE(set[i]) == line) return 1;
     }
     return 0;
 }
@@ -718,13 +691,12 @@ static int cache_demand_lookup(NCache *c, int64_t line, int *fresh_prefetch) {
     CLine *set = c->data + s * c->ways;
     int n = c->counts[s];
     for (int i = 0; i < n; i++) {
-        if (set[i].line == line) {
+        if (CL_LINE(set[i]) == line) {
             CLine e = set[i];
             memmove(set + i, set + i + 1, (size_t)(n - 1 - i) * sizeof(CLine));
-            int fresh = e.prefetched && !e.referenced;
-            if (fresh) c->used_prefetch_fills++;
-            e.referenced = 1;
-            set[n - 1] = e;
+            int fresh = (e & 3) == CL_PREFETCHED;
+            if (fresh) { c->used_prefetch_fills++; c->resident_unused--; }
+            set[n - 1] = e | CL_REFERENCED;
             *fresh_prefetch = fresh;
             return 1;
         }
@@ -744,7 +716,7 @@ static void cache_fill(NCache *c, int64_t line, int prefetched) {
     CLine *set = c->data + s * c->ways;
     int n = c->counts[s];
     for (int i = 0; i < n; i++) {
-        if (set[i].line == line) {
+        if (CL_LINE(set[i]) == line) {
             /* refresh LRU position; never downgrade flags */
             CLine e = set[i];
             memmove(set + i, set + i + 1, (size_t)(n - 1 - i) * sizeof(CLine));
@@ -753,27 +725,16 @@ static void cache_fill(NCache *c, int64_t line, int prefetched) {
         }
     }
     if (n >= c->ways) {
-        CLine victim = set[0];
-        if (victim.prefetched && !victim.referenced) c->unused_prefetch_evictions++;
+        if ((set[0] & 3) == CL_PREFETCHED) {
+            c->unused_prefetch_evictions++;
+            c->resident_unused--;
+        }
         memmove(set, set + 1, (size_t)(n - 1) * sizeof(CLine));
         n--;
     }
-    set[n].line = line;
-    set[n].prefetched = (uint8_t)prefetched;
-    set[n].referenced = 0;
+    set[n] = (CLine)line << 2 | (prefetched ? CL_PREFETCHED : 0);
+    c->resident_unused += prefetched != 0;
     c->counts[s] = n + 1;
-}
-
-static int64_t cache_resident_unused(NCache *c) {
-    int64_t total = 0;
-    for (int64_t s = 0; s < c->num_sets; s++) {
-        CLine *set = c->data + s * c->ways;
-        int n = c->counts[s];
-        for (int i = 0; i < n; i++) {
-            if (set[i].prefetched && !set[i].referenced) total++;
-        }
-    }
-    return total;
 }
 
 /* ------------------------------------------------------------------ */
@@ -806,9 +767,7 @@ typedef struct {
     int backlog_len;
     int64_t dram_next_free;
     int64_t dram_fetches;
-    Map predicted;          /* _predicted_not_issued */
-    Log pred_log;
-    int64_t prediction_window;
+    Window predicted;       /* _predicted_not_issued, 256 accesses */
     int64_t access_index;
     int64_t l1_acc, l1_hit, l1_miss;
     int64_t l2_acc, l2_hit, l2_miss;
@@ -824,15 +783,7 @@ static int64_t hier_dram_completion(Hier *h, int64_t now, int64_t base_latency) 
 }
 
 static void hier_note_unissued(Hier *h, int64_t line) {
-    int64_t index = h->access_index;
-    map_set(&h->predicted, line, index);
-    log_push(&h->pred_log, index, line);
-    int64_t cutoff = index - h->prediction_window;
-    while (h->pred_log.len && h->pred_log.idx[h->pred_log.head] < cutoff) {
-        int64_t idx, ln;
-        log_pop(&h->pred_log, &idx, &ln);
-        map_del_if(&h->predicted, ln, idx);
-    }
+    win_set(&h->predicted, line, h->access_index);
 }
 
 /* try_issue_prefetch result codes */
@@ -959,8 +910,7 @@ static void hier_demand_access(Hier *h, int64_t line, int64_t now,
     if (!l2_hit) mshr_allocate(&h->l2m, line, issue_at, completes_at);
     fheap_push(&h->pending, (Fill){completes_at, line, 0, (uint8_t)!l2_hit});
 
-    int64_t idx = map_get(&h->predicted, line, -1);
-    if (idx >= 0 && h->access_index - idx <= h->prediction_window)
+    if (win_age(&h->predicted, line, h->access_index) >= 0)
         *ac = AC_NON_TIMELY;
     else
         *ac = AC_MISS_NOT_PREFETCHED;
@@ -1886,7 +1836,7 @@ static int q_push_entry(Ctx *cx, uint64_t reduced, int64_t delta,
     cx->q_fifo[(cx->q_head + (size_t)cx->q_len) & (cx->q_fifo_cap - 1)] = slot;
     cx->q_len++;
     if (present) {
-        int head = (int)cx->by_block.vals[ms];
+        int head = (int)cx->by_block.ents[ms].val;
         cx->q_bnext[cx->q_btail[head]] = slot;
         cx->q_btail[head] = slot;
     } else {
@@ -1901,7 +1851,7 @@ static int q_push_entry(Ctx *cx, uint64_t reduced, int64_t delta,
             size_t es = map_find(&cx->by_block, cx->q_target[ev]);
             int next = cx->q_bnext[ev];
             if (next >= 0) {
-                cx->by_block.vals[es] = next;
+                cx->by_block.ents[es].val = next;
                 cx->q_btail[next] = cx->q_btail[ev];
             } else {
                 map_del_slot(&cx->by_block, es);
@@ -1921,7 +1871,7 @@ static int q_push_entry(Ctx *cx, uint64_t reduced, int64_t delta,
 /* PrefetchQueue.match: pop the whole bucket at map slot ms, mark hits,
  * emit feedback events in bucket (issue) order. */
 static int ctx_q_match(Ctx *cx, size_t ms, int64_t index) {
-    int cur = (int)cx->by_block.vals[ms];
+    int cur = (int)cx->by_block.ents[ms].val;
     map_del_slot(&cx->by_block, ms);
     int n = 0;
     while (cur >= 0) {
@@ -2266,9 +2216,10 @@ static int ctx_init(Ctx *cx, const int64_t *ic, const double *dc,
 SOURCE_PF = r"""
 /* ------------------------------------------------------------------ */
 /* prefetchers.  Request buffer: every family emits at most 64 requests
- * per access (degree <= 64, SMS lines_per_region <= 64 — enforced on
- * the Python side before a config is handed to the kernel).  Every
- * request address is non-negative. */
+ * per access (degree <= 64, an SMS region touches at most 64 lines, a
+ * partial last line included — enforced on the Python side before a
+ * config is handed to the kernel).  Every request address is
+ * non-negative. */
 
 #define MAX_REQS 64
 
@@ -2699,12 +2650,15 @@ SOURCE_RUN = r"""
  * rp_batch_cell (the batch driver's source) composes warmup as
  * run(prefix) + rp_reset_stats + run(remainder), like the Python. */
 
+/* hit depths deeper than the paper's 128-entry prefetch queue are
+ * expirations: a prediction is fresh for DEPTH_CAP accesses */
+#define DEPTH_CAP 128
+
 typedef struct RpSim {
     Hier hier;
     Core core;
     int64_t cycle_base;
-    Map predicted_at;   /* per-run: cleared at every rp_run entry */
-    Log pred_log;
+    Window predicted_at;   /* per-run: cleared at every rp_run entry */
     uint64_t bhr_value;   /* BranchHistoryRegister, warm across runs */
     uint64_t bhr_mask;
 #ifdef RP_UNIT_TIMING
@@ -2731,8 +2685,7 @@ static void sim_reset(RpSim *s) {
     h->backlog_len = 0;
     h->dram_next_free = 0;
     h->dram_fetches = 0;
-    map_clear(&h->predicted);
-    log_clear(&h->pred_log);
+    win_clear(&h->predicted);
     h->access_index = 0;
     h->l1_acc = h->l1_hit = h->l1_miss = 0;
     h->l2_acc = h->l2_hit = h->l2_miss = 0;
@@ -2741,8 +2694,7 @@ static void sim_reset(RpSim *s) {
     h->prefetches_redundant = 0;
     core_reset(&s->core);
     s->cycle_base = 0;
-    map_clear(&s->predicted_at);
-    log_clear(&s->pred_log);
+    win_clear(&s->predicted_at);
     s->bhr_value = 0;
 #ifdef RP_UNIT_TIMING
     ut_reset(&s->clock);
@@ -2766,7 +2718,6 @@ RpSim *rp_sim_new(const int64_t *hc, const int64_t *cc) {
     h->pf_reserve = hc[12];
     h->backlog_depth = hc[13];
     h->prefetch_fill_l1 = (uint8_t)hc[14];
-    h->prediction_window = 256;
     s->bhr_mask = (uint64_t)cc[3];
     int ok = 1;
     ok &= cache_init(&h->l1, hc[0] / (hc[1] * line_bytes), (int)hc[1]);
@@ -2777,11 +2728,9 @@ RpSim *rp_sim_new(const int64_t *hc, const int64_t *cc) {
     ok &= fheap_init(&h->pending, 64);
     h->backlog = (int64_t *)malloc((size_t)(hc[13] > 0 ? hc[13] : 1) * sizeof(int64_t));
     ok &= h->backlog != 0;
-    ok &= map_init(&h->predicted, 1024);
-    ok &= log_init(&h->pred_log, 512);
+    ok &= win_init(&h->predicted, 1024, 256);
     ok &= core_init(&s->core, cc[0], cc[1], cc[2]);
-    ok &= map_init(&s->predicted_at, 1024);
-    ok &= log_init(&s->pred_log, 512);
+    ok &= win_init(&s->predicted_at, 1024, DEPTH_CAP);
     if (!ok) { rp_sim_free(s); return 0; }
     sim_reset(s);
     return s;
@@ -2794,11 +2743,9 @@ void rp_sim_free(RpSim *s) {
     mshr_free(&h->l1m); mshr_free(&h->l2m); mshr_free(&h->pfb);
     fheap_free(&h->pending);
     free(h->backlog); h->backlog = 0;
-    map_free(&h->predicted);
-    log_free(&h->pred_log);
+    win_free(&h->predicted);
     core_free(&s->core);
-    map_free(&s->predicted_at);
-    log_free(&s->pred_log);
+    win_free(&s->predicted_at);
     free(s);
 }
 
@@ -2996,8 +2943,6 @@ void rp_pf_ctx_hist(const RpPf *p, int64_t *depths, int64_t *counts) {
  *  17 rejected (mshr-pressure)   18 redundant
  *  19..147 hit-depth histogram, depth 0..128 */
 
-#define DEPTH_CAP 128
-
 /* the index of the first of n records whose address lies outside the
  * modelled ADDRESS_MASK space, or -1: the kernel's delta arithmetic is
  * exact only inside it.  Callers scan before any native state exists,
@@ -3015,10 +2960,8 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
                   const uint8_t *recs, int64_t *out) {
     Hier *h = &s->hier;
     Core *c = &s->core;
-    Map *predicted_at = &s->predicted_at;
-    Log *plog = &s->pred_log;
-    map_clear(predicted_at);
-    log_clear(plog);
+    Window *predicted_at = &s->predicted_at;
+    win_clear(predicted_at);
 #ifdef RP_UNIT_TIMING
     UnitClock *clk = &s->clock;
     int64_t t_enter = ut_enter(clk);
@@ -3131,11 +3074,8 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         /* hit-depth bookkeeping: the demand line's prediction is popped
          * before this access's requests record theirs (no prefetcher
          * reads predicted_at, so the pop may follow on_access) */
-        int64_t prev = map_pop(predicted_at, line, -1);
-        if (prev >= 0) {
-            int64_t depth = index - prev;
-            if (depth <= DEPTH_CAP) depth_counts[depth]++;
-        }
+        int64_t depth = win_pop(predicted_at, line, index);
+        if (depth >= 0) depth_counts[depth]++;
         for (int r = 0; r < nreq; r++) {
             int64_t req_addr = reqs[r];
             int64_t pf_line = req_addr >> line_shift;   /* req_addr >= 0 */
@@ -3150,20 +3090,8 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
                 hier_note_unissued(h, pf_line);
                 issued_shadow++;
             }
-            /* predicted_at.get, then set when absent or stale: one probe */
-            int known;
-            size_t ps = map_find_or_add(predicted_at, pf_line, index, &known);
-            if (ps == (size_t)-1) return -1;
-            if (!known || index - predicted_at->vals[ps] > DEPTH_CAP) {
-                predicted_at->vals[ps] = index;
-                if (!log_push(plog, index, pf_line)) return -1;
-            }
-        }
-        int64_t cutoff = index - DEPTH_CAP;
-        while (plog->len && plog->idx[plog->head] < cutoff) {
-            int64_t i, ln;
-            log_pop(plog, &i, &ln);
-            map_del_if(predicted_at, ln, i);
+            /* predicted_at.get, then set when absent or stale */
+            if (!win_note_first(predicted_at, pf_line, index)) return -1;
         }
         if (flags & 1) last_value = rec_value(rec);
         UT_MARK(clk, UT_PREFETCH);
@@ -3185,7 +3113,7 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
     int64_t cycles = (int64_t)m;
     c->cycles = cycles;
     hier_apply_fills(h, cycles + 10000);
-    int64_t wasted = h->l1.unused_prefetch_evictions + cache_resident_unused(&h->l1);
+    int64_t wasted = h->l1.unused_prefetch_evictions + h->l1.resident_unused;
 
     out[0] = c->instructions;
     int64_t net = cycles - s->cycle_base;

@@ -51,6 +51,7 @@ from repro.core.context import ContextTracker
 from repro.core.prefetcher import ContextPrefetcher
 from repro.core.reward import FlatRewardFunction, RewardFunction
 from repro.cpu.core_model import CoreConfig
+from repro.memory.address import ADDRESS_MASK
 from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.stats import AccessClass, AccessClassifier, CacheStats
 from repro.prefetchers.ghb import GHBPrefetcher
@@ -141,9 +142,15 @@ def _pf_config_values(pf, kind: int) -> list[int] | None:
             1 if c.train_on_miss_only else 0,
         ]
     if kind == _PF_SMS:
-        # the pattern bitmap is one u64 and a replay fans out at most
-        # lines_per_region - 1 requests; both bound by MAX_REQUESTS
-        if c.lines_per_region > MAX_REQUESTS:
+        # the pattern bitmap is one u64 with a bit per line a region
+        # touches, a partial last line included, and a replay fans out
+        # one request fewer; both bound by MAX_REQUESTS.  A region within
+        # the modelled address space keeps every request below 2**49,
+        # where the kernel's one-word cache lines hold it
+        if (
+            -(-c.region_bytes // c.line_bytes) > MAX_REQUESTS
+            or c.region_bytes > ADDRESS_MASK + 1
+        ):
             return None
         return [
             c.region_bytes,

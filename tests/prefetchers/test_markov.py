@@ -1,5 +1,7 @@
 """Tests for the Markov prefetcher (Joseph & Grunwald)."""
 
+import pytest
+
 from repro.prefetchers.base import AccessInfo
 from repro.prefetchers.markov import MarkovConfig, MarkovPrefetcher
 
@@ -13,6 +15,14 @@ def feed(pf, addrs):
     for i, addr in enumerate(addrs):
         reqs = pf.on_access(miss(i, addr))
     return reqs
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_a_line_size_below_one(self, value):
+        # the oracle divides by it; the kernel died of SIGFPE on a zero
+        with pytest.raises(ValueError, match="line_bytes"):
+            MarkovConfig(line_bytes=value)
 
 
 class TestTransitionLearning:

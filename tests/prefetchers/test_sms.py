@@ -1,5 +1,7 @@
 """Tests for the spatial memory streaming prefetcher."""
 
+import pytest
+
 from repro.prefetchers.base import AccessInfo
 from repro.prefetchers.sms import SMSConfig, SMSPrefetcher
 
@@ -13,6 +15,15 @@ def touch_region(pf, base, offsets, start_index=0, pc=0x400000):
     for i, off in enumerate(offsets):
         reqs = pf.on_access(access(start_index + i, base + off, pc=pc))
     return start_index + len(offsets), reqs
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["region_bytes", "line_bytes", "pht_entries"])
+    def test_rejects_a_divisor_below_one(self, field, value):
+        # the oracle divides by each; the kernel died of SIGFPE on a zero
+        with pytest.raises(ValueError, match=field):
+            SMSConfig(**{field: value})
 
 
 class TestGenerationLifecycle:

@@ -1,5 +1,7 @@
 """Tests for the PC-indexed stride prefetcher."""
 
+import pytest
+
 from repro.prefetchers.base import AccessInfo
 from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 
@@ -10,6 +12,15 @@ def miss(index, addr, pc=0x400000):
 
 def hit(index, addr, pc=0x400000):
     return AccessInfo(index=index, cycle=0, addr=addr, pc=pc, l1_hit=True)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["table_entries", "line_bytes"])
+    def test_rejects_a_divisor_below_one(self, field, value):
+        # the oracle divides by each; the kernel died of SIGFPE on a zero
+        with pytest.raises(ValueError, match=field):
+            StrideConfig(**{field: value})
 
 
 class TestSteadyStateDetection:

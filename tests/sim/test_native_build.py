@@ -5,15 +5,20 @@ changes — the C source, the cdef, or a compile flag — or a stale cached
 extension would load in its place.  The three variants of one source
 share one name prefix, so cache GC keeps them together.  The unit-timing
 variant must compute exactly what the default build computes; the
-default builds must report no unit times at all.
+default builds must report no unit times at all.  And the source
+compiles without a warning under every variant's flags, so a helper
+left unused when its callers go fails here.
 """
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+
 import pytest
 
 from repro.sim import native as native_pkg
-from repro.sim.native import build
+from repro.sim.native import _csrc, build
 from repro.sim.native._csrc import OUT_SLOTS, UNIT_NAMES, UNIT_SLOTS
 
 
@@ -44,6 +49,35 @@ class TestArtifactNames:
         kept, removed = build.gc_build_cache(tmp_path)
         assert kept == 3
         assert [p.name for p in removed] == [stale]
+
+
+class TestCompileWarnings:
+    """``_csrc.SOURCE`` compiles to an object with ``-Wall -Wextra
+    -Werror`` on top of each :data:`build.VARIANTS` flag set."""
+
+    @pytest.mark.parametrize("variant", sorted(build.VARIANTS))
+    def test_the_source_compiles_without_warnings(self, variant, tmp_path):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        extra, _link = build.VARIANTS[variant]
+        flags = [*build.BASE_COMPILE_ARGS, *extra, "-Wall", "-Wextra", "-Werror"]
+        empty = tmp_path / "empty.c"
+        empty.write_text("int rp_probe;\n")
+        probe = subprocess.run(
+            [cc, "-c", str(empty), "-o", str(tmp_path / "empty.o"), *flags],
+            capture_output=True,
+        )
+        if probe.returncode:
+            pytest.skip(f"{cc} does not take {' '.join(extra)}")
+        source = tmp_path / "kernel.c"
+        source.write_text(_csrc.SOURCE)
+        result = subprocess.run(
+            [cc, "-c", str(source), "-o", str(tmp_path / "kernel.o"), *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestOutputBlock:

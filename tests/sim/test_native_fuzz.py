@@ -17,8 +17,12 @@ so the C port of the RL loop (MT19937 included) is differentially fuzzed
 against the interpreted oracle, not just replayed at the default config.
 Separate cases draw only table families, each with at least one size
 that is not a power of two, which the kernel divides by where a power of
-two lets it shift or mask; another test runs each table family over runs
-whose indices restart below the last run's.
+two lets it shift or mask; SMS cases of their own draw PCs above 2**33,
+where the PHT index's product ``pc * 0x9E3779B1`` passes 2**64; another
+test runs each table family over runs whose indices restart below the
+last run's, one holds an SMS region of more than 64 lines to its
+fallback, and one holds the prediction windows to the oracle across
+their generation rolls.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ NUM_SLOW_CASES = 600
 #: table-family cases with sizes that are not powers of two, per tier
 NUM_FAST_ODD_CASES = 60
 NUM_SLOW_ODD_CASES = 180
+#: SMS cases whose PCs reach above 2**33, per tier
+NUM_FAST_WIDE_PC_CASES = 40
+NUM_SLOW_WIDE_PC_CASES = 120
 
 pytestmark = pytest.mark.skipif(
     not native_pkg.is_available(),
@@ -58,11 +65,20 @@ def _seed_for(label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _fuzz_trace(rng: random.Random, length: int, line: int) -> list[MemoryAccess]:
+def _fuzz_trace(
+    rng: random.Random, length: int, line: int, *, wide_pcs: bool = False
+) -> list[MemoryAccess]:
     """A synthetic access stream mixing the locality shapes the families
     key on: unit/strided streams, region-local scatter, repeated miss
-    sequences (Markov food) and dependent pointer chases."""
+    sequences (Markov food) and dependent pointer chases.  ``wide_pcs``
+    lifts about half the PCs above 2**33 (drawn after the PCs, so every
+    other stream's draws are unchanged)."""
     pcs = [0x400000 + 4 * rng.randrange(64) for _ in range(rng.randrange(4, 16))]
+    if wide_pcs:
+        pcs = [
+            pc + (rng.randrange(1, 1 << 30) << 34) if rng.random() < 0.5 else pc
+            for pc in pcs
+        ]
     regions = [rng.randrange(1 << 34) * line for _ in range(rng.randrange(2, 8))]
     trace: list[MemoryAccess] = []
     addr = rng.choice(regions)
@@ -213,6 +229,21 @@ def _fuzz_odd_table(rng: random.Random, line: int):
     return type(pf)(dataclasses.replace(cfg, **odd))
 
 
+def _fuzz_wide_pc_sms(rng: random.Random, line: int):
+    """An SMS prefetcher drawn as :func:`_fuzz_prefetcher` draws it, with
+    a PHT size that is not a power of two: the index then takes the
+    kernel's 128-bit path, which the wide PCs wrap past 64 bits."""
+    cfg = SMSConfig(
+        region_bytes=rng.choice((4, 16, 32)) * line,
+        line_bytes=line,
+        filter_entries=rng.choice((4, 32)),
+        agt_entries=rng.choice((4, 32)),
+        pht_entries=rng.choice((100, 1000, 2047)),
+        generation_timeout=rng.choice((32, 512)),
+    )
+    return SMSPrefetcher(cfg)
+
+
 def _fuzz_context(rng: random.Random, degree: int):
     """A randomized RL context prefetcher.
 
@@ -301,6 +332,7 @@ def _run_case(
     *,
     saturation_check: bool = False,
     draw_prefetcher=_fuzz_prefetcher,
+    wide_pcs: bool = False,
 ) -> None:
     """One differential case; ``saturation_check`` also requires a native
     saturating-queue run to have hit and expired queue entries (a short
@@ -308,7 +340,7 @@ def _run_case(
     only the extended tier's traces carry that claim)."""
     rng = random.Random(_seed_for(label))
     line = rng.choice((32, 64, 64, 64, 128))
-    trace = _fuzz_trace(rng, rng.randrange(*length_range), line)
+    trace = _fuzz_trace(rng, rng.randrange(*length_range), line, wide_pcs=wide_pcs)
     hier = _fuzz_hierarchy(rng, line)
     core = _fuzz_core(rng)
 
@@ -375,6 +407,27 @@ def test_native_differential_fuzz_odd_sizes(case: int) -> None:
 def test_native_differential_fuzz_odd_sizes_extended(case: int) -> None:
     _run_case(
         f"native-fuzz/odd-slow/{case}", (800, 4000), draw_prefetcher=_fuzz_odd_table
+    )
+
+
+@pytest.mark.parametrize("case", range(NUM_FAST_WIDE_PC_CASES))
+def test_native_differential_fuzz_wide_pcs(case: int) -> None:
+    _run_case(
+        f"native-fuzz/wide-pc/{case}",
+        (120, 500),
+        draw_prefetcher=_fuzz_wide_pc_sms,
+        wide_pcs=True,
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", range(NUM_SLOW_WIDE_PC_CASES))
+def test_native_differential_fuzz_wide_pcs_extended(case: int) -> None:
+    _run_case(
+        f"native-fuzz/wide-pc-slow/{case}",
+        (800, 4000),
+        draw_prefetcher=_fuzz_wide_pc_sms,
+        wide_pcs=True,
     )
 
 
@@ -568,3 +621,115 @@ def test_context_row_raises_what_the_components_raise() -> None:
             context_row(cfg)
         assert type(got.value) is type(want.value), cfg
         assert str(got.value) == str(want.value), cfg
+
+
+# ----------------------------------------------------------------------
+# SMS regions that end in a partial line: the partial line has a pattern
+# bit of its own, so a region of 64 whole lines and a partial one has 65
+
+
+def _partial_line_trace(rng: random.Random, region: int, length: int) -> list:
+    """Regions triggered from a few PCs at a low line, each then touching
+    its last ``region % 48`` bytes (the partial line) and a few lines,
+    so trained patterns that hold the partial line's bit replay."""
+    pcs = [0x400000 + 4 * k for k in range(4)]
+    trace: list[MemoryAccess] = []
+    while len(trace) < length:
+        base = rng.randrange(1 << 30) * region
+        pc = rng.choice(pcs)
+        offsets = [48 * rng.randrange(1, 4), region - 1 - rng.randrange(region % 48)]
+        offsets += [48 * rng.randrange(64) for _ in range(rng.randrange(3))]
+        for offset in offsets:
+            trace.append(
+                MemoryAccess(
+                    addr=base + offset, pc=pc, is_load=True, inst_gap=rng.randrange(8)
+                )
+            )
+    return trace[:length]
+
+
+def test_a_region_past_64_lines_runs_on_the_oracle() -> None:
+    """64 whole 48-byte lines and 24 bytes more: the kernel's one-word
+    pattern has no bit for the 65th line, so the config is refused with
+    a reason (it used to run, and its text differed from the oracle's),
+    while 64 whole lines still run in the kernel.  So is a region larger
+    than the modelled address space, whose requests could pass the
+    kernel's bound on a cache line."""
+    from repro.sim.codec import encode_text
+
+    trace = _partial_line_trace(
+        random.Random(_seed_for("native-fuzz/sms-partial-line")), 64 * 48 + 24, 3000
+    )
+    for region, line, native_ok in (
+        (64 * 48 + 24, 48, False),
+        (64 * 48, 48, True),
+        (1 << 49, 1 << 44, False),
+    ):
+        cfg = SMSConfig(region_bytes=region, line_bytes=line)
+        texts = []
+        for native in (False, True):
+            sim = Simulator(SMSPrefetcher(cfg), native=native)
+            texts.append(encode_text(sim.run(trace, workload_name="sms-partial")))
+        assert sim.last_run_native is native_ok, region
+        if not native_ok:
+            assert sim.last_native_fallback == (
+                "the sms config exceeds the kernel's fixed buffers"
+            )
+        assert texts[1] == texts[0], region
+
+
+# ----------------------------------------------------------------------
+# prediction windows: the kernel keeps each window (256 accesses for the
+# hierarchy's unissued predictions, 128 for the hit depths) as two
+# generations, a window long each, in place of a dict and an expiry log
+
+
+def _window_trace(rng: random.Random, length: int) -> list[MemoryAccess]:
+    """Rounds of three phases: a nine-line loop whose stride PC predicts
+    (and, the lines being resident, notes as unissued) every line again
+    and again, demand-hitting each within a few accesses; a quiet phase
+    of strideless accesses that predict nothing, so no window rolls; and
+    eight conflicting lines per loop set, each from a PC of its own, that
+    evict the loop so its next round misses on lines noted before."""
+    base = 1 << 20
+    trace: list[MemoryAccess] = []
+    while len(trace) < length:
+        for _ in range(rng.randrange(3, 12)):
+            trace += [
+                MemoryAccess(addr=(base + j) * 64, pc=0x400100, inst_gap=2)
+                for j in range(9)
+            ]
+        trace += [
+            MemoryAccess(
+                addr=rng.randrange(1 << 30) * 64,
+                pc=0x400200 + 4 * rng.randrange(4),
+                inst_gap=2,
+            )
+            for _ in range(rng.randrange(300))
+        ]
+        trace += [
+            MemoryAccess(addr=(base + j + 64 * w) * 64, pc=0x500000 + 4 * w, inst_gap=2)
+            for j in range(9)
+            for w in range(1, 9)
+        ]
+    return trace[:length]
+
+
+def test_prediction_windows_across_generation_rolls() -> None:
+    """One run in which, across rolls of both windows, a predicted line
+    is demand-hit (popped from the hit-depth window) and predicted again
+    within 128 accesses, and a resident line's unissued prediction is
+    noted again and again and then read by a miss.  The kernel's text is
+    the oracle's only if a read tries the current generation first and
+    a fresh entry leaves the older generation as it moves forward: a
+    copy left behind there outlives the pop and dates the next
+    prediction from the old one.  A kernel that reads the older
+    generation first, or copies instead of moving, fails this case."""
+    from repro.sim.codec import encode_text
+
+    trace = _window_trace(random.Random(3), 4000)
+    cfg = StrideConfig(train_on_miss_only=False)
+    sims = [Simulator(StridePrefetcher(cfg), native=native) for native in (False, True)]
+    oracle, native = (encode_text(sim.run(trace, workload_name="windows")) for sim in sims)
+    assert sims[1].last_run_native, sims[1].last_native_fallback
+    assert native == oracle
