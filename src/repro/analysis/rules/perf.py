@@ -571,6 +571,9 @@ PINNED_BATCH_LAYOUTS = {
     # 5: one trace-store record pointer instead of twelve columns; the
     # team never outnumbers the shard's cells
     5: "f9f99b96e67a79ae8429d877dee2c4925b878983c32767de03bcebc4121c8fde",
+    # 6: the shard's context trace programs, built before the team, and
+    # rp_cell_run, the one cell runner, taking a cell's program
+    6: "8c9c06c827e2addb7343a05a14c6feba00f81afe53ff607ce4f24186c9cbba41",
 }
 
 #: storage-class tokens banned from the batch source: anything with

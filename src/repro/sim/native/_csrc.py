@@ -48,6 +48,7 @@ UNIT_NAMES = (
     "demand",
     "prefetch",
     "core",
+    "program",
 )
 
 #: number of int64 slots rp_sim_unit_times fills: ns and interval count
@@ -58,7 +59,7 @@ UNIT_SLOTS = 2 * len(UNIT_NAMES) + 4
 #: ``SOURCE_BATCH``); analysis rule PERF005 pins the pair's content hash
 #: per version, so editing the batch driver without bumping this (and
 #: re-pinning) fails ``repro lint``
-BATCH_VERSION = 5
+BATCH_VERSION = 6
 
 #: the C type of each struct format character a record field uses
 _C_TYPES = {
@@ -158,7 +159,10 @@ SOURCE_RUNTIME = r"""
 #define UT_DEMAND 7       /* hierarchy demand access */
 #define UT_PREFETCH 8     /* hierarchy prefetch + prediction bookkeeping */
 #define UT_CORE 9         /* core model: issue time, completion, LQ/ROB */
-#define UT_UNITS 10
+#define UT_PROGRAM 10     /* building a cell's trace program, untimed per
+                             access: each build is one interval, charged
+                             at the timed accesses' share of its time */
+#define UT_UNITS 11
 
 #ifdef RP_UNIT_TIMING
 #include <time.h>
@@ -1244,6 +1248,23 @@ static uint64_t ctx_key_of(const int64_t *lanes, int bits) {
     return ctx_finalize(xx_finish(acc, n));
 }
 
+/* ctx_key_of under all eight bits and under `bits`, the two hashes run
+ * side by side (each is one dependent chain of multiplies) */
+static void ctx_key_pair(const int64_t *lanes, int bits, uint64_t *all, uint64_t *sub) {
+    uint64_t a = xx_round(XXPRIME_5, 255);
+    uint64_t b = xx_round(XXPRIME_5, (int64_t)bits);
+    int64_t n = 1;
+    for (int i = 0; i < 8; i++) {
+        a = xx_round(a, lanes[i]);
+        if ((bits >> i) & 1) {
+            b = xx_round(b, lanes[i]);
+            n++;
+        }
+    }
+    *all = ctx_finalize(xx_finish(a, 9));
+    *sub = ctx_finalize(xx_finish(b, n));
+}
+
 /* ---- exported reference-vector hooks (test suite only) ---- */
 
 int64_t rp_hash_uint(uint64_t v) { return pyhash_u64(v); }
@@ -1284,6 +1305,34 @@ typedef struct {
     int expired;
 } FbEvent;
 
+/* The capture geometry of a context row: everything the context keys
+ * and the collection's range test read besides the trace, the branch
+ * history mask and the start state.  Rows with equal geometries capture
+ * identically, so they share one trace program. */
+typedef struct {
+    int64_t block_bytes, granularity;
+    int block_shift, granularity_shift;   /* shift_of(): -1 divides */
+    int64_t delta_min, delta_max;
+    int init_bits;        /* a reducer entry's bits when allocated */
+    int addr_depth;       /* recent blocks the address history folds */
+    int n_depths;
+    const int64_t *depths;   /* ascending, distinct, in [1, history] */
+} CtxGeom;
+
+/* ctx_on_access's input from the trace program, per access: the 255
+ * key, the key under init_bits (both unmasked), the address-history
+ * fold, then one bit per sample depth whose delta is in range */
+#define CT_KEY_ALL 0
+#define CT_KEY_INIT 1
+#define CT_HFOLD 2
+#define CT_MASK 3
+
+typedef struct {
+    CtxGeom geom;       /* what it was built for */
+    int stride;         /* words per access: CT_MASK + mask words */
+    uint64_t *ent;
+} CtxTrace;
+
 typedef struct Ctx {
     /* geometry */
     int cst_entries, cst_links, cst_index_bits;
@@ -1293,15 +1342,14 @@ typedef struct Ctx {
     uint64_t full_mask, reduced_mask;
     int hist_cap;
     int64_t q_cap;
-    int64_t block_bytes, granularity;
-    int block_shift, granularity_shift;   /* shift_of(): -1 divides */
-    int64_t delta_min, delta_max;
+    CtxGeom geom;       /* geom.depths is sample_depths */
+    int mask_words;
     /* reward config geometry + live window */
     int64_t cfg_lo, cfg_hi, cfg_center;
     int64_t peak, late_pen, early_pen;
     int reward_flat;
-    int64_t rw_lo, rw_hi, rw_center;
-    double rw_denom;
+    int64_t rw_center;
+    int64_t *rw_tab;    /* reward by depth, q_cap + 1 entries */
     /* scores / bandit policy */
     int64_t score_min, score_max, initial_score, replace_threshold, score_threshold;
     int max_degree;
@@ -1310,19 +1358,17 @@ typedef struct Ctx {
     int n_thresholds;
     double *thresholds;
     /* reducer adaptation */
-    int alloc_active_bits, initial_popcount;
+    int initial_popcount;
     int adaptive_reduction;
     int64_t overload_refs, overload_period, underload_lookups;
     /* adaptive reward window */
     int adaptive_window;
     int64_t window_update_period, center_lo_bound, center_hi_bound;
-    /* collection + capture */
-    int n_sample_depths;
+    /* collection + capture: the depths, and the recent blocks a trace
+     * program starts from (rolled forward at each run's end) */
     int64_t *sample_depths;
-    int addr_depth;
     int64_t *recent;
     int n_recent;
-    int64_t lanes[8];   /* hash() of each captured attribute value */
     /* RNG + EMAs */
     RpRng rng;
     double accuracy_ema, depth_ema;
@@ -1339,7 +1385,7 @@ typedef struct Ctx {
     int64_t *r_tag, *r_lookups, *r_lookadapt;
     uint64_t *r_cstkey;
     /* history ring (count monotonic, ring wraps) */
-    int64_t *h_reduced, *h_block, *h_line, *h_index;
+    int64_t *h_reduced, *h_line;
     int64_t h_count;
     int h_pos;
     /* prefetch queue: slot pool + FIFO ring + per-target chain buckets */
@@ -1381,45 +1427,208 @@ static int popcount8(int v) {
     return c;
 }
 
-/* ContextTracker.capture: splitmix fold over the OLD recent blocks,
- * hash the 8-value vector into its lanes, then append the block
- * (bounded deque).  Every key of this access is built from the lanes. */
-static void ctx_capture(Ctx *cx, uint64_t pc, int64_t type_id, int64_t link_offset,
-                        int64_t ref_form, int64_t last_value, uint64_t branch_hist,
-                        int64_t reg_value, int64_t block) {
+/* uaddr // d, as a shift when d is a power of two (shift >= 0) */
+static int64_t ctx_div(uint64_t uaddr, int shift, int64_t d) {
+    return shift >= 0 ? (int64_t)(uaddr >> shift) : (int64_t)(uaddr / (uint64_t)d);
+}
+
+/* the capture geometry a context row declares; depths point into it */
+static void ctx_geom_of_row(CtxGeom *g, const int64_t *ic) {
+    g->block_bytes = ic[9];
+    g->granularity = ic[10];
+    g->block_shift = shift_of(g->block_bytes);
+    g->granularity_shift = shift_of(g->granularity);
+    g->delta_min = ic[11];
+    g->delta_max = ic[12];
+    g->init_bits = (int)ic[25];
+    g->addr_depth = (int)ic[39];
+    g->n_depths = (int)ic[40];
+    g->depths = ic + CTX_ICFG_FIXED;
+}
+
+static int ctx_geom_eq(const CtxGeom *a, const CtxGeom *b) {
+    if (a->block_bytes != b->block_bytes || a->granularity != b->granularity
+        || a->delta_min != b->delta_min || a->delta_max != b->delta_max
+        || a->init_bits != b->init_bits || a->addr_depth != b->addr_depth
+        || a->n_depths != b->n_depths)
+        return 0;
+    for (int i = 0; i < a->n_depths; i++)
+        if (a->depths[i] != b->depths[i]) return 0;
+    return 1;
+}
+
+/* ContextTracker's recent blocks: a bounded deque, oldest first */
+static void ctx_push_recent(int64_t *recent, int *n_recent, int cap, int64_t block) {
+    if (cap <= 0) return;
+    if (*n_recent == cap) {
+        for (int i = 1; i < cap; i++) recent[i - 1] = recent[i];
+        recent[cap - 1] = block;
+    } else {
+        recent[(*n_recent)++] = block;
+    }
+}
+
+/* ContextTracker.capture's address history: splitmix fold over the
+ * recent blocks, oldest first, before the access's own is appended */
+static uint64_t ctx_fold(const int64_t *recent, int n_recent) {
     uint64_t hfold = 0;
-    for (int i = 0; i < cx->n_recent; i++) {
-        uint64_t state = hfold + (uint64_t)cx->recent[i] + 0x9E3779B97F4A7C15ULL;
+    for (int i = 0; i < n_recent; i++) {
+        uint64_t state = hfold + (uint64_t)recent[i] + 0x9E3779B97F4A7C15ULL;
         state ^= state >> 30;
         state *= 0xBF58476D1CE4E5B9ULL;
         state ^= state >> 27;
         state *= 0x94D049BB133111EBULL;
         hfold = state ^ (state >> 31);
     }
-    int64_t vals[8];
-    vals[0] = (int64_t)pc;        /* IP */
-    vals[1] = type_id;            /* TYPE_ID */
-    vals[2] = link_offset;        /* LINK_OFFSET */
-    vals[3] = ref_form;           /* REF_FORM */
-    vals[4] = last_value;         /* LAST_VALUE (signed) */
-    vals[5] = (int64_t)branch_hist;  /* BRANCH_HISTORY */
-    vals[6] = reg_value;          /* REG_VALUE (signed) */
-    vals[7] = (int64_t)hfold;     /* ADDR_HISTORY */
-    ctx_lanes(vals, cx->lanes);
-    if (cx->addr_depth > 0) {
-        if (cx->n_recent == cx->addr_depth) {
-            for (int i = 1; i < cx->n_recent; i++) cx->recent[i - 1] = cx->recent[i];
-            cx->recent[cx->n_recent - 1] = block;
-        } else {
-            cx->recent[cx->n_recent++] = block;
-        }
-    }
+    return hfold;
 }
 
-/* ContextCapture.hash: the unmasked finalized key of the captured
+/* ContextTracker.capture: the record's 8-value vector hashed into its
+ * lanes.  An unhinted record's hints read as zero (NO_HINTS); the last
+ * loaded value, the branch history and the fold come from the stream. */
+static void ctx_capture_lanes(const uint8_t *rec, int64_t last_value, uint64_t bhr,
+                              uint64_t hfold, int64_t *lanes) {
+    int hinted = (rec_flags(rec) >> 2) & 1;
+    int64_t vals[8];
+    vals[0] = (int64_t)rec_pc(rec);                          /* IP */
+    vals[1] = hinted ? (int64_t)rec_type_id(rec) : 0;        /* TYPE_ID */
+    vals[2] = hinted ? (int64_t)rec_link_offset(rec) : 0;    /* LINK_OFFSET */
+    vals[3] = hinted ? (int64_t)rec_ref_form(rec) : 0;       /* REF_FORM */
+    vals[4] = last_value;                 /* LAST_VALUE (signed) */
+    vals[5] = (int64_t)bhr;               /* BRANCH_HISTORY */
+    vals[6] = rec_reg_value(rec);         /* REG_VALUE (signed) */
+    vals[7] = (int64_t)hfold;             /* ADDR_HISTORY */
+    ctx_lanes(vals, lanes);
+}
+
+/* where a trace program starts: the branch history, recent blocks and
+ * history ring of the cell it serves; all zero is a fresh cell */
+typedef struct {
+    uint64_t bhr;
+    const int64_t *recent;
+    int n_recent;
+    const int64_t *h_line;
+    int hist_cap, h_pos;
+    int64_t h_count;
+} CtxStart;
+
+static void ctx_trace_free(CtxTrace *t) {
+    free(t->ent);
+    t->ent = 0;
+}
+
+/* The trace program of n records for geometry g, from start state st:
+ * per access, the keys and the range-tested sample positions that
+ * ctx_on_access would compute inline.  It folds the branch history as
+ * rp_run does, keeps its own recent blocks and line ring, and restarts
+ * the last loaded value at 0 where the run after a warmup begins
+ * (rp_run's local, fresh per call).  A mask bit is set only for depths
+ * before the first one past the history's count, as the inline loop
+ * breaks there.  0 when an allocation fails. */
+static int ctx_trace_build(CtxTrace *t, const CtxGeom *g, const CtxStart *st,
+                           const uint8_t *recs, int64_t n, int64_t warmup,
+                           uint64_t bhr_mask) {
+    int words = (g->n_depths + 63) / 64;
+    int ring_cap = g->n_depths > 0 ? (int)g->depths[g->n_depths - 1] : 1;
+    int depth_cap = g->addr_depth > 0 ? g->addr_depth : 1;
+    t->geom = *g;
+    t->stride = CT_MASK + words;
+    t->ent = (uint64_t *)malloc((size_t)(n > 0 ? n : 1) * (size_t)t->stride
+                                * sizeof(uint64_t));
+    int64_t *ring = (int64_t *)malloc((size_t)ring_cap * sizeof(int64_t));
+    int64_t *recent = (int64_t *)malloc((size_t)depth_cap * sizeof(int64_t));
+    if (!t->ent || !ring || !recent) {
+        free(ring);
+        free(recent);
+        ctx_trace_free(t);
+        return 0;
+    }
+    /* the start ring's newest lines (every sample depth fits a ring) */
+    int64_t count = st->h_count;
+    int64_t have = count < ring_cap ? count : ring_cap;
+    for (int64_t j = 1; j <= have; j++) {
+        int src = st->h_pos - (int)j;
+        if (src < 0) src += st->hist_cap;
+        ring[ring_cap - j] = st->h_line[src];
+    }
+    int pos = 0;
+    int n_recent = st->n_recent;
+    for (int i = 0; i < n_recent; i++) recent[i] = st->recent[i];
+    uint64_t bhr = st->bhr;
+    int64_t last_value = 0;
+    for (int64_t k = 0; k < n; k++) {
+        const uint8_t *rec = recs + k * REC_SIZE;
+        uint64_t *e = t->ent + k * t->stride;
+        if (k == warmup) last_value = 0;
+        int cnt = (int)rec_branch_count(rec);
+        if (cnt) {
+            uint64_t bb = rec_branch_bits(rec);
+            for (int b = 0; b < cnt; b++)
+                bhr = ((bhr << 1) | ((bb >> b) & 1)) & bhr_mask;
+        }
+        uint64_t uaddr = rec_addr(rec);
+        int64_t line = ctx_div(uaddr, g->granularity_shift, g->granularity);
+        uint64_t hfold = ctx_fold(recent, n_recent);
+        int64_t lanes[8];
+        ctx_capture_lanes(rec, last_value, bhr, hfold, lanes);
+        ctx_key_pair(lanes, g->init_bits, &e[CT_KEY_ALL], &e[CT_KEY_INIT]);
+        e[CT_HFOLD] = hfold;
+        uint64_t *mask = e + CT_MASK;
+        for (int w = 0; w < words; w++) mask[w] = 0;
+        for (int i = 0; i < g->n_depths; i++) {
+            int64_t depth = g->depths[i];
+            if (depth > count) break;
+            int ridx = pos - (int)depth;
+            if (ridx < 0) ridx += ring_cap;
+            int64_t delta = line - ring[ridx];
+            uint64_t in_range = (uint64_t)((delta != 0) & (g->delta_min <= delta)
+                                           & (delta <= g->delta_max));
+            mask[i >> 6] |= in_range << (i & 63);
+        }
+        ring[pos] = line;
+        pos = pos + 1 == ring_cap ? 0 : pos + 1;
+        count++;
+        ctx_push_recent(recent, &n_recent, g->addr_depth,
+                        ctx_div(uaddr, g->block_shift, g->block_bytes));
+        if (rec_flags(rec) & 1) last_value = rec_value(rec);
+    }
+    free(ring);
+    free(recent);
+    return 1;
+}
+
+/* one access as ctx_on_access reads it: its trace-program entry, plus
+ * what rebuilds the lanes where a key needs bits the program does not
+ * hold (a reducer entry whose bits adapted, ctx_adapt) */
+typedef struct {
+    const uint64_t *ent;
+    const uint8_t *rec;
+    int64_t last_value;
+    uint64_t bhr;
+    int have_lanes;
+    int64_t lanes[8];
+} CtxAccess;
+
+/* ContextCapture.hash: the unmasked finalized key of this access's
  * vector under an active bitmap; callers apply their own bit masks. */
-static uint64_t ctx_capture_key(const Ctx *cx, int bits) {
-    return ctx_key_of(cx->lanes, bits);
+static uint64_t ctx_access_key(const Ctx *cx, CtxAccess *a, int bits) {
+    if (bits == 255) return a->ent[CT_KEY_ALL];
+    if (bits == cx->geom.init_bits) return a->ent[CT_KEY_INIT];
+    if (!a->have_lanes) {
+        ctx_capture_lanes(a->rec, a->last_value, a->bhr, a->ent[CT_HFOLD], a->lanes);
+        a->have_lanes = 1;
+    }
+    return ctx_key_of(a->lanes, bits);
+}
+
+/* the recent blocks after a run of n records: where the next run's
+ * trace program starts */
+static void ctx_roll_recent(Ctx *cx, const uint8_t *recs, int64_t n) {
+    const CtxGeom *g = &cx->geom;
+    for (int64_t k = n > g->addr_depth ? n - g->addr_depth : 0; k < n; k++)
+        ctx_push_recent(cx->recent, &cx->n_recent, g->addr_depth,
+                        ctx_div(rec_addr(recs + k * REC_SIZE), g->block_shift,
+                                g->block_bytes));
 }
 """
 # drift: end native-context-state
@@ -1432,29 +1641,43 @@ SOURCE_CTX_REWARD = r"""
  * sigma/denom from the live window geometry exactly as __post_init__
  * (float divide by sqrt(2*log(peak)), denom = 2*pow(sigma, 2)); the
  * adapter gates bell configs with peak == 1 (interpreted path raises
- * ZeroDivisionError at evaluation time, so the kernel never sees it). */
+ * ZeroDivisionError at evaluation time, so the kernel never sees it).
+ * The reward of every depth 0..q_cap is computed here, once per window,
+ * into a table: the config keeps window_hi <= the queue's entries and a
+ * recentered hi is capped there, so a depth past q_cap is past the
+ * window too, and a reward is asked only for a depth >= 0. */
 
 static void ctx_set_reward(Ctx *cx, int64_t lo, int64_t hi, int64_t center) {
-    cx->rw_lo = lo; cx->rw_hi = hi; cx->rw_center = center;
+    cx->rw_center = center;
+    double denom = 0.0;
     if (!cx->reward_flat && cx->peak > 1) {
         int64_t half_lo = center - lo, half_hi = hi - center;
         int64_t half = half_lo > half_hi ? half_lo : half_hi;
         double sigma = (double)half / sqrt(2.0 * log((double)cx->peak));
-        cx->rw_denom = 2.0 * pow(sigma, 2.0);
+        denom = 2.0 * pow(sigma, 2.0);
+    }
+    for (int64_t depth = 0; depth <= cx->q_cap; depth++) {
+        int64_t r;
+        if (depth < lo) {
+            r = cx->late_pen;
+        } else if (depth > hi) {
+            r = cx->early_pen;
+        } else {
+            if (cx->reward_flat) {
+                r = cx->peak / 2;   /* peak >= 1, so // matches / */
+            } else {
+                double d = (double)(depth - center);
+                r = py_round_i64((double)cx->peak * exp(-(d * d) / denom));
+            }
+            if (r < 1) r = 1;
+        }
+        cx->rw_tab[depth] = r;
     }
 }
 
-/* reward for a non-expired feedback depth */
+/* reward for a non-expired feedback depth (depth >= 0) */
 static int64_t ctx_reward(const Ctx *cx, int64_t depth) {
-    if (depth < cx->rw_lo) return cx->late_pen;
-    if (depth > cx->rw_hi) return cx->early_pen;
-    if (cx->reward_flat) {
-        int64_t r = cx->peak / 2;   /* peak >= 1, so // matches / */
-        return r < 1 ? 1 : r;
-    }
-    double d = (double)(depth - cx->rw_center);
-    int64_t rwd = py_round_i64((double)cx->peak * exp(-(d * d) / cx->rw_denom));
-    return rwd < 1 ? 1 : rwd;
+    return depth > cx->q_cap ? cx->early_pen : cx->rw_tab[depth];
 }
 
 /* ContextPrefetcher._recenter_window: clamp the depth EMA into the
@@ -1631,7 +1854,7 @@ SOURCE_CTX_REDUCER = r"""
  * underload deactivates the highest set non-IP bit; any change rehashes
  * the reduced key and migrates the CST pointer. */
 
-static uint64_t ctx_adapt(Ctx *cx, int64_t ri, uint64_t reduced) {
+static uint64_t ctx_adapt(Ctx *cx, int64_t ri, uint64_t reduced, CtxAccess *a) {
     cx->r_lookadapt[ri] = cx->r_lookups[ri];
     int64_t ce = cst_find_slot(cx, reduced);
     int active = cx->r_active[ri];
@@ -1654,7 +1877,7 @@ static uint64_t ctx_adapt(Ctx *cx, int64_t ri, uint64_t reduced) {
         }
     }
     if (new_active == active) return reduced;
-    uint64_t nk = ctx_capture_key(cx, new_active) & cx->reduced_mask;
+    uint64_t nk = ctx_access_key(cx, a, new_active) & cx->reduced_mask;
     if (cx->r_haskey[ri]) cst_remove_pointer(cx, cx->r_cstkey[ri]);
     cst_add_pointer(cx, nk);
     cx->r_cstkey[ri] = nk;
@@ -1887,25 +2110,17 @@ static int ctx_q_match(Ctx *cx, size_t ms, int64_t index) {
     return n;
 }
 
-/* uaddr // d, as a shift when d is a power of two (shift >= 0) */
-static int64_t ctx_div(uint64_t uaddr, int shift, int64_t d) {
-    return shift >= 0 ? (int64_t)(uaddr >> shift) : (int64_t)(uaddr / (uint64_t)d);
-}
-
 /* ContextPrefetcher.on_access: capture -> feedback -> collection ->
- * reduction -> prediction -> history push, statement for statement
- * (the 255 key is hashed with the capture: nothing before its interpreted
- * use changes the captured vector).  Emits request line addresses +
- * shadow flags; returns the count. */
-static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
-                         int64_t type_id, int64_t link_offset, int64_t ref_form,
-                         int64_t last_value, uint64_t branch_hist, int64_t reg_value,
+ * reduction -> prediction -> history push, statement for statement.
+ * The capture is the access's trace-program entry (ctx_trace_build):
+ * its keys, and its mask of the sample depths whose delta is in range,
+ * are what the interpreted capture and range test compute, as nothing
+ * in them depends on the cell's learned state.  Emits request line
+ * addresses + shadow flags; returns the count. */
+static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, CtxAccess *a,
                          int64_t *req_addr, uint8_t *req_shadow) {
-    int64_t block = ctx_div(uaddr, cx->block_shift, cx->block_bytes);
-    int64_t line = ctx_div(uaddr, cx->granularity_shift, cx->granularity);
-    ctx_capture(cx, pc, type_id, link_offset, ref_form, last_value,
-                branch_hist, reg_value, block);
-    uint64_t key = ctx_capture_key(cx, 255);
+    int64_t line = ctx_div(uaddr, cx->geom.granularity_shift, cx->geom.granularity);
+    uint64_t key = a->ent[CT_KEY_ALL];
     UT_MARK(cx->clock, UT_CAPTURE);
     size_t ms = map_find(&cx->by_block, line);
     if (ms != (size_t)-1) {
@@ -1915,15 +2130,13 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
     UT_MARK(cx->clock, UT_FEEDBACK);
     int64_t count = cx->h_count;
     int pos = cx->h_pos;
-    if (count) {
-        for (int i = 0; i < cx->n_sample_depths; i++) {
-            int64_t depth = cx->sample_depths[i];
-            if (depth > count) break;
+    const uint64_t *mask = a->ent + CT_MASK;
+    for (int w = 0; w < cx->mask_words; w++) {
+        for (uint64_t m = mask[w]; m; m &= m - 1) {
+            int64_t depth = cx->sample_depths[w * 64 + __builtin_ctzll(m)];
             int ridx = pos - (int)depth;
             if (ridx < 0) ridx += cx->hist_cap;
-            int64_t delta = line - cx->h_line[ridx];
-            if (delta && cx->delta_min <= delta && delta <= cx->delta_max)
-                cst_add_assoc(cx, (uint64_t)cx->h_reduced[ridx], delta);
+            cst_add_assoc(cx, (uint64_t)cx->h_reduced[ridx], line - cx->h_line[ridx]);
         }
     }
     UT_MARK(cx->clock, UT_COLLECTION);
@@ -1939,7 +2152,7 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
             cx->r_used[ri] = 1;
         }
         cx->r_tag[ri] = rtag;
-        cx->r_active[ri] = (int32_t)cx->alloc_active_bits;
+        cx->r_active[ri] = (int32_t)cx->geom.init_bits;
         cx->r_haskey[ri] = 0;
         cx->r_lookups[ri] = 0;
         cx->r_lookadapt[ri] = 0;
@@ -1947,8 +2160,7 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
     }
     cx->r_lookups[ri]++;
     int active_bits = cx->r_active[ri];
-    uint64_t reduced_key = active_bits == 255 ? key : ctx_capture_key(cx, active_bits);
-    uint64_t reduced = reduced_key & cx->reduced_mask;
+    uint64_t reduced = ctx_access_key(cx, a, active_bits) & cx->reduced_mask;
     if (!cx->r_haskey[ri] || cx->r_cstkey[ri] != reduced) {
         if (cx->r_haskey[ri]) cst_remove_pointer(cx, cx->r_cstkey[ri]);
         cst_add_pointer(cx, reduced);
@@ -1957,7 +2169,7 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
     }
     if (cx->adaptive_reduction
         && cx->r_lookups[ri] - cx->r_lookadapt[ri] >= cx->overload_period)
-        reduced = ctx_adapt(cx, ri, reduced);
+        reduced = ctx_adapt(cx, ri, reduced, a);
     UT_MARK(cx->clock, UT_REDUCTION);
     int nreq = 0;
     int n_real = 0, n_shadow = 0;
@@ -1974,7 +2186,7 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
         if (target < 0) continue;
         int shadow = q_push_entry(cx, reduced, delta, target, index);
         if (shadow) cx->predictions_shadow++; else cx->predictions_real++;
-        req_addr[nreq] = target * cx->granularity;
+        req_addr[nreq] = target * cx->geom.granularity;
         req_shadow[nreq] = (uint8_t)shadow;
         nreq++;
     }
@@ -1984,14 +2196,12 @@ static int ctx_on_access(Ctx *cx, int64_t index, uint64_t uaddr, uint64_t pc,
         if (target < 0) continue;
         q_push_entry(cx, reduced, delta, target, index);
         cx->predictions_shadow++;
-        req_addr[nreq] = target * cx->granularity;
+        req_addr[nreq] = target * cx->geom.granularity;
         req_shadow[nreq] = 1;
         nreq++;
     }
     cx->h_reduced[pos] = (int64_t)reduced;
-    cx->h_block[pos] = block;
     cx->h_line[pos] = line;
-    cx->h_index[pos] = index;
     cx->h_count = count + 1;
     cx->h_pos = pos + 1 == cx->hist_cap ? 0 : pos + 1;
     UT_MARK(cx->clock, UT_ISSUE);
@@ -2014,7 +2224,7 @@ static void ctx_free(Ctx *cx) {
     free(cx->cst_ncand); free(cx->cst_delta); free(cx->cst_score);
     free(cx->r_used); free(cx->r_haskey); free(cx->r_active);
     free(cx->r_tag); free(cx->r_lookups); free(cx->r_lookadapt); free(cx->r_cstkey);
-    free(cx->h_reduced); free(cx->h_block); free(cx->h_line); free(cx->h_index);
+    free(cx->h_reduced); free(cx->h_line); free(cx->rw_tab);
     free(cx->q_red); free(cx->q_delta); free(cx->q_target); free(cx->q_issue);
     free(cx->q_hit); free(cx->q_bnext); free(cx->q_btail);
     free(cx->q_fifo); free(cx->q_freelist);
@@ -2057,9 +2267,8 @@ static int ctx_alloc(Ctx *cx, const int64_t *ic) {
     cx->r_lookadapt = (int64_t *)malloc(nre * sizeof(int64_t));
     cx->r_cstkey = (uint64_t *)malloc(nre * sizeof(uint64_t));
     cx->h_reduced = (int64_t *)malloc(nh * sizeof(int64_t));
-    cx->h_block = (int64_t *)malloc(nh * sizeof(int64_t));
     cx->h_line = (int64_t *)malloc(nh * sizeof(int64_t));
-    cx->h_index = (int64_t *)malloc(nh * sizeof(int64_t));
+    cx->rw_tab = (int64_t *)malloc((npool - 1) * sizeof(int64_t));
     cx->q_red = (int64_t *)malloc(npool * sizeof(int64_t));
     cx->q_delta = (int64_t *)malloc(npool * sizeof(int64_t));
     cx->q_target = (int64_t *)malloc(npool * sizeof(int64_t));
@@ -2085,7 +2294,7 @@ static int ctx_alloc(Ctx *cx, const int64_t *ic) {
         && cx->cst_delta && cx->cst_score
         && cx->r_used && cx->r_haskey && cx->r_active && cx->r_tag
         && cx->r_lookups && cx->r_lookadapt && cx->r_cstkey
-        && cx->h_reduced && cx->h_block && cx->h_line && cx->h_index
+        && cx->h_reduced && cx->h_line && cx->rw_tab
         && cx->q_red && cx->q_delta && cx->q_target && cx->q_issue
         && cx->q_hit && cx->q_bnext && cx->q_btail
         && cx->q_fifo && cx->q_freelist
@@ -2098,8 +2307,8 @@ static int ctx_alloc(Ctx *cx, const int64_t *ic) {
 static int ctx_fits(const Ctx *cx, const int64_t *ic) {
     return cx->cst_entries == ic[0] && cx->cst_links == ic[1]
         && cx->r_entries == ic[3] && cx->hist_cap == ic[7]
-        && cx->q_cap == ic[8] && cx->addr_depth == ic[39]
-        && cx->n_sample_depths == ic[40] && cx->n_thresholds == ic[41];
+        && cx->q_cap == ic[8] && cx->geom.addr_depth == ic[39]
+        && cx->geom.n_depths == ic[40] && cx->n_thresholds == ic[41];
 }
 
 /* every field a run reads, written from the config row: the one
@@ -2123,12 +2332,9 @@ static void ctx_reset(Ctx *cx, const int64_t *ic, const double *dc,
     cx->reduced_mask = ctx_mask_of((int)ic[6]);
     cx->hist_cap = (int)ic[7];
     cx->q_cap = ic[8];
-    cx->block_bytes = ic[9];
-    cx->granularity = ic[10];
-    cx->block_shift = shift_of(cx->block_bytes);
-    cx->granularity_shift = shift_of(cx->granularity);
-    cx->delta_min = ic[11];
-    cx->delta_max = ic[12];
+    ctx_geom_of_row(&cx->geom, ic);
+    cx->geom.depths = cx->sample_depths;
+    cx->mask_words = (cx->geom.n_depths + 63) / 64;
     cx->cfg_lo = ic[13];
     cx->cfg_hi = ic[14];
     cx->cfg_center = ic[15];
@@ -2141,7 +2347,6 @@ static void ctx_reset(Ctx *cx, const int64_t *ic, const double *dc,
     cx->replace_threshold = ic[22];
     cx->score_threshold = ic[23];
     cx->max_degree = (int)ic[24];
-    cx->alloc_active_bits = (int)ic[25];
     cx->initial_popcount = (int)ic[26];
     cx->overload_refs = ic[27];
     cx->overload_period = ic[28];
@@ -2155,8 +2360,6 @@ static void ctx_reset(Ctx *cx, const int64_t *ic, const double *dc,
     cx->window_update_period = ic[36];
     cx->center_lo_bound = ic[37];
     cx->center_hi_bound = ic[38];
-    cx->addr_depth = (int)ic[39];
-    cx->n_sample_depths = (int)ic[40];
     cx->n_thresholds = (int)ic[41];
     cx->eps_min = dc[0];
     cx->eps_range = dc[1];
@@ -2165,13 +2368,12 @@ static void ctx_reset(Ctx *cx, const int64_t *ic, const double *dc,
     cx->shadow_p = dc[4];
     cx->softmax_temp = dc[5];
     for (int i = 0; i < cx->n_thresholds; i++) cx->thresholds[i] = dc[CTX_DCFG_FIXED + i];
-    for (int i = 0; i < cx->n_sample_depths; i++) cx->sample_depths[i] = ic[CTX_ICFG_FIXED + i];
+    for (int i = 0; i < cx->geom.n_depths; i++) cx->sample_depths[i] = ic[CTX_ICFG_FIXED + i];
     mt_init_by_array(&cx->rng, seed_key, seed_len);
     cx->accuracy_ema = 0.0;
     cx->depth_ema = (double)cx->cfg_center;
-    cx->rw_denom = 0.0;
     ctx_set_reward(cx, cx->cfg_lo, cx->cfg_hi, cx->cfg_center);
-    /* capture (the lanes are written before every read) */
+    /* capture: no recent blocks */
     cx->n_recent = 0;
     /* CST + reducer: the used flags bound every other per-entry array */
     memset(cx->cst_used, 0, (size_t)cx->cst_entries);
@@ -2955,9 +3157,11 @@ int64_t rp_scan_records(const uint8_t *recs, int64_t n) {
 
 /* n accesses: the n trace-store records at recs, each field read where it
  * lies.  An unhinted record's hint fields read as zero, as the store
- * decodes it to NO_HINTS. */
+ * decodes it to NO_HINTS.  A context prefetcher reads access k's capture
+ * at tr_ent + k * tr_stride, its trace program's entry for the record. */
 static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
-                  const uint8_t *recs, int64_t *out) {
+                  const uint8_t *recs, const uint64_t *tr_ent, int tr_stride,
+                  int64_t *out) {
     Hier *h = &s->hier;
     Core *c = &s->core;
     Window *predicted_at = &s->predicted_at;
@@ -3059,13 +3263,13 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         int primary_miss = !l1_hit && served != SERVED_MSHR;
         int nreq;
         if (is_ctx) {
-            int hinted = (flags >> 2) & 1;
-            nreq = ctx_on_access(&pf->ctx, index, uaddr, rec_pc(rec),
-                                 hinted ? (int64_t)rec_type_id(rec) : 0,
-                                 hinted ? (int64_t)rec_link_offset(rec) : 0,
-                                 hinted ? (int64_t)rec_ref_form(rec) : 0,
-                                 last_value, s->bhr_value, rec_reg_value(rec),
-                                 reqs, req_shadow);
+            CtxAccess a;
+            a.ent = tr_ent + k * tr_stride;
+            a.rec = rec;
+            a.last_value = last_value;
+            a.bhr = s->bhr_value;
+            a.have_lanes = 0;
+            nreq = ctx_on_access(&pf->ctx, index, uaddr, &a, reqs, req_shadow);
         } else {
             nreq = pf_on_access(pf, index, uaddr, rec_pc(rec), primary_miss, reqs);
             UT_MARK(clk, UT_TABLE);
@@ -3096,7 +3300,10 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
         if (flags & 1) last_value = rec_value(rec);
         UT_MARK(clk, UT_PREFETCH);
     }
-    if (is_ctx && pf->ctx.oom) return -1;
+    if (is_ctx) {
+        if (pf->ctx.oom) return -1;
+        ctx_roll_recent(&pf->ctx, recs, n);
+    }
 
     /* write the core state back (Simulator.run's finally block) */
     c->cursor = cursor;
@@ -3141,8 +3348,10 @@ static int rp_run(RpSim *s, RpPf *pf, int64_t n, int64_t start_index,
 
 /* the unit-timing totals (UNIT_SLOTS int64s): per unit its ns and its
  * interval count, then timed accesses, all accesses, the ns spent inside
- * rp_run and the cost of one clock read.  Zeros unless this is the
- * unit-timing build. */
+ * rp_run and building trace programs, and the cost of one clock read.
+ * A program's build serves every access of its cell, timed or not, so
+ * UT_PROGRAM reports its time at the timed accesses' share.  Zeros
+ * unless this is the unit-timing build. */
 void rp_sim_unit_times(const RpSim *s, int64_t *out) {
     memset(out, 0, (2 * UT_UNITS + 4) * sizeof(int64_t));
 #ifdef RP_UNIT_TIMING
@@ -3151,13 +3360,64 @@ void rp_sim_unit_times(const RpSim *s, int64_t *out) {
         out[i] = u->ns[i];
         out[UT_UNITS + i] = u->intervals[i];
     }
+    out[UT_PROGRAM] = u->accesses ? (int64_t)((double)u->ns[UT_PROGRAM]
+                                              * (double)u->timed
+                                              / (double)u->accesses) : 0;
     out[2 * UT_UNITS] = u->timed;
     out[2 * UT_UNITS + 1] = u->accesses;
-    out[2 * UT_UNITS + 2] = u->kernel_ns;
+    out[2 * UT_UNITS + 2] = u->kernel_ns + u->ns[UT_PROGRAM];
     out[2 * UT_UNITS + 3] = u->read_ns == INT64_MAX ? 0 : u->read_ns;
 #else
     (void)s;
 #endif
+}
+
+/* the trace program of a live context cell, from its own start state:
+ * the simulator's branch history and the cell's recent blocks and
+ * history ring, a warm handle's after the runs before */
+static int cell_trace(RpSim *s, const Ctx *cx, const uint8_t *recs, int64_t n,
+                      int64_t warmup, CtxTrace *t) {
+    CtxStart st = {s->bhr_value, cx->recent, cx->n_recent, cx->h_line,
+                   cx->hist_cap, cx->h_pos, cx->h_count};
+#ifdef RP_UNIT_TIMING
+    int64_t t0 = ut_now();
+#endif
+    int ok = ctx_trace_build(t, &cx->geom, &st, recs, n, warmup, s->bhr_mask);
+#ifdef RP_UNIT_TIMING
+    s->clock.ns[UT_PROGRAM] += ut_now() - t0;
+    s->clock.intervals[UT_PROGRAM]++;
+#endif
+    return ok;
+}
+
+/* The trace programs of a shard: one per distinct capture geometry among
+ * the context rows its cells run, each from a fresh cell's start state
+ * (every batch cell starts fresh), so all cells of a geometry share one.
+ * row_tr[r] becomes row r's program; it stays NULL for a row no context
+ * cell runs and where the build failed.  Returns the count of progs
+ * used (each to free with ctx_trace_free). */
+static int64_t shard_traces(CtxTrace *progs, const CtxTrace **row_tr,
+                            int64_t ncells, const int32_t *rows, const int32_t *kinds,
+                            const int64_t *cfg_at, const int64_t *cfgs,
+                            const uint8_t *recs, int64_t n, int64_t warmup,
+                            uint64_t bhr_mask) {
+    CtxStart fresh;
+    memset(&fresh, 0, sizeof fresh);
+    int64_t nprog = 0;
+    for (int64_t i = 0; i < ncells; i++) {
+        int64_t r = rows[i];
+        if (kinds[r] != PF_CONTEXT || row_tr[r]) continue;
+        CtxGeom g;
+        ctx_geom_of_row(&g, cfgs + cfg_at[r]);
+        int64_t p = 0;
+        while (p < nprog && !ctx_geom_eq(&progs[p].geom, &g)) p++;
+        if (p == nprog) {
+            ctx_trace_build(&progs[p], &g, &fresh, recs, n, warmup, bhr_mask);
+            nprog++;
+        }
+        if (progs[p].ent) row_tr[r] = &progs[p];
+    }
+    return nprog;
 }
 """
 
@@ -3244,20 +3504,39 @@ int rp_batch_out_slots(void) {
 
 /* one cell: rp_run with warmup composed as the interpreted Simulator.run
  * composes it — run(prefix) + rp_reset_stats + run(remainder), the
- * remainder `warmup` records further on.  The one cell runner:
- * rp_run_batch runs every batch cell with it, and the adapter's
- * single-cell phase_kernel calls it directly. */
-int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
-                  int64_t warmup, const uint8_t *recs, int64_t *out) {
+ * remainder `warmup` records further on, in the records and in tr, the
+ * context cell's trace program over all n of them (NULL for a table
+ * family).  The one cell runner: rp_run_batch runs every batch cell with
+ * it, and rp_batch_cell every single cell. */
+int rp_cell_run(RpSim *sim, RpPf *pf, const CtxTrace *tr, int64_t n,
+                int64_t start_index, int64_t warmup, const uint8_t *recs,
+                int64_t *out) {
+    const uint64_t *ent = tr ? tr->ent : 0;
+    int stride = tr ? tr->stride : 0;
     if (warmup > 0) {
         if (warmup >= n) return RP_BATCH_WARMUP_TOO_LONG;
-        int rc = rp_run(sim, pf, warmup, start_index, recs, out);
+        int rc = rp_run(sim, pf, warmup, start_index, recs, ent, stride, out);
         if (rc != 0) return rc;
         rp_reset_stats(sim);
         return rp_run(sim, pf, n - warmup, start_index + warmup,
-                      recs + warmup * REC_SIZE, out);
+                      recs + warmup * REC_SIZE, tr ? ent + warmup * stride : 0,
+                      stride, out);
     }
-    return rp_run(sim, pf, n, start_index, recs, out);
+    return rp_run(sim, pf, n, start_index, recs, ent, stride, out);
+}
+
+/* the adapter's single-cell phase_kernel: one cell on warm handles, whose
+ * context prefetcher gets a trace program built from its own start
+ * state (-1, out of memory, when that fails) */
+int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
+                  int64_t warmup, const uint8_t *recs, int64_t *out) {
+    if (pf->kind != PF_CONTEXT)
+        return rp_cell_run(sim, pf, 0, n, start_index, warmup, recs, out);
+    CtxTrace tr;
+    if (!cell_trace(sim, &pf->ctx, recs, n, warmup, &tr)) return -1;
+    int rc = rp_cell_run(sim, pf, &tr, n, start_index, warmup, recs, out);
+    ctx_trace_free(&tr);
+    return rc;
 }
 
 /* whole shard in one call.  Cell i runs row r = rows[i] of the row
@@ -3265,7 +3544,10 @@ int rp_batch_cell(RpSim *sim, RpPf *pf, int64_t n, int64_t start_index,
  * for the context kind, dcfgs + dcfg_at[r] and seed key k = seeds[i],
  * keys[key_at[k]:key_at[k+1]]) on a simulator built from the shard-wide
  * hier_cfg/core_cfg, over the n trace-store records at recs.  Cells that
- * share a config share its row.  A context cell also reports its accuracy
+ * share a config share its row.  The context rows' trace programs are
+ * built before the team starts, one per capture geometry (shard_traces),
+ * only read inside it, and freed with the shard; a context cell whose
+ * program could not be built fails alone (rc -2).  A context cell also reports its accuracy
  * EMA and its hit-depth histogram: up to hist_slots (depth, count) pairs
  * at hist_depths/hist_counts + i * hist_slots, in first-insertion order,
  * hist_lens[i] of them.  nthreads > 0 asks for that team size, 0 for the
@@ -3287,6 +3569,15 @@ int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
                  int64_t *outs, int32_t *rcs, double *accuracies,
                  int64_t *hist_lens, int64_t *hist_depths,
                  int64_t *hist_counts, int64_t hist_slots, int nthreads) {
+    int64_t nrows = 1;
+    for (int64_t i = 0; i < ncells; i++)
+        if (rows[i] >= nrows) nrows = rows[i] + 1;
+    CtxTrace *progs = (CtxTrace *)calloc((size_t)nrows, sizeof(CtxTrace));
+    const CtxTrace **row_tr = (const CtxTrace **)calloc((size_t)nrows, sizeof(CtxTrace *));
+    int64_t nprog = 0;
+    if (progs && row_tr)
+        nprog = shard_traces(progs, row_tr, ncells, rows, kinds, cfg_at, cfgs,
+                             recs, n, warmup, (uint64_t)core_cfg[3]);
 #ifdef _OPENMP
     int team = nthreads > 0 ? nthreads : omp_get_max_threads();
     if (team > ncells) team = ncells > 0 ? (int)ncells : 1;
@@ -3308,10 +3599,11 @@ int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
             else sim = rp_sim_new(hier_cfg, core_cfg);
             pf = pf_renew(pf, kind, cfgs + cfg_at[r], dcfgs + dcfg_at[r],
                           keys + key_at[k], (int)(key_at[k + 1] - key_at[k]));
+            const CtxTrace *tr = row_tr ? row_tr[r] : 0;
             int rc = RP_BATCH_ALLOC_FAILED;
-            if (sim && pf)
-                rc = rp_batch_cell(sim, pf, n, start_index, warmup, recs,
-                                   outs + i * RP_BATCH_OUT_SLOTS);
+            if (sim && pf && (kind != PF_CONTEXT || tr))
+                rc = rp_cell_run(sim, pf, tr, n, start_index, warmup, recs,
+                                 outs + i * RP_BATCH_OUT_SLOTS);
             accuracies[i] = 0.0;
             hist_lens[i] = 0;
             if (rc == 0 && kind == PF_CONTEXT) {
@@ -3336,6 +3628,9 @@ int rp_run_batch(int64_t ncells, const int32_t *rows, const int32_t *seeds,
         rp_sim_free(sim);
         rp_pf_free(pf);
     }
+    for (int64_t p = 0; p < nprog; p++) ctx_trace_free(&progs[p]);
+    free(progs);
+    free(row_tr);
     return 0;
 }
 """

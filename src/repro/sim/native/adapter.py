@@ -1111,7 +1111,8 @@ def unit_times(sim) -> dict | None:
     """The unit-timing totals of a simulator that ran natively: ``units``
     maps each timed unit (in :data:`UNIT_NAMES` order) to its ns per
     access, next to ``kernel_ns_per_access`` (the time inside ``rp_run``
-    over every access) and the ``timed``/``accesses`` counts.
+    and building the cells' trace programs, over every access) and the
+    ``timed``/``accesses`` counts.
 
     A unit's ns per access is its summed intervals, less one clock read
     per interval (the calibrated ``read_ns``), over the timed accesses.

@@ -21,9 +21,13 @@ questions about one simulated run:
 3. **Where does the time go inside the kernel?**  A native run goes
    through the unit-timing build of the kernel
    (:func:`repro.sim.native.build.unit_timing`), which times one access
-   in 32 unit by unit; the report carries each unit's ns per access and
-   its share, beside the kernel's own ns per access.  The timed build
-   computes the same result as the default one.
+   in 32 unit by unit.  One run samples too few accesses to resolve a
+   small step (about 625 of 20,000), so the timed run is repeated on
+   fresh simulators of the same config (:func:`_timed_runs`); the report
+   carries each unit's median ns per access over those runs with its
+   quartiles, and its share, beside the kernel's own ns per access.  The
+   timed build computes the same result as the default one; the
+   counters and the cProfile table are the first run's.
 
 The harness itself never reads the wall clock (rule ``DET003``):
 cProfile's timer is internal to the optional profiling section, the unit
@@ -37,6 +41,7 @@ import cProfile
 import contextlib
 import io
 import pstats
+import statistics
 from dataclasses import dataclass, field
 
 from repro.sim.metrics import SimulationResult
@@ -62,11 +67,20 @@ class ProfileReport:
     #: populated for native runs profiled with cProfile; call structure
     #: is deterministic, the timings are machine-dependent
     native_phases: dict[str, float] = field(default_factory=dict)
-    #: kernel unit -> ns per access, from the unit-timing build (native
-    #: runs only; machine-dependent); see ``adapter.unit_times``
+    #: kernel unit -> median ns per access over the timed runs, from the
+    #: unit-timing build (native runs only; machine-dependent); see
+    #: ``adapter.unit_times``
     kernel_units: dict[str, float] = field(default_factory=dict)
-    #: ns per access inside the timed kernel call, all units included
+    #: kernel unit -> (first, third) quartile of its ns per access
+    kernel_unit_quartiles: dict[str, tuple[float, float]] = field(
+        default_factory=dict
+    )
+    #: median ns per access inside the timed kernel calls, all units included
     kernel_ns_per_access: float = 0.0
+    #: how many timed runs the kernel figures summarise, and the accesses
+    #: they timed between them
+    timed_runs: int = 0
+    timed_accesses: int = 0
 
 
 def _unit_counters(
@@ -208,6 +222,42 @@ def _native_phase_times(profiler: cProfile.Profile) -> dict[str, float]:
     return {name: out[name] for name in _NATIVE_PHASE_FUNCS if name in out}
 
 
+#: the timed runs of a native profile: at least this many, then more
+#: until they have timed ``_TIMED_ACCESSES`` accesses, at most
+#: ``_MAX_TIMED_RUNS`` (a short trace times few accesses per run)
+_TIMED_RUNS = 9
+_TIMED_ACCESSES = 20_000
+_MAX_TIMED_RUNS = 64
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of ``values``."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def _timed_runs(factory, trace, workload_name: str) -> list[dict]:
+    """:func:`~repro.sim.native.adapter.unit_times` of the timed runs:
+    each a fresh simulator of ``factory``'s prefetcher over ``trace``."""
+    from repro.sim.native.adapter import unit_times
+
+    runs: list[dict] = []
+    timed = 0
+    while len(runs) < _MAX_TIMED_RUNS and (
+        len(runs) < _TIMED_RUNS or timed < _TIMED_ACCESSES
+    ):
+        sim = Simulator(factory(), native=True)
+        sim.run(trace, workload_name=workload_name)
+        times = unit_times(sim) if sim.last_run_native else None
+        if times is None:
+            break
+        runs.append(times)
+        timed += times["timed"]
+    return runs
+
+
 def profile_run(
     workload_name: str,
     prefetcher_name: str,
@@ -222,7 +272,8 @@ def profile_run(
     With ``native=True`` the run is one single-cell run of the compiled
     kernel's unit-timing build (falling back per the usual rules), and
     the report attributes time to the decode/kernel/finalize phases
-    instead of per-access functions.
+    instead of per-access functions; the kernel's unit table summarises
+    the timed runs that follow it (:func:`_timed_runs`).
     """
     # imported here so ``repro.sim`` stays import-light for the workers
     from repro.sim.config import PREFETCHER_FACTORIES
@@ -231,11 +282,12 @@ def profile_run(
     trace = get_workload(workload_name).build().trace()
     if limit is not None:
         trace = trace[:limit]
-    sim = Simulator(PREFETCHER_FACTORIES[prefetcher_name](), native=native)
+    factory = PREFETCHER_FACTORIES[prefetcher_name]
+    sim = Simulator(factory(), native=native)
 
     timing_table = ""
     native_phases: dict[str, float] = {}
-    timed = None
+    runs: list[dict] = []
     # a native run uses the unit-timing build; its handles live and die
     # inside the block, with every read of them
     with _kernel_scope(native):
@@ -254,9 +306,17 @@ def profile_run(
             result = sim.run(trace, workload_name=workload_name)
         units = _unit_counters(sim, result, native_ran=sim.last_run_native)
         if sim.last_run_native:
-            from repro.sim.native.adapter import unit_times
+            runs = _timed_runs(factory, trace, workload_name)
 
-            timed = unit_times(sim)
+    kernel_units: dict[str, float] = {}
+    quartiles: dict[str, tuple[float, float]] = {}
+    kernel_ns = 0.0
+    if runs:
+        for name in dict.fromkeys(n for run in runs for n in run["units"]):
+            q1, median, q3 = _quartiles([run["units"].get(name, 0.0) for run in runs])
+            kernel_units[name] = median
+            quartiles[name] = (q1, q3)
+        kernel_ns = _quartiles([run["kernel_ns_per_access"] for run in runs])[1]
 
     return ProfileReport(
         workload=workload_name,
@@ -268,8 +328,11 @@ def profile_run(
         top=top,
         native=sim.last_run_native,
         native_phases=native_phases,
-        kernel_units=timed["units"] if timed else {},
-        kernel_ns_per_access=timed["kernel_ns_per_access"] if timed else 0.0,
+        kernel_units=kernel_units,
+        kernel_unit_quartiles=quartiles,
+        kernel_ns_per_access=kernel_ns,
+        timed_runs=len(runs),
+        timed_accesses=sum(run["timed"] for run in runs),
     )
 
 
@@ -313,12 +376,17 @@ def render(report: ProfileReport) -> str:
         kernel = report.kernel_ns_per_access
         lines += [
             "",
-            "kernel unit timings (unit-timing build, 1 access in 32; "
-            "machine-dependent):",
+            "kernel unit timings (unit-timing build, 1 access in 32; median "
+            f"[quartiles] of {report.timed_runs} runs, {report.timed_accesses} "
+            "timed accesses; machine-dependent):",
         ]
         for name, ns in report.kernel_units.items():
             share = ns / total if total else 0.0
-            lines.append(f"    {name:28s} {ns:>10.1f} ns/access  ({share:5.1%})")
+            q1, q3 = report.kernel_unit_quartiles[name]
+            lines.append(
+                f"    {name:28s} {ns:>10.1f} ns/access  [{q1:.1f}-{q3:.1f}]"
+                f"  ({share:5.1%})"
+            )
         covered = total / kernel if kernel else 0.0
         lines.append(
             f"    {'units, summed':28s} {total:>10.1f} ns/access  "

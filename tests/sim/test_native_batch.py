@@ -17,6 +17,9 @@ Coverage here:
   reallocates after a change of table sizes;
 * thread-count invariance (1, 2, 4 and the OpenMP default);
 * warmup and ``start_index`` riding the shared columns correctly;
+* a shard whose context rows differ in capture geometry, each cell
+  against its oracle run: the kernel builds one trace program per
+  geometry, and a cell must read its own;
 * per-cell fallback isolation — one unrepresentable cell (no row), or
   one whose hit-depth histogram overflows the kernel's slots, degrades
   alone, with its reason, while its neighbours stay native; a context
@@ -58,6 +61,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.attributes import Attribute
 from repro.core.config import ContextPrefetcherConfig
 from repro.core.prefetcher import ContextPrefetcher
 from repro.prefetchers.ghb import GHBPrefetcher
@@ -217,6 +221,46 @@ class TestBatchParity:
             )
             assert sim.last_run_native, sim.last_native_fallback
             assert encoded[pos] == encode_text(single)
+
+
+def _geometry_cells() -> list:
+    """Context configs whose capture geometries differ in turn from the
+    default's: the block and delta granularities, the delta bounds, the
+    initial attributes (all eight bits without adaptation), the sample
+    depths; the last shares the first's geometry under another seed."""
+    base = ContextPrefetcherConfig()
+    return [
+        base,
+        dataclasses.replace(base, block_bytes=48, delta_granularity=96, seed=2),
+        dataclasses.replace(base, delta_granularity=32, seed=3),
+        dataclasses.replace(base, delta_bits=4, seed=4),
+        dataclasses.replace(
+            base, initial_attributes=(Attribute.IP, Attribute.LAST_VALUE), seed=5
+        ),
+        dataclasses.replace(base, adaptive_reduction=False, seed=6),
+        dataclasses.replace(base, sample_depths=(3, 8, 20), seed=7),
+        dataclasses.replace(base, seed=8),
+    ]
+
+
+class TestTraceProgramGeometry:
+    """Cells share a trace program only where their rows capture alike:
+    each cell of a shard whose context rows differ in geometry equals
+    its oracle run, with and without warmup, at one and two threads."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("warmup", [0, 400])
+    def test_rows_of_differing_geometry_match_the_oracle(self, warmup, threads):
+        trace = get_workload("list").build().trace()[:1500]
+        cells = _geometry_cells()
+        encoded, reasons = _batch_encoded(
+            cells, trace, threads=threads, warmup=warmup
+        )
+        assert all(r is None for r in reasons), reasons
+        for pos, cfg in enumerate(cells):
+            sim = Simulator(ContextPrefetcher(cfg), native=False)
+            oracle = sim.run(trace, workload_name="batch-test", warmup=warmup)
+            assert encoded[pos] == encode_text(oracle), f"cell {pos}: {cfg}"
 
 
 class TestFallbackIsolation:

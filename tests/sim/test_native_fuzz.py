@@ -22,7 +22,10 @@ where the PHT index's product ``pc * 0x9E3779B1`` passes 2**64; another
 test runs each table family over runs whose indices restart below the
 last run's, one holds an SMS region of more than 64 lines to its
 fallback, and one holds the prediction windows to the oracle across
-their generation rolls.
+their generation rolls.  The last cases hold the context kernel's trace
+program to the oracle: a warm rerun over another trace, more sample
+depths than one mask word holds, reducer entries whose bits adapt, and a
+reward window that recenters, under the bell and the flat reward.
 """
 
 from __future__ import annotations
@@ -733,3 +736,156 @@ def test_prediction_windows_across_generation_rolls() -> None:
     oracle, native = (encode_text(sim.run(trace, workload_name="windows")) for sim in sims)
     assert sims[1].last_run_native, sims[1].last_native_fallback
     assert native == oracle
+
+
+# ---------------------------------------------------------------------------
+# The context kernel's trace program (``ctx_trace_build``): the keys, the
+# address-history fold and the in-range sample positions of every access,
+# built once per run, or once per shard and capture geometry in the batch
+# driver.  These cases draw under labels of their own, so no case above
+# moves; each fails on a kernel that gets one part of the program wrong.
+
+
+def _paired_runs(cfg, runs):
+    """``runs`` — ``(trace, warmup)`` pairs — in turn on one interpreted
+    and one native simulator of ``cfg``, each warm from the runs before:
+    every result must agree, and so must the learning units' counters
+    after the last run (CST associations, reducer allocations and
+    adaptations, queue feedback).  Returns the native run's prefetcher."""
+    from repro.core.prefetcher import ContextPrefetcher
+    from repro.sim.profile import _unit_counters
+
+    results, counters = {}, {}
+    for native in (False, True):
+        pf = ContextPrefetcher(cfg)
+        sim = Simulator(pf, native=native)
+        results[native] = []
+        for trace, warmup in runs:
+            results[native].append(
+                sim.run(trace, workload_name="trace-program", warmup=warmup)
+            )
+            if native:
+                assert sim.last_run_native, sim.last_native_fallback
+        units = _unit_counters(sim, results[native][-1], native_ran=native)
+        counters[native] = {u: units[u] for u in ("feedback", "collection", "reduction")}
+    assert results[True] == results[False]
+    assert counters[True] == counters[False]
+    return pf
+
+
+def _kernel_counters(pf) -> dict:
+    from repro.sim.native.adapter import context_unit_counters
+
+    return context_unit_counters(pf)
+
+
+def _drift_trace(rng: random.Random, length: int, line: int) -> list[MemoryAccess]:
+    """A slow drift through 4,096 lines, mostly forward: the delta to
+    each of the last 100 accesses is usually within the default 8-bit
+    delta bounds, so deep sample positions train the CST too."""
+    base = rng.randrange(1 << 30) * line
+    pcs = [0x400000 + 4 * k for k in range(12)]
+    trace: list[MemoryAccess] = []
+    pos = 0
+    for k in range(length):
+        pos = (pos + rng.choice((1, 1, 1, 0, -1, 2))) % 4096
+        trace.append(
+            MemoryAccess(
+                addr=base + pos * line,
+                pc=pcs[k % len(pcs)] if rng.random() < 0.8 else rng.choice(pcs),
+                is_load=rng.random() < 0.9,
+                inst_gap=rng.randrange(6),
+            )
+        )
+    return trace
+
+
+def _cycle_trace(rng: random.Random, length: int, line: int) -> list[MemoryAccess]:
+    """A short pattern of accesses, with their branch outcomes, repeated
+    with a little noise: contexts recur, so reducer entries are looked up
+    again and adapt, and what one run learns the next one uses."""
+    base = rng.randrange(1 << 30) * line
+    pattern = [
+        (
+            base + rng.randrange(256) * line,
+            0x400000 + 4 * rng.randrange(6),
+            tuple(rng.random() < 0.5 for _ in range(rng.randrange(3))),
+        )
+        for _ in range(rng.randrange(12, 24))
+    ]
+    trace: list[MemoryAccess] = []
+    while len(trace) < length:
+        for addr, pc, branches in pattern:
+            if rng.random() < 0.05:
+                addr += rng.randrange(1, 64) * line
+            trace.append(
+                MemoryAccess(
+                    addr=addr, pc=pc, inst_gap=rng.randrange(4), branches=branches
+                )
+            )
+    return trace[:length]
+
+
+def _registry_trace(name: str, length: int) -> list:
+    from repro.workloads.suites import get_workload
+
+    return get_workload(name).build().trace()[:length]
+
+
+@pytest.mark.parametrize("warmup", [0, 500])
+def test_a_warm_rerun_over_another_trace_matches_the_oracle(warmup) -> None:
+    # each run's program starts from the runs before: their branch
+    # history (in the reduced keys here), recent blocks and history ring;
+    # and it restarts the last loaded value where a warmup's second run
+    # begins.  The cycle's second half reuses what its first half learnt.
+    from repro.core.attributes import Attribute
+    from repro.core.config import ContextPrefetcherConfig
+
+    rng = random.Random(_seed_for(f"trace-program/rerun/{warmup}"))
+    cfg = ContextPrefetcherConfig(
+        initial_attributes=(Attribute.IP, Attribute.BRANCH_HISTORY),
+        seed=rng.randrange(1 << 32),
+    )
+    cycle = _cycle_trace(rng, 3000, 64)
+    runs = [(_registry_trace("mcf", 2000), 0), (cycle[:1500], 0), (cycle[1500:], warmup)]
+    _paired_runs(cfg, runs)
+
+
+def test_more_sample_depths_than_one_mask_word() -> None:
+    from repro.core.config import ContextPrefetcherConfig
+
+    rng = random.Random(_seed_for("trace-program/depths"))
+    cfg = ContextPrefetcherConfig(
+        history_entries=100,
+        sample_depths=tuple(range(1, 101)),
+        seed=rng.randrange(1 << 32),
+    )
+    pf = _paired_runs(cfg, [(_drift_trace(rng, 3000, 64), 0)])
+    assert _kernel_counters(pf)["associations_added"] > 0
+
+
+def test_reducer_adaptation_past_the_initial_bits() -> None:
+    # overload_refs=1 adapts entries at once: their keys need bits the
+    # program does not hold, and the lanes are rebuilt from the record
+    from repro.core.config import ContextPrefetcherConfig
+
+    rng = random.Random(_seed_for("trace-program/adapt"))
+    cfg = ContextPrefetcherConfig(overload_refs=1, seed=rng.randrange(1 << 32))
+    pf = _paired_runs(cfg, [(_cycle_trace(rng, 6000, 64), 0)])
+    assert _kernel_counters(pf)["reducer_activations"] > 0
+
+
+@pytest.mark.parametrize("shape", ["bell", "flat"])
+def test_a_recentered_reward_window_matches_the_oracle(shape) -> None:
+    # the reward table is rebuilt whenever the window moves
+    from repro.core.config import ContextPrefetcherConfig
+
+    rng = random.Random(_seed_for(f"trace-program/recenter/{shape}"))
+    cfg = ContextPrefetcherConfig(
+        adaptive_window=True,
+        window_update_period=8,
+        reward_shape=shape,
+        seed=rng.randrange(1 << 32),
+    )
+    pf = _paired_runs(cfg, [(_registry_trace("array", 6000), 0)])
+    assert _kernel_counters(pf)["window_updates"] > 0

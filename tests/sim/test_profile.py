@@ -111,7 +111,9 @@ class TestNativeMode:
         from repro.workloads.suites import get_workload
 
         trace = get_workload("array").build().trace()[:2000]
-        for name, absent in (("context", {"table"}), ("stride", set(UNIT_NAMES[:6]))):
+        # a table family builds no trace program and runs no context unit
+        stride_absent = {*UNIT_NAMES[:6], "program"}
+        for name, absent in (("context", {"table"}), ("stride", stride_absent)):
             report = profile_run(
                 "array", name, limit=2000, with_cprofile=False, native=True
             )
@@ -122,4 +124,28 @@ class TestNativeMode:
             text = render(report)
             assert "kernel unit timings" in text
             assert "units, summed" in text
+
+    def test_native_unit_table_summarises_repeated_runs(self):
+        # one run times about one access in 32, too few to resolve a
+        # small step: the table is the median of repeated timed runs on
+        # fresh simulators, with its quartiles, while the counters and
+        # the cProfile table stay the first run's
+        _require_native()
+        from repro.sim import profile as profile_mod
+
+        report = profile_run("array", "context", limit=1000, top=5, native=True)
+        assert profile_mod._TIMED_RUNS <= report.timed_runs
+        assert report.timed_runs <= profile_mod._MAX_TIMED_RUNS
+        assert report.timed_accesses >= report.timed_runs
+        assert set(report.kernel_unit_quartiles) == set(report.kernel_units)
+        for name, median in report.kernel_units.items():
+            q1, q3 = report.kernel_unit_quartiles[name]
+            assert q1 <= median <= q3, name
+        first = profile_run("array", "context", limit=1000, with_cprofile=False)
+        assert report.result == first.result
+        assert report.units["collection"] == first.units["collection"]
+        assert report.timing_table and "phase_kernel" in report.native_phases
+        text = render(report)
+        assert f"of {report.timed_runs} runs" in text
+        assert f"{report.timed_accesses} timed accesses" in text
 
